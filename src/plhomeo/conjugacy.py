@@ -11,7 +11,7 @@ from .errors import InvalidClass, StructureViolated
 from .maps import (PLMap2, CellMap, compose, first_disagreement, identity_map,
                    map_equal, reflection_map, rotation_map, rotoreflection_map,
                    shift_into_unit)
-from .suspension import DISC, SPHERE, band_cells
+from .suspension import SPHERE, band_cells
 
 Q = Fraction
 
@@ -35,10 +35,6 @@ class ModelIsometry:
             if self.n % 2 or gcd(2 * self.k, self.n) != 2:
                 raise InvalidClass("rotoreflection must have period n")
 
-    @property
-    def angle(self) -> Fraction:
-        return Q(self.k, self.n)
-
     def as_map(self) -> PLMap2:
         if self.kind == IDENTITY:
             return identity_map(self.model)
@@ -49,15 +45,6 @@ class ModelIsometry:
         if self.kind == ROTOREFLECTION:
             return rotoreflection_map(self.k, self.n)
         raise InvalidClass(f"unknown isometry kind {self.kind!r}")
-
-    def describe(self) -> str:
-        if self.kind == IDENTITY:
-            return "identity"
-        if self.kind == ROTATION:
-            return f"rotation by {self.k}/{self.n}"
-        if self.kind == REFLECTION:
-            return "reflection"
-        return f"rotoreflection by {self.k}/{self.n}"
 
 
 def rotation_by(model: str, c: Fraction) -> PLMap2:

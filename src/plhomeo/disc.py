@@ -1,11 +1,15 @@
-"""Periodic disc homeomorphisms: structure analysis and explicit conjugacy.
+"""Periodic disc homeomorphisms: analysis and the conjugacy to the model.
 
 Orientation-preserving maps of period n have a single interior fixed point
-(all iterates share it); the conjugacy to the model rotation is built on a
-fundamental sector cut out by an arc system from the fixed point to the
-boundary, extended equivariantly.  Orientation-reversing maps are exact
-involutions whose fixed set is a boundary-to-boundary arc; one side is
-embedded onto a half disc and the other side is forced by the reflection.
+(all iterates share it) and are conjugate to the rotation by their
+rotation number on the boundary.  Orientation-reversing maps are exact
+involutions whose fixed set is a boundary-to-boundary arc, conjugate to
+the reflection.
+
+This module owns what is particular to the disc: the analysis, the
+boundary rotation number and the optional boundary pin.  The arc system,
+the sectors, the embedding of a fundamental domain and its equivariant
+extension are shared with the sphere and live in ``sectors.py``.
 """
 
 from __future__ import annotations
@@ -13,19 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circle import CirclePL, compose_circle, circle_rotation, is_circle_identity, rotation_number
+from .circle import CirclePL, compose_circle, circle_rotation, rotation_number
 from .conjugacy import (Certificate, ModelIsometry, IDENTITY, REFLECTION,
                         ROTATION, require_exact, rotation_by)
-from .embedding import tutte_positions
-from .eqcomplex import EqComplex, equivariant_complex
-from .errors import (EmbeddingDegenerate, GluingMismatch, NotPeriodic,
-                     QuotientPathNotFound, StructureViolated)
+from .eqcomplex import equivariant_complex
+from .errors import GluingMismatch, NotPeriodic, StructureViolated
 from .exact import mod1
-from .geom import Pt, area2
-from .maps import (CellMap, PLMap2, boundary_restriction, compose, evaluate,
-                   fixed_set, is_identity, map_equal, orientation, period,
-                   power, validate_homeo)
-from .suspension import DISC, _edge_key
+from .geom import Pt
+from .maps import (PLMap2, boundary_restriction, compose, fixed_set,
+                   identity_map, orientation, period, power, validate_homeo)
+from .sectors import (SectorDecomposition, embed_fundamental_domain,
+                      orbit_cells, reflection_conjugacy, rotation_layout,
+                      rotation_sectors)
+from .suspension import DISC
 
 Q = Fraction
 
@@ -37,13 +41,6 @@ class DiscAnalysis:
     k: int = 0
     fixed_point: Pt | None = None
     fixed_arc: list[Pt] | None = None
-
-    def model(self) -> ModelIsometry:
-        if self.kind == "identity":
-            return ModelIsometry(DISC, IDENTITY)
-        if self.kind == "rotation":
-            return ModelIsometry(DISC, ROTATION, self.k, self.n)
-        return ModelIsometry(DISC, REFLECTION)
 
 
 def analyze_disc(f: PLMap2, n_max: int = 64) -> DiscAnalysis:
@@ -91,495 +88,62 @@ def analyze_disc(f: PLMap2, n_max: int = 64) -> DiscAnalysis:
     return DiscAnalysis("reflection", 2, fixed_arc=arc)
 
 
-def rigidity_check(f: PLMap2, n_max: int = 64) -> str:
-    """Diagnostic: a periodic non-identity map with identity boundary is
-    impossible; report it (bad input data or a period-detection bug)."""
-    try:
-        b = boundary_restriction(f)
-    except (StructureViolated, Exception):
-        return "ok"
-    if not is_circle_identity(b):
-        return "ok"
-    try:
-        n = period(f, n_max)
-    except Exception:
-        return "ok"
-    if n is not None and not is_identity(f):
-        return ("violation: boundary is the identity, the map is periodic "
-                "and not the identity")
-    return "ok"
 
 
-# ---------------------------------------------------------------------------
-# sector decomposition
-
-
-@dataclass
-class SectorDecomposition:
-    complex: EqComplex
-    arcs: list[list[int]]          # vertex-id paths, center line to boundary
-    sectors: list[frozenset[int]]  # cell sets, f(sector_i) = sector_{i+1}
-    boundary_endpoints: list[int]  # vertex ids of the arc feet, per arc
-
-
-def sector_decomposition(f: PLMap2, n: int, k: EqComplex | None = None
-                         ) -> SectorDecomposition:
+def sector_decomposition(f: PLMap2, n: int) -> SectorDecomposition:
     """Arc system from the center to the boundary with its n sectors.
 
     Requires the rotation number of f on the boundary to be 1/n so that
     consecutive arcs bound the sectors in cyclic order.
     """
-    if k is None:
-        k = equivariant_complex(f, n, level_cuts=[Q(1, 2)])
-    path = _quotient_path(k)
-    arcs = [path]
-    for _ in range(1, n):
-        arcs.append([k.vert_perm[v] for v in arcs[-1]])
-    arc_edges = set()
-    for arc in arcs:
-        for a, b in zip(arc, arc[1:]):
-            arc_edges.add(_edge_between(k, a, b))
-    comps = _components(k, arc_edges)
-    if len(comps) != n:
-        raise QuotientPathNotFound(
-            f"arc system cuts {len(comps)} sectors, expected {n}")
-    feet = [arc[-1] for arc in arcs]
-    first = _sector_after_foot(k, comps, feet[0])
-    sectors = [first]
-    for _ in range(1, n):
-        sectors.append(frozenset(k.cell_perm[c] for c in sectors[-1]))
-    if set(map(frozenset, sectors)) != set(map(frozenset, comps)):
-        raise StructureViolated("sectors are not permuted cyclically")
-    return SectorDecomposition(k, arcs, sectors, feet)
-
-
-def _quotient_path(k: EqComplex):
-    """Shortest path center->boundary in the quotient graph, lifted.
-
-    All bottom (s=0) chart vertices are one contracted node; internal nodes
-    must be interior vertices.  The lift is simple and its orbit arcs meet
-    only at the center, by the covering property of a free action.
-    """
-    n_v = len(k.verts)
-    orbit_id = _orbit_ids(k.vert_perm)
-    is_bottom = [v[1] == 0 for v in k.verts]
-    is_top = [v[1] == 1 for v in k.verts]
-    adj: dict[int, set[int]] = {}
-    for ei, (a, b) in enumerate(k.edge_verts):
-        if is_bottom[a] and is_bottom[b]:
-            continue
-        for u, w in ((a, b), (b, a)):
-            adj.setdefault(u, set()).add(w)
-    # BFS over orbit classes from the contracted bottom node
-    start_orbits = {orbit_id[v] for v in range(n_v) if is_bottom[v]}
-    prev: dict[int, tuple[int, int]] = {}
-    seen = set(start_orbits)
-    frontier = sorted(start_orbits)
-    goal = None
-    while frontier and goal is None:
-        nxt = []
-        for ov in frontier:
-            for v in sorted(i for i in range(n_v) if orbit_id[i] == ov):
-                for w in sorted(adj.get(v, ())):
-                    ow = orbit_id[w]
-                    if ow in seen:
-                        continue
-                    if is_bottom[w]:
-                        continue
-                    seen.add(ow)
-                    prev[ow] = (ov, 0)
-                    if is_top[w]:
-                        goal = ow
-                        break
-                    nxt.append(ow)
-                if goal is not None:
-                    break
-            if goal is not None:
-                break
-        frontier = sorted(nxt)
-    if goal is None:
-        raise QuotientPathNotFound("no quotient path from center to boundary")
-    orbit_path = [goal]
-    while orbit_path[-1] not in start_orbits:
-        orbit_path.append(prev[orbit_path[-1]][0])
-    orbit_path.reverse()
-    return _lift_path(k, orbit_path, is_bottom, orbit_id)
-
-
-def _orbit_ids(perm: list[int]) -> list[int]:
-    n = len(perm)
-    out = [-1] * n
-    for i in range(n):
-        if out[i] != -1:
-            continue
-        orbit = [i]
-        j = perm[i]
-        while j != i:
-            orbit.append(j)
-            j = perm[j]
-        rep = min(orbit)
-        for v in orbit:
-            out[v] = rep
-    return out
-
-
-def _lift_path(k: EqComplex, orbit_path, is_bottom, orbit_id):
-    adj: dict[int, set[int]] = {}
-    for a, b in k.edge_verts:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    # first step: any bottom vertex adjacent to orbit_path[1]
-    second = orbit_path[1]
-    for v in sorted(i for i in range(len(k.verts)) if is_bottom[i]):
-        cands = sorted(w for w in adj.get(v, ()) if orbit_id[w] == second)
-        if cands:
-            path = [v, cands[0]]
-            break
-    else:
-        raise QuotientPathNotFound("lift start not found")
-    for target in orbit_path[2:]:
-        cur = path[-1]
-        cands = sorted(w for w in adj.get(cur, ()) if orbit_id[w] == target)
-        if not cands:
-            raise QuotientPathNotFound("lift step not found")
-        path.append(cands[0])
-    return path
-
-
-def _edge_between(k: EqComplex, a: int, b: int) -> int:
-    pa, pb = k.verts[a], k.verts[b]
-    for cand in (
-            _edge_key(pa, pb),
-            _edge_key(pa, (pb[0] + 1, pb[1])),
-            _edge_key((pa[0] + 1, pa[1]), pb)):
-        if cand in k.edge_index:
-            ei = k.edge_index[cand]
-            if set(k.edge_verts[ei]) == {a, b}:
-                return ei
-    raise StructureViolated(f"no edge between vertices {a} and {b}")
-
-
-def _components(k: EqComplex, blocked_edges: set[int]):
-    seen = [False] * len(k.polys)
-    comps = []
-    for c0 in range(len(k.polys)):
-        if seen[c0]:
-            continue
-        comp = []
-        stack = [c0]
-        seen[c0] = True
-        while stack:
-            c = stack.pop()
-            comp.append(c)
-            poly = k.polys[c]
-            m = len(poly)
-            for i in range(m):
-                ei = k.edge_index[_edge_key(poly[i], poly[(i + 1) % m])]
-                if ei in blocked_edges:
-                    continue
-                for d in k.edge_cells[ei]:
-                    if not seen[d]:
-                        seen[d] = True
-                        stack.append(d)
-        comps.append(frozenset(comp))
-    return comps
-
-
-def _sector_after_foot(k: EqComplex, comps, foot: int) -> frozenset[int]:
-    """The component owning the boundary edge leaving the foot positively."""
-    t0 = k.verts[foot][0]
-    best = None
-    for ei, (a, b) in enumerate(k.edge_verts):
-        pa, pb = k.edges[ei]
-        if pa[1] != 1 or pb[1] != 1:
-            continue
-        lo = min(pa[0], pb[0])
-        if mod1(lo) == t0 or (lo == 0 and t0 == 0):
-            best = ei
-            break
-    if best is None:
-        raise StructureViolated("no boundary edge leaves the arc foot")
-    cell = k.edge_cells[best][0]
-    for comp in comps:
-        if cell in comp:
-            return comp
-    raise StructureViolated("foot edge cell not in any sector")
-
-
-# ---------------------------------------------------------------------------
-# conjugacy construction: rotation case
+    return rotation_sectors(equivariant_complex(f, n, level_cuts=[Q(1, 2)]))
 
 
 def build_conjugacy_rotation(f: PLMap2, n_max: int = 64,
                              boundary_pin: CirclePL | None = None,
                              analysis: DiscAnalysis | None = None
                              ) -> Certificate:
+    """Conjugacy to the model rotation; with boundary_pin, one whose
+    restriction to the boundary circle is that pin."""
     ana = analysis or analyze_disc(f, n_max)
     if ana.kind == "identity":
-        from .maps import identity_map
         cert = Certificate(ModelIsometry(DISC, IDENTITY), identity_map(DISC),
                            True)
         return require_exact(f, cert)
     if ana.kind != "rotation":
         raise StructureViolated("map is not rotation-like")
     n, kk = ana.n, ana.k
-    j = pow(kk, -1, n)
-    g = power(f, j) if j > 1 else f
-    dec = sector_decomposition(g, n)
-    pin_offset = Q(0)
-    pin = None
-    if boundary_pin is not None:
-        pin = boundary_pin
-        bf = boundary_restriction(f)
-        lhs = compose_circle(bf, pin)
+    pin = boundary_pin
+    if pin is not None:
+        lhs = compose_circle(boundary_restriction(f), pin)
         rhs = compose_circle(pin, circle_rotation(Q(kk, n)))
         if not lhs.equals(rhs):
             raise GluingMismatch("boundary pin does not conjugate f|boundary")
-        pin_offset = pin(dec.complex.verts[dec.boundary_endpoints[0]][0])
-    h = _assemble_sector_map(g, dec, n, pin)
-    if pin is not None and pin_offset != 0:
-        h = compose(h, rotation_by(DISC, pin_offset))
+    j = pow(kk, -1, n)
+    g = power(f, j) if j > 1 else f
+    k = equivariant_complex(g, n, level_cuts=[Q(1, 2)])
+    k, lay, pos = embed_fundamental_domain(
+        k, lambda k: _pinned_layout(k, pin), oriented=True)
+    h = PLMap2(DISC, orbit_cells(k, lay, pos))
+    if pin is not None:
+        offset = pin(k.verts[lay.chains[0][0]][0])
+        if offset != 0:
+            h = compose(h, rotation_by(DISC, offset))
     cert = Certificate(ModelIsometry(DISC, ROTATION, kk, n), h, True,
                        pins={"boundary": pin is not None})
     return require_exact(f, cert)
 
 
-def _assemble_sector_map(g: PLMap2, dec: SectorDecomposition, n: int,
-                         pin: CirclePL | None) -> PLMap2:
-    from .eqcomplex import refine_cells, refine_edges
-    k = dec.complex
-    for _ in range(6):
-        targets, chains = _sector_targets(k, dec.arcs[0], dec.sectors[0], n,
-                                          pin)
-        defects = _embedding_defects(k, dec.sectors[0], targets, chains)
-        if defects:
-            bad_cells, chord_edges = defects
-            k = refine_edges(k, chord_edges) if chord_edges \
-                else refine_cells(k, bad_cells)
-            dec = sector_decomposition(g, n, k=k)
-            k = dec.complex
-            continue
-        adj = _sector_adjacency(k, dec.sectors[0])
-        pos = tutte_positions(adj, targets)
-        bad = _nonembedded_cells(k, dec.sectors[0], pos, targets, strict=1)
-        if not bad:
-            cells = _equivariant_cells(k, dec, pos, n, targets)
-            return PLMap2(DISC, cells)
-        k = refine_cells(k, bad)
-        dec = sector_decomposition(g, n, k=k)
-        k = dec.complex
-    raise EmbeddingDegenerate("sector embedding kept degenerating")
-
-
-def _embedding_defects(k: EqComplex, sector, targets, chains):
-    """Configurations that would collapse under the convex-combination
-    solve: cells with every vertex prescribed, and interior chord edges
-    joining two vertices prescribed on the same straight side."""
-    bad_cells = []
-    for c in sorted(sector):
-        ids = {k.vertex_id(p) for p in k.polys[c]}
-        if all(v in targets for v in ids):
-            bad_cells.append(c)
-    chain_edges = set()
-    for chain in chains:
-        for a, b in zip(chain, chain[1:]):
-            chain_edges.add((min(a, b), max(a, b)))
-    chord_edges = []
-    for ei, (a, b) in enumerate(k.edge_verts):
-        if a not in targets or b not in targets:
-            continue
-        if (min(a, b), max(a, b)) in chain_edges:
-            continue
-        ta, tb = targets[a], targets[b]
-        if not any(c in sector for c in k.edge_cells[ei]):
-            continue
-        if _common_side(targets, ta, tb):
-            chord_edges.append(ei)
-    if bad_cells or chord_edges:
-        return bad_cells, chord_edges
-    return None
-
-
-def _common_side(targets, ta, tb) -> bool:
-    """Both targets on one straight side of the convex target region."""
-    xs = {t[0] for t in targets.values()}
-    lo_x, hi_x = min(xs), max(xs)
-    if ta[0] == tb[0] and ta[0] in (lo_x, hi_x):
-        return True
-    if ta[1] == tb[1] and ta[1] in (Q(0), Q(1)):
-        return True
-    return False
-
-
-def _fan_anchor(k: EqComplex, poly, targets) -> int:
-    """Fan corner choice: prefer an unprescribed vertex so fan diagonals
-    never join two points of one straight target side."""
-    for i, p in enumerate(poly):
-        if k.vertex_id(p) not in targets:
-            return i
-    return 0
-
-
-def _fan_triples(poly, anchor: int):
-    m = len(poly)
-    ordered = [poly[(anchor + z) % m] for z in range(m)]
-    return [(ordered[0], ordered[z], ordered[z + 1]) for z in range(1, m - 1)]
-
-
-def _nonembedded_cells(k: EqComplex, sector, pos, targets, strict: int):
-    """Cells whose fan pieces get nonpositive image area (strict=1) or
-    inconsistent sign (strict=0); candidates for refinement."""
-    bad = []
-    sign = None
-    for c in sorted(sector):
-        poly = k.polys[c]
-        anchor = _fan_anchor(k, poly, targets)
-        for tri in _fan_triples(poly, anchor):
-            img = tuple(pos[k.vertex_id(q)] for q in tri)
-            a2 = area2(img)
-            if strict:
-                if a2 <= 0:
-                    bad.append(c)
-                    break
-            else:
-                s = 1 if a2 > 0 else (-1 if a2 < 0 else 0)
-                if s == 0 or (sign is not None and s != sign):
-                    bad.append(c)
-                    break
-                sign = s
-    return bad
-
-
-def _sector_targets(k: EqComplex, arc0, sector0, n: int,
-                    pin: CirclePL | None):
-    """Boundary prescription for the fundamental sector.
-
-    Left arc onto the meridian t=0 by combinatorial arc length, the forced
-    image arc onto t=1/n, the bottom collar onto s=0 and the boundary arc
-    onto s=1 (combinatorial, or pinned values).  Returns (targets, chains)."""
-    targets: dict[int, Pt] = {}
-    m = len(arc0) - 1
-    for jj, v in enumerate(arc0):
-        targets[v] = (Q(0), Q(jj, m))
-    for jj, v in enumerate(arc0):
-        targets[k.vert_perm[v]] = (Q(1, n), Q(jj, m))
-    collar = _line_walk(k, sector0, level=Q(0), start=arc0[0],
-                        stop=k.vert_perm[arc0[0]])
-    p = len(collar) - 1
-    for idx, v in enumerate(collar):
-        t = Q(idx, p) / n
-        if v in targets and targets[v] != (t, Q(0)):
-            raise GluingMismatch("collar target conflicts with arc target")
-        targets[v] = (t, Q(0))
-    top = _line_walk(k, sector0, level=Q(1), start=arc0[-1],
-                     stop=k.vert_perm[arc0[-1]])
-    r = len(top) - 1
-    for idx, v in enumerate(top):
-        if pin is None:
-            t = Q(idx, r) / n
-        else:
-            base = pin(k.verts[top[0]][0])
-            t = mod1(pin(k.verts[v][0]) - base) if idx > 0 else Q(0)
-        if v in targets and targets[v][1] != 1 and idx not in (0, r):
-            raise GluingMismatch("top target conflicts with arc target")
-        if not (v in targets and idx in (0, r)):
-            targets[v] = (t, Q(1))
-        elif targets[v] != (t, Q(1)):
-            raise GluingMismatch("boundary corner mismatch")
-    chains = [list(arc0), [k.vert_perm[v] for v in arc0], collar, top]
-    return targets, chains
-
-
-def _line_walk(k: EqComplex, sector, level: Fraction, start: int, stop: int):
-    """Walk edges of the sector lying on a horizontal line from start to
-    stop in increasing angular direction (with wrap)."""
-    segs = {}
-    for ei, (a, b) in enumerate(k.edge_verts):
-        pa, pb = k.edges[ei]
-        if pa[1] != level or pb[1] != level:
-            continue
-        if not any(c in sector for c in k.edge_cells[ei]):
-            continue
-        lo, hi = sorted((pa[0], pb[0]))
-        va, vb = (a, b) if pa[0] < pb[0] else (b, a)
-        segs[lo] = (hi, va, vb)
-    if not segs:
-        raise StructureViolated(f"sector has no edges on level {level}")
-    t0 = k.verts[start][0]
-    walk = [start]
-    pos = t0
-    guard = 0
-    while walk[-1] != stop or len(walk) == 1:
-        guard += 1
-        if guard > len(segs) + 2:
-            raise StructureViolated("line walk does not close")
-        key = pos if pos in segs else mod1(pos)
-        if key not in segs:
-            raise StructureViolated("line walk broke")
-        hi, va, vb = segs[key]
-        walk.append(vb)
-        pos = mod1(hi) if hi == 1 else hi
-        if len(walk) > len(segs) + 1:
-            break
-    if walk[-1] != stop:
-        raise StructureViolated("line walk missed its endpoint")
-    return walk
-
-
-def _sector_adjacency(k: EqComplex, sector) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {}
-    for c in sorted(sector):
-        poly = k.polys[c]
-        m = len(poly)
-        for i in range(m):
-            a = k.vertex_id(poly[i])
-            b = k.vertex_id(poly[(i + 1) % m])
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-    return adj
-
-
-def _equivariant_cells(k: EqComplex, dec: SectorDecomposition, pos, n: int,
-                       targets) -> list[CellMap]:
-    """Fan-triangulate the fundamental sector and push by the action.
-
-    Cell corners in sector i get targets of their i-th pullback shifted by
-    i/n; the meridian copies come out automatically."""
-    cell_orbit_rep = {}
-    for c in dec.sectors[0]:
-        cur = c
-        for i in range(n):
-            cell_orbit_rep[cur] = (c, i)
-            cur = k.cell_perm[cur]
-    cells: list[CellMap] = []
-    from .maps import shift_into_unit
-    for c, poly in enumerate(k.polys):
-        c0, i = cell_orbit_rep[c]
-        base_poly = k.polys[c0]
-        # the affine of f^i on the base cell: compose step affines
-        A = None
-        cur = c0
-        for _ in range(i):
-            step = k.f_affines[cur]
-            A = step if A is None else step.compose_after(A)
-            cur = k.cell_perm[cur]
-        anchor = _fan_anchor(k, base_poly, targets)
-        for tri0 in _fan_triples(base_poly, anchor):
-            ids = [k.vertex_id(q) for q in tri0]
-            img = [(pos[v][0] + Q(i, n), pos[v][1]) for v in ids]
-            tri = list(tri0) if A is None else [A(q) for q in tri0]
-            _, tri_u = shift_into_unit(tri)
-            poly_ccw = list(tri_u)
-            img_al = list(img)
-            if area2(tuple(poly_ccw)) < 0:
-                poly_ccw.reverse()
-                img_al.reverse()
-            cells.append(CellMap(tuple(poly_ccw), tuple(img_al)))
-    return cells
-
-
-# ---------------------------------------------------------------------------
-# conjugacy construction: reflection case
+def _pinned_layout(k, pin: CirclePL | None):
+    """The rotation layout; with a pin, the boundary side of the sector
+    follows the pin instead of combinatorial arc length."""
+    lay = rotation_layout(k)
+    if pin is not None:
+        top = lay.chains[3]
+        base = pin(k.verts[top[0]][0])
+        for v in top[1:-1]:
+            lay.targets[v] = (mod1(pin(k.verts[v][0]) - base), Q(1))
+    return lay
 
 
 def build_conjugacy_reflection(f: PLMap2, n_max: int = 64,
@@ -588,174 +152,8 @@ def build_conjugacy_reflection(f: PLMap2, n_max: int = 64,
     ana = analysis or analyze_disc(f, n_max)
     if ana.kind != "reflection":
         raise StructureViolated("map is not reflection-like")
-    fs = fixed_set(f)
     k = equivariant_complex(f, 2, level_cuts=[Q(1, 2)],
-                            chord_cuts=fs.segments)
-    for _ in range(4):
-        arc_edges = _fixed_arc_edges(k, f)
-        comps = _components(k, arc_edges)
-        if len(comps) != 2:
-            raise StructureViolated(
-                f"fixed arc cuts {len(comps)} pieces, expected 2")
-        side1 = min(comps, key=lambda comp: min(comp))
-        side2 = [c for c in comps if c is not side1][0]
-        if frozenset(k.cell_perm[c] for c in side1) != side2:
-            raise StructureViolated("involution does not swap the two sides")
-        targets, chains = _reflection_targets(k, f, side1, arc_edges)
-        defects = _embedding_defects(k, side1, targets, chains)
-        if defects:
-            from .eqcomplex import refine_cells, refine_edges
-            bad_cells, chord_edges = defects
-            k = refine_edges(k, chord_edges) if chord_edges \
-                else refine_cells(k, bad_cells)
-            continue
-        adj = _sector_adjacency(k, side1)
-        pos = tutte_positions(adj, targets)
-        bad = _nonembedded_cells(k, side1, pos, targets, strict=0)
-        if not bad:
-            break
-        from .eqcomplex import refine_cells
-        k = refine_cells(k, bad)
-    else:
-        raise EmbeddingDegenerate("reflection embedding kept degenerating")
-    cells = _reflection_cells(k, side1, pos, targets)
-    h = PLMap2(DISC, cells)
-    cert = Certificate(ModelIsometry(DISC, REFLECTION), h, True)
+                            chord_cuts=fixed_set(f).segments)
+    cert = Certificate(ModelIsometry(DISC, REFLECTION),
+                       reflection_conjugacy(f, k), True)
     return require_exact(f, cert)
-
-
-def _fixed_arc_edges(k: EqComplex, f: PLMap2) -> set[int]:
-    out = set()
-    for ei, (pa, pb) in enumerate(k.edges):
-        if pa[1] == pb[1] and pa[1] in (Q(0), Q(1)):
-            continue  # collapsed or boundary line, not arc material
-        mid = ((pa[0] + pb[0]) / 2, (pa[1] + pb[1]) / 2)
-        mp = (mod1(mid[0]), mid[1])
-        if evaluate(f, mp) == mp:
-            out.add(ei)
-    if not out:
-        raise StructureViolated("no fixed arc edges found")
-    return out
-
-
-def _reflection_targets(k: EqComplex, f: PLMap2, side1, arc_edges):
-    """Fixed arc onto the meridians t in {0, 1/2}, boundary arc onto the
-    top edge, apex collar onto the bottom edge of [0,1/2] x [0,1]."""
-    halves = _arc_halves(k, arc_edges)
-    (upper1, bottom1), (upper2, bottom2) = halves
-    targets: dict[int, Pt] = {}
-    m1 = len(upper1) - 1
-    for idx, v in enumerate(upper1):  # boundary -> bottom vertex
-        targets[v] = (Q(0), Q(m1 - idx, m1))
-    m2 = len(upper2) - 1
-    for idx, v in enumerate(upper2):
-        targets[v] = (Q(1, 2), Q(m2 - idx, m2))
-    collar = _line_walk_between(k, side1, Q(0), upper1[-1], upper2[-1])
-    p = len(collar) - 1
-    start_t = targets[collar[0]][0]
-    end_t = targets[collar[-1]][0]
-    for idx, v in enumerate(collar[1:-1], start=1):
-        targets[v] = (start_t + (end_t - start_t) * Q(idx, p), Q(0))
-    top = _line_walk_between(k, side1, Q(1), upper1[0], upper2[0])
-    r = len(top) - 1
-    start_t = targets[top[0]][0]
-    end_t = targets[top[-1]][0]
-    for idx, v in enumerate(top[1:-1], start=1):
-        targets[v] = (start_t + (end_t - start_t) * Q(idx, r), Q(1))
-    chains = [upper1, upper2, collar, top]
-    return targets, chains
-
-
-def _arc_halves(k: EqComplex, arc_edges: set[int]):
-    """Split the fixed arc at the center: two vertex paths, each from a
-    boundary vertex down to a bottom chart vertex."""
-    adj: dict[int, list[int]] = {}
-    for ei in arc_edges:
-        a, b = k.edge_verts[ei]
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    ends = sorted(v for v, nb in adj.items()
-                  if len(nb) == 1 and k.verts[v][1] == 1)
-    if len(ends) != 2:
-        raise StructureViolated("fixed arc does not have two boundary feet")
-    halves = []
-    for start in ends:
-        path = [start]
-        prev = None
-        cur = start
-        while k.verts[cur][1] != 0:
-            nxt = [w for w in sorted(adj[cur]) if w != prev]
-            if len(nxt) != 1:
-                raise StructureViolated("fixed arc branches")
-            prev, cur = cur, nxt[0]
-            path.append(cur)
-        halves.append((path, cur))
-    return halves[0], halves[1]
-
-
-def _line_walk_between(k: EqComplex, side, level: Fraction, start: int,
-                       stop: int):
-    """Walk level-line edges within the side from start to stop (either
-    angular direction)."""
-    adj: dict[int, list[int]] = {}
-    for ei, (a, b) in enumerate(k.edge_verts):
-        pa, pb = k.edges[ei]
-        if pa[1] != level or pb[1] != level:
-            continue
-        if not any(c in side for c in k.edge_cells[ei]):
-            continue
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    if start == stop:
-        return [start]
-    path = [start]
-    prev = None
-    cur = start
-    guard = 0
-    while cur != stop:
-        guard += 1
-        if guard > len(adj) + 2:
-            raise StructureViolated("level walk lost")
-        nxt = [w for w in sorted(adj.get(cur, [])) if w != prev]
-        if len(nxt) != 1:
-            raise StructureViolated("level walk is not a simple path")
-        prev, cur = cur, nxt[0]
-        path.append(cur)
-    return path
-
-
-def _reflection_cells(k: EqComplex, side1, pos, targets) -> list[CellMap]:
-    """Side 1 by the embedding; side 2 forced by S o h o f."""
-    from .maps import shift_into_unit
-    cells: list[CellMap] = []
-    for c, poly in enumerate(k.polys):
-        if c in side1:
-            anchor = _fan_anchor(k, poly, targets)
-            for tri in _fan_triples(poly, anchor):
-                img = [pos[k.vertex_id(q)] for q in tri]
-                poly_ccw = list(tri)
-                img_al = list(img)
-                if area2(tuple(poly_ccw)) < 0:
-                    poly_ccw.reverse()
-                    img_al.reverse()
-                cells.append(CellMap(tuple(poly_ccw), tuple(img_al)))
-        else:
-            c0 = k.cell_perm[c]  # f maps side2 cell onto side1 cell
-            if c0 not in side1:
-                raise StructureViolated("side permutation broken")
-            A = k.f_affines[c]
-            base = k.polys[c0]
-            Ainv = A.inverse()
-            anchor = _fan_anchor(k, base, targets)
-            for tri0 in _fan_triples(base, anchor):
-                tri = [Ainv(q) for q in tri0]
-                img = [(-pos[k.vertex_id(q)][0] + 1, pos[k.vertex_id(q)][1])
-                       for q in tri0]
-                _, tri_u = shift_into_unit(tri)
-                poly_ccw = list(tri_u)
-                img_al = list(img)
-                if area2(tuple(poly_ccw)) < 0:
-                    poly_ccw.reverse()
-                    img_al.reverse()
-                cells.append(CellMap(tuple(poly_ccw), tuple(img_al)))
-    return cells

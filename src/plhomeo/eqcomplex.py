@@ -14,10 +14,8 @@ from fractions import Fraction
 from .errors import OverlayDegenerate, StructureViolated
 from .exact import mod1
 from .geom import Pt, area2, centroid, split_convex
-from .maps import (PLMap2, compose, is_identity, locate_cell, poly_key,
-                   power)
-from .suspension import (Affine, IDENTITY_AFFINE, collapsed_levels,
-                         _edge_key)
+from .maps import PLMap2, compose, is_identity, locate_cell, poly_key
+from .suspension import Affine, IDENTITY_AFFINE, _edge_key
 
 Q = Fraction
 
@@ -41,14 +39,6 @@ class EqComplex:
 
     def vertex_id(self, chart: Pt) -> int:
         return self.vert_index[(mod1(chart[0]), chart[1])]
-
-    def orbit_of_cell(self, ci: int) -> list[int]:
-        out = [ci]
-        cur = self.cell_perm[ci]
-        while cur != ci:
-            out.append(cur)
-            cur = self.cell_perm[cur]
-        return out
 
 
 def equivariant_complex(f: PLMap2, n: int, level_cuts=(),
@@ -466,11 +456,8 @@ def refine_edges(k: EqComplex, edge_ids) -> EqComplex:
     return k2
 
 
-def collapsed_vertex_ids(k: EqComplex, level: Fraction) -> set[int]:
-    return {i for i, v in enumerate(k.verts) if v[1] == level}
-
-
 def apply_perm(perm: list[int], i: int, times: int) -> int:
+    """The image of i under perm applied the given number of times."""
     for _ in range(times):
         i = perm[i]
     return i

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Every error carries a CLI exit code: 2 for structural violations, 3 for
-parse errors, 4 for exceeded resource bounds.  Verification failures are
-reported through return values, not exceptions, except where noted.
+parse errors, and 4 only for NotPeriodic (no period up to the bound).
+Verification failures are reported through return values, not
+exceptions, except where noted.
 """
 
 
@@ -12,10 +13,6 @@ class PLHomeoError(Exception):
 
 class DegenerateInput(PLHomeoError):
     """A polygon is non-simple, has zero area, or is otherwise unusable."""
-
-
-class NotInterior(PLHomeoError):
-    """A query point required to be strictly interior is not."""
 
 
 class OverlayDegenerate(PLHomeoError):
@@ -55,17 +52,9 @@ class ArcSearchFailed(PLHomeoError):
     """No admissible polar arc found after the allowed refinements."""
 
 
-class MarkedPointNotFixed(PLHomeoError):
-    """The marked point (north pole) is not fixed by the map."""
-
-
 class InvalidClass(PLHomeoError):
     """Requested model isometry parameters are invalid."""
 
 
 class ParseError(PLHomeoError):
     exit_code = 3
-
-
-class ResourceExceeded(PLHomeoError):
-    exit_code = 4

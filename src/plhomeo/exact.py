@@ -12,25 +12,11 @@ from fractions import Fraction
 
 from .errors import ParseError
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-HALF = Fraction(1, 2)
-
-
-def rat(value) -> Fraction:
-    """Coerce ints, int pairs and 'p/q' strings to Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_rat(value)
-    if isinstance(value, tuple) and len(value) == 2:
-        return Fraction(value[0], value[1])
-    raise ParseError(f"cannot interpret {value!r} as a rational")
-
 
 def parse_rat(text: str) -> Fraction:
+    """Read a "p/q" or integer literal; anything else is a ParseError."""
+    if not isinstance(text, str):
+        raise ParseError(f"rational must be a \"p/q\" string, got {text!r}")
     text = text.strip()
     try:
         if "/" in text:
@@ -52,7 +38,3 @@ def fmt_rat(q: Fraction) -> str:
 def mod1(q: Fraction) -> Fraction:
     """Reduce into [0, 1); the representative of an angle."""
     return q - (q.numerator // q.denominator)
-
-
-def angles_equal(a: Fraction, b: Fraction) -> bool:
-    return mod1(a - b) == 0

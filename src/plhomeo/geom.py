@@ -6,14 +6,12 @@ sign of exact determinants; there are no tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateInput
 
 Pt = tuple[Fraction, Fraction]
 
-CCW, COLLINEAR, CW = 1, 0, -1
 INSIDE, BOUNDARY, OUTSIDE = "inside", "boundary", "outside"
 
 
@@ -76,106 +74,6 @@ def area2(verts: tuple[Pt, ...]) -> Fraction:
         x2, y2 = verts[(i + 1) % n]
         total += x1 * y2 - x2 * y1
     return total
-
-
-def is_simple(verts: tuple[Pt, ...]) -> bool:
-    """Exact simplicity: non-adjacent edges never meet, adjacent only at the
-    shared vertex, vertices pairwise distinct."""
-    n = len(verts)
-    if n < 3 or len(set(verts)) != n:
-        return False
-    edges = [(verts[i], verts[(i + 1) % n]) for i in range(n)]
-    for i in range(n):
-        a, b = edges[i]
-        if a == b:
-            return False
-        for j in range(i + 1, n):
-            c, d = edges[j]
-            kind, val = seg_intersection(a, b, c, d)
-            if kind == "none":
-                continue
-            adjacent = j == i + 1 or (i == 0 and j == n - 1)
-            if not adjacent:
-                return False
-            if kind == "overlap":
-                return False
-            shared = b if j == i + 1 else a
-            if val != shared:
-                return False
-    return True
-
-
-@dataclass(frozen=True)
-class Polygon:
-    """A simple polygon with CCW vertex order and positive area."""
-    verts: tuple[Pt, ...]
-
-    def __len__(self):
-        return len(self.verts)
-
-    def edges(self):
-        n = len(self.verts)
-        return [(self.verts[i], self.verts[(i + 1) % n]) for i in range(n)]
-
-    def area2(self) -> Fraction:
-        return area2(self.verts)
-
-
-def polygon(points) -> Polygon:
-    """Validate and orient a vertex sequence; raises DegenerateInput."""
-    verts = tuple((Fraction(x), Fraction(y)) for x, y in points)
-    verts = _strip_collinear(verts)
-    if len(verts) < 3:
-        raise DegenerateInput("polygon needs at least 3 non-collinear vertices")
-    a2 = area2(verts)
-    if a2 == 0:
-        raise DegenerateInput("polygon has zero area")
-    if a2 < 0:
-        verts = tuple(reversed(verts))
-    if not is_simple(verts):
-        raise DegenerateInput("polygon is not simple")
-    return Polygon(verts)
-
-
-def _strip_collinear(verts: tuple[Pt, ...]) -> tuple[Pt, ...]:
-    """Drop repeated and straight-through vertices."""
-    out = list(verts)
-    changed = True
-    while changed and len(out) >= 3:
-        changed = False
-        for i in range(len(out)):
-            a, b, c = out[i - 1], out[i], out[(i + 1) % len(out)]
-            if b == a or orient(a, b, c) == 0 and on_segment(b, a, c):
-                del out[i]
-                changed = True
-                break
-    return tuple(out)
-
-
-def point_in_polygon(p: Pt, poly: Polygon) -> str:
-    """Exact crossing-number classification against a simple polygon."""
-    verts = poly.verts if isinstance(poly, Polygon) else tuple(poly)
-    n = len(verts)
-    for i in range(n):
-        if on_segment(p, verts[i], verts[(i + 1) % n]):
-            return BOUNDARY
-    return INSIDE if _crossings_odd(p, verts) else OUTSIDE
-
-
-def _crossings_odd(p: Pt, verts: tuple[Pt, ...]) -> bool:
-    """Parity of crossings of an upward ray rule; p must be off the boundary."""
-    inside = False
-    n = len(verts)
-    px, py = p
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        if (a[1] > py) != (b[1] > py):
-            side = orient(a, b, p)
-            if b[1] < a[1]:
-                side = -side
-            if side > 0:  # edge crosses the rightward ray from p
-                inside = not inside
-    return inside
 
 
 def clip_convex(subject: list[Pt], clip: list[Pt]) -> list[Pt]:

@@ -7,7 +7,6 @@ deterministic (sorted keys, fixed separators).
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .circle import CirclePL, IntervalPL, LinePL
 from .conjugacy import Certificate, ModelIsometry
@@ -41,14 +40,28 @@ def map2_from_dict(data: dict) -> PLMap2:
         if model not in (DISC, SPHERE):
             raise ParseError(f"unknown model {model!r}")
         verts = [(parse_rat(t), parse_rat(s)) for t, s in data["vertices"]]
-        tris = [tuple(t) for t in data["triangles"]]
-        lifts = [tuple(l) for l in data["lifts"]]
+        tris = _int_triples(data["triangles"], "triangles")
+        lifts = _int_triples(data["lifts"], "lifts")
         imgs = [(parse_rat(t), parse_rat(s)) for t, s in data["images"]]
-        img_lifts = [tuple(l) for l in data["image_lifts"]]
+        img_lifts = _int_triples(data["image_lifts"], "image_lifts")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad map payload: {exc}") from exc
+    if len(imgs) != len(verts):
+        raise ParseError(f"{len(imgs)} images for {len(verts)} vertices")
+    if len(lifts) != len(tris) or len(img_lifts) != len(tris):
+        raise ParseError("lifts and image_lifts need one entry per triangle")
+    if any(not 0 <= v < len(verts) for tri in tris for v in tri):
+        raise ParseError("triangle vertex index out of range")
     cx = SuspensionComplex(model, verts, tris, lifts)
     return from_complex(cx, imgs, img_lifts)
+
+
+def _int_triples(rows, what: str) -> list[tuple[int, int, int]]:
+    out = [tuple(row) for row in rows]
+    if any(len(row) != 3 or any(type(x) is not int for x in row)
+           for row in out):
+        raise ParseError(f"{what} entries must be three integers")
+    return out
 
 
 def circle_to_dict(f: CirclePL) -> dict:
@@ -171,12 +184,12 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 def certificate_from_dict(data: dict) -> Certificate:
     try:
-        model = model_from_dict(data["model"])
-        h = map2_from_dict(data["h"])
-    except (KeyError, TypeError) as exc:
+        return Certificate(model_from_dict(data["model"]),
+                           map2_from_dict(data["h"]),
+                           bool(data.get("exact", False)),
+                           dict(data.get("pins", {})))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad certificate payload: {exc}") from exc
-    return Certificate(model, h, bool(data.get("exact", False)),
-                       dict(data.get("pins", {})))
 
 
 def circle_certificate_to_dict(kind: str, klass, h: CirclePL) -> dict:

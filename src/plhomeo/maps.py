@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .circle import CirclePL
-from .errors import (NotPeriodic, OverlayDegenerate, ParseError,
-                     StructureViolated)
+from .errors import OverlayDegenerate, ParseError, StructureViolated
 from .exact import mod1
-from .geom import (Pt, area2, bbox_overlap, clip_convex, on_segment, orient,
-                   point_in_convex, poly_bbox, INSIDE, OUTSIDE)
+from .geom import (Pt, area2, bbox_overlap, clip_convex, point_in_convex,
+                   poly_bbox, INSIDE, OUTSIDE)
 from .suspension import (Affine, SuspensionComplex, affine_from_pairs,
                          band_cells, collapsed_levels, complex_check,
                          is_collapsed, model_point, s_range, DISC, SPHERE)
@@ -559,12 +558,13 @@ def _assemble_fixed(model, zero_chart, segs):
 
 
 # ---------------------------------------------------------------------------
-# boundary restriction (disc)
+# the circle map on the line s = 1
 
 
 def boundary_restriction(f: PLMap2) -> CirclePL:
-    if f.model != DISC:
-        raise ParseError("boundary restriction needs the disc model")
+    """The circle map f induces on the chart line s = 1: the boundary of
+    the disc, or the link circle of the north pole for a sphere map that
+    fixes it."""
     edges = []
     for ci, cell in enumerate(f.cells):
         n = len(cell.poly)
@@ -589,8 +589,7 @@ def boundary_restriction(f: PLMap2) -> CirclePL:
         pos = b
     if pos != 1:
         raise StructureViolated("boundary does not close up")
-    sign = f.orientation_sign
-    return CirclePL(tuple(breaks), sign).normalize()
+    return CirclePL(tuple(breaks), f.orientation_sign).normalize()
 
 
 # ---------------------------------------------------------------------------
@@ -634,12 +633,6 @@ def validate_homeo(f: PLMap2) -> list[str]:
         if cnt != 1:
             problems.append(f"generic point has {cnt} preimages")
     return problems
-
-
-def require_valid(f: PLMap2):
-    problems = validate_homeo(f)
-    if problems:
-        raise StructureViolated("; ".join(problems))
 
 
 def _edge_image_consistency(f: PLMap2) -> list[str]:

@@ -1,13 +1,20 @@
 """Periodic sphere homeomorphisms: analysis and explicit conjugacies.
 
-Maps with fixed points split into pole-fixing rotations (polar arc systems
-and equivariant sector maps) and reflections (fixed great circle through
-the poles, one side embedded, the other forced).  Fixed-point-free maps
-are orientation-reversing with even period; after normalizing the square
-to a model rotation, the critical latitude t0 = inf { t : D_t and f(D_t)
+Maps with fixed points split into pole-fixing rotations and reflections
+fixing a great circle through the poles.  Fixed-point-free maps are
+orientation-reversing with even period; after normalizing the square to a
+model rotation, the critical latitude t0 = inf { t : D_t and f(D_t)
 disjoint } is computed exactly, a polar arc through a touching point P0 is
 built, and the sphere is divided into sectors mapped equivariantly onto
 the model rotoreflection wedges.
+
+This module owns what is particular to the sphere: the analysis, the pole
+link rotation number, the normalization of the square, the critical
+latitude and the arcs of the free case (the meridian through P0, its
+continuation inside the image cap, and the half-sector cut of subcase A).
+The arc system of the fixed-point cases, the sectors, the embedding of a
+fundamental domain and its equivariant extension are shared with the disc
+and live in ``sectors.py``.
 """
 
 from __future__ import annotations
@@ -16,25 +23,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .circle import CirclePL, rotation_number
+from .circle import rotation_number
 from .conjugacy import (Certificate, ModelIsometry, IDENTITY, REFLECTION,
                         ROTATION, ROTOREFLECTION, require_exact)
-from .disc import (_arc_halves, _common_side, _components, _edge_between,
-                   _embedding_defects, _fan_anchor, _fan_triples,
-                   _line_walk_between, _nonembedded_cells, _orbit_ids,
-                   _sector_adjacency)
-from .embedding import tutte_positions
-from .eqcomplex import EqComplex, equivariant_complex, refine_cells, refine_edges
-from .errors import (ArcSearchFailed, EmbeddingDegenerate,
-                     MarkedPointNotFixed, NotPeriodic, QuotientPathNotFound,
-                     StructureViolated)
+from .eqcomplex import (EqComplex, apply_perm, conjugated_equivariant_complex,
+                        equivariant_complex)
+from .errors import ArcSearchFailed, NotPeriodic, StructureViolated
 from .exact import mod1
-from .geom import Pt, area2
-from .maps import (CellMap, PLMap2, compose, evaluate, fixed_set, inverse,
-                   is_identity, map_equal, orientation, period, power,
-                   shift_into_unit, validate_homeo)
-from .regions import CellRegion, invariant_disc
-from .suspension import SPHERE, _edge_key
+from .geom import Pt, centroid
+from .maps import (PLMap2, boundary_restriction, chain_power, compose,
+                   evaluate, fixed_set, identity_map, inverse, is_identity,
+                   orientation, period, power, seed_conjugated_powers,
+                   validate_homeo)
+from .sectors import (Layout, components, cut_sectors,
+                      embed_fundamental_domain, fixed_edges,
+                      lifted_quotient_path, line_walk, orbit_cells,
+                      orbit_ids, polar_layout, quotient_adjacency,
+                      rectangle_targets, reflection_conjugacy,
+                      rotation_layout, top_end)
+from .suspension import SPHERE
 
 Q = Fraction
 
@@ -49,46 +56,6 @@ class SphereAnalysis:
     k: int = 0
     fixed_points: list[Pt] | None = None
     fixed_circle: list[Pt] | None = None
-
-    def model(self) -> ModelIsometry:
-        if self.kind == "identity":
-            return ModelIsometry(SPHERE, IDENTITY)
-        if self.kind == "rotation":
-            return ModelIsometry(SPHERE, ROTATION, self.k, self.n)
-        if self.kind == "reflection":
-            return ModelIsometry(SPHERE, REFLECTION)
-        return ModelIsometry(SPHERE, ROTOREFLECTION, self.k, self.n)
-
-
-def pole_link_circle(f: PLMap2, level: Fraction) -> CirclePL:
-    """The action of f on the link circle of a pole (or the disc boundary),
-    read off the chart edges lying on the line s = level."""
-    edges = []
-    for cell in f.cells:
-        m = len(cell.poly)
-        for i in range(m):
-            p, q = cell.poly[i], cell.poly[(i + 1) % m]
-            if p[1] == level and q[1] == level:
-                pi, qi = cell.img[i], cell.img[(i + 1) % m]
-                if p[0] > q[0]:
-                    p, q, pi, qi = q, p, qi, pi
-                edges.append((p[0], q[0], pi[0], qi[0]))
-    edges.sort()
-    if not edges or edges[0][0] != 0:
-        raise StructureViolated(f"line s={level} not edge-covered from t=0")
-    breaks = []
-    u = mod1(edges[0][2])
-    pos = Q(0)
-    for (a, b, ia, ib) in edges:
-        if a != pos:
-            raise StructureViolated("line edges do not chain")
-        breaks.append((a, u))
-        u = u + (ib - ia)
-        pos = b
-    if pos != 1:
-        raise StructureViolated("line does not close up")
-    sign = 1 if u - breaks[0][1] > 0 else -1
-    return CirclePL(tuple(breaks), sign).normalize()
 
 
 def analyze_sphere(f: PLMap2, n_max: int = 64) -> SphereAnalysis:
@@ -115,7 +82,7 @@ def analyze_sphere(f: PLMap2, n_max: int = 64) -> SphereAnalysis:
             raise StructureViolated(
                 "fixed points off the polar axis cannot be normalized in "
                 "suspension coordinates")
-        rc = rotation_number(pole_link_circle(f, Q(1)), n_max)
+        rc = rotation_number(boundary_restriction(f), n_max)
         if rc.n != n:
             raise StructureViolated("pole link period mismatch")
         return SphereAnalysis("rotation", n, rc.k, fixed_points=fs.zero)
@@ -140,164 +107,6 @@ def analyze_sphere(f: PLMap2, n_max: int = 64) -> SphereAnalysis:
 
 
 # ---------------------------------------------------------------------------
-# invariant circle split (fixed-point case of the main theorem)
-
-
-def invariant_circle_split(f: PLMap2, x: Pt, n_max: int = 64,
-                           cap_level: Fraction | None = None
-                           ) -> tuple[CellRegion, CellRegion]:
-    """Invariant disc around the fixed pole x and its complement."""
-    n = period(f, n_max)
-    if n is None:
-        raise NotPeriodic(f"no period up to {n_max}")
-    if evaluate(f, x) != x:
-        raise StructureViolated(f"{x} is not fixed")
-    if cap_level is None:
-        cap_level = x[1] / 2  # halfway toward the equator
-    d1 = invariant_disc(f, x, n, cap_level)
-    k = d1.complex
-    comp_cells = frozenset(range(len(k.polys))) - d1.cells
-    from .regions import _region_boundary, _cap_provenance
-    cycle, bedges = _region_boundary(k, comp_cells)
-    prov = _cap_provenance(k, f, n, bedges, cap_level)
-    d2 = CellRegion(k, comp_cells, cycle, bedges, prov)
-    if frozenset(k.cell_perm[c] for c in comp_cells) != comp_cells:
-        raise StructureViolated("complement is not invariant")
-    return d1, d2
-
-
-# ---------------------------------------------------------------------------
-# polar sector machinery (shared by the rotation and free cases)
-
-
-def _polar_path(k: EqComplex):
-    """Shortest quotient path from the contracted north line to the
-    contracted south line, lifted to a simple arc from N to S."""
-    n_v = len(k.verts)
-    orbit_id = _orbit_ids(k.vert_perm)
-    is_n = [v[1] == 1 for v in k.verts]
-    is_s = [v[1] == -1 for v in k.verts]
-    adj: dict[int, set[int]] = {}
-    for a, b in k.edge_verts:
-        if (is_n[a] and is_n[b]) or (is_s[a] and is_s[b]):
-            continue
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    start_orbits = {orbit_id[v] for v in range(n_v) if is_n[v]}
-    prev = {}
-    seen = set(start_orbits)
-    frontier = sorted(start_orbits)
-    goal = None
-    while frontier and goal is None:
-        nxt = []
-        for ov in frontier:
-            for v in sorted(i for i in range(n_v) if orbit_id[i] == ov):
-                for w in sorted(adj.get(v, ())):
-                    ow = orbit_id[w]
-                    if ow in seen or is_n[w]:
-                        continue
-                    seen.add(ow)
-                    prev[ow] = ov
-                    if is_s[w]:
-                        goal = ow
-                        break
-                    nxt.append(ow)
-                if goal is not None:
-                    break
-            if goal is not None:
-                break
-        frontier = sorted(nxt)
-    if goal is None:
-        raise QuotientPathNotFound("no quotient path from N to S")
-    orbit_path = [goal]
-    while orbit_path[-1] not in start_orbits:
-        orbit_path.append(prev[orbit_path[-1]])
-    orbit_path.reverse()
-    # lift
-    adj_full: dict[int, set[int]] = {}
-    for a, b in k.edge_verts:
-        adj_full.setdefault(a, set()).add(b)
-        adj_full.setdefault(b, set()).add(a)
-    second = orbit_path[1]
-    for v in sorted(i for i in range(n_v) if is_n[i]):
-        cands = sorted(w for w in adj_full.get(v, ())
-                       if orbit_id[w] == second)
-        if cands:
-            path = [v, cands[0]]
-            break
-    else:
-        raise QuotientPathNotFound("lift start not found")
-    for target in orbit_path[2:]:
-        cur = path[-1]
-        cands = sorted(w for w in adj_full.get(cur, ())
-                       if orbit_id[w] == target)
-        if not cands:
-            raise QuotientPathNotFound("lift step not found")
-        path.append(cands[0])
-    return path
-
-
-def _sector_after_arc_north(k: EqComplex, comps, arc_north_end: int):
-    t0 = k.verts[arc_north_end][0]
-    best = None
-    for ei, (a, b) in enumerate(k.edge_verts):
-        pa, pb = k.edges[ei]
-        if pa[1] != 1 or pb[1] != 1:
-            continue
-        lo = min(pa[0], pb[0])
-        if mod1(lo) == t0:
-            best = ei
-            break
-    if best is None:
-        raise StructureViolated("no north-line edge leaves the arc end")
-    cell = k.edge_cells[best][0]
-    for comp in comps:
-        if cell in comp:
-            return comp
-    raise StructureViolated("north edge cell not in any sector")
-
-
-def _polar_sector_targets(k: EqComplex, arc0, sector0, wedge: Fraction,
-                          forced: dict[int, Pt]):
-    """Prescription for a polar sector onto [0, wedge] x [-1, 1]: the arc
-    onto the meridian t=0 from N to S by arc length, the forced right arc,
-    and both pole collars."""
-    targets: dict[int, Pt] = {}
-    m = len(arc0) - 1
-    for jj, v in enumerate(arc0):
-        targets[v] = (Q(0), 1 - 2 * Q(jj, m))
-    for v, tgt in forced.items():
-        if v in targets and targets[v] != tgt:
-            raise StructureViolated("forced arc target conflict")
-        targets[v] = tgt
-    right_n = [v for v, tgt in forced.items() if tgt[1] == 1]
-    right_s = [v for v, tgt in forced.items() if tgt[1] == -1]
-    if len(right_n) != 1 or len(right_s) != 1:
-        raise StructureViolated("forced arc does not join the poles")
-    n_collar = _line_walk_between(k, sector0, Q(1), arc0[0], right_n[0])
-    p = len(n_collar) - 1
-    for idx, v in enumerate(n_collar[1:-1], start=1):
-        targets[v] = (wedge * Q(idx, p), Q(1))
-    s_collar = _line_walk_between(k, sector0, Q(-1), arc0[-1], right_s[0])
-    p = len(s_collar) - 1
-    for idx, v in enumerate(s_collar[1:-1], start=1):
-        targets[v] = (wedge * Q(idx, p), Q(-1))
-    arc1 = sorted(forced, key=lambda v: -forced[v][1])
-    chains = [list(arc0), arc1, n_collar, s_collar]
-    return targets, chains
-
-
-def _assemble_polar_map(g: PLMap2, k: EqComplex, arcs, sectors,
-                        step_targets, n_cells_period: int) -> PLMap2:
-    """Build h cell by cell: sector i gets the step-translated targets.
-
-    step_targets(v, i) must give the chart image of vertex v of the i-th
-    pullback; cells are fan-triangulated in the fundamental sector and
-    pushed by the action."""
-    raise NotImplementedError  # assembled inline by the callers
-
-
-# ---------------------------------------------------------------------------
 # fixed-point case
 
 
@@ -306,14 +115,13 @@ def build_conjugacy_fixedpoint(f: PLMap2, n_max: int = 64,
                                ) -> Certificate:
     ana = analysis or analyze_sphere(f, n_max)
     if ana.kind == "identity":
-        from .maps import identity_map
         cert = Certificate(ModelIsometry(SPHERE, IDENTITY),
                            identity_map(SPHERE), True)
         return require_exact(f, cert)
     if ana.kind == "rotation":
         return _build_sphere_rotation(f, ana)
     if ana.kind == "reflection":
-        return _build_sphere_reflection(f, ana)
+        return _build_sphere_reflection(f)
     raise StructureViolated("map has no fixed points; use the free pipeline")
 
 
@@ -322,224 +130,20 @@ def _build_sphere_rotation(f: PLMap2, ana: SphereAnalysis) -> Certificate:
     j = pow(kk, -1, n)
     g = power(f, j) if j > 1 else f
     k = equivariant_complex(g, n, level_cuts=[Q(1, 2), Q(-1, 2)])
-    for _ in range(6):
-        arc0 = _polar_path(k)
-        arcs = [arc0]
-        for _ in range(1, n):
-            arcs.append([k.vert_perm[v] for v in arcs[-1]])
-        _assert_arcs_disjoint(k, arcs)
-        arc_edges = set()
-        for arc in arcs:
-            for a, b in zip(arc, arc[1:]):
-                arc_edges.add(_edge_between(k, a, b))
-        comps = _components(k, arc_edges)
-        if len(comps) != n:
-            raise QuotientPathNotFound(
-                f"polar arcs cut {len(comps)} sectors, expected {n}")
-        sector0 = _sector_after_arc_north(k, comps, arc0[0])
-        sectors = [sector0]
-        for _ in range(1, n):
-            sectors.append(frozenset(k.cell_perm[c] for c in sectors[-1]))
-        if set(sectors) != set(comps):
-            raise StructureViolated("sectors are not permuted cyclically")
-        m = len(arc0) - 1
-        forced = {k.vert_perm[v]: (Q(1, n), 1 - 2 * Q(jj, m))
-                  for jj, v in enumerate(arc0)}
-        targets, chains = _polar_sector_targets(k, arc0, sector0, Q(1, n),
-                                                forced)
-        defects = _embedding_defects(k, sector0, targets, chains)
-        if defects:
-            bad_cells, chord_edges = defects
-            k = refine_edges(k, chord_edges) if chord_edges \
-                else refine_cells(k, bad_cells)
-            continue
-        adj = _sector_adjacency(k, sector0)
-        pos = tutte_positions(adj, targets)
-        bad = _nonembedded_cells(k, sector0, pos, targets, strict=1)
-        if bad:
-            k = refine_cells(k, bad)
-            continue
-        cells = _sector_cells_rotation(k, sectors, pos, targets, n)
-        h = PLMap2(SPHERE, cells)
-        cert = Certificate(ModelIsometry(SPHERE, ROTATION, kk, n), h, True,
-                           pins={"north": True})
-        return require_exact(f, cert)
-    raise EmbeddingDegenerate("sphere rotation embedding kept degenerating")
+    k, lay, pos = embed_fundamental_domain(k, rotation_layout, oriented=True)
+    cert = Certificate(ModelIsometry(SPHERE, ROTATION, kk, n),
+                       PLMap2(SPHERE, orbit_cells(k, lay, pos)), True,
+                       pins={"north": True})
+    return require_exact(f, cert)
 
 
-def _assert_arcs_disjoint(k: EqComplex, arcs):
-    for i in range(len(arcs)):
-        for j in range(i + 1, len(arcs)):
-            shared = set(arcs[i]) & set(arcs[j])
-            if any(abs(k.verts[v][1]) != 1 for v in shared):
-                raise StructureViolated("polar arcs meet away from the poles")
-
-
-def _sector_cells_rotation(k: EqComplex, sectors, pos, targets, n: int
-                           ) -> list[CellMap]:
-    cell_orbit_rep = {}
-    for c in sectors[0]:
-        cur = c
-        for i in range(n):
-            cell_orbit_rep[cur] = (c, i)
-            cur = k.cell_perm[cur]
-    cells: list[CellMap] = []
-    for c, poly in enumerate(k.polys):
-        c0, i = cell_orbit_rep[c]
-        base_poly = k.polys[c0]
-        A = None
-        cur = c0
-        for _ in range(i):
-            step = k.f_affines[cur]
-            A = step if A is None else step.compose_after(A)
-            cur = k.cell_perm[cur]
-        anchor = _fan_anchor(k, base_poly, targets)
-        for tri0 in _fan_triples(base_poly, anchor):
-            ids = [k.vertex_id(q) for q in tri0]
-            img = [(pos[v][0] + Q(i, n), pos[v][1]) for v in ids]
-            tri = list(tri0) if A is None else [A(q) for q in tri0]
-            _, tri_u = shift_into_unit(tri)
-            poly_ccw = list(tri_u)
-            img_al = list(img)
-            if area2(tuple(poly_ccw)) < 0:
-                poly_ccw.reverse()
-                img_al.reverse()
-            cells.append(CellMap(tuple(poly_ccw), tuple(img_al)))
-    return cells
-
-
-def _build_sphere_reflection(f: PLMap2, ana: SphereAnalysis) -> Certificate:
-    fs = fixed_set(f)
+def _build_sphere_reflection(f: PLMap2) -> Certificate:
     k = equivariant_complex(f, 2, level_cuts=[Q(1, 2), Q(-1, 2)],
-                            chord_cuts=fs.segments)
-    for _ in range(6):
-        arc_edges = _sphere_fixed_edges(k, f)
-        comps = _components(k, arc_edges)
-        if len(comps) != 2:
-            raise StructureViolated(
-                f"fixed circle cuts {len(comps)} pieces, expected 2")
-        side1 = min(comps, key=lambda comp: min(comp))
-        side2 = [c for c in comps if c is not side1][0]
-        if frozenset(k.cell_perm[c] for c in side1) != side2:
-            raise StructureViolated("involution does not swap the sides")
-        targets, chains = _sphere_reflection_targets(k, side1, arc_edges)
-        defects = _embedding_defects(k, side1, targets, chains)
-        if defects:
-            bad_cells, chord_edges = defects
-            k = refine_edges(k, chord_edges) if chord_edges \
-                else refine_cells(k, bad_cells)
-            continue
-        adj = _sector_adjacency(k, side1)
-        pos = tutte_positions(adj, targets)
-        bad = _nonembedded_cells(k, side1, pos, targets, strict=0)
-        if bad:
-            k = refine_cells(k, bad)
-            continue
-        cells = _sphere_reflection_cells(k, side1, pos, targets)
-        h = PLMap2(SPHERE, cells)
-        cert = Certificate(ModelIsometry(SPHERE, REFLECTION), h, True,
-                           pins={"north": True})
-        return require_exact(f, cert)
-    raise EmbeddingDegenerate("sphere reflection embedding kept degenerating")
-
-
-def _sphere_fixed_edges(k: EqComplex, f: PLMap2) -> set[int]:
-    out = set()
-    for ei, (pa, pb) in enumerate(k.edges):
-        if pa[1] == pb[1] and abs(pa[1]) == 1:
-            continue
-        mid = ((pa[0] + pb[0]) / 2, (pa[1] + pb[1]) / 2)
-        mp = (mod1(mid[0]), mid[1])
-        if evaluate(f, mp) == mp:
-            out.add(ei)
-    if not out:
-        raise StructureViolated("no fixed circle edges found")
-    return out
-
-
-def _sphere_reflection_targets(k: EqComplex, side1, arc_edges):
-    """Fixed circle onto the meridians t in {0, 1/2}; pole collars onto the
-    top and bottom edges of [0, 1/2] x [-1, 1]."""
-    (path1, low1), (path2, low2) = _arc_halves_sphere(k, arc_edges)
-    targets: dict[int, Pt] = {}
-    m1 = len(path1) - 1
-    for idx, v in enumerate(path1):  # north line down to south line
-        targets[v] = (Q(0), 1 - 2 * Q(idx, m1))
-    m2 = len(path2) - 1
-    for idx, v in enumerate(path2):
-        targets[v] = (Q(1, 2), 1 - 2 * Q(idx, m2))
-    n_collar = _line_walk_between(k, side1, Q(1), path1[0], path2[0])
-    p = len(n_collar) - 1
-    for idx, v in enumerate(n_collar[1:-1], start=1):
-        targets[v] = (Q(idx, p) / 2, Q(1))
-    s_collar = _line_walk_between(k, side1, Q(-1), path1[-1], path2[-1])
-    p = len(s_collar) - 1
-    for idx, v in enumerate(s_collar[1:-1], start=1):
-        targets[v] = (Q(idx, p) / 2, Q(-1))
-    chains = [path1, path2, n_collar, s_collar]
-    return targets, chains
-
-
-def _arc_halves_sphere(k: EqComplex, arc_edges: set[int]):
-    """The fixed circle through both poles, split at the pole lines into
-    two arcs, each walked from the north line to the south line."""
-    adj: dict[int, list[int]] = {}
-    for ei in arc_edges:
-        a, b = k.edge_verts[ei]
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    starts = sorted(v for v, nb in adj.items()
-                    if len(nb) == 1 and k.verts[v][1] == 1)
-    if len(starts) != 2:
-        raise StructureViolated(
-            "fixed circle must cross the north line exactly twice")
-    halves = []
-    for start in starts:
-        path = [start]
-        prev = None
-        cur = start
-        while k.verts[cur][1] != -1:
-            nxt = [w for w in sorted(adj[cur]) if w != prev]
-            if len(nxt) != 1:
-                raise StructureViolated("fixed circle branches")
-            prev, cur = cur, nxt[0]
-            path.append(cur)
-        halves.append((path, cur))
-    return halves[0], halves[1]
-
-
-def _sphere_reflection_cells(k: EqComplex, side1, pos, targets
-                             ) -> list[CellMap]:
-    cells: list[CellMap] = []
-    for c, poly in enumerate(k.polys):
-        if c in side1:
-            anchor = _fan_anchor(k, poly, targets)
-            for tri in _fan_triples(poly, anchor):
-                img = [pos[k.vertex_id(q)] for q in tri]
-                poly_ccw = list(tri)
-                img_al = list(img)
-                if area2(tuple(poly_ccw)) < 0:
-                    poly_ccw.reverse()
-                    img_al.reverse()
-                cells.append(CellMap(tuple(poly_ccw), tuple(img_al)))
-        else:
-            c0 = k.cell_perm[c]
-            A = k.f_affines[c]
-            base = k.polys[c0]
-            Ainv = A.inverse()
-            anchor = _fan_anchor(k, base, targets)
-            for tri0 in _fan_triples(base, anchor):
-                tri = [Ainv(q) for q in tri0]
-                img = [(-pos[k.vertex_id(q)][0] + 1, pos[k.vertex_id(q)][1])
-                       for q in tri0]
-                _, tri_u = shift_into_unit(tri)
-                poly_ccw = list(tri_u)
-                img_al = list(img)
-                if area2(tuple(poly_ccw)) < 0:
-                    poly_ccw.reverse()
-                    img_al.reverse()
-                cells.append(CellMap(tuple(poly_ccw), tuple(img_al)))
-    return cells
+                            chord_cuts=fixed_set(f).segments)
+    cert = Certificate(ModelIsometry(SPHERE, REFLECTION),
+                       reflection_conjugacy(f, k), True,
+                       pins={"north": True})
+    return require_exact(f, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -647,11 +251,10 @@ def _normalize_square(f: PLMap2, n: int):
     g = power(f, 2)
     if is_identity(g):
         return f, None
-    rc = rotation_number(pole_link_circle(g, Q(1)), 2 * n)
+    rc = rotation_number(boundary_restriction(g), 2 * n)
     ana_g = SphereAnalysis("rotation", n // 2, rc.k)
     conj = _build_sphere_rotation(g, ana_g)
     fp = compose(compose(inverse(conj.h), f), conj.h)
-    from .maps import seed_conjugated_powers
     seed_conjugated_powers(fp, f, conj.h, n)
     if is_model_rotation(power(fp, 2)) is None:
         raise StructureViolated("square did not normalize to a rotation")
@@ -730,8 +333,6 @@ def _free_class_angle(f: PLMap2, n: int) -> int:
 
 
 def _assemble_free_map(f: PLMap2, fp: PLMap2, conj, t0, p0, n, m, subcase):
-    from .eqcomplex import conjugated_equivariant_complex
-    from .maps import chain_power
     seg = ((p0[0], t0), (p0[0], Q(1)))
     phi = n // 2 if subcase == "coincident" else None
     if conj is None:
@@ -743,59 +344,27 @@ def _assemble_free_map(f: PLMap2, fp: PLMap2, conj, t0, p0, n, m, subcase):
         k = conjugated_equivariant_complex(fp, f, conj.h, n,
                                            level_cuts=[t0], chord_cuts=[seg],
                                            phi_power=phi)
-    for _ in range(6):
+
+    def layout(k: EqComplex) -> Layout:
         bstar = _bstar_arc(k, fp, t0, p0, n, subcase)
-        arcs = [bstar]
-        for _ in range(1, m):
-            arcs.append([k.vert_perm[v] for v in arcs[-1]])
-        _assert_arcs_disjoint(k, arcs)
-        arc_edges = set()
-        for arc in arcs:
-            for a, b in zip(arc, arc[1:]):
-                arc_edges.add(_edge_between(k, a, b))
-        comps = _components(k, arc_edges)
-        if len(comps) != m:
-            raise ArcSearchFailed(
-                f"polar arcs cut {len(comps)} sectors, expected {m}")
-        sector0 = _sector_after_arc_north(k, comps, bstar[0])
+        arcs, arc_edges, _, sector0 = cut_sectors(k, bstar, m)
         jstar = _right_arc_index(k, arcs)
-        kk = _solve_class_angle(jstar, n, m, fp, subcase)
-        c = Q(kk, n)
+        c = Q(_solve_class_angle(jstar, n, m, fp, subcase), n)
+        # odd iterates swap the poles: turn the right arc to run downwards
+        right = arcs[jstar] if jstar % 2 == 0 else arcs[jstar][::-1]
         if subcase == "distinct":
-            fund, targets, chains = _free_targets_distinct(
-                k, bstar, arcs[jstar], sector0, m, jstar, c)
-        else:
-            fund, targets, chains = _free_targets_coincident(
-                k, fp, bstar, arcs[jstar], sector0, m, n, jstar, c, p0,
-                arc_edges)
-        defects = _embedding_defects(k, fund, targets, chains)
-        if defects:
-            bad_cells, chord_edges = defects
-            k = refine_edges(k, chord_edges) if chord_edges \
-                else refine_cells(k, bad_cells)
-            continue
-        adj = _sector_adjacency(k, fund)
-        pos = tutte_positions(adj, targets)
-        bad = _nonembedded_cells(k, fund, pos, targets, strict=1)
-        if bad:
-            k = refine_cells(k, bad)
-            continue
-        cells = _free_cells(k, fund, pos, targets, n, c)
-        return PLMap2(SPHERE, cells), kk
-    raise EmbeddingDegenerate("free-case embedding kept degenerating")
+            return polar_layout(k, sector0, bstar, right, Q(1, m), c)
+        return _coincident_layout(k, fp, bstar, right, sector0, arc_edges,
+                                  m, n, jstar, c, p0)
 
-
-def _arc_north_end(k: EqComplex, arc) -> int:
-    if k.verts[arc[0]][1] == 1:
-        return arc[0]
-    if k.verts[arc[-1]][1] == 1:
-        return arc[-1]
-    raise StructureViolated("arc has no end on the north line")
+    k, lay, pos = embed_fundamental_domain(k, layout, oriented=True)
+    return (PLMap2(SPHERE, orbit_cells(k, lay, pos, flip_odd=True)),
+            int(lay.step * n))
 
 
 def _right_arc_index(k: EqComplex, arcs) -> int:
     """Index of the arc whose north end follows arc 0 positively."""
-    ends = [k.verts[_arc_north_end(k, arc)][0] for arc in arcs]
+    ends = [k.verts[top_end(k, arc)][0] for arc in arcs]
     base = ends[0]
     diffs = sorted((mod1(e - base), j) for j, e in enumerate(ends) if j != 0)
     return diffs[0][1]
@@ -858,9 +427,8 @@ def _meridian_path(k: EqComplex, p0, t0):
 def _bprime_path(k: EqComplex, fp: PLMap2, t0, p0, n, b0):
     """Arc from P0 to the south line inside the image cap, avoiding the odd
     iterates of the meridian arc and its own rotations (quotient search)."""
-    from .geom import centroid
     r2_perm = [k.vert_perm[k.vert_perm[v]] for v in range(len(k.verts))]
-    orbit_id = _orbit_ids(r2_perm)
+    orbit_id = orbit_ids(r2_perm)
     forbidden = set()
     arc = list(b0)
     for i in range(n):
@@ -870,70 +438,17 @@ def _bprime_path(k: EqComplex, fp: PLMap2, t0, p0, n, b0):
     forbidden_orbits = {orbit_id[v] for v in forbidden}
     cap_cells = {ci for ci, poly in enumerate(k.polys)
                  if centroid(list(poly))[1] < t0}
-    adj: dict[int, set[int]] = {}
-    for ei, (a, b) in enumerate(k.edge_verts):
-        if not any(ci in cap_cells for ci in k.edge_cells[ei]):
-            continue
-        pa, pb = k.edges[ei]
-        if pa[1] == pb[1] and abs(pa[1]) == 1:
-            continue
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
     p0_vert = _vert_at(k, p0)
-    level = [v[1] for v in k.verts]
-    is_s = [v[1] == -1 for v in k.verts]
-    start_orbits = {orbit_id[v] for v in range(len(k.verts)) if is_s[v]}
     target_orbit = orbit_id[p0_vert]
-    prev = {}
-    seen = set(start_orbits)
-    frontier = sorted(start_orbits)
-    found = False
-    while frontier and not found:
-        nxt = []
-        for ov in frontier:
-            for v in sorted(i for i in range(len(k.verts))
-                            if orbit_id[i] == ov):
-                for w in sorted(adj.get(v, ())):
-                    ow = orbit_id[w]
-                    if ow in seen:
-                        continue
-                    if ow == target_orbit:
-                        seen.add(ow)
-                        prev[ow] = ov
-                        found = True
-                        break
-                    if ow in forbidden_orbits or is_s[w] or level[w] >= t0:
-                        continue
-                    seen.add(ow)
-                    prev[ow] = ov
-                    nxt.append(ow)
-                if found:
-                    break
-            if found:
-                break
-        frontier = sorted(nxt)
-    if not found:
-        raise ArcSearchFailed("no arc from S to P0 inside the image cap")
-    orbit_path = [target_orbit]
-    while orbit_path[-1] not in start_orbits:
-        orbit_path.append(prev[orbit_path[-1]])
-    orbit_path.reverse()  # S ... P0
-    path = None
-    for v in sorted(i for i in range(len(k.verts)) if is_s[i]):
-        cands = sorted(w for w in adj.get(v, ())
-                       if orbit_id[w] == orbit_path[1])
-        if cands:
-            path = [v, cands[0]]
-            break
+    level = [v[1] for v in k.verts]
+    path = lifted_quotient_path(
+        quotient_adjacency(k, cap_cells), orbit_id,
+        [v for v in range(len(k.verts)) if level[v] == -1],
+        lambda w: orbit_id[w] == target_orbit,
+        lambda w: (orbit_id[w] in forbidden_orbits or level[w] == -1
+                   or level[w] >= t0))
     if path is None:
-        raise ArcSearchFailed("lift start not found")
-    for target in orbit_path[2:]:
-        cur = path[-1]
-        cands = sorted(w for w in adj.get(cur, ())
-                       if orbit_id[w] == target)
-        if not cands:
-            raise ArcSearchFailed("lift step not found")
-        path.append(cands[0])
+        raise ArcSearchFailed("no arc from S to P0 inside the image cap")
     guard = 0
     while path[-1] != p0_vert:
         path = [r2_perm[v] for v in path]
@@ -950,55 +465,12 @@ def _vert_at(k: EqComplex, p: Pt) -> int:
     return k.vert_index[key]
 
 
-def _free_targets_distinct(k, bstar, right_arc, sector0, m, jstar, c):
-    """Subcase B: the whole sector is the fundamental domain, mapped onto
-    [0, 1/m] x [-1, 1] with P0 on the equator."""
-    targets: dict[int, Pt] = {}
-    mm = len(bstar) - 1
-    p0_idx = None
-    for jj, v in enumerate(bstar):
-        if k.verts[v][1] == k.verts[bstar[-1]][1] and p0_idx is None \
-                and jj > 0 and k.verts[v][1] not in (Q(1), Q(-1)):
-            pass
-        targets[v] = (Q(0), 1 - 2 * Q(jj, mm))
-    flip = 1 if jstar % 2 == 0 else -1
-    forced = {}
-    for jj, v in enumerate(right_arc):
-        s_base = 1 - 2 * Q(jj, mm)
-        forced[v] = (Q(1, m), flip * s_base)
-    for v, tgt in forced.items():
-        if v in targets and targets[v] != tgt:
-            raise StructureViolated("forced arc target conflict")
-        targets[v] = tgt
-    n_collar = _line_walk_between(k, sector0, Q(1), bstar[0], right_arc[0]
-                                  if flip == 1 else right_arc[-1])
-    p = len(n_collar) - 1
-    for idx, v in enumerate(n_collar[1:-1], start=1):
-        targets[v] = (Q(idx, p) / m, Q(1))
-    s_collar = _line_walk_between(k, sector0, Q(-1), bstar[-1],
-                                  right_arc[-1] if flip == 1
-                                  else right_arc[0])
-    p = len(s_collar) - 1
-    for idx, v in enumerate(s_collar[1:-1], start=1):
-        targets[v] = (Q(idx, p) / m, Q(-1))
-    chains = [list(bstar), list(right_arc), n_collar, s_collar]
-    return sector0, targets, chains
-
-
-def _free_targets_coincident(k, fp, bstar, right_arc, sector0, m, n, jstar,
-                             c, p0, arc_edges):
+def _coincident_layout(k, fp, bstar, right, sector0, arc_edges, m, n, jstar,
+                       c, p0) -> Layout:
     """Subcase A: the fundamental domain is the north half of the sector,
     cut by the fixed curve of f^(n/2), mapped onto [0, 1/m] x [0, 1]."""
-    phi_edges = set()
-    g_half = power(fp, n // 2)
-    for ei, (pa, pb) in enumerate(k.edges):
-        if pa[1] == pb[1] and abs(pa[1]) == 1:
-            continue
-        mid = ((pa[0] + pb[0]) / 2, (pa[1] + pb[1]) / 2)
-        mp = (mod1(mid[0]), mid[1])
-        if evaluate(g_half, mp) == mp:
-            phi_edges.add(ei)
-    halves = _components_within(k, sector0, arc_edges | phi_edges)
+    phi_edges = fixed_edges(k, power(fp, n // 2))
+    halves = components(k, arc_edges | phi_edges, sector0)
     if len(halves) != 2:
         raise StructureViolated(
             f"half cut gives {len(halves)} pieces, expected 2")
@@ -1008,73 +480,16 @@ def _free_targets_coincident(k, fp, bstar, right_arc, sector0, m, n, jstar,
         raise StructureViolated("north half does not reach the north line")
     # the north halves of the two bounding arcs
     p0v = _vert_at(k, p0)
-    left = bstar[:bstar.index(p0v) + 1]
-    pj = None
-    for jj, v in enumerate(right_arc):
-        if k.vert_perm and v == _nth_perm(k, p0v, jstar):
-            pj = jj
-            break
-    if pj is None:
+    pj = apply_perm(k.vert_perm, p0v, jstar)
+    if pj not in right:
         raise StructureViolated("right arc misses its touch point")
-    flip = 1 if jstar % 2 == 0 else -1
-    if flip == 1:
-        right = right_arc[:pj + 1]
-    else:
-        right = list(reversed(right_arc[pj:]))
-    targets: dict[int, Pt] = {}
-    mm = len(left) - 1
-    for jj, v in enumerate(left):
-        targets[v] = (Q(0), 1 - Q(jj, mm))
-    mm = len(right) - 1
-    for jj, v in enumerate(right):
-        tgt = (Q(1, m), 1 - Q(jj, mm))
-        if v in targets and targets[v] != tgt:
-            raise StructureViolated("forced arc target conflict")
-        targets[v] = tgt
+    left = bstar[:bstar.index(p0v) + 1]
+    right = right[:right.index(pj) + 1]
     # equatorial cross arc: from P0 to P_{j*} along the fixed curve
-    cross = _path_along_edges(k, phi_edges, p0v, _nth_perm(k, p0v, jstar),
-                              north_half)
-    p = len(cross) - 1
-    for idx, v in enumerate(cross[1:-1], start=1):
-        targets[v] = (Q(idx, p) / m, Q(0))
-    n_collar = _line_walk_between(k, north_half, Q(1), left[0], right[0])
-    p = len(n_collar) - 1
-    for idx, v in enumerate(n_collar[1:-1], start=1):
-        targets[v] = (Q(idx, p) / m, Q(1))
-    chains = [left, right, cross, n_collar]
-    return north_half, targets, chains
-
-
-def _nth_perm(k: EqComplex, v: int, times: int) -> int:
-    for _ in range(times):
-        v = k.vert_perm[v]
-    return v
-
-
-def _components_within(k: EqComplex, cells, blocked_edges):
-    seen = set()
-    comps = []
-    for c0 in sorted(cells):
-        if c0 in seen:
-            continue
-        comp = []
-        stack = [c0]
-        seen.add(c0)
-        while stack:
-            c = stack.pop()
-            comp.append(c)
-            poly = k.polys[c]
-            mm = len(poly)
-            for i in range(mm):
-                ei = k.edge_index[_edge_key(poly[i], poly[(i + 1) % mm])]
-                if ei in blocked_edges:
-                    continue
-                for d in k.edge_cells[ei]:
-                    if d in cells and d not in seen:
-                        seen.add(d)
-                        stack.append(d)
-        comps.append(frozenset(comp))
-    return comps
+    cross = _path_along_edges(k, phi_edges, p0v, pj, north_half)
+    top = line_walk(k, north_half, Q(1), left[0], right[0])
+    targets = rectangle_targets(left, right, cross, top, Q(1, m), Q(0), Q(1))
+    return Layout(north_half, targets, [left, right, cross, top], c)
 
 
 def _path_along_edges(k: EqComplex, allowed_edges, start, stop, side):
@@ -1099,57 +514,3 @@ def _path_along_edges(k: EqComplex, allowed_edges, start, stop, side):
         prev, cur = cur, nxt[0]
         path.append(cur)
     return path
-
-
-def _free_cells(k: EqComplex, fund, pos, targets, n: int, c: Fraction
-                ) -> list[CellMap]:
-    cell_orbit_rep = {}
-    for c0 in sorted(fund):
-        cur = c0
-        for i in range(n):
-            if cur not in cell_orbit_rep:
-                cell_orbit_rep[cur] = (c0, i)
-            cur = k.cell_perm[cur]
-    if len(cell_orbit_rep) != len(k.polys):
-        raise StructureViolated("fundamental domain orbit does not tile")
-    cells: list[CellMap] = []
-    for cc, poly in enumerate(k.polys):
-        c0, i = cell_orbit_rep[cc]
-        base_poly = k.polys[c0]
-        A = None
-        cur = c0
-        for _ in range(i):
-            step = k.f_affines[cur]
-            A = step if A is None else step.compose_after(A)
-            cur = k.cell_perm[cur]
-        flip = 1 if i % 2 == 0 else -1
-        anchor = _fan_anchor(k, base_poly, targets)
-        for tri0 in _fan_triples(base_poly, anchor):
-            ids = [k.vertex_id(q) for q in tri0]
-            img = [(pos[v][0] + i * c, flip * pos[v][1]) for v in ids]
-            tri = list(tri0) if A is None else [A(q) for q in tri0]
-            _, tri_u = shift_into_unit(tri)
-            _, img_u = shift_into_unit(img)
-            poly_ccw = list(tri_u)
-            img_al = list(img_u)
-            if area2(tuple(poly_ccw)) < 0:
-                poly_ccw.reverse()
-                img_al.reverse()
-            cells.append(CellMap(tuple(poly_ccw), tuple(img_al)))
-    return cells
-
-
-# ---------------------------------------------------------------------------
-# plane adapter (one-point compactification with the north pole pinned)
-
-
-def normalize_plane(f: PLMap2, n_max: int = 64) -> Certificate:
-    """Sphere pipeline with the marked point N pinned: h(N) = N."""
-    if evaluate(f, N_POLE) != N_POLE:
-        raise MarkedPointNotFixed("the map must fix the north pole")
-    ana = analyze_sphere(f, n_max)
-    cert = build_conjugacy_fixedpoint(f, n_max, analysis=ana)
-    if evaluate(cert.h, N_POLE) != N_POLE:
-        raise StructureViolated("construction failed to pin the north pole")
-    cert.pins["north"] = True
-    return cert

@@ -96,9 +96,6 @@ class Affine:
                       self.d * o.b + self.e * o.e,
                       self.d * o.c + self.e * o.f + self.f)
 
-    def translated(self, dx: Fraction, dy: Fraction = Q(0)) -> "Affine":
-        return Affine(self.a, self.b, self.c + dx, self.d, self.e, self.f + dy)
-
 
 IDENTITY_AFFINE = Affine(Q(1), Q(0), Q(0), Q(0), Q(1), Q(0))
 

@@ -1,0 +1,89 @@
+"""The command-line contract: exit codes of verify and render."""
+
+import json
+
+import pytest
+
+from plhomeo import cli
+from plhomeo import io as pio
+from plhomeo.maps import CellMap, PLMap2, shift_into_unit
+from plhomeo.suspension import SPHERE, band_cells
+
+
+@pytest.fixture(scope="module")
+def disc_rotation(tmp_path_factory):
+    """A scrambled disc rotation 1/3 and the certificate conjugate writes."""
+    d = tmp_path_factory.mktemp("cli")
+    inst, cert = d / "f.json", d / "f.cert.json"
+    assert cli.main(["generate", "--space", "disc", "--kind", "rotation",
+                     "--k", "1", "--n", "3", "--seed", "1", "--moves", "3",
+                     "--out", str(inst)]) == 0
+    assert cli.main(["conjugate", str(inst), "--out", str(cert)]) == 0
+    return inst, json.loads(cert.read_text())
+
+
+def _verify(tmp_path, inst, cert_data) -> int:
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert_data))
+    return cli.main(["verify", str(inst), str(path)])
+
+
+def test_verify_accepts_own_certificate(disc_rotation, tmp_path):
+    inst, cert = disc_rotation
+    assert _verify(tmp_path, inst, cert) == 0
+
+
+def test_verify_rejects_changed_class(disc_rotation, tmp_path, capsys):
+    inst, cert = disc_rotation
+    cert = json.loads(json.dumps(cert))
+    cert["model"]["k"] = 2
+    assert _verify(tmp_path, inst, cert) == 1
+    assert "REJECTED" in capsys.readouterr().out
+
+
+def _triangle_index_out_of_range(cert):
+    cert["h"]["triangles"][0][0] = 10 ** 6
+
+
+def _images_cut_short(cert):
+    cert["h"]["images"] = cert["h"]["images"][:3]
+
+
+def _lifts_cut_short(cert):
+    cert["h"]["lifts"] = [lift[:1] for lift in cert["h"]["lifts"]]
+
+
+def _integer_coordinate(cert):
+    cert["h"]["vertices"][0][0] = 0
+
+
+def _pins_not_a_mapping(cert):
+    cert["pins"] = 5
+
+
+@pytest.mark.parametrize("damage", [
+    _triangle_index_out_of_range, _images_cut_short, _lifts_cut_short,
+    _integer_coordinate, _pins_not_a_mapping])
+def test_verify_malformed_certificate_is_a_parse_error(
+        disc_rotation, tmp_path, capsys, damage):
+    inst, cert = disc_rotation
+    cert = json.loads(json.dumps(cert))
+    damage(cert)
+    assert _verify(tmp_path, inst, cert) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_render_reports_analysis_failure(tmp_path, capsys):
+    # (t, s) -> (-t, -s) preserves orientation and swaps the poles, so its
+    # fixed points lie off the polar axis and the analysis rejects it
+    cells = []
+    for c in band_cells(SPHERE, 4):
+        _, img = shift_into_unit([(-x, -y) for x, y in c])
+        cells.append(CellMap(tuple(c), img))
+    inst, svg = tmp_path / "f.json", tmp_path / "f.svg"
+    pio.save_json(str(inst),
+                  pio.instance_to_dict(SPHERE, PLMap2(SPHERE, cells)))
+    assert cli.main(["render", str(inst), "--out", str(svg)]) == 0
+    err = capsys.readouterr().err
+    assert "StructureViolated" in err and "bare map" in err
+    assert svg.read_text().startswith("<svg")

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from plhomeo.circle import circle_rotation, compose_circle, rotation_number
+from plhomeo.circle import (circle_rotation, compose_circle,
+                            is_circle_identity, rotation_number)
 from plhomeo.conjugacy import check_certificate
 from plhomeo.disc import (analyze_disc, build_conjugacy_reflection,
-                          build_conjugacy_rotation, rigidity_check,
-                          sector_decomposition)
+                          build_conjugacy_rotation, sector_decomposition)
 from plhomeo.errors import NotPeriodic, StructureViolated
 from plhomeo.generate import make_instance
 from plhomeo.maps import (CellMap, PLMap2, boundary_restriction, compose,
@@ -88,8 +88,10 @@ def grid_cells(cols, rows, lo=Q(0), hi=Q(1)):
 
 
 def test_rigidity_check_cases():
-    assert rigidity_check(identity_map(DISC)) == "ok"
-    assert rigidity_check(rotation_map(DISC, 1, 3)) == "ok"
+    # a periodic map that is the identity on the boundary is the identity;
+    # data that claims otherwise is not a homeomorphism and is refused
+    assert analyze_disc(identity_map(DISC)).kind == "identity"
+    assert analyze_disc(rotation_map(DISC, 1, 3)).kind == "rotation"
     # corrupted data: boundary identity, two interior blocks swapped by a
     # translation -- cellwise affine, exactly of period 2, discontinuous
     cells = grid_cells(4, 2)
@@ -104,9 +106,12 @@ def test_rigidity_check_cases():
         else:
             out.append(CellMap(tuple(c), tuple(c)))
     bad = PLMap2(DISC, out)
+    assert is_circle_identity(boundary_restriction(bad))
     assert not is_identity(bad)
     assert is_identity(power(bad, 2))
-    assert rigidity_check(bad).startswith("violation")
+    assert validate_homeo(bad) != []
+    with pytest.raises(StructureViolated):
+        analyze_disc(bad)
 
 
 def test_sector_decomposition_model():

@@ -1,12 +1,9 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from plhomeo.errors import DegenerateInput
 from plhomeo.geom import (BOUNDARY, INSIDE, OUTSIDE, area2, clip_convex,
-                          is_simple, on_segment, orient, point_in_polygon,
-                          polygon, seg_intersection, split_convex)
+                          on_segment, orient, point_in_convex,
+                          seg_intersection, split_convex)
 
 Q = Fraction
 
@@ -25,17 +22,19 @@ def test_orientation_basic():
 
 
 def test_point_in_polygon_examples():
-    sq = polygon(UNIT_SQUARE)
-    assert point_in_polygon(pt(Q(1, 2), Q(1, 2)), sq) == INSIDE
-    assert point_in_polygon(pt(0, 0), sq) == BOUNDARY
-    assert point_in_polygon(pt(5, 5), sq) == OUTSIDE
-    assert point_in_polygon(pt(Q(1, 2), 0), sq) == BOUNDARY
-    assert point_in_polygon(pt(Q(1, 2), 1), sq) == BOUNDARY
+    sq = UNIT_SQUARE
+    assert point_in_convex(pt(Q(1, 2), Q(1, 2)), sq) == INSIDE
+    assert point_in_convex(pt(0, 0), sq) == BOUNDARY
+    assert point_in_convex(pt(5, 5), sq) == OUTSIDE
+    assert point_in_convex(pt(Q(1, 2), 0), sq) == BOUNDARY
+    assert point_in_convex(pt(Q(1, 2), 1), sq) == BOUNDARY
+    # on the line of an edge but beyond its end
+    assert point_in_convex(pt(2, 0), sq) == OUTSIDE
 
 
 def test_point_in_polygon_matches_halfplane_on_convex():
     rng = random.Random(7)
-    sq = polygon(UNIT_SQUARE)
+    sq = UNIT_SQUARE
     for _ in range(200):
         p = pt(Q(rng.randint(-8, 16), 8), Q(rng.randint(-8, 16), 8))
         expected = INSIDE
@@ -44,24 +43,7 @@ def test_point_in_polygon_matches_halfplane_on_convex():
         if (p[0] in (0, 1) and 0 <= p[1] <= 1) or (p[1] in (0, 1)
                                                    and 0 <= p[0] <= 1):
             expected = BOUNDARY
-        assert point_in_polygon(p, sq) == expected
-
-
-def test_nonconvex_point_classification():
-    # L-shape
-    ell = polygon([pt(0, 0), pt(3, 0), pt(3, 1), pt(1, 1), pt(1, 3), pt(0, 3)])
-    assert point_in_polygon(pt(Q(1, 2), Q(5, 2)), ell) == INSIDE
-    assert point_in_polygon(pt(2, 2), ell) == OUTSIDE
-    assert point_in_polygon(pt(1, 2), ell) == BOUNDARY
-
-
-def test_polygon_validation():
-    with pytest.raises(DegenerateInput):
-        polygon([pt(0, 0), pt(1, 0), pt(2, 0)])
-    with pytest.raises(DegenerateInput):  # bowtie
-        polygon([pt(0, 0), pt(1, 1), pt(1, 0), pt(0, 1)])
-    cw = polygon(list(reversed(UNIT_SQUARE)))
-    assert cw.area2() == 2  # reoriented CCW
+        assert point_in_convex(p, sq) == expected
 
 
 def test_segment_intersection_cases():
@@ -78,12 +60,6 @@ def test_segment_intersection_cases():
     # endpoint in the middle of the other segment
     kind, p = seg_intersection(pt(0, 0), pt(4, 0), pt(2, 0), pt(2, 3))
     assert kind == "point" and p == pt(2, 0)
-
-
-def test_simplicity():
-    assert is_simple(tuple(UNIT_SQUARE))
-    assert not is_simple((pt(0, 0), pt(1, 1), pt(1, 0), pt(0, 1)))
-    assert not is_simple((pt(0, 0), pt(1, 0), pt(1, 0)))
 
 
 def test_clip_convex():

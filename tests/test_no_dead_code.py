@@ -1,0 +1,66 @@
+"""Guard against code that nothing calls.
+
+Every top-level function and class in ``src/plhomeo`` must be referenced by
+name from ``src/`` outside its own body, and every imported name must be
+used in the module that imports it.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "plhomeo"
+
+# convex_touch is called only by the brute-force oracle of
+# test_t0_matches_scan_oracle, which checks t0_cut against an independent
+# polygon-touch scan; the oracle must not share code with t0_cut.
+ALLOWED_UNREFERENCED = {"convex_touch"}
+
+# bench/test_bench.py reads plhomeo.cli.compose to check that its tracer
+# patches the name in every module that imports it.
+ALLOWED_UNUSED_IMPORTS = {("cli", "compose")}
+
+
+def _modules():
+    return {p.stem: ast.parse(p.read_text(), filename=str(p))
+            for p in sorted(SRC.glob("*.py"))}
+
+
+def _used_names(root):
+    out = Counter()
+    for node in ast.walk(root):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+    return out
+
+
+def test_every_top_level_def_is_referenced():
+    defs = []
+    total = Counter()
+    for name, tree in _modules().items():
+        for node in tree.body:
+            used = _used_names(node)
+            total.update(used)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((name, node.name, used))
+    unreferenced = [f"{module}.{fn}" for module, fn, own in defs
+                    if total[fn] == own[fn] and fn not in ALLOWED_UNREFERENCED]
+    assert unreferenced == []
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, tree in _modules().items():
+        used = _used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in used and \
+                            (name, bound) not in ALLOWED_UNUSED_IMPORTS:
+                        unused.append(f"{name}: {bound}")
+    assert unused == []

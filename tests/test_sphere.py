@@ -4,17 +4,14 @@ from fractions import Fraction
 import pytest
 
 from plhomeo.conjugacy import check_certificate
-from plhomeo.errors import (MarkedPointNotFixed, NotPeriodic,
-                            StructureViolated)
+from plhomeo.errors import NotPeriodic, StructureViolated
 from plhomeo.generate import make_instance, scramble, scrambled_conjugate
 from plhomeo.maps import (CellMap, PLMap2, compose, evaluate, fixed_set,
                           identity_map, inverse, map_equal, power,
                           reflection_map, rotation_map, rotoreflection_map,
                           validate_homeo)
 from plhomeo.sphere import (analyze_sphere, build_conjugacy_fixedpoint,
-                            build_conjugacy_free, invariant_circle_split,
-                            is_model_rotation, normalize_plane,
-                            pole_link_circle, t0_cut)
+                            build_conjugacy_free, is_model_rotation, t0_cut)
 from plhomeo.suspension import SPHERE, band_cells
 
 Q = Fraction
@@ -61,25 +58,6 @@ def test_analyze_off_pole_fixed_points_rejected():
     assert validate_homeo(f) == []
     with pytest.raises(StructureViolated):
         analyze_sphere(f)
-
-
-def test_invariant_circle_split_model():
-    f = rotation_map(SPHERE, 1, 4)
-    d1, d2 = invariant_circle_split(f, pt(0, 1))
-    assert d1.cells and d2.cells
-    assert d1.area2() + d2.area2() == 4  # whole sphere, doubled area
-    k = d1.complex
-    assert frozenset(k.cell_perm[c] for c in d1.cells) == d1.cells
-    assert frozenset(k.cell_perm[c] for c in d2.cells) == d2.cells
-
-
-def test_invariant_circle_split_scrambled():
-    f, h, r = make_instance(SPHERE, "rotation", 1, 3, seed=5, moves=8)
-    d1, d2 = invariant_circle_split(f, pt(0, 1))
-    k = d1.complex
-    assert frozenset(k.cell_perm[c] for c in d1.cells) == d1.cells
-    assert d1.contains_cell_point(pt(0, 1))
-    assert d2.contains_cell_point(pt(0, -1))
 
 
 def test_conjugacy_model_sphere_rotation():
@@ -298,13 +276,15 @@ def test_analyze_recovers_rotoreflection_class():
 
 
 def test_normalize_plane():
+    # a plane map is a sphere map fixing the north pole; the construction
+    # keeps that pole fixed and records it as a pin
     f, h, r = make_instance(SPHERE, "rotation", 1, 4, seed=6, moves=8)
-    cert = normalize_plane(f)
+    cert = build_conjugacy_fixedpoint(f)
     assert cert.exact and cert.pins.get("north")
     assert evaluate(cert.h, pt(0, 1)) == pt(0, 1)
 
 
 def test_normalize_plane_rejects_pole_swap():
     f = rotoreflection_map(1, 4)
-    with pytest.raises(MarkedPointNotFixed):
-        normalize_plane(f)
+    with pytest.raises(StructureViolated):
+        build_conjugacy_fixedpoint(f)
