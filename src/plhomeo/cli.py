@@ -2,8 +2,8 @@
 selftest.
 
 Exit codes: 0 success, 1 verification failure, 2 structural violation,
-3 parse error (including a malformed certificate), 4 no period up to the
-bound (NotPeriodic).
+3 parse error (including a malformed certificate, or one naming an invalid
+model class), 4 no period up to the bound (NotPeriodic).
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ def _build_parser():
     v = sub.add_parser("verify", help="independently re-check a certificate")
     v.add_argument("instance")
     v.add_argument("certificate")
-    v.add_argument("--n-max", type=int, default=64)
     v.set_defaults(func=cmd_verify)
 
     r = sub.add_parser("render", help="draw an instance as SVG")
@@ -156,13 +155,11 @@ def _analysis_dict(space, f, n_max):
                else "preserving"}
         if ana.kind == "rotation":
             out["k"], out["n"] = ana.k, ana.n
-            out["fixed_point"] = [fmt_rat(ana.fixed_point[0]),
-                                  fmt_rat(ana.fixed_point[1])]
+            out["fixed_point"] = [fmt_rat(x) for x in ana.fixed.zero[0]]
         if ana.kind == "reflection":
-            out["fixed_arc_endpoints"] = [
-                [fmt_rat(ana.fixed_arc[0][0]), fmt_rat(ana.fixed_arc[0][1])],
-                [fmt_rat(ana.fixed_arc[-1][0]),
-                 fmt_rat(ana.fixed_arc[-1][1])]]
+            arc = ana.fixed.one[0]
+            out["fixed_arc_endpoints"] = [[fmt_rat(x) for x in arc[0]],
+                                          [fmt_rat(x) for x in arc[-1]]]
         return out
     ana = analyze_sphere(f, n_max)
     out = {"space": space, "class": ana.kind, "period": ana.n,
@@ -249,12 +246,12 @@ def _conjugate_map(space, f, n_max) -> Certificate:
     if space == DISC:
         ana = analyze_disc(f, n_max)
         if ana.kind == "reflection":
-            return build_conjugacy_reflection(f, n_max, analysis=ana)
-        return build_conjugacy_rotation(f, n_max, analysis=ana)
+            return build_conjugacy_reflection(f, ana)
+        return build_conjugacy_rotation(f, ana)
     ana = analyze_sphere(f, n_max)
     if ana.kind == "rotoreflection":
-        return build_conjugacy_free(f, n_max, analysis=ana)
-    return build_conjugacy_fixedpoint(f, n_max, analysis=ana)
+        return build_conjugacy_free(f, ana)
+    return build_conjugacy_fixedpoint(f, ana)
 
 
 def cmd_verify(args) -> int:
@@ -348,20 +345,18 @@ def _render_decorations(space, f, n_max):
         ana = analyze_disc(f, n_max)
         if ana.kind == "rotation":
             from .disc import sector_decomposition
-            from .maps import power
-            j = pow(ana.k, -1, ana.n)
-            g = power(f, j) if j > 1 else f
-            dec = sector_decomposition(g, ana.n)
+            from .maps import unit_rotation_power
+            dec = sector_decomposition(unit_rotation_power(f, ana.k, ana.n),
+                                       ana.n)
             k = dec.complex
             arcs = [[k.verts[v] for v in arc] for arc in dec.arcs]
             return arcs, None, None
         return None, None, None
     ana = analyze_sphere(f, n_max)
     if ana.kind == "rotoreflection":
-        from .sphere import free_structure
         from .eqcomplex import _pullback_levels
         from .maps import inverse
-        fp, conj, t0, orbit_fp, _ = free_structure(f, ana.n)
+        _, conj, t0, orbit_fp, _ = ana.free
         if conj is None:
             curve = [[(Q(i, 64), t0) for i in range(65)]]
             orbit = orbit_fp

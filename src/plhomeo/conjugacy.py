@@ -11,7 +11,7 @@ from .errors import InvalidClass, StructureViolated
 from .maps import (PLMap2, CellMap, compose, first_disagreement, identity_map,
                    map_equal, reflection_map, rotation_map, rotoreflection_map,
                    shift_into_unit)
-from .suspension import SPHERE, band_cells
+from .suspension import DISC, SPHERE, band_cells
 
 Q = Fraction
 
@@ -27,13 +27,20 @@ class ModelIsometry:
     n: int = 1
 
     def __post_init__(self):
-        if self.kind == ROTATION and self.n > 1 and gcd(self.k, self.n) != 1:
-            raise InvalidClass("rotation class k/n must be reduced")
+        k, n = self.k, self.n
+        if self.model not in (DISC, SPHERE):
+            raise InvalidClass(f"unknown model {self.model!r}")
+        if self.kind not in (IDENTITY, ROTATION, REFLECTION, ROTOREFLECTION):
+            raise InvalidClass(f"unknown model isometry kind {self.kind!r}")
+        if self.kind == ROTATION:
+            if n < 1 or not 0 <= k < n or gcd(k, n) != 1:
+                raise InvalidClass(f"rotation k/n = {k}/{n} must be reduced")
         if self.kind == ROTOREFLECTION:
             if self.model != SPHERE:
                 raise InvalidClass("rotoreflection lives on the sphere")
-            if self.n % 2 or gcd(2 * self.k, self.n) != 2:
-                raise InvalidClass("rotoreflection must have period n")
+            if n < 2 or n % 2 or not 0 < k < n or gcd(2 * k, n) != 2:
+                raise InvalidClass(f"rotoreflection (k, n) = ({k}, {n}) "
+                                   "does not have period n")
 
     def as_map(self) -> PLMap2:
         if self.kind == IDENTITY:
@@ -42,9 +49,7 @@ class ModelIsometry:
             return rotation_map(self.model, self.k, self.n)
         if self.kind == REFLECTION:
             return reflection_map(self.model)
-        if self.kind == ROTOREFLECTION:
-            return rotoreflection_map(self.k, self.n)
-        raise InvalidClass(f"unknown isometry kind {self.kind!r}")
+        return rotoreflection_map(self.k, self.n)
 
 
 def rotation_by(model: str, c: Fraction) -> PLMap2:

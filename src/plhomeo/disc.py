@@ -23,9 +23,9 @@ from .conjugacy import (Certificate, ModelIsometry, IDENTITY, REFLECTION,
 from .eqcomplex import equivariant_complex
 from .errors import GluingMismatch, NotPeriodic, StructureViolated
 from .exact import mod1
-from .geom import Pt
-from .maps import (PLMap2, boundary_restriction, compose, fixed_set,
-                   identity_map, orientation, period, power, validate_homeo)
+from .maps import (FixedSet, PLMap2, boundary_restriction, compose,
+                   fixed_set, identity_map, orientation, period, power,
+                   unit_rotation_power, validate_homeo)
 from .sectors import (SectorDecomposition, embed_fundamental_domain,
                       orbit_cells, reflection_conjugacy, rotation_layout,
                       rotation_sectors)
@@ -39,12 +39,14 @@ class DiscAnalysis:
     kind: str                     # "identity" | "rotation" | "reflection"
     n: int
     k: int = 0
-    fixed_point: Pt | None = None
-    fixed_arc: list[Pt] | None = None
+    fixed: FixedSet | None = None  # the centre, or the fixed arc
 
 
 def analyze_disc(f: PLMap2, n_max: int = 64) -> DiscAnalysis:
-    """Period, orientation and fixed structure, checked against the theory."""
+    """Period, orientation and fixed structure, checked against the theory.
+
+    The analysis is the input of the certificate builders: they read the
+    class and the fixed set from it instead of computing them again."""
     if f.model != DISC:
         raise StructureViolated("analyze_disc needs a disc-model map")
     problems = validate_homeo(f)
@@ -55,13 +57,12 @@ def analyze_disc(f: PLMap2, n_max: int = 64) -> DiscAnalysis:
         raise NotPeriodic(f"no period up to {n_max}")
     if n == 1:
         return DiscAnalysis("identity", 1)
+    fs = fixed_set(f)
     if orientation(f) == "preserving":
-        fs = fixed_set(f)
         if fs.everything or fs.one or fs.two or len(fs.zero) != 1:
             raise StructureViolated(
                 "orientation-preserving periodic map must fix a single point")
-        o = fs.zero[0]
-        if o[1] == 1:
+        if fs.zero[0][1] == 1:
             raise StructureViolated("fixed point on the boundary")
         for i in range(2, n):
             fsi = fixed_set(power(f, i))
@@ -72,11 +73,10 @@ def analyze_disc(f: PLMap2, n_max: int = 64) -> DiscAnalysis:
         if rc.n != n:
             raise StructureViolated(
                 "boundary rotation number period mismatch")
-        return DiscAnalysis("rotation", n, rc.k, fixed_point=o)
+        return DiscAnalysis("rotation", n, rc.k, fs)
     if n != 2:
         raise StructureViolated(
             "orientation-reversing periodic disc map must be an involution")
-    fs = fixed_set(f)
     if fs.everything or fs.two or len(fs.one) != 1 or fs.zero:
         raise StructureViolated(
             "reversing involution must fix exactly one simple arc")
@@ -85,9 +85,7 @@ def analyze_disc(f: PLMap2, n_max: int = 64) -> DiscAnalysis:
         raise StructureViolated("fixed arc must join two boundary points")
     if len(set(arc)) != len(arc):
         raise StructureViolated("fixed arc is not simple")
-    return DiscAnalysis("reflection", 2, fixed_arc=arc)
-
-
+    return DiscAnalysis("reflection", 2, fixed=fs)
 
 
 def sector_decomposition(f: PLMap2, n: int) -> SectorDecomposition:
@@ -99,13 +97,12 @@ def sector_decomposition(f: PLMap2, n: int) -> SectorDecomposition:
     return rotation_sectors(equivariant_complex(f, n, level_cuts=[Q(1, 2)]))
 
 
-def build_conjugacy_rotation(f: PLMap2, n_max: int = 64,
-                             boundary_pin: CirclePL | None = None,
-                             analysis: DiscAnalysis | None = None
+def build_conjugacy_rotation(f: PLMap2, ana: DiscAnalysis,
+                             boundary_pin: CirclePL | None = None
                              ) -> Certificate:
-    """Conjugacy to the model rotation; with boundary_pin, one whose
-    restriction to the boundary circle is that pin."""
-    ana = analysis or analyze_disc(f, n_max)
+    """Conjugacy to the model rotation of the class in ``ana``, the
+    analysis of f; with boundary_pin, one whose restriction to the
+    boundary circle is that pin."""
     if ana.kind == "identity":
         cert = Certificate(ModelIsometry(DISC, IDENTITY), identity_map(DISC),
                            True)
@@ -119,9 +116,8 @@ def build_conjugacy_rotation(f: PLMap2, n_max: int = 64,
         rhs = compose_circle(pin, circle_rotation(Q(kk, n)))
         if not lhs.equals(rhs):
             raise GluingMismatch("boundary pin does not conjugate f|boundary")
-    j = pow(kk, -1, n)
-    g = power(f, j) if j > 1 else f
-    k = equivariant_complex(g, n, level_cuts=[Q(1, 2)])
+    k = equivariant_complex(unit_rotation_power(f, kk, n), n,
+                            level_cuts=[Q(1, 2)])
     k, lay, pos = embed_fundamental_domain(
         k, lambda k: _pinned_layout(k, pin), oriented=True)
     h = PLMap2(DISC, orbit_cells(k, lay, pos))
@@ -146,14 +142,13 @@ def _pinned_layout(k, pin: CirclePL | None):
     return lay
 
 
-def build_conjugacy_reflection(f: PLMap2, n_max: int = 64,
-                               analysis: DiscAnalysis | None = None
-                               ) -> Certificate:
-    ana = analysis or analyze_disc(f, n_max)
+def build_conjugacy_reflection(f: PLMap2, ana: DiscAnalysis) -> Certificate:
+    """Conjugacy to the model reflection, cutting along the fixed arc that
+    ``ana``, the analysis of f, found."""
     if ana.kind != "reflection":
         raise StructureViolated("map is not reflection-like")
     k = equivariant_complex(f, 2, level_cuts=[Q(1, 2)],
-                            chord_cuts=fixed_set(f).segments)
+                            chord_cuts=ana.fixed.segments)
     cert = Certificate(ModelIsometry(DISC, REFLECTION),
                        reflection_conjugacy(f, k), True)
     return require_exact(f, cert)

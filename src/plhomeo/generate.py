@@ -12,12 +12,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import InvalidClass, StructureViolated
+from .conjugacy import ModelIsometry
+from .errors import StructureViolated
 from .geom import INSIDE, Pt, clip_halfplane, normalize_poly, point_in_convex
 from .maps import (CellMap, PLMap2, compose, identity_map, inverse,
-                   reflection_map, rotation_map, rotoreflection_map,
                    validate_homeo)
-from .suspension import DISC, SPHERE, band_cells, collapsed_levels, s_range
+from .suspension import DISC, band_cells, collapsed_levels, s_range
 
 Q = Fraction
 
@@ -65,7 +65,7 @@ def make_instance(model: str, kind: str, k: int, n: int, seed: int,
 
     Returns (f, h, r); f = h r h^-1 and h is the hidden answer key.
     """
-    r = model_isometry(model, kind, k, n)
+    r = ModelIsometry(model, kind, k, n).as_map()
     h = scramble(model, seed, moves)
     f = scrambled_conjugate(r, h)
     if check:
@@ -74,26 +74,6 @@ def make_instance(model: str, kind: str, k: int, n: int, seed: int,
             raise StructureViolated(
                 "generated instance invalid: " + "; ".join(problems))
     return f, h, r
-
-
-def model_isometry(model: str, kind: str, k: int = 0, n: int = 1) -> PLMap2:
-    from math import gcd
-    if kind == "identity":
-        return identity_map(model)
-    if kind == "rotation":
-        if n < 1 or not 0 <= k < n or (n > 1 and gcd(k, n) != 1):
-            raise InvalidClass(f"rotation k/n = {k}/{n} must be reduced")
-        return rotation_map(model, k, n)
-    if kind == "reflection":
-        return reflection_map(model)
-    if kind == "rotoreflection":
-        if model != SPHERE:
-            raise InvalidClass("rotoreflection lives on the sphere")
-        if n < 2 or n % 2 or not 0 < k < n or gcd(2 * k, n) != 2:
-            raise InvalidClass(
-                f"rotoreflection (k, n) = ({k}, {n}) does not have period n")
-        return rotoreflection_map(k, n)
-    raise InvalidClass(f"unknown model isometry kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import json
 
 from .circle import CirclePL, IntervalPL, LinePL
 from .conjugacy import Certificate, ModelIsometry
-from .errors import ParseError
+from .errors import InvalidClass, ParseError
 from .exact import fmt_rat, parse_rat
 from .maps import PLMap2, from_complex, serializable_parts
 from .suspension import DISC, SPHERE, SuspensionComplex
@@ -171,7 +171,7 @@ def model_from_dict(data: dict) -> ModelIsometry:
     try:
         return ModelIsometry(data["space"], data["kind"],
                              data.get("k", 0), data.get("n", 1))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, InvalidClass) as exc:
         raise ParseError(f"bad model payload: {exc}") from exc
 
 

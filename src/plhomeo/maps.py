@@ -292,6 +292,13 @@ def power(f: PLMap2, m: int) -> PLMap2:
     return out
 
 
+def unit_rotation_power(f: PLMap2, k: int, n: int) -> PLMap2:
+    """f^j with j k = 1 (mod n): the iterate of a map of rotation class k/n
+    whose class is 1/n."""
+    j = pow(k, -1, n)
+    return power(f, j) if j > 1 else f
+
+
 def seed_conjugated_powers(fp: PLMap2, f: PLMap2, h: PLMap2, n: int):
     """Record fp = h o f o h^-1 so iterates are built lazily through the
     conjugation (cheap when f is much smaller than the conjugated copy).
@@ -339,11 +346,9 @@ def is_identity(f: PLMap2) -> bool:
     return True
 
 
-def map_equal(f: PLMap2, g: PLMap2) -> bool:
-    """Equality as model maps: identical affine action (mod horizontal
-    integer shifts) on every overlap piece."""
-    if f.model != g.model:
-        return False
+def _mismatches(f: PLMap2, g: PLMap2):
+    """Every overlap piece of a cell of f with a cell of g on which their
+    affine actions differ by more than a horizontal integer shift."""
     g_boxes = [poly_bbox(c.poly) for c in g.cells]
     for ci in range(len(f.cells)):
         A = f.affine(ci)
@@ -357,34 +362,28 @@ def map_equal(f: PLMap2, g: PLMap2) -> bool:
             B = g.affine(di)
             if not (A.a == B.a and A.b == B.b and A.d == B.d and A.e == B.e
                     and A.f == B.f and (A.c - B.c).denominator == 1):
-                return False
-    return True
+                yield piece
+
+
+def map_equal(f: PLMap2, g: PLMap2) -> bool:
+    """Equality as model maps: identical affine action (mod horizontal
+    integer shifts) on every overlap piece."""
+    if f.model != g.model:
+        return False
+    return next(_mismatches(f, g), None) is None
 
 
 def first_disagreement(f: PLMap2, g: PLMap2):
     """A witness model point where the two maps differ, or None."""
-    g_boxes = [poly_bbox(c.poly) for c in g.cells]
-    for ci in range(len(f.cells)):
-        A = f.affine(ci)
-        box = f.bbox(ci)
-        for di in range(len(g.cells)):
-            if not bbox_overlap(box, g_boxes[di]):
-                continue
-            piece = clip_convex(list(f.cells[ci].poly), list(g.cells[di].poly))
-            if not piece:
-                continue
-            B = g.affine(di)
-            if (A.a == B.a and A.b == B.b and A.d == B.d and A.e == B.e
-                    and A.f == B.f and (A.c - B.c).denominator == 1):
-                continue
-            # centroid of the piece disagrees or a corner does
-            for p in piece:
-                if evaluate(f, model_point(f.model, mod1(p[0]), p[1])) != \
-                        evaluate(g, model_point(g.model, mod1(p[0]), p[1])):
-                    return model_point(f.model, mod1(p[0]), p[1])
-            cx = sum(p[0] for p in piece) / len(piece)
-            cy = sum(p[1] for p in piece) / len(piece)
-            return model_point(f.model, mod1(cx), cy)
+    for piece in _mismatches(f, g):
+        # centroid of the piece disagrees or a corner does
+        for p in piece:
+            if evaluate(f, model_point(f.model, mod1(p[0]), p[1])) != \
+                    evaluate(g, model_point(g.model, mod1(p[0]), p[1])):
+                return model_point(f.model, mod1(p[0]), p[1])
+        cx = sum(p[0] for p in piece) / len(piece)
+        cy = sum(p[1] for p in piece) / len(piece)
+        return model_point(f.model, mod1(cx), cy)
     return None
 
 

@@ -8,6 +8,11 @@ disjoint } is computed exactly, a polar arc through a touching point P0 is
 built, and the sphere is divided into sectors mapped equivariantly onto
 the model rotoreflection wedges.
 
+The class angle k/n of a fixed-point-free map is read off that arc
+system, so the free-case analysis builds the conjugacy itself and keeps
+it; each certificate builder consumes an analysis and recomputes none of
+what it found.
+
 This module owns what is particular to the sphere: the analysis, the pole
 link rotation number, the normalization of the square, the critical
 latitude and the arcs of the free case (the meridian through P0, its
@@ -22,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .circle import rotation_number
 from .conjugacy import (Certificate, ModelIsometry, IDENTITY, REFLECTION,
@@ -31,9 +37,10 @@ from .eqcomplex import (EqComplex, apply_perm, conjugated_equivariant_complex,
 from .errors import ArcSearchFailed, NotPeriodic, StructureViolated
 from .exact import mod1
 from .geom import Pt, centroid
-from .maps import (PLMap2, boundary_restriction, chain_power, compose,
-                   evaluate, fixed_set, identity_map, inverse, is_identity,
-                   orientation, period, power, seed_conjugated_powers,
+from .maps import (FixedSet, PLMap2, boundary_restriction, chain_power,
+                   compose, evaluate, fixed_set, identity_map, inverse,
+                   is_identity, orientation, period, power,
+                   seed_conjugated_powers, unit_rotation_power,
                    validate_homeo)
 from .sectors import (Layout, components, cut_sectors,
                       embed_fundamental_domain, fixed_edges,
@@ -49,16 +56,35 @@ N_POLE = (Q(0), Q(1))
 S_POLE = (Q(0), Q(-1))
 
 
+class FreeStructure(NamedTuple):
+    """What the free case is built on: fp = h f h^-1 with (fp)^2 a model
+    rotation, the normalizing certificate (None when f^2 is the identity),
+    the critical latitude t0, the orbit of the touching point P0 under fp
+    and the subcase, "coincident" (A) or "distinct" (B)."""
+    fp: PLMap2
+    conj: Certificate | None
+    t0: Fraction
+    orbit: list[Pt]
+    subcase: str
+
+
 @dataclass
 class SphereAnalysis:
     kind: str          # identity | rotation | reflection | rotoreflection
     n: int
     k: int = 0
-    fixed_points: list[Pt] | None = None
-    fixed_circle: list[Pt] | None = None
+    fixed: FixedSet | None = None
+    free: FreeStructure | None = None   # rotoreflection only
+    free_map: PLMap2 | None = None      # conjugates free.fp to the model
 
 
 def analyze_sphere(f: PLMap2, n_max: int = 64) -> SphereAnalysis:
+    """The class of f, checked against the theory.
+
+    The analysis is the input of the certificate builders.  A
+    fixed-point-free map is classified by building its conjugacy, whose
+    arc system fixes the angle; the structure and the map are kept, so
+    ``build_conjugacy_free`` only composes and checks them."""
     if f.model != SPHERE:
         raise StructureViolated("analyze_sphere needs a sphere-model map")
     problems = validate_homeo(f)
@@ -85,14 +111,15 @@ def analyze_sphere(f: PLMap2, n_max: int = 64) -> SphereAnalysis:
         rc = rotation_number(boundary_restriction(f), n_max)
         if rc.n != n:
             raise StructureViolated("pole link period mismatch")
-        return SphereAnalysis("rotation", n, rc.k, fixed_points=fs.zero)
+        return SphereAnalysis("rotation", n, rc.k, fs)
     # orientation-reversing
     if fs.is_empty():
         if n % 2:
             raise StructureViolated(
                 "fixed-point-free periodic map must have even period")
-        k = _free_class_angle(f, n)
-        return SphereAnalysis("rotoreflection", n, k)
+        free = free_structure(f, n)
+        free_map, k = _assemble_free_map(f, free)
+        return SphereAnalysis("rotoreflection", n, k, fs, free, free_map)
     if n != 2:
         raise StructureViolated(
             "orientation-reversing sphere map with fixed points must be an "
@@ -103,17 +130,18 @@ def analyze_sphere(f: PLMap2, n_max: int = 64) -> SphereAnalysis:
     circle = fs.one[0]
     if circle[0] != circle[-1]:
         raise StructureViolated("fixed set is an arc, not a closed curve")
-    return SphereAnalysis("reflection", 2, fixed_circle=circle)
+    return SphereAnalysis("reflection", 2, fixed=fs)
 
 
 # ---------------------------------------------------------------------------
 # fixed-point case
 
 
-def build_conjugacy_fixedpoint(f: PLMap2, n_max: int = 64,
-                               analysis: SphereAnalysis | None = None
+def build_conjugacy_fixedpoint(f: PLMap2, ana: SphereAnalysis
                                ) -> Certificate:
-    ana = analysis or analyze_sphere(f, n_max)
+    """Conjugacy of a map with fixed points to the model that ``ana``, the
+    analysis of f, names; the reflection cuts along the fixed circle it
+    found."""
     if ana.kind == "identity":
         cert = Certificate(ModelIsometry(SPHERE, IDENTITY),
                            identity_map(SPHERE), True)
@@ -121,15 +149,14 @@ def build_conjugacy_fixedpoint(f: PLMap2, n_max: int = 64,
     if ana.kind == "rotation":
         return _build_sphere_rotation(f, ana)
     if ana.kind == "reflection":
-        return _build_sphere_reflection(f)
+        return _build_sphere_reflection(f, ana)
     raise StructureViolated("map has no fixed points; use the free pipeline")
 
 
 def _build_sphere_rotation(f: PLMap2, ana: SphereAnalysis) -> Certificate:
     n, kk = ana.n, ana.k
-    j = pow(kk, -1, n)
-    g = power(f, j) if j > 1 else f
-    k = equivariant_complex(g, n, level_cuts=[Q(1, 2), Q(-1, 2)])
+    k = equivariant_complex(unit_rotation_power(f, kk, n), n,
+                            level_cuts=[Q(1, 2), Q(-1, 2)])
     k, lay, pos = embed_fundamental_domain(k, rotation_layout, oriented=True)
     cert = Certificate(ModelIsometry(SPHERE, ROTATION, kk, n),
                        PLMap2(SPHERE, orbit_cells(k, lay, pos)), True,
@@ -137,9 +164,9 @@ def _build_sphere_rotation(f: PLMap2, ana: SphereAnalysis) -> Certificate:
     return require_exact(f, cert)
 
 
-def _build_sphere_reflection(f: PLMap2) -> Certificate:
+def _build_sphere_reflection(f: PLMap2, ana: SphereAnalysis) -> Certificate:
     k = equivariant_complex(f, 2, level_cuts=[Q(1, 2), Q(-1, 2)],
-                            chord_cuts=fixed_set(f).segments)
+                            chord_cuts=ana.fixed.segments)
     cert = Certificate(ModelIsometry(SPHERE, REFLECTION),
                        reflection_conjugacy(f, k), True,
                        pins={"north": True})
@@ -247,7 +274,8 @@ def _height_envelope(f: PLMap2, t: Fraction) -> Fraction:
 
 
 def _normalize_square(f: PLMap2, n: int):
-    """(f', conjugacy or None) with (f')^2 an exact model rotation."""
+    """(f', conjugacy or None) with (f')^2 exactly the model rotation of
+    the conjugacy's class (the identity when there is no conjugacy)."""
     g = power(f, 2)
     if is_identity(g):
         return f, None
@@ -256,8 +284,8 @@ def _normalize_square(f: PLMap2, n: int):
     conj = _build_sphere_rotation(g, ana_g)
     fp = compose(compose(inverse(conj.h), f), conj.h)
     seed_conjugated_powers(fp, f, conj.h, n)
-    if is_model_rotation(power(fp, 2)) is None:
-        raise StructureViolated("square did not normalize to a rotation")
+    if is_model_rotation(power(fp, 2)) != Q(conj.model.k, conj.model.n):
+        raise StructureViolated("square did not normalize to its rotation")
     return fp, conj
 
 
@@ -281,7 +309,7 @@ def _touch_point(f: PLMap2, t0: Fraction) -> Pt:
     return min(pts)
 
 
-def free_structure(f: PLMap2, n: int):
+def free_structure(f: PLMap2, n: int) -> FreeStructure:
     """Normalized copy, critical latitude, touching orbit and subcase."""
     fp, conj = _normalize_square(f, n)
     t0 = t0_cut(fp)
@@ -304,37 +332,31 @@ def free_structure(f: PLMap2, n: int):
         if len(evens) != n // 2 or len(odds) != n // 2:
             raise StructureViolated("even/odd orbit points collide")
         subcase = "distinct"
-    return fp, conj, t0, orbit, subcase
+    return FreeStructure(fp, conj, t0, orbit, subcase)
 
 
-def build_conjugacy_free(f: PLMap2, n_max: int = 64,
-                         analysis: SphereAnalysis | None = None
-                         ) -> Certificate:
-    n = period(f, n_max)
-    if n is None:
-        raise NotPeriodic(f"no period up to {n_max}")
-    if not fixed_set(f).is_empty() or orientation(f) != "reversing":
+def build_conjugacy_free(f: PLMap2, ana: SphereAnalysis) -> Certificate:
+    """The rotoreflection certificate from ``ana``, the analysis of f: the
+    normalizing conjugacy followed by the map the analysis built."""
+    if ana.kind != "rotoreflection":
         raise StructureViolated("map is not fixed-point free")
-    fp, conj, t0, orbit, subcase = free_structure(f, n)
-    p0 = orbit[0]
-    m = n // 2 if subcase == "coincident" else n
-    h_free, kk = _assemble_free_map(f, fp, conj, t0, p0, n, m, subcase)
-    h = compose(conj.h, h_free) if conj is not None else h_free
-    cert = Certificate(ModelIsometry(SPHERE, ROTOREFLECTION, kk, n), h, True)
+    conj = ana.free.conj
+    h = compose(conj.h, ana.free_map) if conj is not None else ana.free_map
+    cert = Certificate(ModelIsometry(SPHERE, ROTOREFLECTION, ana.k, ana.n),
+                       h, True)
     return require_exact(f, cert)
 
 
-def _free_class_angle(f: PLMap2, n: int) -> int:
-    """The model angle k/n, read off the constructed arc system."""
-    fp, conj, t0, orbit, subcase = free_structure(f, n)
-    m = n // 2 if subcase == "coincident" else n
-    _, kk = _assemble_free_map(f, fp, conj, t0, orbit[0], n, m, subcase)
-    return kk
-
-
-def _assemble_free_map(f: PLMap2, fp: PLMap2, conj, t0, p0, n, m, subcase):
+def _assemble_free_map(f: PLMap2, fs: FreeStructure):
+    """(h, k): h conjugates fs.fp to the model rotoreflection by k/n, the
+    angle read off the arc system h is built from."""
+    fp, conj, t0, orbit, subcase = fs
+    n, p0 = len(orbit), orbit[0]
     seg = ((p0[0], t0), (p0[0], Q(1)))
     phi = n // 2 if subcase == "coincident" else None
+    m = phi or n  # the sector count
+    # _normalize_square checked (fp)^2 to be the rotation conj certifies
+    r2 = Q(conj.model.k, conj.model.n) if conj is not None else Q(0)
     if conj is None:
         chord_cuts = [seg]
         if phi is not None:
@@ -349,7 +371,7 @@ def _assemble_free_map(f: PLMap2, fp: PLMap2, conj, t0, p0, n, m, subcase):
         bstar = _bstar_arc(k, fp, t0, p0, n, subcase)
         arcs, arc_edges, _, sector0 = cut_sectors(k, bstar, m)
         jstar = _right_arc_index(k, arcs)
-        c = Q(_solve_class_angle(jstar, n, m, fp, subcase), n)
+        c = Q(_solve_class_angle(jstar, n, m, r2), n)
         # odd iterates swap the poles: turn the right arc to run downwards
         right = arcs[jstar] if jstar % 2 == 0 else arcs[jstar][::-1]
         if subcase == "distinct":
@@ -370,10 +392,8 @@ def _right_arc_index(k: EqComplex, arcs) -> int:
     return diffs[0][1]
 
 
-def _solve_class_angle(jstar: int, n: int, m: int, fp: PLMap2,
-                       subcase: str) -> int:
-    """k with j* k = n/m (mod n), filtered by the square's rotation."""
-    r2 = is_model_rotation(power(fp, 2))
+def _solve_class_angle(jstar: int, n: int, m: int, r2: Fraction) -> int:
+    """k with j* k = n/m (mod n), filtered by the square's rotation r2."""
     rhs = n // m  # 1 in subcase B, 2 in subcase A
     cands = [kk for kk in range(n)
              if (jstar * kk) % n == rhs and gcd(2 * kk, n) == 2

@@ -61,9 +61,22 @@ def _pins_not_a_mapping(cert):
     cert["pins"] = 5
 
 
+def _class_not_reduced(cert):
+    cert["model"]["k"] = 3
+
+
+def _unknown_kind(cert):
+    cert["model"]["kind"] = "spiral"
+
+
+def _period_zero(cert):
+    cert["model"]["n"] = 0
+
+
 @pytest.mark.parametrize("damage", [
     _triangle_index_out_of_range, _images_cut_short, _lifts_cut_short,
-    _integer_coordinate, _pins_not_a_mapping])
+    _integer_coordinate, _pins_not_a_mapping, _class_not_reduced,
+    _unknown_kind, _period_zero])
 def test_verify_malformed_certificate_is_a_parse_error(
         disc_rotation, tmp_path, capsys, damage):
     inst, cert = disc_rotation

@@ -26,7 +26,7 @@ def pt(x, y):
 def test_analyze_model_rotation():
     ana = analyze_disc(rotation_map(DISC, 2, 5))
     assert (ana.kind, ana.k, ana.n) == ("rotation", 2, 5)
-    assert ana.fixed_point == pt(0, 0)
+    assert ana.fixed.zero[0] == pt(0, 0)
 
 
 def test_analyze_identity():
@@ -36,7 +36,7 @@ def test_analyze_identity():
 def test_analyze_model_reflection():
     ana = analyze_disc(reflection_map(DISC))
     assert ana.kind == "reflection" and ana.n == 2
-    assert ana.fixed_arc[0][1] == 1 and ana.fixed_arc[-1][1] == 1
+    assert ana.fixed.one[0][0][1] == 1 and ana.fixed.one[0][-1][1] == 1
 
 
 def test_analyze_scrambled_rotation():
@@ -49,7 +49,7 @@ def test_analyze_scrambled_reflection_arc():
     f, h, r = make_instance(DISC, "reflection", 0, 2, seed=4, moves=10)
     ana = analyze_disc(f)
     assert ana.kind == "reflection"
-    arc = ana.fixed_arc
+    arc = ana.fixed.one[0]
     assert arc[0][1] == 1 and arc[-1][1] == 1
     # the scramble fixes the center, so the arc passes through it
     assert pt(0, 0) in arc
@@ -141,14 +141,14 @@ def test_sector_decomposition_scrambled():
 
 def test_conjugacy_model_rotation():
     f = rotation_map(DISC, 1, 4)
-    cert = build_conjugacy_rotation(f)
+    cert = build_conjugacy_rotation(f, analyze_disc(f))
     assert cert.exact
     assert (cert.model.kind, cert.model.k, cert.model.n) == ("rotation", 1, 4)
 
 
 def test_conjugacy_scrambled_rotation_k1():
     f, h, r = make_instance(DISC, "rotation", 1, 3, seed=2, moves=8)
-    cert = build_conjugacy_rotation(f)
+    cert = build_conjugacy_rotation(f, analyze_disc(f))
     assert cert.exact
     lhs = compose(f, cert.h)
     rhs = compose(cert.h, cert.model.as_map())
@@ -159,7 +159,7 @@ def test_conjugacy_scrambled_rotation_k1():
 
 def test_conjugacy_scrambled_rotation_k2_n5():
     f, h, r = make_instance(DISC, "rotation", 2, 5, seed=3, moves=9)
-    cert = build_conjugacy_rotation(f)
+    cert = build_conjugacy_rotation(f, analyze_disc(f))
     assert cert.exact
     assert (cert.model.k, cert.model.n) == (2, 5)
     assert validate_homeo(cert.h) == []
@@ -167,22 +167,22 @@ def test_conjugacy_scrambled_rotation_k2_n5():
 
 def test_conjugacy_with_boundary_pin():
     f, h, r = make_instance(DISC, "rotation", 1, 3, seed=8, moves=8)
-    base = build_conjugacy_rotation(f)
+    base = build_conjugacy_rotation(f, analyze_disc(f))
     pin = boundary_restriction(base.h)
-    cert = build_conjugacy_rotation(f, boundary_pin=pin)
+    cert = build_conjugacy_rotation(f, analyze_disc(f), boundary_pin=pin)
     assert cert.exact
     assert boundary_restriction(cert.h).equals(pin)
 
 
 def test_conjugacy_model_reflection():
     f = reflection_map(DISC)
-    cert = build_conjugacy_reflection(f)
+    cert = build_conjugacy_reflection(f, analyze_disc(f))
     assert cert.exact and cert.model.kind == "reflection"
 
 
 def test_conjugacy_scrambled_reflection():
     f, h, r = make_instance(DISC, "reflection", 0, 2, seed=4, moves=10)
-    cert = build_conjugacy_reflection(f)
+    cert = build_conjugacy_reflection(f, analyze_disc(f))
     assert cert.exact
     assert validate_homeo(cert.h) == []
     # the fixed arc maps onto the model diameter
@@ -195,7 +195,7 @@ def test_conjugacy_scrambled_reflection():
 def test_reflection_pointwise_conjugation():
     rng = random.Random(11)
     f, h, r = make_instance(DISC, "reflection", 0, 2, seed=11, moves=8)
-    cert = build_conjugacy_reflection(f)
+    cert = build_conjugacy_reflection(f, analyze_disc(f))
     hinv = inverse(cert.h)
     for _ in range(100):
         t = Q(rng.randint(0, 255), 256)

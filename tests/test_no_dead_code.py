@@ -1,8 +1,9 @@
 """Guard against code that nothing calls.
 
 Every top-level function and class in ``src/plhomeo`` must be referenced by
-name from ``src/`` outside its own body, and every imported name must be
-used in the module that imports it.
+name from ``src/`` outside its own body, every imported name must be used
+in the module that imports it, and every field of a dataclass must be read
+as an attribute somewhere in ``src/``.
 """
 
 import ast
@@ -64,3 +65,27 @@ def test_no_unused_imports():
                             (name, bound) not in ALLOWED_UNUSED_IMPORTS:
                         unused.append(f"{name}: {bound}")
     assert unused == []
+
+
+def _is_dataclass(node):
+    for d in node.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    fields, read = [], set()
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields += [(f"{name}.{node.name}", item.target.id)
+                           for item in node.body
+                           if isinstance(item, ast.AnnAssign)
+                           and isinstance(item.target, ast.Name)]
+    unread = [f"{cls}.{field}" for cls, field in fields if field not in read]
+    assert unread == []

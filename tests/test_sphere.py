@@ -29,7 +29,7 @@ def test_analyze_model_rotation():
 def test_analyze_model_reflection():
     ana = analyze_sphere(reflection_map(SPHERE))
     assert ana.kind == "reflection" and ana.n == 2
-    assert ana.fixed_circle[0] == ana.fixed_circle[-1]
+    assert ana.fixed.one[0][0] == ana.fixed.one[0][-1]
 
 
 def test_analyze_equator_reflection():
@@ -38,7 +38,7 @@ def test_analyze_equator_reflection():
                         for c in cells])
     ana = analyze_sphere(f)
     assert ana.kind == "reflection"
-    assert all(p[1] == 0 for p in ana.fixed_circle)
+    assert all(p[1] == 0 for p in ana.fixed.one[0])
 
 
 def test_analyze_model_rotoreflection():
@@ -61,14 +61,15 @@ def test_analyze_off_pole_fixed_points_rejected():
 
 
 def test_conjugacy_model_sphere_rotation():
-    cert = build_conjugacy_fixedpoint(rotation_map(SPHERE, 1, 3))
+    f = rotation_map(SPHERE, 1, 3)
+    cert = build_conjugacy_fixedpoint(f, analyze_sphere(f))
     assert cert.exact
     assert (cert.model.kind, cert.model.k, cert.model.n) == ("rotation", 1, 3)
 
 
 def test_conjugacy_scrambled_sphere_rotation():
     f, h, r = make_instance(SPHERE, "rotation", 1, 3, seed=5, moves=8)
-    cert = build_conjugacy_fixedpoint(f)
+    cert = build_conjugacy_fixedpoint(f, analyze_sphere(f))
     assert cert.exact
     assert validate_homeo(cert.h) == []
     # both fixed points go to the poles
@@ -78,19 +79,20 @@ def test_conjugacy_scrambled_sphere_rotation():
 
 def test_conjugacy_scrambled_sphere_rotation_k2():
     f, h, r = make_instance(SPHERE, "rotation", 2, 5, seed=9, moves=8)
-    cert = build_conjugacy_fixedpoint(f)
+    cert = build_conjugacy_fixedpoint(f, analyze_sphere(f))
     assert cert.exact
     assert (cert.model.k, cert.model.n) == (2, 5)
 
 
 def test_conjugacy_model_sphere_reflection():
-    cert = build_conjugacy_fixedpoint(reflection_map(SPHERE))
+    f = reflection_map(SPHERE)
+    cert = build_conjugacy_fixedpoint(f, analyze_sphere(f))
     assert cert.exact and cert.model.kind == "reflection"
 
 
 def test_conjugacy_scrambled_sphere_reflection():
     f, h, r = make_instance(SPHERE, "reflection", 0, 2, seed=13, moves=8)
-    cert = build_conjugacy_fixedpoint(f)
+    cert = build_conjugacy_fixedpoint(f, analyze_sphere(f))
     assert cert.exact
     # the fixed circle maps onto the model fixed circle (t in {0, 1/2})
     fs = fixed_set(f)
@@ -230,20 +232,20 @@ def test_t0_matches_scan_oracle():
 
 def test_conjugacy_model_rotoreflection():
     f = rotoreflection_map(1, 4)
-    cert = build_conjugacy_free(f)
+    cert = build_conjugacy_free(f, analyze_sphere(f))
     assert cert.exact
     assert (cert.model.k, cert.model.n) == (1, 4)
 
 
 def test_conjugacy_model_antipodal():
     f = rotoreflection_map(1, 2)
-    cert = build_conjugacy_free(f)
+    cert = build_conjugacy_free(f, analyze_sphere(f))
     assert cert.exact and (cert.model.k, cert.model.n) == (1, 2)
 
 
 def test_conjugacy_scrambled_rotoreflection():
     f, h, r = make_instance(SPHERE, "rotoreflection", 1, 4, seed=3, moves=8)
-    cert = build_conjugacy_free(f)
+    cert = build_conjugacy_free(f, analyze_sphere(f))
     assert cert.exact
     assert (cert.model.k, cert.model.n) == (1, 4)
     assert validate_homeo(cert.h) == []
@@ -252,7 +254,7 @@ def test_conjugacy_scrambled_rotoreflection():
 def test_conjugacy_subcase_a():
     # gcd(2k, n) = 2 with k even: the orbit of P0 closes at i = n/2 odd
     f = rotoreflection_map(2, 6)
-    cert = build_conjugacy_free(f)
+    cert = build_conjugacy_free(f, analyze_sphere(f))
     assert cert.exact
     assert (cert.model.k, cert.model.n) == (2, 6)
 
@@ -262,7 +264,7 @@ def test_conjugacy_scrambled_subcase_a():
     from plhomeo.sphere import free_structure
     fp, conj, t0, orbit, subcase = free_structure(f, 6)
     assert subcase == "coincident"
-    cert = build_conjugacy_free(f)
+    cert = build_conjugacy_free(f, analyze_sphere(f))
     assert cert.exact
     assert (cert.model.k, cert.model.n) == (2, 6)
 
@@ -279,7 +281,7 @@ def test_normalize_plane():
     # a plane map is a sphere map fixing the north pole; the construction
     # keeps that pole fixed and records it as a pin
     f, h, r = make_instance(SPHERE, "rotation", 1, 4, seed=6, moves=8)
-    cert = build_conjugacy_fixedpoint(f)
+    cert = build_conjugacy_fixedpoint(f, analyze_sphere(f))
     assert cert.exact and cert.pins.get("north")
     assert evaluate(cert.h, pt(0, 1)) == pt(0, 1)
 
@@ -287,4 +289,4 @@ def test_normalize_plane():
 def test_normalize_plane_rejects_pole_swap():
     f = rotoreflection_map(1, 4)
     with pytest.raises(StructureViolated):
-        build_conjugacy_fixedpoint(f)
+        build_conjugacy_fixedpoint(f, analyze_sphere(f))
