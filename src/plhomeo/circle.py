@@ -10,13 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 
 from .errors import (NotPeriodic, OrientationReversing, PeriodicityViolated,
                      ParseError, StructureViolated)
 from .exact import mod1
 
 Q = Fraction
+
+# the longest circle period searched for; it bounds only the 1-D search
+MAX_PERIOD = 64
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +157,10 @@ def _solve_lift(f: CirclePL, target_mod1: Fraction) -> Fraction:
     sign = f.orientation
     # choose the representative of target hit within one period from t0
     if sign == 1:
-        k = _ceil(u0 - target_mod1)
+        k = ceil(u0 - target_mod1)
         lo_val = u0
     else:
-        k = _floor(u0 - target_mod1)
+        k = floor(u0 - target_mod1)
         lo_val = u0
     target = target_mod1 + k
     # walk segments of the lift over [t0, t0 + 1)
@@ -170,14 +173,6 @@ def _solve_lift(f: CirclePL, target_mod1: Fraction) -> Fraction:
             t = ta + (target - ua) * (tb - ta) / (ub - ua)
             return t
     raise StructureViolated("lift inversion failed")  # pragma: no cover
-
-
-def _ceil(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
-
-
-def _floor(q: Fraction) -> int:
-    return q.numerator // q.denominator
 
 
 def inverse_circle(f: CirclePL) -> CirclePL:
@@ -207,10 +202,10 @@ def iterate_circle(f: CirclePL, m: int) -> CirclePL:
     return out
 
 
-def period_circle(f: CirclePL, n_max: int = 64):
-    """Smallest n <= n_max with f^n = id, else None."""
+def period_circle(f: CirclePL):
+    """Smallest n <= MAX_PERIOD with f^n = id, else None."""
     g = f
-    for n in range(1, n_max + 1):
+    for n in range(1, MAX_PERIOD + 1):
         if is_circle_identity(g):
             return n
         g = compose_circle(g, f)
@@ -231,15 +226,17 @@ class RotationClass:
         return Q(self.k, self.n)
 
 
-def rotation_number(f: CirclePL, n_max: int = 64) -> RotationClass:
-    """Cyclic displacement k/n of the orbit of 0 under a periodic map."""
+def rotation_number(f: CirclePL, n: int | None = None) -> RotationClass:
+    """Cyclic displacement k/n of the orbit of 0 under a periodic map of
+    period n; n is searched for with ``period_circle`` when not given."""
     if f.orientation == -1:
         raise OrientationReversing(
             "rotation number undefined for reversing maps; "
             "use fixed_points_reversing")
-    n = period_circle(f, n_max)
     if n is None:
-        raise NotPeriodic(f"no period up to {n_max}")
+        n = period_circle(f)
+    if n is None:
+        raise NotPeriodic(f"no period up to {MAX_PERIOD}")
     if n == 1:
         return RotationClass(0, 1)
     orbit = [Q(0)]
@@ -251,8 +248,6 @@ def rotation_number(f: CirclePL, n_max: int = 64) -> RotationClass:
     for i in range(n):
         if pos[(i + 1) % n] != (pos[i] + k) % n:
             raise StructureViolated("orbit is not cyclically coherent")
-    if gcd(k, n) != 1:
-        raise StructureViolated("rotation number not coprime to the period")
     return RotationClass(k, n)
 
 
@@ -268,8 +263,8 @@ def fixed_points_reversing(f: CirclePL) -> tuple[Fraction, Fraction]:
     for (ta, ua), (tb, ub) in zip(bs, bs[1:]):
         # solve u(t) = t + k on the segment; u - t strictly decreasing
         hi, lo = ua - ta, ub - tb
-        k = _floor(hi)
-        while k >= _ceil(lo):
+        k = floor(hi)
+        while k >= ceil(lo):
             # u(t) - t = k  with u linear on [ta, tb]
             if lo <= k <= hi:
                 s = (ub - ua) / (tb - ta)
@@ -302,26 +297,25 @@ class CircleCertificate:
         return circle_identity()
 
 
-def conjugate_circle_to_model(f: CirclePL, n_max: int = 64) -> CircleCertificate:
+def conjugate_circle_to_model(f: CirclePL) -> CircleCertificate:
     if f.orientation == 1:
-        n = period_circle(f, n_max)
-        if n is None:
-            raise NotPeriodic(f"no period up to {n_max}")
-        if n == 1:
-            return CircleCertificate("identity", RotationClass(0, 1),
-                                     circle_identity(), True)
-        rc = rotation_number(f, n_max)
-        h = _conjugacy_preserving(f, rc)
-        ok = compose_circle(f, h).equals(compose_circle(h, circle_rotation(rc.angle)))
-        if not ok:
-            raise StructureViolated("constructed conjugacy failed exact check")
-        return CircleCertificate("rotation", rc, h, True)
-    p, q = fixed_points_reversing(f)
-    h = _conjugacy_reversing(f, p, q)
-    ok = compose_circle(f, h).equals(compose_circle(h, circle_reflection()))
-    if not ok:
+        rc = rotation_number(f)
+        if rc.n == 1:
+            return CircleCertificate("identity", rc, circle_identity(), True)
+        cert = CircleCertificate("rotation", rc, _conjugacy_preserving(f, rc),
+                                 True)
+    else:
+        p, q = fixed_points_reversing(f)
+        cert = CircleCertificate("reflection", None,
+                                 _conjugacy_reversing(f, p, q), True)
+    if not circle_conjugacy_holds(f, cert.h, cert.model_map()):
         raise StructureViolated("constructed conjugacy failed exact check")
-    return CircleCertificate("reflection", None, h, True)
+    return cert
+
+
+def circle_conjugacy_holds(f: CirclePL, h: CirclePL, r: CirclePL) -> bool:
+    """h o f = r o h, exactly."""
+    return compose_circle(f, h).equals(compose_circle(h, r))
 
 
 def _conjugacy_preserving(f: CirclePL, rc: RotationClass) -> CirclePL:
@@ -478,10 +472,15 @@ def classify_interval(f: IntervalPL, declared_periodic: bool = True
         raise NotPeriodic("decreasing interval map with f^2 != id")
     xstar = _interval_fixed_point(f)
     h = _interval_conjugacy(f, xstar)
-    r = interval_reflection()
-    if not compose_interval(f, h).equals(compose_interval(h, r)):
+    if not interval_conjugacy_holds(f, h):
         raise StructureViolated("interval conjugacy failed exact check")
     return IntervalClassification("involution", h, xstar)
+
+
+def interval_conjugacy_holds(f: IntervalPL, h: IntervalPL) -> bool:
+    """h o f = r o h for the reflection r(x) = 1 - x, exactly."""
+    return compose_interval(f, h).equals(
+        compose_interval(h, interval_reflection()))
 
 
 def _interval_fixed_point(f: IntervalPL) -> Fraction:
@@ -566,21 +565,44 @@ class LineClassification:
     fixed_point: Fraction | None
 
 
+def is_line_identity(f: LinePL) -> bool:
+    return (f.left_slope == 1 and f.right_slope == 1
+            and all(x == y for x, y in f.breaks))
+
+
+def inverse_line(f: LinePL) -> LinePL:
+    pts = tuple(sorted((y, x) for x, y in f.breaks))
+    if f.increasing:
+        return LinePL(pts, 1 / f.left_slope, 1 / f.right_slope)
+    return LinePL(pts, 1 / f.right_slope, 1 / f.left_slope)
+
+
+def line_conjugacy_holds(f: LinePL, h: LinePL) -> bool:
+    """h o f = r o h for the reflection r(x) = 1 - x, exactly.
+
+    Both sides are PL with breaks among those of f and h and the
+    f-preimages of h's, so they are equal if they agree there and at two
+    points beyond each end."""
+    finv = inverse_line(f)
+    xs = {x for x, _ in f.breaks} | {x for x, _ in h.breaks} \
+        | {finv(x) for x, _ in h.breaks}
+    lo, hi = min(xs), max(xs)
+    xs |= {lo - 2, lo - 1, hi + 1, hi + 2}
+    return all(h(f(x)) == 1 - h(x) for x in xs)
+
+
 def classify_line(f: LinePL, declared_periodic: bool = True) -> LineClassification:
     """Increasing periodic line maps are the identity; decreasing ones are
     conjugate to x -> 1 - x via an invariant-interval chart."""
     if f.increasing:
-        is_id = (f.left_slope == 1 and f.right_slope == 1
-                 and all(x == y for x, y in f.breaks))
-        if is_id:
+        if is_line_identity(f):
             return LineClassification("identity", None, None)
         if declared_periodic:
             raise PeriodicityViolated(
                 "increasing periodic line map must be the identity")
         raise NotPeriodic("increasing line map differs from the identity")
     # decreasing: must be an exact involution, i.e. f equal to its inverse
-    finv = LinePL(tuple(sorted((y, x) for x, y in f.breaks)),
-                  1 / f.right_slope, 1 / f.left_slope)
+    finv = inverse_line(f)
     probe_xs = sorted({x for x, _ in f.breaks} | {x for x, _ in finv.breaks})
     probe_xs = [probe_xs[0] - 2, probe_xs[0] - 1] + probe_xs \
         + [probe_xs[-1] + 1, probe_xs[-1] + 2]
@@ -607,12 +629,8 @@ def classify_line(f: LinePL, declared_periodic: bool = True) -> LineClassificati
         pts.append((x, _line_h_value(f, hi, a, b, width, s0, x)))
     sr = _slope_beyond(f, hi, a, b, width, s0, hxs[-1])
     h = LinePL(tuple(pts), s0, sr)
-    # h o f = R o h is PL with breaks inside hxs (closed under f), so checking
-    # there plus two points beyond each end pins it completely
-    check = set(hxs) | {hxs[0] - 1, hxs[0] - 2, hxs[-1] + 1, hxs[-1] + 2}
-    for x in check:
-        if h(f(x)) != 1 - h(x):
-            raise StructureViolated("line conjugacy failed exact check")
+    if not line_conjugacy_holds(f, h):
+        raise StructureViolated("line conjugacy failed exact check")
     return LineClassification("involution", h, xstar)
 
 

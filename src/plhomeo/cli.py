@@ -3,7 +3,11 @@ selftest.
 
 Exit codes: 0 success, 1 verification failure, 2 structural violation,
 3 parse error (including a malformed certificate, or one naming an invalid
-model class), 4 no period up to the bound (NotPeriodic).
+model class), 4 not periodic (NotPeriodic).  A disc or sphere map is not
+periodic when f^n is not the identity for the period n of its circle map
+on s = 1, which is a proof (see ``maps.period``), or when that circle map
+has no period up to ``circle.MAX_PERIOD``; a circle map is searched for a
+period up to the same bound.
 """
 
 from __future__ import annotations
@@ -14,13 +18,15 @@ import time
 from fractions import Fraction
 
 from . import io as pio
-from .circle import (classify_interval, classify_line, compose_circle,
-                     conjugate_circle_to_model, fixed_points_reversing,
-                     period_circle, rotation_number)
+from .circle import (MAX_PERIOD, circle_conjugacy_holds, classify_interval,
+                     classify_line, conjugate_circle_to_model,
+                     fixed_points_reversing, interval_conjugacy_holds,
+                     interval_identity, is_line_identity,
+                     line_conjugacy_holds, period_circle, rotation_number)
 from .conjugacy import Certificate, check_certificate
 from .disc import (analyze_disc, build_conjugacy_reflection,
                    build_conjugacy_rotation)
-from .errors import ParseError, PLHomeoError
+from .errors import NotPeriodic, ParseError, PLHomeoError
 from .exact import fmt_rat
 from .generate import make_instance
 from .maps import PLMap2, compose, evaluate, validate_homeo
@@ -66,14 +72,12 @@ def _build_parser():
 
     a = sub.add_parser("analyze", help="classify an instance")
     a.add_argument("path")
-    a.add_argument("--n-max", type=int, default=64)
     a.add_argument("--format", choices=("text", "json"), default="text")
     a.set_defaults(func=cmd_analyze)
 
     c = sub.add_parser("conjugate", help="build a conjugacy certificate")
     c.add_argument("path")
     c.add_argument("--out", required=True)
-    c.add_argument("--n-max", type=int, default=64)
     c.set_defaults(func=cmd_conjugate)
 
     v = sub.add_parser("verify", help="independently re-check a certificate")
@@ -84,7 +88,6 @@ def _build_parser():
     r = sub.add_parser("render", help="draw an instance as SVG")
     r.add_argument("path")
     r.add_argument("--out", required=True)
-    r.add_argument("--n-max", type=int, default=64)
     r.set_defaults(func=cmd_render)
 
     s = sub.add_parser("selftest", help="run the acceptance battery")
@@ -118,38 +121,33 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _analysis_dict(space, f, n_max):
-    if space == "interval":
-        cls = classify_interval(f, declared_periodic=False)
-        return {"space": space, "class": cls.kind,
-                "period": 1 if cls.kind == "identity" else 2,
-                "fixed_point": fmt_rat(cls.fixed_point)
-                if cls.fixed_point is not None else None}
-    if space == "line":
-        cls = classify_line(f, declared_periodic=False)
+def _classify_onedim(space, f):
+    classify = classify_interval if space == "interval" else classify_line
+    return classify(f, declared_periodic=False)
+
+
+def _analysis_dict(space, f):
+    if space in ("interval", "line"):
+        cls = _classify_onedim(space, f)
         return {"space": space, "class": cls.kind,
                 "period": 1 if cls.kind == "identity" else 2,
                 "fixed_point": fmt_rat(cls.fixed_point)
                 if cls.fixed_point is not None else None}
     if space == "circle":
-        n = period_circle(f, n_max)
-        if n is None:
-            from .errors import NotPeriodic
-            raise NotPeriodic(f"no period up to {n_max}")
-        out = {"space": space, "period": n,
-               "orientation": "preserving" if f.orientation == 1
-               else "reversing"}
         if f.orientation == 1:
-            rc = rotation_number(f, n_max)
-            out["class"] = "rotation"
-            out["k"], out["n"] = rc.k, rc.n
-        else:
-            p, q = fixed_points_reversing(f)
-            out["class"] = "reflection"
-            out["fixed_points"] = [fmt_rat(p), fmt_rat(q)]
-        return out
+            rc = rotation_number(f)
+            return {"space": space, "period": rc.n,
+                    "orientation": "preserving", "class": "rotation",
+                    "k": rc.k, "n": rc.n}
+        n = period_circle(f)
+        if n is None:
+            raise NotPeriodic(f"no period up to {MAX_PERIOD}")
+        p, q = fixed_points_reversing(f)
+        return {"space": space, "period": n, "orientation": "reversing",
+                "class": "reflection",
+                "fixed_points": [fmt_rat(p), fmt_rat(q)]}
     if space == DISC:
-        ana = analyze_disc(f, n_max)
+        ana = analyze_disc(f)
         out = {"space": space, "class": ana.kind, "period": ana.n,
                "orientation": "reversing" if ana.kind == "reflection"
                else "preserving"}
@@ -161,7 +159,7 @@ def _analysis_dict(space, f, n_max):
             out["fixed_arc_endpoints"] = [[fmt_rat(x) for x in arc[0]],
                                           [fmt_rat(x) for x in arc[-1]]]
         return out
-    ana = analyze_sphere(f, n_max)
+    ana = analyze_sphere(f)
     out = {"space": space, "class": ana.kind, "period": ana.n,
            "orientation": "preserving" if ana.kind in ("identity", "rotation")
            else "reversing"}
@@ -204,7 +202,7 @@ def _analysis_text(d: dict) -> str:
 
 def cmd_analyze(args) -> int:
     space, f, _, _ = pio.instance_from_dict(pio.load_json(args.path))
-    d = _analysis_dict(space, f, args.n_max)
+    d = _analysis_dict(space, f)
     if args.format == "json":
         sys.stdout.write(pio.dumps(d))
     else:
@@ -215,40 +213,28 @@ def cmd_analyze(args) -> int:
 def cmd_conjugate(args) -> int:
     space, f, _, _ = pio.instance_from_dict(pio.load_json(args.path))
     if space == "circle":
-        cert = conjugate_circle_to_model(f, args.n_max)
-        pio.save_json(args.out, pio.circle_certificate_to_dict(
-            cert.kind, cert.klass, cert.h))
-        print(f"wrote {args.out} (exact)")
+        cert = conjugate_circle_to_model(f)
+        body = pio.circle_certificate_to_dict(cert.kind, cert.klass, cert.h)
+    elif space in ("interval", "line"):
+        cls = _classify_onedim(space, f)
+        body = pio.onedim_certificate_to_dict(space, cls.kind, cls.h)
+    else:
+        cert = _conjugate_map(space, f)
+        pio.save_json(args.out, pio.certificate_to_dict(cert))
+        print(f"wrote {args.out} ({'exact' if cert.exact else 'INEXACT'})")
         return 0
-    if space == "interval":
-        cls = classify_interval(f, declared_periodic=False)
-        body = {"model": {"space": space, "kind": cls.kind},
-                "h": pio.interval_to_dict(cls.h) if cls.h else None,
-                "exact": True}
-        pio.save_json(args.out, body)
-        print(f"wrote {args.out} (exact)")
-        return 0
-    if space == "line":
-        cls = classify_line(f, declared_periodic=False)
-        body = {"model": {"space": space, "kind": cls.kind},
-                "h": pio.line_to_dict(cls.h) if cls.h else None,
-                "exact": True}
-        pio.save_json(args.out, body)
-        print(f"wrote {args.out} (exact)")
-        return 0
-    cert = _conjugate_map(space, f, args.n_max)
-    pio.save_json(args.out, pio.certificate_to_dict(cert))
-    print(f"wrote {args.out} ({'exact' if cert.exact else 'INEXACT'})")
+    pio.save_json(args.out, body)
+    print(f"wrote {args.out} (exact)")
     return 0
 
 
-def _conjugate_map(space, f, n_max) -> Certificate:
+def _conjugate_map(space, f) -> Certificate:
     if space == DISC:
-        ana = analyze_disc(f, n_max)
+        ana = analyze_disc(f)
         if ana.kind == "reflection":
             return build_conjugacy_reflection(f, ana)
         return build_conjugacy_rotation(f, ana)
-    ana = analyze_sphere(f, n_max)
+    ana = analyze_sphere(f)
     if ana.kind == "rotoreflection":
         return build_conjugacy_free(f, ana)
     return build_conjugacy_fixedpoint(f, ana)
@@ -257,9 +243,7 @@ def _conjugate_map(space, f, n_max) -> Certificate:
 def cmd_verify(args) -> int:
     space, f, _, _ = pio.instance_from_dict(pio.load_json(args.instance))
     data = pio.load_json(args.certificate)
-    if space == "circle":
-        return _verify_circle(f, data)
-    if space in ("interval", "line"):
+    if space in ("circle", "interval", "line"):
         return _verify_onedim(space, f, data)
     cert = pio.certificate_from_dict(data)
     problems = validate_homeo(cert.h)
@@ -276,46 +260,22 @@ def cmd_verify(args) -> int:
     return 1
 
 
-def _verify_circle(f, data) -> int:
-    try:
-        h = pio.circle_from_dict(data["h"])
-        model = data["model"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad circle certificate: {exc}")
-    from .circle import circle_reflection, circle_rotation, circle_identity
-    kind = model.get("kind")
-    if kind == "rotation":
-        target = circle_rotation(Q(model["k"], model["n"]))
-    elif kind == "reflection":
-        target = circle_reflection()
-    else:
-        target = circle_identity()
-    lhs = compose_circle(f, h)
-    rhs = compose_circle(h, target)
-    if lhs.equals(rhs):
-        print("certificate verified: h o f = model o h exactly")
-        return 0
-    print("certificate REJECTED")
-    return 1
-
-
 def _verify_onedim(space, f, data) -> int:
-    kind = data.get("model", {}).get("kind")
-    if kind == "identity":
-        ok = all(f(x) == x for x, _ in
-                 (f.breaks if space == "interval" else f.breaks))
-        print("verified" if ok else "REJECTED")
+    """Check a circle, interval or line certificate with the exact tests
+    the classifiers apply to the conjugacies they build."""
+    if space == "circle":
+        cert = pio.circle_certificate_from_dict(data)
+        ok = circle_conjugacy_holds(f, cert.h, cert.model_map())
+        print("certificate verified: h o f = model o h exactly" if ok
+              else "certificate REJECTED")
         return 0 if ok else 1
+    kind, h = pio.onedim_certificate_from_dict(space, data)
     if space == "interval":
-        h = pio.interval_from_dict(data["h"])
-        xs = {x for x, _ in f.breaks} | {x for x, _ in h.breaks}
-        ok = all(h(f(x)) == 1 - h(x) for x in xs)
+        ok = f.equals(interval_identity()) if kind == "identity" \
+            else interval_conjugacy_holds(f, h)
     else:
-        h = pio.line_from_dict(data["h"])
-        xs = {x for x, _ in f.breaks} | {x for x, _ in h.breaks}
-        xs = sorted(xs)
-        xs = [xs[0] - 2, xs[0] - 1] + xs + [xs[-1] + 1, xs[-1] + 2]
-        ok = all(h(f(x)) == 1 - h(x) for x in xs)
+        ok = is_line_identity(f) if kind == "identity" \
+            else line_conjugacy_holds(f, h)
     print("verified" if ok else "REJECTED")
     return 0 if ok else 1
 
@@ -329,7 +289,7 @@ def cmd_render(args) -> int:
     orbit = None
     extra = None
     try:
-        arcs, orbit, extra = _render_decorations(space, f, args.n_max)
+        arcs, orbit, extra = _render_decorations(space, f)
     except PLHomeoError as exc:
         print(f"render: analysis failed ({type(exc).__name__}: {exc}); "
               "drawing the bare map", file=sys.stderr)
@@ -340,9 +300,9 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _render_decorations(space, f, n_max):
+def _render_decorations(space, f):
     if space == DISC:
-        ana = analyze_disc(f, n_max)
+        ana = analyze_disc(f)
         if ana.kind == "rotation":
             from .disc import sector_decomposition
             from .maps import unit_rotation_power
@@ -352,7 +312,7 @@ def _render_decorations(space, f, n_max):
             arcs = [[k.verts[v] for v in arc] for arc in dec.arcs]
             return arcs, None, None
         return None, None, None
-    ana = analyze_sphere(f, n_max)
+    ana = analyze_sphere(f)
     if ana.kind == "rotoreflection":
         from .eqcomplex import _pullback_levels
         from .maps import inverse
@@ -408,14 +368,14 @@ def _run_case(case):
     t0 = time.time()
     try:
         f, h, r = make_instance(space, kind, k, n, seed, moves)
-        d = _analysis_dict(space, f, 64)
+        d = _analysis_dict(space, f)
         want = {"identity": "identity", "rotation": "rotation",
                 "reflection": "reflection",
                 "rotoreflection": "rotoreflection"}[kind]
         if d["class"] != want or (kind in ("rotation", "rotoreflection")
                                   and (d["k"], d["n"]) != (k, n)):
             return (case, False, "class mismatch", time.time() - t0)
-        cert = _conjugate_map(space, f, 64)
+        cert = _conjugate_map(space, f)
         if corrupt:
             cert = _corrupt(cert)
         ok = check_certificate(f, cert).exact

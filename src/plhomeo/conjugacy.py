@@ -4,16 +4,12 @@ certificates h with h o f = r o h checked exactly."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
 from .errors import InvalidClass, StructureViolated
-from .maps import (PLMap2, CellMap, compose, first_disagreement, identity_map,
-                   map_equal, reflection_map, rotation_map, rotoreflection_map,
-                   shift_into_unit)
-from .suspension import DISC, SPHERE, band_cells
-
-Q = Fraction
+from .maps import (PLMap2, compose, first_disagreement, identity_map,
+                   map_equal, reflection_map, rotation_map, rotoreflection_map)
+from .suspension import DISC, SPHERE
 
 IDENTITY, ROTATION, REFLECTION, ROTOREFLECTION = (
     "identity", "rotation", "reflection", "rotoreflection")
@@ -50,24 +46,6 @@ class ModelIsometry:
         if self.kind == REFLECTION:
             return reflection_map(self.model)
         return rotoreflection_map(self.k, self.n)
-
-
-def rotation_by(model: str, c: Fraction) -> PLMap2:
-    """Rotation by an arbitrary rational angle (band count from c)."""
-    c = Q(c) % 1
-    if c == 0:
-        return identity_map(model)
-    den = c.denominator
-    bands = den
-    while bands < 3:
-        bands += den
-    cells = band_cells(model, bands)
-    out = []
-    for cell in cells:
-        img = [(x + c, y) for x, y in cell]
-        _, img_u = shift_into_unit(img)
-        out.append(CellMap(tuple(cell), img_u))
-    return PLMap2(model, out)
 
 
 @dataclass

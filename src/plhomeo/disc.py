@@ -17,15 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circle import CirclePL, compose_circle, circle_rotation, rotation_number
+from .circle import (MAX_PERIOD, CirclePL, circle_conjugacy_holds,
+                     circle_rotation, rotation_number)
 from .conjugacy import (Certificate, ModelIsometry, IDENTITY, REFLECTION,
-                        ROTATION, require_exact, rotation_by)
+                        ROTATION, require_exact)
 from .eqcomplex import equivariant_complex
 from .errors import GluingMismatch, NotPeriodic, StructureViolated
 from .exact import mod1
 from .maps import (FixedSet, PLMap2, boundary_restriction, compose,
                    fixed_set, identity_map, orientation, period, power,
-                   unit_rotation_power, validate_homeo)
+                   rotation_map, unit_rotation_power, validate_homeo)
 from .sectors import (SectorDecomposition, embed_fundamental_domain,
                       orbit_cells, reflection_conjugacy, rotation_layout,
                       rotation_sectors)
@@ -42,19 +43,24 @@ class DiscAnalysis:
     fixed: FixedSet | None = None  # the centre, or the fixed arc
 
 
-def analyze_disc(f: PLMap2, n_max: int = 64) -> DiscAnalysis:
+def analyze_disc(f: PLMap2) -> DiscAnalysis:
     """Period, orientation and fixed structure, checked against the theory.
 
-    The analysis is the input of the certificate builders: they read the
-    class and the fixed set from it instead of computing them again."""
+    The period and the class are read off the boundary circle map: its
+    period is the period of f (see ``maps.period``), and its rotation
+    number is the class.  The analysis is the input of the certificate
+    builders: they read the class and the fixed set from it instead of
+    computing them again."""
     if f.model != DISC:
         raise StructureViolated("analyze_disc needs a disc-model map")
     problems = validate_homeo(f)
     if problems:
         raise StructureViolated("invalid map: " + "; ".join(problems))
-    n = period(f, n_max)
+    n = period(f)
     if n is None:
-        raise NotPeriodic(f"no period up to {n_max}")
+        raise NotPeriodic(
+            f"not periodic: the boundary map has no period up to "
+            f"{MAX_PERIOD}, or f^n != id for its period n")
     if n == 1:
         return DiscAnalysis("identity", 1)
     fs = fixed_set(f)
@@ -69,14 +75,9 @@ def analyze_disc(f: PLMap2, n_max: int = 64) -> DiscAnalysis:
             if fsi.everything or fsi.one or fsi.two or fsi.zero != fs.zero:
                 raise StructureViolated(
                     f"iterate {i} has extra fixed points")
-        rc = rotation_number(boundary_restriction(f), n_max)
-        if rc.n != n:
-            raise StructureViolated(
-                "boundary rotation number period mismatch")
+        rc = rotation_number(boundary_restriction(f), n)
         return DiscAnalysis("rotation", n, rc.k, fs)
-    if n != 2:
-        raise StructureViolated(
-            "orientation-reversing periodic disc map must be an involution")
+    # the boundary map reverses orientation, so its period n is 2
     if fs.everything or fs.two or len(fs.one) != 1 or fs.zero:
         raise StructureViolated(
             "reversing involution must fix exactly one simple arc")
@@ -112,9 +113,8 @@ def build_conjugacy_rotation(f: PLMap2, ana: DiscAnalysis,
     n, kk = ana.n, ana.k
     pin = boundary_pin
     if pin is not None:
-        lhs = compose_circle(boundary_restriction(f), pin)
-        rhs = compose_circle(pin, circle_rotation(Q(kk, n)))
-        if not lhs.equals(rhs):
+        if not circle_conjugacy_holds(boundary_restriction(f), pin,
+                                      circle_rotation(Q(kk, n))):
             raise GluingMismatch("boundary pin does not conjugate f|boundary")
     k = equivariant_complex(unit_rotation_power(f, kk, n), n,
                             level_cuts=[Q(1, 2)])
@@ -124,7 +124,8 @@ def build_conjugacy_rotation(f: PLMap2, ana: DiscAnalysis,
     if pin is not None:
         offset = pin(k.verts[lay.chains[0][0]][0])
         if offset != 0:
-            h = compose(h, rotation_by(DISC, offset))
+            h = compose(h, rotation_map(DISC, offset.numerator,
+                                        offset.denominator))
     cert = Certificate(ModelIsometry(DISC, ROTATION, kk, n), h, True,
                        pins={"boundary": pin is not None})
     return require_exact(f, cert)

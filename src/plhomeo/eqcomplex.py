@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import OverlayDegenerate, StructureViolated
 from .exact import mod1
 from .geom import Pt, area2, centroid, split_convex
-from .maps import PLMap2, compose, is_identity, locate_cell, poly_key
+from .maps import PLMap2, compose, is_identity, locate_cell, poly_key, power
 from .suspension import Affine, IDENTITY_AFFINE, _edge_key
 
 Q = Fraction
@@ -50,8 +50,7 @@ def equivariant_complex(f: PLMap2, n: int, level_cuts=(),
     segments (each a chord of the current refinement's cells under every
     iterate); cut the same way.
     """
-    from .maps import chain_power
-    g = chain_power(f, n)
+    g = power(f, n)
     if not is_identity(g):
         raise StructureViolated(f"map is not periodic of period {n}")
     polys = [c.poly for c in g.cells]
@@ -73,16 +72,16 @@ def conjugated_equivariant_complex(fp: PLMap2, f: PLMap2, h: PLMap2, n: int,
     of the requested curves, is pushed through h cell by cell.  base_chords
     are chords already expressed in the f-frame (full chords of the chain
     cells of the matching iterate)."""
-    from .maps import chain_power, fixed_set, identity_map, locate_cell
+    from .maps import fixed_set, identity_map
     id_h = identity_map(f.model, [list(c.poly) for c in h.cells])
     f_ref = compose(id_h, f)
-    g = chain_power(f_ref, n)
+    g = power(f_ref, n)
     if not is_identity(g):
         raise StructureViolated(f"map is not periodic of period {n}")
     polys = [c.poly for c in g.cells]
     base_chords = []
     if phi_power is not None:
-        base_chords = list(fixed_set(chain_power(f_ref, phi_power)).segments)
+        base_chords = list(fixed_set(power(f_ref, phi_power)).segments)
     primary = _pullback_levels(h, level_cuts) + base_chords
     secondary = _pullback_segments(h, chord_cuts)
     if primary or secondary:

@@ -36,7 +36,7 @@ def scramble(model: str, seed: int, moves: int,
         kind = rng.choices(["relocate", "edge", "face"],
                            weights=[8, 1, 1])[0]
         if kind == "edge":
-            refined = _split_random_edge(rng, model, tiling)
+            refined = _split_random_edge(rng, tiling)
             if refined is None:
                 continue
             h = compose(h, identity_map(model, refined))
@@ -91,14 +91,14 @@ def _edges_of(tiling):
     return seen
 
 
-def _split_random_edge(rng, model, tiling):
+def _split_random_edge(rng, tiling):
     edges = sorted(_edges_of(tiling).items())
     (p, q), _ = edges[rng.randrange(len(edges))]
     lam = rng.choice([Q(1, 3), Q(1, 2), Q(2, 3)])
-    return split_edge(model, tiling, (p, q), lam)
+    return split_edge(tiling, (p, q), lam)
 
 
-def split_edge(model, tiling, edge, lam):
+def split_edge(tiling, edge, lam):
     """Refine: insert a point at parameter lam on the edge, re-fan cells.
 
     The split point is computed on the canonical edge chart, then shifted

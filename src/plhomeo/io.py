@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import json
 
-from .circle import CirclePL, IntervalPL, LinePL
+from .circle import (CircleCertificate, CirclePL, IntervalPL, LinePL,
+                     RotationClass)
 from .conjugacy import Certificate, ModelIsometry
-from .errors import InvalidClass, ParseError
+from .errors import InvalidClass, ParseError, StructureViolated
 from .exact import fmt_rat, parse_rat
 from .maps import PLMap2, from_complex, serializable_parts
 from .suspension import DISC, SPHERE, SuspensionComplex
@@ -197,6 +198,46 @@ def circle_certificate_to_dict(kind: str, klass, h: CirclePL) -> dict:
     if klass is not None:
         model["k"], model["n"] = klass.k, klass.n
     return {"model": model, "h": circle_to_dict_oriented(h), "exact": True}
+
+
+def circle_certificate_from_dict(data: dict) -> CircleCertificate:
+    try:
+        model = data["model"]
+        kind = model["kind"]
+        h = circle_from_dict(data["h"])
+        klass = None
+        if kind == "rotation":
+            k, n = model["k"], model["n"]
+            if type(k) is not int or type(n) is not int or n < 1:
+                raise ParseError(f"circle rotation k/n = {k!r}/{n!r} needs "
+                                 "integers with n >= 1")
+            klass = RotationClass(k, n)
+        elif kind not in ("identity", "reflection"):
+            raise ParseError(f"unknown circle model kind {kind!r}")
+    except (KeyError, TypeError, StructureViolated) as exc:
+        raise ParseError(f"bad circle certificate: {exc}") from exc
+    return CircleCertificate(kind, klass, h, False)
+
+
+def onedim_certificate_to_dict(space: str, kind: str, h) -> dict:
+    to_dict = interval_to_dict if space == "interval" else line_to_dict
+    return {"model": {"space": space, "kind": kind},
+            "h": to_dict(h) if h is not None else None, "exact": True}
+
+
+def onedim_certificate_from_dict(space: str, data: dict):
+    """(kind, h) of an interval or line certificate; h is None for the
+    identity."""
+    parse = interval_from_dict if space == "interval" else line_from_dict
+    try:
+        kind = data["model"]["kind"]
+        if kind == "identity":
+            return kind, None
+        if kind == "involution":
+            return kind, parse(data["h"])
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"bad {space} certificate: {exc}") from exc
+    raise ParseError(f"unknown {space} model kind {kind!r}")
 
 
 def load_json(path: str) -> dict:

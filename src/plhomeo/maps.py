@@ -13,10 +13,12 @@ the equivariant machinery needs.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import ceil, floor
 
-from .circle import CirclePL
+from .circle import CirclePL, period_circle
 from .errors import OverlayDegenerate, ParseError, StructureViolated
 from .exact import mod1
 from .geom import (Pt, area2, bbox_overlap, clip_convex, point_in_convex,
@@ -28,15 +30,11 @@ from .suspension import (Affine, SuspensionComplex, affine_from_pairs,
 Q = Fraction
 
 
-def _floor(q: Fraction) -> int:
-    return q.numerator // q.denominator
-
-
 def shift_into_unit(poly) -> tuple[int, tuple[Pt, ...]]:
     """Translate a chart polygon into [0,1] horizontally; error if it
     straddles a meridian."""
     xs = [p[0] for p in poly]
-    m = _floor(min(xs))
+    m = floor(min(xs))
     if max(xs) > m + 1:
         m += 1
         if min(xs) < m:
@@ -67,6 +65,7 @@ class PLMap2:
     cells: list[CellMap]
     _affines: list[Affine] = field(default=None, repr=False, compare=False)
     _bboxes: list = field(default=None, repr=False, compare=False)
+    _xindex: tuple = field(default=None, repr=False, compare=False)
     _pows: dict = field(default=None, repr=False, compare=False)
 
     def affine(self, i: int) -> Affine:
@@ -81,6 +80,15 @@ class PLMap2:
         if self._bboxes is None:
             self._bboxes = [poly_bbox(c.poly) for c in self.cells]
         return self._bboxes[i]
+
+    def cells_from_left(self, x: Fraction) -> list[int]:
+        """The cells whose box starts at or left of x, in min-x order: the
+        only ones that can meet a point or box ending at x."""
+        if self._xindex is None:
+            order = sorted(range(len(self.cells)), key=lambda i: self.bbox(i)[0])
+            self._xindex = (order, [self.bbox(i)[0] for i in order])
+        order, minxs = self._xindex
+        return order[:bisect_right(minxs, x)]
 
     @property
     def orientation_sign(self) -> int:
@@ -110,45 +118,32 @@ def _band_count(n: int) -> int:
     return bands
 
 
+def _band_isometry(model: str, bands: int, t_sign: int, shift: Fraction,
+                   s_sign: int) -> PLMap2:
+    """(t, s) -> (t_sign t + shift, s_sign s) on the band complex."""
+    if (shift * bands).denominator != 1:
+        raise ParseError("band count incompatible with the rotation step")
+    out = []
+    for c in band_cells(model, bands):
+        _, img = shift_into_unit([(t_sign * x + shift, s_sign * y)
+                                  for x, y in c])
+        out.append(CellMap(tuple(c), img))
+    return PLMap2(model, out)
+
+
 def rotation_map(model: str, k: int, n: int, bands: int | None = None) -> PLMap2:
     """(t, s) -> (t + k/n, s) on a band complex compatible with the shift."""
-    bands = bands or _band_count(n)
-    if (Q(k, n) * bands).denominator != 1:
-        raise ParseError("band count incompatible with the rotation step")
-    cells = band_cells(model, bands)
-    shift = Q(k, n)
-    out = []
-    for c in cells:
-        img = [(x + shift, y) for x, y in c]
-        _, img_u = shift_into_unit(img)
-        out.append(CellMap(tuple(c), img_u))
-    return PLMap2(model, out)
+    return _band_isometry(model, bands or _band_count(n), 1, Q(k, n), 1)
 
 
 def reflection_map(model: str, bands: int = 4) -> PLMap2:
     """(t, s) -> (-t, s); fixed meridians t in {0, 1/2}."""
-    cells = band_cells(model, bands)
-    out = []
-    for c in cells:
-        img = [(-x, y) for x, y in c]
-        _, img_u = shift_into_unit(img)
-        out.append(CellMap(tuple(c), img_u))
-    return PLMap2(model, out)
+    return _band_isometry(model, bands, -1, Q(0), 1)
 
 
 def rotoreflection_map(k: int, n: int, bands: int | None = None) -> PLMap2:
     """(t, s) -> (t + k/n, -s) on the sphere."""
-    bands = bands or _band_count(n)
-    if (Q(k, n) * bands).denominator != 1:
-        raise ParseError("band count incompatible with the rotation step")
-    cells = band_cells(SPHERE, bands)
-    shift = Q(k, n)
-    out = []
-    for c in cells:
-        img = [(x + shift, -y) for x, y in c]
-        _, img_u = shift_into_unit(img)
-        out.append(CellMap(tuple(c), img_u))
-    return PLMap2(SPHERE, out)
+    return _band_isometry(SPHERE, bands or _band_count(n), 1, Q(k, n), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -167,22 +162,11 @@ def evaluate(f: PLMap2, p: Pt) -> Pt:
 
 def locate_cell(f: PLMap2, p: Pt) -> tuple[int, Pt]:
     """Lowest-index cell whose chart contains p (or its +1 translate)."""
-    from bisect import bisect_right
     candidates = [p] if p[0] != 0 else [p, (p[0] + 1, p[1])]
-    cache = f.pow_cache()
-    idx = cache.get("_locidx")
-    if idx is None:
-        boxes = [f.bbox(i) for i in range(len(f.cells))]
-        order = sorted(range(len(f.cells)), key=lambda i: boxes[i][0])
-        idx = (order, [boxes[i][0] for i in order])
-        cache["_locidx"] = idx
-    order, minxs = idx
     best = None
     best_q = None
     for q in candidates:
-        hi = bisect_right(minxs, q[0])
-        for oi in range(hi):
-            i = order[oi]
+        for i in f.cells_from_left(q[0]):
             if best is not None and i >= best:
                 continue
             bb = f.bbox(i)
@@ -212,11 +196,7 @@ def compose(f: PLMap2, g: PLMap2) -> PLMap2:
     """g after f.  Cells: pieces of f's cells whose f-image fits one g-cell."""
     if f.model != g.model:
         raise ParseError("cannot compose maps on different models")
-    order, g_sorted_minx = _x_index(g)
-    g_polys = [list(c.poly) for c in g.cells]
-    g_boxes = [poly_bbox(p) for p in g_polys]
     out: list[CellMap] = []
-    from bisect import bisect_right
     for ci, cell in enumerate(f.cells):
         A = f.affine(ci)
         img = [A(p) for p in cell.poly]
@@ -226,13 +206,11 @@ def compose(f: PLMap2, g: PLMap2) -> PLMap2:
         target = area2(tuple(img_ccw))
         got = Q(0)
         boxi = poly_bbox(img_ccw)
-        hi = bisect_right(g_sorted_minx, boxi[2])
-        for oi in range(hi):
-            di = order[oi]
-            gb = g_boxes[di]
+        for di in g.cells_from_left(boxi[2]):
+            gb = g.bbox(di)
             if gb[2] < boxi[0] or gb[3] < boxi[1] or boxi[3] < gb[1]:
                 continue
-            piece = clip_convex(img_ccw, g_polys[di])
+            piece = clip_convex(img_ccw, g.cells[di].poly)
             if not piece:
                 continue
             got += area2(tuple(piece))
@@ -246,13 +224,6 @@ def compose(f: PLMap2, g: PLMap2) -> PLMap2:
         if got != target:
             raise OverlayDegenerate("composition pieces fail to tile a cell")
     return PLMap2(f.model, out)
-
-
-def _x_index(g: PLMap2):
-    """Cells ordered by min-x with the sorted keys, for interval pruning."""
-    boxes = [g.bbox(i) for i in range(len(g.cells))]
-    order = sorted(range(len(g.cells)), key=lambda i: boxes[i][0])
-    return order, [boxes[i][0] for i in order]
 
 
 def inverse(f: PLMap2) -> PLMap2:
@@ -269,22 +240,19 @@ def inverse(f: PLMap2) -> PLMap2:
 
 
 def power(f: PLMap2, m: int) -> PLMap2:
-    """f^m with per-map memoization of the iterates."""
-    if m < 0:
-        return power(inverse(f), -m)
+    """f^m for m >= 0, built by left composition with f and memoized on f.
+
+    Each iterate is f^(m-1) followed by f, so the source cells of f^m are
+    the common refinement of the pullbacks of f's own cells under all lower
+    iterates.  For periodic f that refinement is permuted cell-to-cell by
+    f, which the equivariant machinery relies on; every caller therefore
+    shares these iterates, and ``period`` builds the ones the analysis and
+    the certificate need."""
     cache = f.pow_cache()
-    if m in cache:
-        return cache[m]
-    if "conj" in cache and m >= 2:
-        base, h, hinv = cache["conj"]
-        out = compose(compose(hinv, power(base, m)), h)
-        cache[m] = out
-        return out
-    if 0 not in cache:
+    if not cache:
         cache[0] = identity_map(f.model, [list(c.poly) for c in f.cells])
-    if 1 not in cache:
         cache[1] = f
-    best = max(i for i in cache if isinstance(i, int) and i <= m)
+    best = max(i for i in cache if i <= m)
     out = cache[best]
     for i in range(best + 1, m + 1):
         out = compose(out, f)
@@ -295,68 +263,40 @@ def power(f: PLMap2, m: int) -> PLMap2:
 def unit_rotation_power(f: PLMap2, k: int, n: int) -> PLMap2:
     """f^j with j k = 1 (mod n): the iterate of a map of rotation class k/n
     whose class is 1/n."""
-    j = pow(k, -1, n)
-    return power(f, j) if j > 1 else f
+    return power(f, pow(k, -1, n))
 
 
-def seed_conjugated_powers(fp: PLMap2, f: PLMap2, h: PLMap2, n: int):
-    """Record fp = h o f o h^-1 so iterates are built lazily through the
-    conjugation (cheap when f is much smaller than the conjugated copy).
-
-    Such iterates are correct as maps but their cells are not the chain
-    refinement; structural consumers use chain_power instead."""
-    cache = fp.pow_cache()
-    cache["conj"] = (f, h, inverse(h))
-    return fp
-
-
-def chain_power(f: PLMap2, m: int) -> PLMap2:
-    """f^m built strictly by left-composition with f, memoized.
-
-    The source cells of the result are the common refinement of the
-    pullbacks of f's own cells under all lower iterates; for periodic f
-    that refinement is permuted cell-to-cell by f, which the equivariant
-    machinery relies on."""
-    if m == 0:
-        return identity_map(f.model, [list(c.poly) for c in f.cells])
-    cache = f.pow_cache()
-    best = 0
-    for i in range(m, 0, -1):
-        if ("chain", i) in cache:
-            best = i
-            break
-    if best == 0:
-        cache[("chain", 1)] = f
-        cache.setdefault(1, f)
-        best = 1
-    out = cache[("chain", best)]
-    for i in range(best + 1, m + 1):
-        out = compose(out, f)
-        cache[("chain", i)] = out
-        cache.setdefault(i, out)
-    return out
+def is_model_rotation(f: PLMap2):
+    """The exact rotation angle if f is (t, s) -> (t + c, s); else None."""
+    c = None
+    for i in range(len(f.cells)):
+        a = f.affine(i)
+        if not (a.a == 1 and a.b == 0 and a.d == 0 and a.e == 1
+                and a.f == 0):
+            return None
+        cc = mod1(a.c)
+        if c is None:
+            c = cc
+        elif cc != c:
+            return None
+    return c
 
 
 def is_identity(f: PLMap2) -> bool:
-    for i in range(len(f.cells)):
-        a = f.affine(i)
-        if not (a.a == 1 and a.b == 0 and a.d == 0 and a.e == 1 and a.f == 0
-                and a.c.denominator == 1):
-            return False
-    return True
+    return is_model_rotation(f) == 0
 
 
 def _mismatches(f: PLMap2, g: PLMap2):
     """Every overlap piece of a cell of f with a cell of g on which their
-    affine actions differ by more than a horizontal integer shift."""
-    g_boxes = [poly_bbox(c.poly) for c in g.cells]
+    affine actions differ by more than a horizontal integer shift, in the
+    order of the cell index pairs."""
     for ci in range(len(f.cells)):
         A = f.affine(ci)
         box = f.bbox(ci)
-        for di in range(len(g.cells)):
-            if not bbox_overlap(box, g_boxes[di]):
-                continue
-            piece = clip_convex(list(f.cells[ci].poly), list(g.cells[di].poly))
+        near = sorted(di for di in g.cells_from_left(box[2])
+                      if bbox_overlap(box, g.bbox(di)))
+        for di in near:
+            piece = clip_convex(f.cells[ci].poly, g.cells[di].poly)
             if not piece:
                 continue
             B = g.affine(di)
@@ -387,11 +327,26 @@ def first_disagreement(f: PLMap2, g: PLMap2):
     return None
 
 
-def period(f: PLMap2, n_max: int = 64):
-    for n in range(1, n_max + 1):
-        if is_identity(power(f, n)):
-            return n
-    return None
+def period(f: PLMap2) -> int | None:
+    """The period of f, or None when f is not periodic.
+
+    The candidate n is the period of the circle map on s = 1, the disc
+    boundary or the link of the north pole; when f swaps the poles, it is
+    twice the period of that circle map of f^2, since odd iterates swap
+    them.  A periodic f has no other period, because an iterate that is
+    the identity on that circle is the identity.  On the disc, it is
+    conjugate to an isometry (Kerekjarto) that fixes the boundary circle.
+    At a fixed pole, it maps each ray of a small star into itself with a
+    slope that periodicity forces to be 1; so it is the identity near the
+    pole, and by Newman's theorem everywhere.  Hence f^n = id confirms n,
+    and f^n != id proves that f is not periodic.  Only the search for the
+    circle period is bounded, by ``circle.MAX_PERIOD``."""
+    swaps = f.model == SPHERE and _collapsed_image(f, Q(1))[1] != 1
+    m = period_circle(boundary_restriction(power(f, 2) if swaps else f))
+    if m is None:
+        return None
+    n = 2 * m if swaps else m
+    return n if is_identity(power(f, n)) else None
 
 
 def orientation(f: PLMap2) -> str:
@@ -423,7 +378,7 @@ def fixed_set(f: PLMap2) -> FixedSet:
         A = f.affine(ci)
         disp = [A(p)[0] - p[0] for p in cell.poly]
         dlo, dhi = min(disp), max(disp)
-        for delta in range(-_floor(-dlo), _floor(dhi) + 1):
+        for delta in range(ceil(dlo), floor(dhi) + 1):
             kind, data = _fixed_in_cell(A, list(cell.poly), delta)
             if kind == "point":
                 zero_chart.append(data)

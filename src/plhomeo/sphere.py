@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .circle import rotation_number
+from .circle import MAX_PERIOD, rotation_number
 from .conjugacy import (Certificate, ModelIsometry, IDENTITY, REFLECTION,
                         ROTATION, ROTOREFLECTION, require_exact)
 from .eqcomplex import (EqComplex, apply_perm, conjugated_equivariant_complex,
@@ -37,11 +37,10 @@ from .eqcomplex import (EqComplex, apply_perm, conjugated_equivariant_complex,
 from .errors import ArcSearchFailed, NotPeriodic, StructureViolated
 from .exact import mod1
 from .geom import Pt, centroid
-from .maps import (FixedSet, PLMap2, boundary_restriction, chain_power,
-                   compose, evaluate, fixed_set, identity_map, inverse,
-                   is_identity, orientation, period, power,
-                   seed_conjugated_powers, unit_rotation_power,
-                   validate_homeo)
+from .maps import (FixedSet, PLMap2, boundary_restriction, compose, evaluate,
+                   fixed_set, identity_map, inverse, is_identity,
+                   is_model_rotation, orientation, period, power,
+                   unit_rotation_power, validate_homeo)
 from .sectors import (Layout, components, cut_sectors,
                       embed_fundamental_domain, fixed_edges,
                       lifted_quotient_path, line_walk, orbit_cells,
@@ -78,10 +77,12 @@ class SphereAnalysis:
     free_map: PLMap2 | None = None      # conjugates free.fp to the model
 
 
-def analyze_sphere(f: PLMap2, n_max: int = 64) -> SphereAnalysis:
+def analyze_sphere(f: PLMap2) -> SphereAnalysis:
     """The class of f, checked against the theory.
 
-    The analysis is the input of the certificate builders.  A
+    The period is read off the circle map on the link of the north pole
+    (see ``maps.period``), and so is the class of a rotation.  The analysis
+    is the input of the certificate builders.  A
     fixed-point-free map is classified by building its conjugacy, whose
     arc system fixes the angle; the structure and the map are kept, so
     ``build_conjugacy_free`` only composes and checks them."""
@@ -90,9 +91,11 @@ def analyze_sphere(f: PLMap2, n_max: int = 64) -> SphereAnalysis:
     problems = validate_homeo(f)
     if problems:
         raise StructureViolated("invalid map: " + "; ".join(problems))
-    n = period(f, n_max)
+    n = period(f)
     if n is None:
-        raise NotPeriodic(f"no period up to {n_max}")
+        raise NotPeriodic(
+            f"not periodic: the north pole link map has no period up to "
+            f"{MAX_PERIOD}, or f^n != id for its period n")
     if n == 1:
         return SphereAnalysis("identity", 1)
     fs = fixed_set(f)
@@ -108,9 +111,7 @@ def analyze_sphere(f: PLMap2, n_max: int = 64) -> SphereAnalysis:
             raise StructureViolated(
                 "fixed points off the polar axis cannot be normalized in "
                 "suspension coordinates")
-        rc = rotation_number(boundary_restriction(f), n_max)
-        if rc.n != n:
-            raise StructureViolated("pole link period mismatch")
+        rc = rotation_number(boundary_restriction(f), n)
         return SphereAnalysis("rotation", n, rc.k, fs)
     # orientation-reversing
     if fs.is_empty():
@@ -177,22 +178,6 @@ def _build_sphere_reflection(f: PLMap2, ana: SphereAnalysis) -> Certificate:
 # the latitude cut for fixed-point-free maps
 
 
-def is_model_rotation(f: PLMap2):
-    """The exact rotation angle if f is (t, s) -> (t + c, s); else None."""
-    c = None
-    for i in range(len(f.cells)):
-        a = f.affine(i)
-        if not (a.a == 1 and a.b == 0 and a.d == 0 and a.e == 1
-                and a.f == 0):
-            return None
-        cc = mod1(a.c)
-        if c is None:
-            c = cc
-        elif cc != c:
-            return None
-    return c
-
-
 def t0_cut(f: PLMap2) -> Fraction:
     """inf of latitudes t with the north cap D_t disjoint from its image.
 
@@ -250,23 +235,26 @@ def _height_envelope(f: PLMap2, t: Fraction) -> Fraction:
     best = None
     for ci, cell in enumerate(f.cells):
         A = f.affine(ci)
-        ys = [p[1] for p in cell.poly]
-        if max(ys) < t:
-            continue
         pts = [p for p in cell.poly if p[1] >= t]
-        m = len(cell.poly)
-        for i in range(m):
-            a, b = cell.poly[i], cell.poly[(i + 1) % m]
-            if (a[1] - t) * (b[1] - t) < 0:
-                lam = (t - a[1]) / (b[1] - a[1])
-                pts.append((a[0] + lam * (b[0] - a[0]), t))
-        for p in pts:
+        if not pts:
+            continue
+        for p in pts + _level_crossings(cell.poly, t):
             v = A(p)[1]
             if best is None or v > best:
                 best = v
     if best is None:
         raise StructureViolated("empty cap")
     return best
+
+
+def _level_crossings(poly, t: Fraction) -> list[Pt]:
+    """The points where the edges of poly cross the latitude s = t."""
+    out = []
+    for a, b in zip(poly, poly[1:] + poly[:1]):
+        if (a[1] - t) * (b[1] - t) < 0:
+            lam = (t - a[1]) / (b[1] - a[1])
+            out.append((a[0] + lam * (b[0] - a[0]), t))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +267,11 @@ def _normalize_square(f: PLMap2, n: int):
     g = power(f, 2)
     if is_identity(g):
         return f, None
-    rc = rotation_number(boundary_restriction(g), 2 * n)
+    # f swaps the poles, so g has period n / 2, that of its link map
+    rc = rotation_number(boundary_restriction(g), n // 2)
     ana_g = SphereAnalysis("rotation", n // 2, rc.k)
     conj = _build_sphere_rotation(g, ana_g)
     fp = compose(compose(inverse(conj.h), f), conj.h)
-    seed_conjugated_powers(fp, f, conj.h, n)
     if is_model_rotation(power(fp, 2)) != Q(conj.model.k, conj.model.n):
         raise StructureViolated("square did not normalize to its rotation")
     return fp, conj
@@ -294,14 +282,7 @@ def _touch_point(f: PLMap2, t0: Fraction) -> Pt:
     pts = set()
     for ci, cell in enumerate(f.cells):
         A = f.affine(ci)
-        m = len(cell.poly)
-        corners = list(cell.poly)
-        for i in range(m):
-            a, b = cell.poly[i], cell.poly[(i + 1) % m]
-            if (a[1] - t0) * (b[1] - t0) < 0:
-                lam = (t0 - a[1]) / (b[1] - a[1])
-                corners.append((a[0] + lam * (b[0] - a[0]), t0))
-        for p in corners:
+        for p in cell.poly + tuple(_level_crossings(cell.poly, t0)):
             if p[1] == t0 and A(p)[1] == t0:
                 pts.add((mod1(p[0]), t0))
     if not pts:
@@ -360,7 +341,7 @@ def _assemble_free_map(f: PLMap2, fs: FreeStructure):
     if conj is None:
         chord_cuts = [seg]
         if phi is not None:
-            chord_cuts += list(fixed_set(chain_power(fp, phi)).segments)
+            chord_cuts += list(fixed_set(power(fp, phi)).segments)
         k = equivariant_complex(fp, n, level_cuts=[t0], chord_cuts=chord_cuts)
     else:
         k = conjugated_equivariant_complex(fp, f, conj.h, n,
@@ -368,7 +349,7 @@ def _assemble_free_map(f: PLMap2, fs: FreeStructure):
                                            phi_power=phi)
 
     def layout(k: EqComplex) -> Layout:
-        bstar = _bstar_arc(k, fp, t0, p0, n, subcase)
+        bstar = _bstar_arc(k, t0, p0, n, subcase)
         arcs, arc_edges, _, sector0 = cut_sectors(k, bstar, m)
         jstar = _right_arc_index(k, arcs)
         c = Q(_solve_class_angle(jstar, n, m, r2), n)
@@ -404,7 +385,7 @@ def _solve_class_angle(jstar: int, n: int, m: int, r2: Fraction) -> int:
     return cands[0]
 
 
-def _bstar_arc(k: EqComplex, fp: PLMap2, t0, p0, n, subcase):
+def _bstar_arc(k: EqComplex, t0, p0, n, subcase):
     b0 = _meridian_path(k, p0, t0)
     if subcase == "coincident":
         half = list(b0)
@@ -413,7 +394,7 @@ def _bstar_arc(k: EqComplex, fp: PLMap2, t0, p0, n, subcase):
         if k.verts[half[-1]] != k.verts[b0[-1]]:
             raise StructureViolated("coincident arc does not close at P0")
         return b0 + list(reversed(half))[1:]
-    bprime = _bprime_path(k, fp, t0, p0, n, b0)
+    bprime = _bprime_path(k, t0, p0, n, b0)
     return b0 + bprime[1:]
 
 
@@ -444,7 +425,7 @@ def _meridian_path(k: EqComplex, p0, t0):
     return path
 
 
-def _bprime_path(k: EqComplex, fp: PLMap2, t0, p0, n, b0):
+def _bprime_path(k: EqComplex, t0, p0, n, b0):
     """Arc from P0 to the south line inside the image cap, avoiding the odd
     iterates of the meridian arc and its own rotations (quotient search)."""
     r2_perm = [k.vert_perm[k.vert_perm[v]] for v in range(len(k.verts))]

@@ -52,7 +52,7 @@ def test_period_examples():
     assert period_circle(circle_identity()) == 1
     # non-periodic: fixes 0, slope 1/2 on [0, 1/2]
     f = CirclePL(((Q(0), Q(0)), (Q(1, 2), Q(1, 4))), 1)
-    assert period_circle(f, 64) is None
+    assert period_circle(f) is None
 
 
 def test_rotation_number_model():
@@ -171,7 +171,7 @@ def test_conjugacy_scrambled_reversing():
 def test_conjugacy_not_periodic():
     f = CirclePL(((Q(0), Q(0)), (Q(1, 2), Q(1, 4))), 1)
     with pytest.raises(NotPeriodic):
-        conjugate_circle_to_model(f, n_max=16)
+        conjugate_circle_to_model(f)
 
 
 # -- interval ----------------------------------------------------------------

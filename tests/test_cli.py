@@ -1,13 +1,17 @@
-"""The command-line contract: exit codes of verify and render."""
+"""The command-line contract: exit codes of analyze, verify and render."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from plhomeo import cli
 from plhomeo import io as pio
+from plhomeo.circle import IntervalPL, LinePL, circle_rotation
 from plhomeo.maps import CellMap, PLMap2, shift_into_unit
-from plhomeo.suspension import SPHERE, band_cells
+from plhomeo.suspension import DISC, SPHERE, band_cells
+
+Q = Fraction
 
 
 @pytest.fixture(scope="module")
@@ -100,3 +104,89 @@ def test_render_reports_analysis_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "StructureViolated" in err and "bare map" in err
     assert svg.read_text().startswith("<svg")
+
+
+def test_analyze_of_a_non_periodic_map_exits_4(tmp_path, capsys):
+    # the radial squeeze of test_analyze_not_periodic: the boundary map is
+    # the identity, so its period 1 is the only candidate, and f != id
+    cells = []
+    for j in range(3):
+        a, b = Q(j, 3), Q(j + 1, 3)
+        cells.append(((a, Q(0)), (b, Q(0)), (b, Q(1, 2)), (a, Q(1, 2))))
+        cells.append(((a, Q(1, 2)), (b, Q(1, 2)), (b, Q(1)), (a, Q(1))))
+
+    def squeeze(p):
+        x, y = p
+        return (x, y / 2) if y <= Q(1, 2) else (x, Q(3, 2) * y - Q(1, 2))
+
+    f = PLMap2(DISC, [CellMap(c, tuple(squeeze(p) for p in c))
+                      for c in cells])
+    inst = tmp_path / "f.json"
+    pio.save_json(str(inst), pio.instance_to_dict(DISC, f))
+    assert cli.main(["analyze", str(inst)]) == 4
+    assert "not periodic" in capsys.readouterr().err
+
+
+def _onedim_instance(tmp_path, space, f):
+    """An instance file and the certificate conjugate writes for it."""
+    inst, cert = tmp_path / "f.json", tmp_path / "f.cert.json"
+    pio.save_json(str(inst), pio.instance_to_dict(space, f))
+    assert cli.main(["conjugate", str(inst), "--out", str(cert)]) == 0
+    return inst, json.loads(cert.read_text())
+
+
+def test_verify_rejects_identity_certificate_of_a_line_scaling(
+        tmp_path, capsys):
+    # f(x) = 2x agrees with the identity at its only breakpoint 0
+    inst = tmp_path / "f.json"
+    pio.save_json(str(inst), pio.instance_to_dict(
+        "line", LinePL(((Q(0), Q(0)),), Q(2), Q(2))))
+    cert = {"model": {"space": "line", "kind": "identity"}, "h": None,
+            "exact": True}
+    assert _verify(tmp_path, inst, cert) == 1
+    assert "REJECTED" in capsys.readouterr().out
+
+
+def test_verify_accepts_own_onedim_certificates(tmp_path):
+    for space, f in (
+            ("circle", circle_rotation(Q(1, 3))),
+            ("interval", IntervalPL(((Q(0), Q(1)), (Q(1, 3), Q(1, 2)),
+                                     (Q(1, 2), Q(1, 3)), (Q(1), Q(0))))),
+            ("line", LinePL(((Q(0), Q(1)), (Q(1), Q(0))), Q(1), Q(1)))):
+        inst, cert = _onedim_instance(tmp_path, space, f)
+        assert _verify(tmp_path, inst, cert) == 0, space
+
+
+def _circle_period_zero(cert):
+    cert["model"]["n"] = 0
+
+
+def _circle_model_not_a_mapping(cert):
+    cert["model"] = 5
+
+
+def _circle_kind_unknown(cert):
+    cert["model"]["kind"] = "spiral"
+
+
+@pytest.mark.parametrize("damage", [
+    _circle_period_zero, _circle_model_not_a_mapping, _circle_kind_unknown])
+def test_verify_malformed_circle_certificate_is_a_parse_error(
+        tmp_path, capsys, damage):
+    inst, cert = _onedim_instance(tmp_path, "circle",
+                                  circle_rotation(Q(1, 3)))
+    damage(cert)
+    assert _verify(tmp_path, inst, cert) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("space, f", [
+    ("interval", IntervalPL(((Q(0), Q(1)), (Q(1), Q(0))))),
+    ("line", LinePL(((Q(0), Q(1)), (Q(1), Q(0))), Q(1), Q(1)))])
+def test_verify_malformed_onedim_certificate_is_a_parse_error(
+        tmp_path, capsys, space, f):
+    inst, cert = _onedim_instance(tmp_path, space, f)
+    del cert["h"]
+    assert _verify(tmp_path, inst, cert) == 3
+    assert _verify(tmp_path, inst, [cert]) == 3
+    assert capsys.readouterr().err.count("error: ") == 2

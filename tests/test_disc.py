@@ -72,7 +72,7 @@ def test_analyze_not_periodic():
     f = PLMap2(DISC, [CellMap(tuple(c), tuple(squeeze(p) for p in c))
                       for c in cells])
     with pytest.raises(NotPeriodic):
-        analyze_disc(f, n_max=16)
+        analyze_disc(f)
 
 
 def grid_cells(cols, rows, lo=Q(0), hi=Q(1)):

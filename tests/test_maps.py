@@ -50,7 +50,7 @@ def test_rotation_map_validates_and_evaluates():
 
 def test_rotation_period_and_power():
     f = rotation_map(DISC, 1, 6)
-    assert period(f, 10) == 6
+    assert period(f) == 6
     assert is_identity(power(f, 6))
     assert not is_identity(power(f, 3))
     assert map_equal(power(f, 2), rotation_map(DISC, 2, 6))
@@ -60,7 +60,7 @@ def test_reflection_map():
     f = reflection_map(DISC)
     assert validate_homeo(f) == []
     assert orientation(f) == "reversing"
-    assert period(f, 10) == 2
+    assert period(f) == 2
     assert evaluate(f, pt(Q(1, 8), Q(1, 2))) == pt(Q(7, 8), Q(1, 2))
 
 
@@ -71,12 +71,12 @@ def test_rotoreflection_period():
     # square is the rotation by 1/2, so the period is 4
     sq = power(f, 2)
     assert map_equal(sq, rotation_map(SPHERE, 1, 2, bands=4))
-    assert period(f, 16) == 4
+    assert period(f) == 4
 
 
 def test_rotoreflection_period_n8():
     f = rotoreflection_map(3, 8)
-    assert period(f, 16) == 8
+    assert period(f) == 8
     assert fixed_set(f).is_empty()
 
 
@@ -223,4 +223,4 @@ def test_nonperiodic_map_detected():
     f = PLMap2(DISC, [CellMap(tuple(c), tuple(squeeze(p) for p in c))
                       for c in cells])
     assert validate_homeo(f) == []
-    assert period(f, 64) is None
+    assert period(f) is None

@@ -2,8 +2,9 @@
 
 Every top-level function and class in ``src/plhomeo`` must be referenced by
 name from ``src/`` outside its own body, every imported name must be used
-in the module that imports it, and every field of a dataclass must be read
-as an attribute somewhere in ``src/``.
+in the module that imports it, every field of a dataclass must be read
+as an attribute somewhere in ``src/``, and every parameter of a function or
+lambda must be read in its body.
 """
 
 import ast
@@ -88,4 +89,22 @@ def test_every_dataclass_field_is_read():
                            if isinstance(item, ast.AnnAssign)
                            and isinstance(item.target, ast.Name)]
     unread = [f"{cls}.{field}" for cls, field in fields if field not in read]
+    assert unread == []
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs \
+                + [p for p in (a.vararg, a.kwarg) if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            label = getattr(node, "name", "<lambda>")
+            unread += [f"{name}.{label}.{p.arg}" for p in params
+                       if p.arg not in read]
     assert unread == []

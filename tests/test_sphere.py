@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from plhomeo.circle import rotation_number
 from plhomeo.conjugacy import check_certificate
 from plhomeo.errors import NotPeriodic, StructureViolated
 from plhomeo.generate import make_instance, scramble, scrambled_conjugate
-from plhomeo.maps import (CellMap, PLMap2, compose, evaluate, fixed_set,
-                          identity_map, inverse, map_equal, power,
-                          reflection_map, rotation_map, rotoreflection_map,
-                          validate_homeo)
+from plhomeo.maps import (CellMap, PLMap2, boundary_restriction, compose,
+                          evaluate, fixed_set, identity_map, inverse,
+                          map_equal, period, power, reflection_map,
+                          rotation_map, rotoreflection_map, validate_homeo)
 from plhomeo.sphere import (analyze_sphere, build_conjugacy_fixedpoint,
                             build_conjugacy_free, is_model_rotation, t0_cut)
 from plhomeo.suspension import SPHERE, band_cells
@@ -44,6 +45,42 @@ def test_analyze_equator_reflection():
 def test_analyze_model_rotoreflection():
     ana = analyze_sphere(rotoreflection_map(1, 4))
     assert (ana.kind, ana.k, ana.n) == ("rotoreflection", 1, 4)
+
+
+def test_equator_reflection_gets_twice_the_link_period_of_its_square():
+    # it swaps the poles and squares to the identity; the rotoreflection
+    # 1/4, whose square is the rotation 1/2, is test_rotoreflection_period
+    equator = rotoreflection_map(0, 2)
+    assert evaluate(equator, pt(0, 1)) == pt(0, -1)
+    assert period(equator) == 2
+    assert analyze_sphere(equator).n == 2
+
+
+def test_link_periodic_but_squeezing_map_is_not_periodic():
+    # rotation 1/3 followed by a squeeze of the latitudes towards the
+    # equator: the north link map has period 3, but f^3 is not the identity
+    cells = []
+    levels = [Q(-1), Q(-1, 2), Q(0), Q(1, 2), Q(1)]
+    for j in range(3):
+        a, b = Q(j, 3), Q(j + 1, 3)
+        for lo, hi in zip(levels, levels[1:]):
+            cells.append(((a, lo), (b, lo), (b, hi), (a, hi)))
+
+    def squeeze(p):
+        x, y = p
+        if abs(y) <= Q(1, 2):
+            return (x, y / 2)
+        return (x, (Q(3, 2) * abs(y) - Q(1, 2)) * (1 if y > 0 else -1))
+
+    sq = PLMap2(SPHERE, [CellMap(c, tuple(squeeze(p) for p in c))
+                         for c in cells])
+    f = compose(rotation_map(SPHERE, 1, 3), sq)
+    assert validate_homeo(f) == []
+    link = rotation_number(boundary_restriction(f))
+    assert (link.k, link.n) == (1, 3)
+    assert period(f) is None
+    with pytest.raises(NotPeriodic):
+        analyze_sphere(f)
 
 
 def test_analyze_off_pole_fixed_points_rejected():
