@@ -256,7 +256,7 @@ def fixed_points_reversing(f: CirclePL) -> tuple[Fraction, Fraction]:
     if f.orientation != -1:
         raise OrientationReversing("map must reverse orientation")
     if not is_circle_identity(iterate_circle(f, 2)):
-        raise StructureViolated("reversing map with f^2 != id is not periodic")
+        raise NotPeriodic("reversing map with f^2 != id is not periodic")
     t0, u0 = f.breaks[0]
     bs = list(f.breaks) + [(t0 + 1, u0 - 1)]
     found: list[Fraction] = []

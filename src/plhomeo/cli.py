@@ -7,7 +7,8 @@ model class), 4 not periodic (NotPeriodic).  A disc or sphere map is not
 periodic when f^n is not the identity for the period n of its circle map
 on s = 1, which is a proof (see ``maps.period``), or when that circle map
 has no period up to ``circle.MAX_PERIOD``; a circle map is searched for a
-period up to the same bound.
+period up to the same bound, and one that reverses orientation is not
+periodic when its square is not the identity.
 """
 
 from __future__ import annotations

@@ -59,7 +59,15 @@ class Certificate:
 
 
 def check_certificate(f: PLMap2, cert: Certificate) -> Certificate:
-    """Re-verify h o f = model o h exactly; fill the exact/witness fields."""
+    """Re-verify h o f = model o h exactly; fill the exact/witness fields.
+
+    ``map_equal`` and ``first_disagreement`` need their second map to tile
+    the chart rectangle.  That map is compose(h, model), which tiles
+    wherever h's domain cells do: ``verify`` checks them with
+    ``validate_homeo(h)`` before calling this, and every certificate
+    builder takes the cells of an equivariant complex of f as h's domain.
+    A tiling failure that slips through raises StructureViolated rather
+    than a verdict without a witness."""
     lhs = compose(f, cert.h)
     rhs = compose(cert.h, cert.model.as_map())
     if map_equal(lhs, rhs):

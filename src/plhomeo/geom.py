@@ -7,6 +7,7 @@ sign of exact determinants; there are no tolerances.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import DegenerateInput
 
@@ -133,7 +134,6 @@ def clip_convex(subject: list[Pt], clip: list[Pt]) -> list[Pt]:
 
 
 def _gcd(a, b):
-    from math import gcd
     return gcd(a, b) or 1
 
 

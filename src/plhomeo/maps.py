@@ -61,20 +61,25 @@ class CellMap:
 
 @dataclass
 class PLMap2:
+    """``affines``, when given, is the affine map of each cell, aligned
+    with ``cells``; whoever passes it vouches that each one sends its
+    cell's ``poly`` to its ``img``.  Otherwise ``affine`` solves each one
+    from the cell's vertices when it is first asked for."""
     model: str
     cells: list[CellMap]
-    _affines: list[Affine] = field(default=None, repr=False, compare=False)
+    affines: list[Affine] | None = field(default=None, repr=False,
+                                         compare=False)
     _bboxes: list = field(default=None, repr=False, compare=False)
     _xindex: tuple = field(default=None, repr=False, compare=False)
     _pows: dict = field(default=None, repr=False, compare=False)
 
     def affine(self, i: int) -> Affine:
-        if self._affines is None:
-            self._affines = [None] * len(self.cells)
-        if self._affines[i] is None:
+        if self.affines is None:
+            self.affines = [None] * len(self.cells)
+        if self.affines[i] is None:
             c = self.cells[i]
-            self._affines[i] = affine_from_pairs(list(c.poly), list(c.img))
-        return self._affines[i]
+            self.affines[i] = affine_from_pairs(list(c.poly), list(c.img))
+        return self.affines[i]
 
     def bbox(self, i: int):
         if self._bboxes is None:
@@ -193,16 +198,23 @@ def _collapsed_image(f: PLMap2, level: Fraction) -> Pt:
 
 
 def compose(f: PLMap2, g: PLMap2) -> PLMap2:
-    """g after f.  Cells: pieces of f's cells whose f-image fits one g-cell."""
+    """g after f.  Cells: pieces of f's cells whose f-image fits one g-cell.
+
+    The pieces tile each cell of f, which the area check below confirms, so
+    the result tiles the chart rectangle wherever f's cells do.  Each piece
+    carries its affine map, g's on that g-cell after f's shifted into the
+    unit chart, so the result never solves one from its vertices."""
     if f.model != g.model:
         raise ParseError("cannot compose maps on different models")
     out: list[CellMap] = []
+    affines: list[Affine] = []
     for ci, cell in enumerate(f.cells):
         A = f.affine(ci)
         img = [A(p) for p in cell.poly]
         m, img_u = shift_into_unit(img)
         img_ccw = list(img_u) if A.det > 0 else list(reversed(img_u))
         Ainv = A.inverse()
+        A_unit = Affine(A.a, A.b, A.c - m, A.d, A.e, A.f)
         target = area2(tuple(img_ccw))
         got = Q(0)
         boxi = poly_bbox(img_ccw)
@@ -221,9 +233,10 @@ def compose(f: PLMap2, g: PLMap2) -> PLMap2:
                 src.reverse()
                 new_img.reverse()
             out.append(CellMap(tuple(src), tuple(new_img)))
+            affines.append(B.compose_after(A_unit))
         if got != target:
             raise OverlayDegenerate("composition pieces fail to tile a cell")
-    return PLMap2(f.model, out)
+    return PLMap2(f.model, out, affines)
 
 
 def inverse(f: PLMap2) -> PLMap2:
@@ -286,35 +299,73 @@ def is_identity(f: PLMap2) -> bool:
     return is_model_rotation(f) == 0
 
 
+def _action_key(A: Affine) -> tuple:
+    """Two cells act alike as model maps exactly when their affine maps
+    differ by a horizontal integer shift, that is when these keys agree."""
+    return (A.a, A.b, mod1(A.c), A.d, A.e, A.f)
+
+
 def _mismatches(f: PLMap2, g: PLMap2):
     """Every overlap piece of a cell of f with a cell of g on which their
     affine actions differ by more than a horizontal integer shift, in the
-    order of the cell index pairs."""
-    for ci in range(len(f.cells)):
-        A = f.affine(ci)
+    order of the cell index pairs.
+
+    Precondition: g's cells tile the chart rectangle.  Then a cell of f is
+    the union of its pieces, so it has a differing piece exactly when the
+    pieces it shares with g's cells of its own action cover less than its
+    area.  Only such a cell is clipped against all g-cells near it; so on
+    equal maps each cell is clipped only against g-cells that act alike.
+    A cell left uncovered without a differing piece, or covered beyond its
+    area, proves the precondition false and raises StructureViolated."""
+    alike: dict[tuple, list[int]] = {}
+    for di in range(len(g.cells)):
+        alike.setdefault(_action_key(g.affine(di)), []).append(di)
+    for ci, cell in enumerate(f.cells):
+        key = _action_key(f.affine(ci))
         box = f.bbox(ci)
+        covered = Q(0)
+        for di in alike.get(key, ()):
+            if bbox_overlap(box, g.bbox(di)):
+                piece = clip_convex(cell.poly, g.cells[di].poly)
+                if piece:
+                    covered += area2(tuple(piece))
+        target = area2(cell.poly)
+        if covered > target:
+            raise StructureViolated("cells of the map compared with overlap")
+        if covered == target:
+            continue
         near = sorted(di for di in g.cells_from_left(box[2])
                       if bbox_overlap(box, g.bbox(di)))
+        differs = False
         for di in near:
-            piece = clip_convex(f.cells[ci].poly, g.cells[di].poly)
-            if not piece:
-                continue
-            B = g.affine(di)
-            if not (A.a == B.a and A.b == B.b and A.d == B.d and A.e == B.e
-                    and A.f == B.f and (A.c - B.c).denominator == 1):
+            piece = clip_convex(cell.poly, g.cells[di].poly)
+            if piece and _action_key(g.affine(di)) != key:
+                differs = True
                 yield piece
+        if not differs:
+            raise StructureViolated(
+                "cells of the map compared with do not cover the chart")
 
 
 def map_equal(f: PLMap2, g: PLMap2) -> bool:
     """Equality as model maps: identical affine action (mod horizontal
-    integer shifts) on every overlap piece."""
+    integer shifts) on every overlap piece.
+
+    g's cells must tile the chart rectangle (see ``_mismatches``); then the
+    check clips each cell of f only against the cells of g that act alike.
+    ``check_certificate`` passes g = compose(h, model), which tiles
+    wherever h's domain cells do."""
     if f.model != g.model:
         return False
     return next(_mismatches(f, g), None) is None
 
 
 def first_disagreement(f: PLMap2, g: PLMap2):
-    """A witness model point where the two maps differ, or None."""
+    """A witness model point where the two maps differ, or None.
+
+    Same precondition as ``map_equal``, met by the same caller: g's cells
+    tile the chart rectangle.  The witness lies on the first differing
+    overlap piece in the order of the cell index pairs."""
     for piece in _mismatches(f, g):
         # centroid of the piece disagrees or a corner does
         for p in piece:

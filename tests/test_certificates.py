@@ -2,7 +2,9 @@
 certificates byte for byte, so a change to the construction cannot alter a
 certificate unnoticed.  sphere-rotoreflection-1-2-m10 reaches the
 refine-and-retry loop of the embedding; sphere-rotoreflection-1-4 is the
-one whose square is normalized by a conjugacy first.
+one whose square is normalized by a conjugacy first.  ``verify`` prints
+the same verdict, witness and exit code on every frozen certificate,
+the two tampered ones included.
 """
 
 import hashlib
@@ -50,3 +52,36 @@ def test_conjugate_builds_the_free_structure_once(monkeypatch, tmp_path):
                      str(INPUTS / "sphere-rotoreflection-1-2.json"),
                      "--out", str(out)]) == 0
     assert calls == {"free_structure": 1, "_assemble_free_map": 1}
+
+
+VERIFIED = "certificate verified: h o f = model o h exactly\n"
+VERIFY_OUTPUT = {
+    "disc-reflection-0-2": (0, VERIFIED),
+    "disc-rotation-1-3": (0, VERIFIED),
+    "disc-rotation-1-3.k-changed": (
+        1, "certificate REJECTED: first disagreement at "
+           "(1/12, 785036122734205061/4275994798663060610)\n"),
+    "sphere-reflection-0-2": (0, VERIFIED),
+    "sphere-rotation-1-3": (0, VERIFIED),
+    "sphere-rotation-1-3.vertex-moved": (
+        1, "certificate invalid: cell 26 has zero determinant; cell 44 has "
+           "zero determinant; poles must map onto poles; image complex: "
+           "triangle 26 not positively oriented; image complex: triangle 44 "
+           "not positively oriented; image complex: chart area 47/12 != 4; "
+           "image complex: edge ((Fraction(11, 12), Fraction(1, 1)), "
+           "(Fraction(1, 1), Fraction(1, 2))) not matched: [-1]; image "
+           "complex: edge ((Fraction(0, 1), Fraction(1, 2)), (Fraction(1, "
+           "12), Fraction(1, 1))) not matched: [-1]; image complex: line "
+           "s=1 not fully edge-covered\n"),
+    "sphere-rotoreflection-1-2": (0, VERIFIED),
+    "sphere-rotoreflection-1-2-m10": (0, VERIFIED),
+    "sphere-rotoreflection-1-4": (0, VERIFIED),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_OUTPUT))
+def test_verify_output_of_frozen_certificate(name, capsys):
+    instance = INPUTS / f"{name.split('.')[0]}.json"
+    code = cli.main(["verify", str(instance),
+                     str(INPUTS / f"{name}.cert.json")])
+    assert (code, capsys.readouterr().out) == VERIFY_OUTPUT[name]

@@ -7,7 +7,7 @@ import pytest
 
 from plhomeo import cli
 from plhomeo import io as pio
-from plhomeo.circle import IntervalPL, LinePL, circle_rotation
+from plhomeo.circle import CirclePL, IntervalPL, LinePL, circle_rotation
 from plhomeo.maps import CellMap, PLMap2, shift_into_unit
 from plhomeo.suspension import DISC, SPHERE, band_cells
 
@@ -125,6 +125,20 @@ def test_analyze_of_a_non_periodic_map_exits_4(tmp_path, capsys):
     pio.save_json(str(inst), pio.instance_to_dict(DISC, f))
     assert cli.main(["analyze", str(inst)]) == 4
     assert "not periodic" in capsys.readouterr().err
+
+
+def test_reversing_circle_map_with_non_identity_square_exits_4(
+        tmp_path, capsys):
+    # reverses orientation, so a periodic one would be an involution; its
+    # square is not the identity, so analyze and conjugate both prove it is
+    # not periodic
+    f = CirclePL(((Q(0), Q(0)), (Q(1, 2), Q(-1, 4))), -1)
+    inst = tmp_path / "f.json"
+    pio.save_json(str(inst), pio.instance_to_dict("circle", f))
+    assert cli.main(["analyze", str(inst)]) == 4
+    assert cli.main(["conjugate", str(inst),
+                     "--out", str(tmp_path / "f.cert.json")]) == 4
+    assert capsys.readouterr().err.count("error: ") == 2
 
 
 def _onedim_instance(tmp_path, space, f):

@@ -166,6 +166,25 @@ def test_map_equality_mod_representation():
     assert evaluate(f, w) != evaluate(rotation_map(DISC, 3, 4), w)
 
 
+def test_map_equal_ignores_integer_shifts_of_images():
+    f = rotation_map(DISC, 3, 4)
+    g = PLMap2(DISC, [CellMap(c.poly, tuple((x + 1, y) for x, y in c.img))
+                      for c in f.cells])
+    assert map_equal(f, g) and map_equal(g, f)
+    assert first_disagreement(f, g) is None
+
+
+def test_map_equal_refuses_a_map_that_does_not_tile():
+    # a cell of f left uncovered without a differing neighbour, or covered
+    # twice, shows that the second map does not tile the chart
+    f = rotation_map(DISC, 1, 4)
+    for g in (PLMap2(DISC, f.cells[1:]), PLMap2(DISC, f.cells + f.cells[:1])):
+        with pytest.raises(StructureViolated):
+            map_equal(f, g)
+        with pytest.raises(StructureViolated):
+            first_disagreement(f, g)
+
+
 def test_serialization_roundtrip():
     f = compose(rotation_map(DISC, 1, 4), reflection_map(DISC, bands=4))
     cx, img_verts, img_lifts = serializable_parts(f)
