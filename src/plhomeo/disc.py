@@ -25,12 +25,12 @@ from .eqcomplex import equivariant_complex
 from .errors import GluingMismatch, NotPeriodic, StructureViolated
 from .exact import mod1
 from .maps import (FixedSet, PLMap2, boundary_restriction, compose,
-                   fixed_set, identity_map, orientation, period, power,
-                   rotation_map, unit_rotation_power, validate_homeo)
+                   fixed_set, follow, identity_map, orientation, period,
+                   power, unit_rotation_power, validate_homeo)
 from .sectors import (SectorDecomposition, embed_fundamental_domain,
                       orbit_cells, reflection_conjugacy, rotation_layout,
                       rotation_sectors)
-from .suspension import DISC
+from .suspension import DISC, isometry_affine
 
 Q = Fraction
 
@@ -124,8 +124,7 @@ def build_conjugacy_rotation(f: PLMap2, ana: DiscAnalysis,
     if pin is not None:
         offset = pin(k.verts[lay.chains[0][0]][0])
         if offset != 0:
-            h = compose(h, rotation_map(DISC, offset.numerator,
-                                        offset.denominator))
+            h = follow(h, isometry_affine(1, offset, 1))
     cert = Certificate(ModelIsometry(DISC, ROTATION, kk, n), h, True,
                        pins={"boundary": pin is not None})
     return require_exact(f, cert)

@@ -25,7 +25,8 @@ from .geom import (Pt, area2, bbox_overlap, clip_convex, point_in_convex,
                    poly_bbox, INSIDE, OUTSIDE)
 from .suspension import (Affine, SuspensionComplex, affine_from_pairs,
                          band_cells, collapsed_levels, complex_check,
-                         is_collapsed, model_point, s_range, DISC, SPHERE)
+                         is_collapsed, isometry_affine, model_point, s_range,
+                         DISC, SPHERE)
 
 Q = Fraction
 
@@ -128,10 +129,10 @@ def _band_isometry(model: str, bands: int, t_sign: int, shift: Fraction,
     """(t, s) -> (t_sign t + shift, s_sign s) on the band complex."""
     if (shift * bands).denominator != 1:
         raise ParseError("band count incompatible with the rotation step")
+    R = isometry_affine(t_sign, shift, s_sign)
     out = []
     for c in band_cells(model, bands):
-        _, img = shift_into_unit([(t_sign * x + shift, s_sign * y)
-                                  for x, y in c])
+        _, img = shift_into_unit([R(p) for p in c])
         out.append(CellMap(tuple(c), img))
     return PLMap2(model, out)
 
@@ -203,7 +204,9 @@ def compose(f: PLMap2, g: PLMap2) -> PLMap2:
     The pieces tile each cell of f, which the area check below confirms, so
     the result tiles the chart rectangle wherever f's cells do.  Each piece
     carries its affine map, g's on that g-cell after f's shifted into the
-    unit chart, so the result never solves one from its vertices."""
+    unit chart, so the result never solves one from its vertices.  A model
+    isometry is one affine map, so following f by it needs no overlay:
+    ``follow`` does that and keeps f's cells."""
     if f.model != g.model:
         raise ParseError("cannot compose maps on different models")
     out: list[CellMap] = []
@@ -237,6 +240,56 @@ def compose(f: PLMap2, g: PLMap2) -> PLMap2:
         if got != target:
             raise OverlayDegenerate("composition pieces fail to tile a cell")
     return PLMap2(f.model, out, affines)
+
+
+def follow(h: PLMap2, R: Affine) -> PLMap2:
+    """R after h, for an affine R that keeps the chart's s-range, such as
+    a model isometry (``suspension.isometry_affine``).
+
+    The cells are h's cells, cut only where their image under R o A_h
+    crosses an integer meridian, so the result tiles the chart rectangle
+    exactly where h's cells do.  Each piece carries R o A_h shifted into
+    the unit chart; the cuts come from the first row of that map, so no
+    inverse is taken, and an image that still straddles a meridian raises
+    in ``shift_into_unit``."""
+    out: list[CellMap] = []
+    affines: list[Affine] = []
+    for ci, cell in enumerate(h.cells):
+        B = R.compose_after(h.affine(ci))
+        for poly in _meridian_pieces(list(cell.poly), B):
+            m, img = shift_into_unit([B(p) for p in poly])
+            out.append(CellMap(tuple(poly), img))
+            affines.append(Affine(B.a, B.b, B.c - m, B.d, B.e, B.f))
+    return PLMap2(h.model, out, affines)
+
+
+def _meridian_pieces(poly: list[Pt], B: Affine) -> list[list[Pt]]:
+    """A convex CCW polygon cut along the lines B.a x + B.b y + B.c = m
+    for the integers m strictly inside the range of that functional on
+    it, in order of m; the polygon itself when no such m exists."""
+    def level(p):
+        return B.a * p[0] + B.b * p[1] + B.c
+
+    vals = [level(p) for p in poly]
+    pieces = []
+    for m in range(floor(min(vals)) + 1, ceil(max(vals))):
+        below, above = [], []
+        vs = [level(p) - m for p in poly]
+        for i, (p, vp) in enumerate(zip(poly, vs)):
+            q, vq = poly[(i + 1) % len(poly)], vs[(i + 1) % len(poly)]
+            if vp <= 0:
+                below.append(p)
+            if vp >= 0:
+                above.append(p)
+            if vp * vq < 0:
+                t = vp / (vp - vq)
+                x = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+                below.append(x)
+                above.append(x)
+        pieces.append(below)
+        poly = above
+    pieces.append(poly)
+    return pieces
 
 
 def inverse(f: PLMap2) -> PLMap2:
@@ -310,11 +363,13 @@ def _mismatches(f: PLMap2, g: PLMap2):
     affine actions differ by more than a horizontal integer shift, in the
     order of the cell index pairs.
 
-    Precondition: g's cells tile the chart rectangle.  Then a cell of f is
-    the union of its pieces, so it has a differing piece exactly when the
-    pieces it shares with g's cells of its own action cover less than its
-    area.  Only such a cell is clipped against all g-cells near it; so on
-    equal maps each cell is clipped only against g-cells that act alike.
+    Precondition: g's cells tile the chart rectangle, as the right-hand
+    side that ``check_certificate`` builds with ``follow`` does wherever
+    h's domain cells do.  Then a cell of f is the union of its pieces, so
+    it has a differing piece exactly when the pieces it shares with g's
+    cells of its own action cover less than its area.  Only such a cell
+    is clipped against all g-cells near it; so on equal maps each cell is
+    clipped only against g-cells that act alike.
     A cell left uncovered without a differing piece, or covered beyond its
     area, proves the precondition false and raises StructureViolated."""
     alike: dict[tuple, list[int]] = {}
@@ -347,25 +402,18 @@ def _mismatches(f: PLMap2, g: PLMap2):
                 "cells of the map compared with do not cover the chart")
 
 
-def map_equal(f: PLMap2, g: PLMap2) -> bool:
-    """Equality as model maps: identical affine action (mod horizontal
-    integer shifts) on every overlap piece.
-
-    g's cells must tile the chart rectangle (see ``_mismatches``); then the
-    check clips each cell of f only against the cells of g that act alike.
-    ``check_certificate`` passes g = compose(h, model), which tiles
-    wherever h's domain cells do."""
-    if f.model != g.model:
-        return False
-    return next(_mismatches(f, g), None) is None
-
-
 def first_disagreement(f: PLMap2, g: PLMap2):
-    """A witness model point where the two maps differ, or None.
+    """A witness model point where the two maps differ, or None when they
+    are equal as model maps: the same affine action, up to horizontal
+    integer shifts, on every overlap piece.
 
-    Same precondition as ``map_equal``, met by the same caller: g's cells
-    tile the chart rectangle.  The witness lies on the first differing
-    overlap piece in the order of the cell index pairs."""
+    g's cells must tile the chart rectangle (see ``_mismatches``); then a
+    cell of f is clipped against all of g only when it differs somewhere.
+    The witness lies on the first differing overlap piece in the order of
+    the cell index pairs.  Maps on different models cannot be compared
+    and raise ParseError."""
+    if f.model != g.model:
+        raise ParseError("cannot compare maps on different models")
     for piece in _mismatches(f, g):
         # centroid of the piece disagrees or a corner does
         for p in piece:
@@ -376,6 +424,13 @@ def first_disagreement(f: PLMap2, g: PLMap2):
         cy = sum(p[1] for p in piece) / len(piece)
         return model_point(f.model, mod1(cx), cy)
     return None
+
+
+def map_equal(f: PLMap2, g: PLMap2) -> bool:
+    """Equality as model maps; False for maps on different models.  The
+    verifier takes its verdict and its witness from one
+    ``first_disagreement`` scan and does not call this."""
+    return f.model == g.model and first_disagreement(f, g) is None
 
 
 def period(f: PLMap2) -> int | None:
@@ -691,18 +746,18 @@ def _collapse_conditions(f: PLMap2) -> list[str]:
 
 def _generic_preimage_count(f: PLMap2) -> int:
     """Preimage count of a generic rational point under the chart images."""
-    img_polys = []
-    for ci, cell in enumerate(f.cells):
-        m, img_u = shift_into_unit(cell.img)
-        img_polys.append(ccw(img_u))
+    img_polys = [ccw(shift_into_unit(cell.img)[1]) for cell in f.cells]
+    boxes = [poly_bbox(poly) for poly in img_polys]
     for candidate_cell in img_polys:
         cx = sum(p[0] for p in candidate_cell) / len(candidate_cell)
         cy = sum(p[1] for p in candidate_cell) / len(candidate_cell)
         p = (mod1(cx), cy)
         on_edge = False
         cnt = 0
-        for poly in img_polys:
+        for poly, box in zip(img_polys, boxes):
             for q in (p, (p[0] + 1, p[1])):
+                if not (box[0] <= q[0] <= box[2] and box[1] <= q[1] <= box[3]):
+                    continue
                 cls = point_in_convex(q, list(poly))
                 if cls == INSIDE:
                     cnt += 1

@@ -4,7 +4,11 @@ The disc is the cylinder [0,1) x [0,1] with the line s = 0 collapsed to the
 center; the sphere is [0,1) x [-1,1] with s = 1 collapsed to the north pole N
 and s = -1 to the south pole S.  Model isometries are rational affine maps in
 this chart, which is the whole point: euclidean cos(2*pi/n) is irrational,
-suspension coordinates are not.
+suspension coordinates are not.  Each one is a single affine map
+(t, s) -> (+-t + k/n, +-s) up to horizontal integer shifts
+(``isometry_affine``).  The verifier relies on that: it builds model o h
+by following each cell of h with that one map (``maps.follow``), never by
+overlaying a band complex of the model.
 
 A complex is a set of convex chart cells tiling the unit rectangle
 [0,1] x s-range; vertices on a collapsed line are chart representatives of
@@ -98,6 +102,12 @@ class Affine:
 
 
 IDENTITY_AFFINE = Affine(Q(1), Q(0), Q(0), Q(0), Q(1), Q(0))
+
+
+def isometry_affine(t_sign: int, shift: Fraction, s_sign: int) -> Affine:
+    """(t, s) -> (t_sign t + shift, s_sign s), the chart form of a model
+    isometry."""
+    return Affine(Q(t_sign), Q(0), shift, Q(0), Q(s_sign), Q(0))
 
 
 def affine_from_pairs(src: list[Pt], dst: list[Pt]) -> Affine:

@@ -77,10 +77,14 @@ def _period_zero(cert):
     cert["model"]["n"] = 0
 
 
+def _model_on_the_other_space(cert):
+    cert["model"]["space"] = "sphere"
+
+
 @pytest.mark.parametrize("damage", [
     _triangle_index_out_of_range, _images_cut_short, _lifts_cut_short,
     _integer_coordinate, _pins_not_a_mapping, _class_not_reduced,
-    _unknown_kind, _period_zero])
+    _unknown_kind, _period_zero, _model_on_the_other_space])
 def test_verify_malformed_certificate_is_a_parse_error(
         disc_rotation, tmp_path, capsys, damage):
     inst, cert = disc_rotation

@@ -1,11 +1,13 @@
 """The exact check h o f = model o h against a brute-force oracle.
 
-``map_equal`` and ``first_disagreement`` clip a cell of the left map
-against the whole right map only when the cells of the right map that act
-alike fail to cover it.  The oracle here clips every pair of cells whose
-boxes meet and solves every affine map from its cell's vertices, so it
-shares neither shortcut.  The pairs are the checks of the frozen benchmark
-certificates (read only), intact and with one image vertex of h moved.
+``first_disagreement`` clips a cell of the left map against the whole
+right map only when the cells of the right map that act alike fail to
+cover it.  The oracle here clips every pair of cells whose boxes meet and
+solves every affine map from its cell's vertices, so it shares neither
+shortcut.  The pairs are the checks of the frozen benchmark certificates
+(read only), intact and with one image vertex of h moved; the right-hand
+side model o h is built both as ``check_certificate`` builds it, by
+``follow``, and as an overlay of h with the model's band complex.
 """
 
 import random
@@ -13,12 +15,14 @@ from pathlib import Path
 
 import pytest
 
+from plhomeo import geom
 from plhomeo import io as pio
 from plhomeo import maps
 from plhomeo.exact import mod1
-from plhomeo.geom import bbox_overlap, clip_convex, poly_bbox
-from plhomeo.maps import (CellMap, PLMap2, compose, evaluate,
-                          first_disagreement, map_equal, power)
+from plhomeo.geom import (INSIDE, BOUNDARY, bbox_overlap, clip_convex,
+                          point_in_convex, poly_bbox)
+from plhomeo.maps import (CellMap, PLMap2, ccw, compose, evaluate,
+                          first_disagreement, follow, power, shift_into_unit)
 from plhomeo.suspension import affine_from_pairs, model_point, s_range
 
 INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
@@ -33,15 +37,34 @@ NAMES = [
 ]
 
 
+# the frozen checks that reach check_certificate: the intact ones and the
+# one with k changed; the certificate with a pole image moved is rejected
+# by validate_homeo first
+CHECKED = NAMES + ["disc-rotation-1-3.k-changed"]
+TAMPERED = ["disc-rotation-1-3.k-changed", "sphere-rotation-1-3.vertex-moved"]
+
+
 def _load(name):
-    _, f, _, _ = pio.instance_from_dict(pio.load_json(INPUTS / f"{name}.json"))
+    _, f, _, _ = pio.instance_from_dict(
+        pio.load_json(INPUTS / f"{name.split('.')[0]}.json"))
     cert = pio.certificate_from_dict(
         pio.load_json(INPUTS / f"{name}.cert.json"))
     return f, cert
 
 
-def _sides(f, h, model):
-    return compose(f, h), compose(h, model.as_map())
+def _followed(h, model):
+    return follow(h, model.affine())
+
+
+def _overlaid(h, model):
+    return compose(h, model.as_map())
+
+
+RIGHT_SIDES = [_followed, _overlaid]
+
+
+def _sides(f, h, model, right):
+    return compose(f, h), right(h, model)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +72,8 @@ def frozen():
     out = {}
     for name in NAMES:
         f, cert = _load(name)
-        out[name] = (f, cert, _sides(f, cert.h, cert.model))
+        out[name] = (f, cert, {right: _sides(f, cert.h, cert.model, right)
+                               for right in RIGHT_SIDES})
     return out
 
 
@@ -103,15 +127,15 @@ def _move_image_vertex(h, rng):
 
 def _assert_matches_oracle(lhs, rhs):
     expected = _oracle_witness(lhs, rhs)
-    assert map_equal(lhs, rhs) == (expected is None)
     assert first_disagreement(lhs, rhs) == expected
     return expected
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_frozen_checks_match_the_oracle(frozen, name):
-    _, _, (lhs, rhs) = frozen[name]
-    assert _assert_matches_oracle(lhs, rhs) is None
+    _, _, sides = frozen[name]
+    for lhs, rhs in sides.values():
+        assert _assert_matches_oracle(lhs, rhs) is None
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -119,14 +143,17 @@ def test_frozen_checks_match_the_oracle(frozen, name):
 def test_moved_image_vertex_matches_the_oracle(frozen, name, seed):
     f, cert, _ = frozen[name]
     h = _move_image_vertex(cert.h, random.Random(seed))
-    assert _assert_matches_oracle(*_sides(f, h, cert.model)) is not None
+    for right in RIGHT_SIDES:
+        assert _assert_matches_oracle(*_sides(f, h, cert.model, right)) \
+            is not None
 
 
 def test_compose_hands_on_the_affine_of_every_piece(frozen):
     f, _, _ = frozen["disc-rotation-1-3"]
     maps_out = [power(f, 3)]
-    for _, _, (lhs, rhs) in frozen.values():
-        maps_out += [lhs, rhs]
+    for _, _, sides in frozen.values():
+        for lhs, rhs in sides.values():
+            maps_out += [lhs, rhs]
     for g in maps_out:
         assert g.affines is not None
         for i, cell in enumerate(g.cells):
@@ -136,12 +163,49 @@ def test_compose_hands_on_the_affine_of_every_piece(frozen):
 
 def test_equal_check_clips_each_cell_about_once(frozen, monkeypatch):
     """On disc rotation 1/3 a scan of all box-meeting pairs clips 6024."""
-    _, _, (lhs, rhs) = frozen["disc-rotation-1-3"]
+    _, _, sides = frozen["disc-rotation-1-3"]
+    lhs, rhs = sides[_followed]
     calls = [0]
 
     def counted(subject, clip):
         calls[0] += 1
         return clip_convex(subject, clip)
     monkeypatch.setattr(maps, "clip_convex", counted)
-    assert map_equal(lhs, rhs)
+    assert first_disagreement(lhs, rhs) is None
     assert calls[0] <= len(lhs.cells) + len(rhs.cells)
+
+
+def test_right_side_keeps_the_cells_of_h_without_overlay(monkeypatch):
+    """model o h of the frozen checks is h's cells, each followed by the
+    model's affine map: no frozen image crosses a meridian, and nothing is
+    composed or clipped."""
+    def refused(*args):
+        raise AssertionError("overlay work in the right-hand side")
+    for module in (maps, geom):
+        monkeypatch.setattr(module, "clip_convex", refused)
+    monkeypatch.setattr(maps, "compose", refused)
+    for name in CHECKED:
+        _, cert = _load(name)
+        rhs = follow(cert.h, cert.model.affine())
+        assert [c.poly for c in rhs.cells] == [c.poly for c in cert.h.cells]
+
+
+def _brute_preimage_count(f):
+    """The generic preimage count, testing the point against every image
+    cell and its +1 translate."""
+    polys = [ccw(shift_into_unit(c.img)[1]) for c in f.cells]
+    for cand in polys:
+        p = (mod1(sum(q[0] for q in cand) / len(cand)),
+             sum(q[1] for q in cand) / len(cand))
+        classes = [point_in_convex(q, list(poly)) for poly in polys
+                   for q in (p, (p[0] + 1, p[1]))]
+        if BOUNDARY not in classes:
+            return classes.count(INSIDE)
+    return -1
+
+
+@pytest.mark.parametrize("name", NAMES + TAMPERED)
+def test_generic_preimage_count_matches_a_scan_of_every_cell(name):
+    _, cert = _load(name)
+    assert maps._generic_preimage_count(cert.h) == \
+        _brute_preimage_count(cert.h)

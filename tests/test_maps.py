@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from plhomeo.circle import is_circle_identity, rotation_number
-from plhomeo.errors import StructureViolated
+from plhomeo.conjugacy import ModelIsometry
+from plhomeo.errors import ParseError, StructureViolated
 from plhomeo.maps import (CellMap, PLMap2, boundary_restriction, compose,
-                          evaluate, first_disagreement, fixed_set,
+                          evaluate, first_disagreement, fixed_set, follow,
                           identity_map, inverse, is_identity, map_equal,
                           orientation, period, power, reflection_map,
                           rotation_map, rotoreflection_map, serializable_parts,
@@ -53,7 +54,7 @@ def test_rotation_period_and_power():
     assert period(f) == 6
     assert is_identity(power(f, 6))
     assert not is_identity(power(f, 3))
-    assert map_equal(power(f, 2), rotation_map(DISC, 2, 6))
+    assert first_disagreement(power(f, 2), rotation_map(DISC, 2, 6)) is None
 
 
 def test_reflection_map():
@@ -70,7 +71,7 @@ def test_rotoreflection_period():
     assert orientation(f) == "reversing"
     # square is the rotation by 1/2, so the period is 4
     sq = power(f, 2)
-    assert map_equal(sq, rotation_map(SPHERE, 1, 2, bands=4))
+    assert first_disagreement(sq, rotation_map(SPHERE, 1, 2, bands=4)) is None
     assert period(f) == 4
 
 
@@ -159,8 +160,7 @@ def test_boundary_restriction_reflection():
 def test_map_equality_mod_representation():
     f = rotation_map(DISC, 1, 4, bands=4)
     g = rotation_map(DISC, 1, 4, bands=8)
-    assert map_equal(f, g)
-    assert not map_equal(f, rotation_map(DISC, 3, 4))
+    assert first_disagreement(f, g) is None
     w = first_disagreement(f, rotation_map(DISC, 3, 4))
     assert w is not None
     assert evaluate(f, w) != evaluate(rotation_map(DISC, 3, 4), w)
@@ -170,8 +170,16 @@ def test_map_equal_ignores_integer_shifts_of_images():
     f = rotation_map(DISC, 3, 4)
     g = PLMap2(DISC, [CellMap(c.poly, tuple((x + 1, y) for x, y in c.img))
                       for c in f.cells])
-    assert map_equal(f, g) and map_equal(g, f)
     assert first_disagreement(f, g) is None
+    assert first_disagreement(g, f) is None
+
+
+def test_maps_on_different_models_are_not_compared():
+    f, g = rotation_map(DISC, 1, 4), rotation_map(SPHERE, 1, 4)
+    with pytest.raises(ParseError):
+        first_disagreement(f, g)
+    assert not map_equal(f, g)
+    assert map_equal(f, rotation_map(DISC, 1, 4, bands=8))
 
 
 def test_map_equal_refuses_a_map_that_does_not_tile():
@@ -180,16 +188,55 @@ def test_map_equal_refuses_a_map_that_does_not_tile():
     f = rotation_map(DISC, 1, 4)
     for g in (PLMap2(DISC, f.cells[1:]), PLMap2(DISC, f.cells + f.cells[:1])):
         with pytest.raises(StructureViolated):
-            map_equal(f, g)
-        with pytest.raises(StructureViolated):
             first_disagreement(f, g)
+
+
+MODELS = [ModelIsometry(DISC, "identity"),
+          ModelIsometry(DISC, "rotation", 1, 3),
+          ModelIsometry(DISC, "rotation", 2, 5),
+          ModelIsometry(DISC, "reflection"),
+          ModelIsometry(SPHERE, "identity"),
+          ModelIsometry(SPHERE, "rotation", 1, 4),
+          ModelIsometry(SPHERE, "reflection"),
+          ModelIsometry(SPHERE, "rotoreflection", 1, 2),
+          ModelIsometry(SPHERE, "rotoreflection", 3, 8),
+          # k and n of an identity or a reflection are not read
+          ModelIsometry(DISC, "identity", 1, 0),
+          ModelIsometry(SPHERE, "reflection", 1, 3)]
+
+
+@pytest.mark.parametrize("model", MODELS, ids=str)
+def test_model_affine_agrees_with_its_band_map(model):
+    g = model.as_map()
+    A = model.affine()
+    for i, cell in enumerate(g.cells):
+        B = g.affine(i)
+        assert (B.a, B.b, B.d, B.e, B.f) == (A.a, A.b, A.d, A.e, A.f)
+        assert (B.c - A.c).denominator == 1
+    followed = follow(identity_map(model.model), A)
+    for p in rational_points(model.model, random.Random(0), 20):
+        assert evaluate(g, p) == evaluate(followed, p)
+
+
+@pytest.mark.parametrize("model", [ModelIsometry(DISC, "rotation", 1, 3),
+                                   ModelIsometry(SPHERE, "rotation", 2, 5)],
+                         ids=str)
+def test_follow_cuts_cells_at_the_meridian(model):
+    # the band [1/2, 3/4] rotated by 1/3 or 2/5 straddles t = 1, so its
+    # two triangles are cut in two each
+    h = identity_map(model.model, band_cells(model.model, 4))
+    g = follow(h, model.affine())
+    assert len(h.cells) == 8 and len(g.cells) == 10
+    assert validate_homeo(g) == []
+    assert first_disagreement(g, model.as_map()) is None
+    assert first_disagreement(model.as_map(), g) is None
 
 
 def test_serialization_roundtrip():
     f = compose(rotation_map(DISC, 1, 4), reflection_map(DISC, bands=4))
     cx, img_verts, img_lifts = serializable_parts(f)
     g = from_complex(cx, img_verts, img_lifts)
-    assert map_equal(f, g)
+    assert first_disagreement(f, g) is None
     assert validate_homeo(g) == []
 
 

@@ -8,9 +8,9 @@ from plhomeo.conjugacy import check_certificate
 from plhomeo.errors import NotPeriodic, StructureViolated
 from plhomeo.generate import make_instance, scramble, scrambled_conjugate
 from plhomeo.maps import (CellMap, PLMap2, boundary_restriction, compose,
-                          evaluate, fixed_set, identity_map, inverse,
-                          map_equal, period, power, reflection_map,
-                          rotation_map, rotoreflection_map, validate_homeo)
+                          evaluate, fixed_set, identity_map, inverse, period,
+                          power, reflection_map, rotation_map,
+                          rotoreflection_map, validate_homeo)
 from plhomeo.sphere import (analyze_sphere, build_conjugacy_fixedpoint,
                             build_conjugacy_free, is_model_rotation, t0_cut)
 from plhomeo.suspension import SPHERE, band_cells
