@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
 
-from .errors import (NotPeriodic, OrientationReversing, PeriodicityViolated,
-                     ParseError, StructureViolated)
+from .errors import (NotPeriodic, OrientationReversing, ParseError,
+                     StructureViolated)
 from .exact import mod1
 
 Q = Fraction
@@ -129,9 +129,9 @@ def circle_rotation(c: Fraction) -> CirclePL:
     return CirclePL(((Q(0), mod1(c)),), 1)
 
 
-def circle_reflection(c: Fraction = Q(0)) -> CirclePL:
-    """t -> c - t (c = 0 is the model reflection)."""
-    return CirclePL(((Q(0), mod1(c)),), -1)
+def circle_reflection() -> CirclePL:
+    """The model reflection t -> -t."""
+    return CirclePL(((Q(0), Q(0)),), -1)
 
 
 def is_circle_identity(f: CirclePL) -> bool:
@@ -194,8 +194,7 @@ def inverse_circle(f: CirclePL) -> CirclePL:
 
 
 def iterate_circle(f: CirclePL, m: int) -> CirclePL:
-    if m < 0:
-        return iterate_circle(inverse_circle(f), -m)
+    """f^m for m >= 0."""
     out = circle_identity()
     for _ in range(m):
         out = compose_circle(out, f)
@@ -458,15 +457,11 @@ class IntervalClassification:
     fixed_point: Fraction | None
 
 
-def classify_interval(f: IntervalPL, declared_periodic: bool = True
-                      ) -> IntervalClassification:
+def classify_interval(f: IntervalPL) -> IntervalClassification:
     """Identity forced, or an exact conjugacy to the reflection x -> 1 - x."""
     if f.increasing:
         if f.equals(interval_identity()):
             return IntervalClassification("identity", None, None)
-        if declared_periodic:
-            raise PeriodicityViolated(
-                "endpoint-preserving periodic interval map must be the identity")
         raise NotPeriodic("increasing interval map differs from the identity")
     if not compose_interval(f, f).equals(interval_identity()):
         raise NotPeriodic("decreasing interval map with f^2 != id")
@@ -591,15 +586,12 @@ def line_conjugacy_holds(f: LinePL, h: LinePL) -> bool:
     return all(h(f(x)) == 1 - h(x) for x in xs)
 
 
-def classify_line(f: LinePL, declared_periodic: bool = True) -> LineClassification:
+def classify_line(f: LinePL) -> LineClassification:
     """Increasing periodic line maps are the identity; decreasing ones are
     conjugate to x -> 1 - x via an invariant-interval chart."""
     if f.increasing:
         if is_line_identity(f):
             return LineClassification("identity", None, None)
-        if declared_periodic:
-            raise PeriodicityViolated(
-                "increasing periodic line map must be the identity")
         raise NotPeriodic("increasing line map differs from the identity")
     # decreasing: must be an exact involution, i.e. f equal to its inverse
     finv = inverse_line(f)

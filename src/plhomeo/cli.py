@@ -124,7 +124,7 @@ def cmd_generate(args) -> int:
 
 def _classify_onedim(space, f):
     classify = classify_interval if space == "interval" else classify_line
-    return classify(f, declared_periodic=False)
+    return classify(f)
 
 
 def _analysis_dict(space, f):
@@ -202,7 +202,7 @@ def _analysis_text(d: dict) -> str:
 
 
 def cmd_analyze(args) -> int:
-    space, f, _, _ = pio.instance_from_dict(pio.load_json(args.path))
+    space, f = pio.instance_from_dict(pio.load_json(args.path))
     d = _analysis_dict(space, f)
     if args.format == "json":
         sys.stdout.write(pio.dumps(d))
@@ -212,7 +212,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_conjugate(args) -> int:
-    space, f, _, _ = pio.instance_from_dict(pio.load_json(args.path))
+    space, f = pio.instance_from_dict(pio.load_json(args.path))
     if space == "circle":
         cert = conjugate_circle_to_model(f)
         body = pio.circle_certificate_to_dict(cert.kind, cert.klass, cert.h)
@@ -242,7 +242,7 @@ def _conjugate_map(space, f) -> Certificate:
 
 
 def cmd_verify(args) -> int:
-    space, f, _, _ = pio.instance_from_dict(pio.load_json(args.instance))
+    space, f = pio.instance_from_dict(pio.load_json(args.instance))
     data = pio.load_json(args.certificate)
     if space in ("circle", "interval", "line"):
         return _verify_onedim(space, f, data)
@@ -283,7 +283,7 @@ def _verify_onedim(space, f, data) -> int:
 
 def cmd_render(args) -> int:
     from .svg import render_map
-    space, f, _, _ = pio.instance_from_dict(pio.load_json(args.path))
+    space, f = pio.instance_from_dict(pio.load_json(args.path))
     if space not in (DISC, SPHERE):
         raise ParseError("render supports disc and sphere instances")
     arcs = None

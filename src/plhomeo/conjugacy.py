@@ -8,9 +8,8 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InvalidClass, ParseError, StructureViolated
-from .maps import (PLMap2, compose, first_disagreement, follow, identity_map,
-                   reflection_map, rotation_map, rotoreflection_map)
-from .suspension import Affine, DISC, SPHERE, isometry_affine
+from .maps import PLMap2, compose, first_disagreement, follow, identity_map
+from .suspension import Affine, DISC, SPHERE, band_cells, isometry_affine
 
 IDENTITY, ROTATION, REFLECTION, ROTOREFLECTION = (
     "identity", "rotation", "reflection", "rotoreflection")
@@ -40,23 +39,29 @@ class ModelIsometry:
                                    "does not have period n")
 
     def as_map(self) -> PLMap2:
-        if self.kind == IDENTITY:
-            return identity_map(self.model)
-        if self.kind == ROTATION:
-            return rotation_map(self.model, self.k, self.n)
-        if self.kind == REFLECTION:
-            return reflection_map(self.model)
-        return rotoreflection_map(self.k, self.n)
+        """The isometry as a map: the identity on vertical bands that its
+        shift permutes, followed by ``affine``."""
+        bands = _band_count(self.n) \
+            if self.kind in (ROTATION, ROTOREFLECTION) else 4
+        return follow(identity_map(self.model, band_cells(self.model, bands)),
+                      self.affine())
 
     def affine(self) -> Affine:
-        """The chart affine map of the isometry; ``as_map`` realises the
-        same map, up to horizontal integer shifts, on a band complex.  As
-        there, k and n count only for a rotation or a rotoreflection."""
+        """The chart affine map of the isometry, the one description of it;
+        k and n count only for a rotation or a rotoreflection."""
         if self.kind in (ROTATION, ROTOREFLECTION):
             return isometry_affine(1, Fraction(self.k, self.n),
                                    -1 if self.kind == ROTOREFLECTION else 1)
         return isometry_affine(-1 if self.kind == REFLECTION else 1,
                                Fraction(0), 1)
+
+
+def _band_count(n: int) -> int:
+    """Bands compatible with a shift by multiples of 1/n."""
+    bands = n
+    while bands < 3:
+        bands += n
+    return bands
 
 
 @dataclass

@@ -1,9 +1,11 @@
 """Exception types shared across the package.
 
-Every error carries a CLI exit code: 2 for structural violations, 3 for
-parse errors, and 4 only for NotPeriodic (no period up to the bound).
-Verification failures are reported through return values, not
-exceptions, except where noted.
+Every error carries a CLI exit code: 3 for ParseError (malformed input,
+including a certificate that names an invalid model class), 4 for
+NotPeriodic, and 2 for every other error, each a structural violation
+found in the input or in a construction.  The verdict on a certificate
+is a return value, not an exception; a builder whose own conjugacy fails
+its exact check raises StructureViolated.
 """
 
 
@@ -20,12 +22,8 @@ class OverlayDegenerate(PLHomeoError):
 
 
 class NotPeriodic(PLHomeoError):
-    """No iterate up to the allowed bound is the identity."""
+    """The map is not periodic, or has no period up to the bound searched."""
     exit_code = 4
-
-
-class PeriodicityViolated(PLHomeoError):
-    """Input declared periodic contradicts a forced structure."""
 
 
 class OrientationReversing(PLHomeoError):
@@ -42,10 +40,6 @@ class QuotientPathNotFound(PLHomeoError):
 
 class EmbeddingDegenerate(PLHomeoError):
     """The convex-combination linear system was singular."""
-
-
-class GluingMismatch(PLHomeoError):
-    """Sector boundary values disagree; internal error."""
 
 
 class ArcSearchFailed(PLHomeoError):

@@ -22,12 +22,10 @@ from .suspension import DISC, band_cells, collapsed_levels, s_range
 Q = Fraction
 
 
-def scramble(model: str, seed: int, moves: int,
-             base_cells=None) -> PLMap2:
+def scramble(model: str, seed: int, moves: int) -> PLMap2:
     """The scrambling homeomorphism h, replayable from the seed."""
     rng = random.Random(seed)
-    cells = [tuple(c) for c in (base_cells or band_cells(model, 4))]
-    h = identity_map(model, cells)
+    h = identity_map(model, [tuple(c) for c in band_cells(model, 4)])
     done = 0
     attempts = 0
     while done < moves and attempts < moves * 20:
@@ -60,19 +58,18 @@ def scrambled_conjugate(r: PLMap2, h: PLMap2) -> PLMap2:
 
 
 def make_instance(model: str, kind: str, k: int, n: int, seed: int,
-                  moves: int, check: bool = True):
-    """A model isometry scrambled by `moves` elementary moves.
+                  moves: int):
+    """A model isometry scrambled by `moves` elementary moves, validated.
 
     Returns (f, h, r); f = h r h^-1 and h is the hidden answer key.
     """
     r = ModelIsometry(model, kind, k, n).as_map()
     h = scramble(model, seed, moves)
     f = scrambled_conjugate(r, h)
-    if check:
-        problems = validate_homeo(f)
-        if problems:
-            raise StructureViolated(
-                "generated instance invalid: " + "; ".join(problems))
+    problems = validate_homeo(f)
+    if problems:
+        raise StructureViolated(
+            "generated instance invalid: " + "; ".join(problems))
     return f, h, r
 
 

@@ -10,7 +10,7 @@ import json
 
 from .circle import (CircleCertificate, CirclePL, IntervalPL, LinePL,
                      RotationClass)
-from .conjugacy import Certificate, ModelIsometry
+from .conjugacy import Certificate, ModelIsometry, IDENTITY, REFLECTION
 from .errors import InvalidClass, ParseError, StructureViolated
 from .exact import fmt_rat, parse_rat
 from .maps import PLMap2, from_complex, serializable_parts
@@ -65,11 +65,6 @@ def _int_triples(rows, what: str) -> list[tuple[int, int, int]]:
     return out
 
 
-def circle_to_dict(f: CirclePL) -> dict:
-    return {"type": "circle_pl",
-            "lift": [[fmt_rat(t), fmt_rat(u)] for t, u in f.breaks]}
-
-
 def circle_from_dict(data: dict) -> CirclePL:
     try:
         breaks = tuple((parse_rat(t), parse_rat(u)) for t, u in data["lift"])
@@ -87,7 +82,8 @@ def circle_from_dict(data: dict) -> CirclePL:
 
 
 def circle_to_dict_oriented(f: CirclePL) -> dict:
-    d = circle_to_dict(f)
+    d = {"type": "circle_pl",
+         "lift": [[fmt_rat(t), fmt_rat(u)] for t, u in f.breaks]}
     if len(f.breaks) == 1:
         d["orientation"] = f.orientation
     return d
@@ -123,8 +119,7 @@ def line_from_dict(data: dict) -> LinePL:
         raise ParseError(f"bad line payload: {exc}") from exc
 
 
-def instance_to_dict(space: str, payload, declared_period=None,
-                     marked_points=None) -> dict:
+def instance_to_dict(space: str, payload) -> dict:
     if space not in SPACES:
         raise ParseError(f"unknown space {space!r}")
     if space in (DISC, SPHERE):
@@ -135,15 +130,11 @@ def instance_to_dict(space: str, payload, declared_period=None,
         body = interval_to_dict(payload)
     else:
         body = line_to_dict(payload)
-    out = {"space": space, "map": body}
-    if declared_period is not None:
-        out["declared_period"] = declared_period
-    if marked_points:
-        out["marked_points"] = marked_points
-    return out
+    return {"space": space, "map": body}
 
 
 def instance_from_dict(data: dict):
+    """(space, map); any other key of the instance is ignored."""
     try:
         space = data["space"]
         body = data["map"]
@@ -161,7 +152,7 @@ def instance_from_dict(data: dict):
         f = interval_from_dict(body)
     else:
         f = line_from_dict(body)
-    return space, f, data.get("declared_period"), data.get("marked_points")
+    return space, f
 
 
 def model_to_dict(m: ModelIsometry) -> dict:
@@ -169,9 +160,14 @@ def model_to_dict(m: ModelIsometry) -> dict:
 
 
 def model_from_dict(data: dict) -> ModelIsometry:
+    """k and n must be integers; an identity or a reflection has no class,
+    so it must carry k = 0 and n = 1, as ``model_to_dict`` writes it."""
     try:
-        return ModelIsometry(data["space"], data["kind"],
-                             data.get("k", 0), data.get("n", 1))
+        kind, k, n = data["kind"], data.get("k", 0), data.get("n", 1)
+        if (type(k), type(n)) != (int, int) or \
+                kind in (IDENTITY, REFLECTION) and (k, n) != (0, 1):
+            raise ParseError(f"model {kind!r} with k = {k!r} and n = {n!r}")
+        return ModelIsometry(data["space"], kind, k, n)
     except (KeyError, TypeError, InvalidClass) as exc:
         raise ParseError(f"bad model payload: {exc}") from exc
 

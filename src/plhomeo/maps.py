@@ -25,8 +25,7 @@ from .geom import (Pt, area2, bbox_overlap, clip_convex, point_in_convex,
                    poly_bbox, INSIDE, OUTSIDE)
 from .suspension import (Affine, SuspensionComplex, affine_from_pairs,
                          band_cells, collapsed_levels, complex_check,
-                         is_collapsed, isometry_affine, model_point, s_range,
-                         DISC, SPHERE)
+                         is_collapsed, model_point, s_range, DISC, SPHERE)
 
 Q = Fraction
 
@@ -110,46 +109,6 @@ def identity_map(model: str, cells=None) -> PLMap2:
     if cells is None:
         cells = band_cells(model, 4)
     return PLMap2(model, [CellMap(tuple(c), tuple(c)) for c in cells])
-
-
-# ---------------------------------------------------------------------------
-# model isometries
-
-
-def _band_count(n: int) -> int:
-    """Bands compatible with a shift by multiples of 1/n."""
-    bands = n
-    while bands < 3:
-        bands += n
-    return bands
-
-
-def _band_isometry(model: str, bands: int, t_sign: int, shift: Fraction,
-                   s_sign: int) -> PLMap2:
-    """(t, s) -> (t_sign t + shift, s_sign s) on the band complex."""
-    if (shift * bands).denominator != 1:
-        raise ParseError("band count incompatible with the rotation step")
-    R = isometry_affine(t_sign, shift, s_sign)
-    out = []
-    for c in band_cells(model, bands):
-        _, img = shift_into_unit([R(p) for p in c])
-        out.append(CellMap(tuple(c), img))
-    return PLMap2(model, out)
-
-
-def rotation_map(model: str, k: int, n: int, bands: int | None = None) -> PLMap2:
-    """(t, s) -> (t + k/n, s) on a band complex compatible with the shift."""
-    return _band_isometry(model, bands or _band_count(n), 1, Q(k, n), 1)
-
-
-def reflection_map(model: str, bands: int = 4) -> PLMap2:
-    """(t, s) -> (-t, s); fixed meridians t in {0, 1/2}."""
-    return _band_isometry(model, bands, -1, Q(0), 1)
-
-
-def rotoreflection_map(k: int, n: int, bands: int | None = None) -> PLMap2:
-    """(t, s) -> (t + k/n, -s) on the sphere."""
-    return _band_isometry(SPHERE, bands or _band_count(n), 1, Q(k, n), -1)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ from .exact import mod1
 from .geom import Pt, centroid
 from .maps import (FixedSet, PLMap2, boundary_restriction, compose, evaluate,
                    fixed_set, identity_map, inverse, is_identity,
-                   is_model_rotation, orientation, period, power,
-                   unit_rotation_power, validate_homeo)
+                   orientation, period, power, unit_rotation_power,
+                   validate_homeo)
 from .sectors import (Layout, components, cut_sectors,
                       embed_fundamental_domain, fixed_edges,
                       lifted_quotient_path, line_walk, orbit_cells,
@@ -188,8 +188,6 @@ def t0_cut(f: PLMap2) -> Fraction:
         raise StructureViolated("t0 cut needs an orientation-reversing map")
     if evaluate(f, N_POLE) != S_POLE:
         raise StructureViolated("t0 cut needs a pole-swapping map")
-    if is_model_rotation(power(f, 2)) is None:
-        raise StructureViolated("square of the map is not a model rotation")
     candidates = set()
     for ci, cell in enumerate(f.cells):
         A = f.affine(ci)
@@ -272,8 +270,7 @@ def _normalize_square(f: PLMap2, n: int):
     ana_g = SphereAnalysis("rotation", n // 2, rc.k)
     conj = _build_sphere_rotation(g, ana_g)
     fp = compose(compose(inverse(conj.h), f), conj.h)
-    if is_model_rotation(power(fp, 2)) != Q(conj.model.k, conj.model.n):
-        raise StructureViolated("square did not normalize to its rotation")
+    # require_exact proved h g = r h, so (fp)^2 = h g h^-1 is r exactly
     return fp, conj
 
 
@@ -336,7 +333,7 @@ def _assemble_free_map(f: PLMap2, fs: FreeStructure):
     seg = ((p0[0], t0), (p0[0], Q(1)))
     phi = n // 2 if subcase == "coincident" else None
     m = phi or n  # the sector count
-    # _normalize_square checked (fp)^2 to be the rotation conj certifies
+    # (fp)^2 is exactly the rotation conj certifies (_normalize_square)
     r2 = Q(conj.model.k, conj.model.n) if conj is not None else Q(0)
     if conj is None:
         chord_cuts = [seg]

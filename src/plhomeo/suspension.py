@@ -6,9 +6,11 @@ and s = -1 to the south pole S.  Model isometries are rational affine maps in
 this chart, which is the whole point: euclidean cos(2*pi/n) is irrational,
 suspension coordinates are not.  Each one is a single affine map
 (t, s) -> (+-t + k/n, +-s) up to horizontal integer shifts
-(``isometry_affine``).  The verifier relies on that: it builds model o h
-by following each cell of h with that one map (``maps.follow``), never by
-overlaying a band complex of the model.
+(``isometry_affine``), and it is the one description of the isometry.
+The verifier builds model o h by following each cell of h with that map
+(``maps.follow``), never by overlaying a band complex of the model, and
+``ModelIsometry.as_map`` is the identity on vertical bands followed by
+the same map.
 
 A complex is a set of convex chart cells tiling the unit rectangle
 [0,1] x s-range; vertices on a collapsed line are chart representatives of

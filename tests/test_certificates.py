@@ -1,6 +1,6 @@
-"""Conjugating the frozen benchmark instances reproduces their frozen
-certificates byte for byte, so a change to the construction cannot alter a
-certificate unnoticed.  sphere-rotoreflection-1-2-m10 reaches the
+"""Generating the frozen benchmark instances and conjugating them reproduces
+the frozen instances and certificates byte for byte, so a change to the
+generator or the construction cannot alter either unnoticed.  sphere-rotoreflection-1-2-m10 reaches the
 refine-and-retry loop of the embedding; sphere-rotoreflection-1-4 is the
 one whose square is normalized by a conjugacy first.  ``verify`` prints
 the same verdict, witness and exit code on every frozen certificate,
@@ -18,13 +18,13 @@ import pytest
 
 from plhomeo import cli, sphere
 from plhomeo import io as pio
+from plhomeo.generate import make_instance
 from plhomeo.maps import evaluate
 
 INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
-MANIFEST = json.loads((INPUTS / "manifest.json").read_text())["sha256"]
-
-
-@pytest.mark.parametrize("name", [
+FROZEN = json.loads((INPUTS / "manifest.json").read_text())
+MANIFEST = FROZEN["sha256"]
+NAMES = [
     "disc-reflection-0-2",
     "disc-rotation-1-3",
     "sphere-reflection-0-2",
@@ -32,7 +32,23 @@ MANIFEST = json.loads((INPUTS / "manifest.json").read_text())["sha256"]
     "sphere-rotoreflection-1-2",
     "sphere-rotoreflection-1-2-m10",
     "sphere-rotoreflection-1-4",
-])
+]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_generate_reproduces_frozen_instance(name):
+    """The generator, and the model map it scrambles, reproduce each frozen
+    instance byte for byte; "-m10" marks the one made with 10 moves."""
+    space, kind, k, n = name.split("-")[:4]
+    moves = 10 if name.endswith("-m10") else FROZEN["moves"]
+    f, _, _ = make_instance(space, kind, int(k), int(n), FROZEN["seed"],
+                            moves)
+    text = pio.dumps(pio.instance_to_dict(space, f))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == MANIFEST[f"{name}.json"]
+
+
+@pytest.mark.parametrize("name", NAMES)
 def test_certificate_matches_frozen(name, tmp_path):
     out = tmp_path / f"{name}.cert.json"
     assert cli.main(["conjugate", str(INPUTS / f"{name}.json"),
@@ -93,7 +109,7 @@ def test_verify_output_of_frozen_certificate(name, capsys):
     witness = re.search(r"disagreement at \((\S+), (\S+)\)", out)
     if witness:
         w = (Fraction(witness[1]), Fraction(witness[2]))
-        _, f, _, _ = pio.instance_from_dict(pio.load_json(instance))
+        _, f = pio.instance_from_dict(pio.load_json(instance))
         cert = pio.certificate_from_dict(
             pio.load_json(INPUTS / f"{name}.cert.json"))
         h, model = cert.h, cert.model.as_map()

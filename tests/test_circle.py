@@ -11,8 +11,7 @@ from plhomeo.circle import (CirclePL, IntervalPL, LinePL, circle_identity,
                             fixed_points_reversing, interval_reflection,
                             inverse_circle, is_circle_identity, iterate_circle,
                             period_circle, rotation_number)
-from plhomeo.errors import (NotPeriodic, OrientationReversing,
-                            PeriodicityViolated)
+from plhomeo.errors import NotPeriodic, OrientationReversing
 
 Q = Fraction
 
@@ -96,7 +95,8 @@ def test_rotation_number_additivity():
 
 def test_fixed_points_reversing_models():
     assert fixed_points_reversing(circle_reflection()) == (Q(0), Q(1, 2))
-    assert fixed_points_reversing(circle_reflection(Q(1, 2))) == (Q(1, 4), Q(3, 4))
+    t_to_half_minus_t = CirclePL(((Q(0), Q(1, 2)),), -1)
+    assert fixed_points_reversing(t_to_half_minus_t) == (Q(1, 4), Q(3, 4))
 
 
 def fixed_point_scan_oracle(f: CirclePL):
@@ -122,7 +122,7 @@ def fixed_point_scan_oracle(f: CirclePL):
 def test_fixed_points_scrambled_reversing():
     rng = random.Random(11)
     for _ in range(10):
-        f = scrambled(rng, circle_reflection(Q(1, 2)))
+        f = scrambled(rng, CirclePL(((Q(0), Q(1, 2)),), -1))
         assert f.orientation == -1
         p, q = fixed_points_reversing(f)
         assert list(fixed_point_scan_oracle(f)) == [p, q]
@@ -147,7 +147,7 @@ def test_conjugacy_scrambled_rotation():
 
 
 def test_conjugacy_reversing_quarter_fixed_points():
-    f = circle_reflection(Q(1, 2))  # fixed points {1/4, 3/4}
+    f = CirclePL(((Q(0), Q(1, 2)),), -1)  # fixed points {1/4, 3/4}
     cert = conjugate_circle_to_model(f)
     assert cert.kind == "reflection"
     lhs = compose_circle(f, cert.h)
@@ -161,7 +161,7 @@ def test_conjugacy_reversing_quarter_fixed_points():
 def test_conjugacy_scrambled_reversing():
     rng = random.Random(13)
     for _ in range(8):
-        f = scrambled(rng, circle_reflection(Q(1, 3)))
+        f = scrambled(rng, CirclePL(((Q(0), Q(1, 3)),), -1))
         cert = conjugate_circle_to_model(f)
         lhs = compose_circle(f, cert.h)
         rhs = compose_circle(cert.h, circle_reflection())
@@ -204,10 +204,8 @@ def test_classify_interval_pl_involution():
 
 def test_classify_interval_violation():
     f = IntervalPL(((Q(0), Q(0)), (Q(1, 2), Q(1, 4)), (Q(1), Q(1))))
-    with pytest.raises(PeriodicityViolated):
-        classify_interval(f, declared_periodic=True)
     with pytest.raises(NotPeriodic):
-        classify_interval(f, declared_periodic=False)
+        classify_interval(f)
 
 
 def test_classify_interval_non_involution():
@@ -248,7 +246,7 @@ def test_classify_line_pl_involution():
 
 def test_classify_line_not_periodic():
     f = LinePL(((Q(0), Q(1)),), Q(1), Q(1))  # x + 1: increasing, not id
-    with pytest.raises(PeriodicityViolated):
+    with pytest.raises(NotPeriodic):
         classify_line(f)
     g = LinePL(((Q(0), Q(0)), (Q(1), Q(-2))), Q(1), Q(2))  # decreasing, not involutive
     with pytest.raises(NotPeriodic):

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from plhomeo.maps import CellMap, PLMap2, shift_into_unit
 from plhomeo.suspension import DISC, SPHERE, band_cells
 
 Q = Fraction
+INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 
 
 @pytest.fixture(scope="module")
@@ -81,16 +83,36 @@ def _model_on_the_other_space(cert):
     cert["model"]["space"] = "sphere"
 
 
+def _class_a_boolean(cert):
+    cert["model"]["k"] = True
+
+
+def _rotation_renamed_reflection(cert):
+    # a reflection carries no class; this one keeps k = 1 and n = 3
+    cert["model"]["kind"] = "reflection"
+
+
 @pytest.mark.parametrize("damage", [
     _triangle_index_out_of_range, _images_cut_short, _lifts_cut_short,
     _integer_coordinate, _pins_not_a_mapping, _class_not_reduced,
-    _unknown_kind, _period_zero, _model_on_the_other_space])
+    _unknown_kind, _period_zero, _model_on_the_other_space, _class_a_boolean,
+    _rotation_renamed_reflection])
 def test_verify_malformed_certificate_is_a_parse_error(
         disc_rotation, tmp_path, capsys, damage):
     inst, cert = disc_rotation
     cert = json.loads(json.dumps(cert))
     damage(cert)
     assert _verify(tmp_path, inst, cert) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name, k, n", [
+    ("disc-reflection-0-2", 5, 0), ("sphere-reflection-0-2", "x", [1])])
+def test_verify_reflection_with_a_class_is_a_parse_error(
+        tmp_path, capsys, name, k, n):
+    cert = json.loads((INPUTS / f"{name}.cert.json").read_text())
+    cert["model"]["k"], cert["model"]["n"] = k, n
+    assert _verify(tmp_path, INPUTS / f"{name}.json", cert) == 3
     assert capsys.readouterr().err.startswith("error: ")
 
 

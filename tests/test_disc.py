@@ -5,15 +5,14 @@ import pytest
 
 from plhomeo.circle import (circle_rotation, compose_circle,
                             is_circle_identity, rotation_number)
-from plhomeo.conjugacy import check_certificate
+from plhomeo.conjugacy import ModelIsometry, check_certificate
 from plhomeo.disc import (analyze_disc, build_conjugacy_reflection,
                           build_conjugacy_rotation, sector_decomposition)
 from plhomeo.errors import NotPeriodic, StructureViolated
 from plhomeo.generate import make_instance
 from plhomeo.maps import (CellMap, PLMap2, boundary_restriction, compose,
                           evaluate, first_disagreement, identity_map, inverse,
-                          is_identity, power, reflection_map, rotation_map,
-                          validate_homeo)
+                          is_identity, power, validate_homeo)
 from plhomeo.suspension import DISC, band_cells
 
 Q = Fraction
@@ -24,7 +23,7 @@ def pt(x, y):
 
 
 def test_analyze_model_rotation():
-    ana = analyze_disc(rotation_map(DISC, 2, 5))
+    ana = analyze_disc(ModelIsometry(DISC, "rotation", 2, 5).as_map())
     assert (ana.kind, ana.k, ana.n) == ("rotation", 2, 5)
     assert ana.fixed.zero[0] == pt(0, 0)
 
@@ -34,7 +33,7 @@ def test_analyze_identity():
 
 
 def test_analyze_model_reflection():
-    ana = analyze_disc(reflection_map(DISC))
+    ana = analyze_disc(ModelIsometry(DISC, "reflection").as_map())
     assert ana.kind == "reflection" and ana.n == 2
     assert ana.fixed.one[0][0][1] == 1 and ana.fixed.one[0][-1][1] == 1
 
@@ -91,7 +90,8 @@ def test_rigidity_check_cases():
     # a periodic map that is the identity on the boundary is the identity;
     # data that claims otherwise is not a homeomorphism and is refused
     assert analyze_disc(identity_map(DISC)).kind == "identity"
-    assert analyze_disc(rotation_map(DISC, 1, 3)).kind == "rotation"
+    third = ModelIsometry(DISC, "rotation", 1, 3).as_map()
+    assert analyze_disc(third).kind == "rotation"
     # corrupted data: boundary identity, two interior blocks swapped by a
     # translation -- cellwise affine, exactly of period 2, discontinuous
     cells = grid_cells(4, 2)
@@ -115,7 +115,7 @@ def test_rigidity_check_cases():
 
 
 def test_sector_decomposition_model():
-    f = rotation_map(DISC, 1, 4)
+    f = ModelIsometry(DISC, "rotation", 1, 4).as_map()
     dec = sector_decomposition(f, 4)
     k = dec.complex
     assert len(dec.sectors) == 4
@@ -140,7 +140,7 @@ def test_sector_decomposition_scrambled():
 
 
 def test_conjugacy_model_rotation():
-    f = rotation_map(DISC, 1, 4)
+    f = ModelIsometry(DISC, "rotation", 1, 4).as_map()
     cert = build_conjugacy_rotation(f, analyze_disc(f))
     assert cert.exact
     assert (cert.model.kind, cert.model.k, cert.model.n) == ("rotation", 1, 4)
@@ -165,18 +165,8 @@ def test_conjugacy_scrambled_rotation_k2_n5():
     assert validate_homeo(cert.h) == []
 
 
-def test_conjugacy_with_boundary_pin():
-    f, h, r = make_instance(DISC, "rotation", 1, 3, seed=8, moves=8)
-    base = build_conjugacy_rotation(f, analyze_disc(f))
-    pin = boundary_restriction(base.h)
-    cert = build_conjugacy_rotation(f, analyze_disc(f), boundary_pin=pin)
-    assert cert.exact
-    assert boundary_restriction(cert.h).equals(pin)
-    assert validate_homeo(cert.h) == []
-
-
 def test_conjugacy_model_reflection():
-    f = reflection_map(DISC)
+    f = ModelIsometry(DISC, "reflection").as_map()
     cert = build_conjugacy_reflection(f, analyze_disc(f))
     assert cert.exact and cert.model.kind == "reflection"
 

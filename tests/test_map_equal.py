@@ -45,7 +45,7 @@ TAMPERED = ["disc-rotation-1-3.k-changed", "sphere-rotation-1-3.vertex-moved"]
 
 
 def _load(name):
-    _, f, _, _ = pio.instance_from_dict(
+    _, f = pio.instance_from_dict(
         pio.load_json(INPUTS / f"{name.split('.')[0]}.json"))
     cert = pio.certificate_from_dict(
         pio.load_json(INPUTS / f"{name}.cert.json"))

@@ -9,10 +9,9 @@ from plhomeo.errors import ParseError, StructureViolated
 from plhomeo.maps import (CellMap, PLMap2, boundary_restriction, compose,
                           evaluate, first_disagreement, fixed_set, follow,
                           identity_map, inverse, is_identity, map_equal,
-                          orientation, period, power, reflection_map,
-                          rotation_map, rotoreflection_map, serializable_parts,
+                          orientation, period, power, serializable_parts,
                           from_complex, validate_homeo)
-from plhomeo.suspension import DISC, SPHERE, band_cells
+from plhomeo.suspension import DISC, SPHERE, band_cells, isometry_affine
 
 Q = Fraction
 
@@ -41,7 +40,7 @@ def test_identity_basics():
 
 
 def test_rotation_map_validates_and_evaluates():
-    f = rotation_map(DISC, 1, 4)
+    f = ModelIsometry(DISC, "rotation", 1, 4).as_map()
     assert validate_homeo(f) == []
     assert evaluate(f, pt(0, Q(1, 2))) == pt(Q(1, 4), Q(1, 2))
     assert evaluate(f, pt(Q(7, 8), Q(1, 2))) == pt(Q(1, 8), Q(1, 2))
@@ -50,15 +49,17 @@ def test_rotation_map_validates_and_evaluates():
 
 
 def test_rotation_period_and_power():
-    f = rotation_map(DISC, 1, 6)
+    f = ModelIsometry(DISC, "rotation", 1, 6).as_map()
     assert period(f) == 6
     assert is_identity(power(f, 6))
     assert not is_identity(power(f, 3))
-    assert first_disagreement(power(f, 2), rotation_map(DISC, 2, 6)) is None
+    by_2_6 = follow(identity_map(DISC, band_cells(DISC, 6)),
+                    isometry_affine(1, Q(2, 6), 1))
+    assert first_disagreement(power(f, 2), by_2_6) is None
 
 
 def test_reflection_map():
-    f = reflection_map(DISC)
+    f = ModelIsometry(DISC, "reflection").as_map()
     assert validate_homeo(f) == []
     assert orientation(f) == "reversing"
     assert period(f) == 2
@@ -66,25 +67,27 @@ def test_reflection_map():
 
 
 def test_rotoreflection_period():
-    f = rotoreflection_map(1, 4)
+    f = ModelIsometry(SPHERE, "rotoreflection", 1, 4).as_map()
     assert validate_homeo(f) == []
     assert orientation(f) == "reversing"
     # square is the rotation by 1/2, so the period is 4
     sq = power(f, 2)
-    assert first_disagreement(sq, rotation_map(SPHERE, 1, 2, bands=4)) is None
+    half = ModelIsometry(SPHERE, "rotation", 1, 2).as_map()   # on 4 bands
+    assert first_disagreement(sq, half) is None
     assert period(f) == 4
 
 
 def test_rotoreflection_period_n8():
-    f = rotoreflection_map(3, 8)
+    f = ModelIsometry(SPHERE, "rotoreflection", 3, 8).as_map()
     assert period(f) == 8
     assert fixed_set(f).is_empty()
 
 
 def test_compose_pointwise_oracle():
     rng = random.Random(5)
-    a = rotation_map(DISC, 1, 3)
-    b = reflection_map(DISC, bands=6)
+    a = ModelIsometry(DISC, "rotation", 1, 3).as_map()
+    b = follow(identity_map(DISC, band_cells(DISC, 6)),
+               ModelIsometry(DISC, "reflection").affine())
     c = compose(a, b)
     assert validate_homeo(c) == []
     for p in rational_points(DISC, rng, 200):
@@ -92,21 +95,23 @@ def test_compose_pointwise_oracle():
 
 
 def test_compose_inverse_identity():
-    f = compose(rotation_map(DISC, 2, 5), reflection_map(DISC, bands=5))
+    f = compose(ModelIsometry(DISC, "rotation", 2, 5).as_map(),
+                follow(identity_map(DISC, band_cells(DISC, 5)),
+                       ModelIsometry(DISC, "reflection").affine()))
     g = compose(f, inverse(f))
     assert is_identity(g)
     assert is_identity(compose(inverse(f), f))
 
 
 def test_sphere_rotation_fixed_set_is_poles():
-    f = rotation_map(SPHERE, 1, 3)
+    f = ModelIsometry(SPHERE, "rotation", 1, 3).as_map()
     fs = fixed_set(f)
     assert fs.zero == [pt(0, -1), pt(0, 1)]
     assert not fs.one and not fs.two and not fs.everything
 
 
 def test_disc_rotation_fixed_set_is_center():
-    f = rotation_map(DISC, 1, 4)
+    f = ModelIsometry(DISC, "rotation", 1, 4).as_map()
     fs = fixed_set(f)
     assert fs.zero == [pt(0, 0)]
     assert not fs.one
@@ -117,7 +122,7 @@ def test_identity_fixed_set_everything():
 
 
 def test_reflection_fixed_set_is_diameter():
-    f = reflection_map(DISC)
+    f = ModelIsometry(DISC, "reflection").as_map()
     fs = fixed_set(f)
     assert fs.zero == [] and len(fs.one) == 1 and not fs.everything
     chain = fs.one[0]
@@ -125,7 +130,7 @@ def test_reflection_fixed_set_is_diameter():
 
 
 def test_sphere_reflection_fixed_circle():
-    f = reflection_map(SPHERE)
+    f = ModelIsometry(SPHERE, "reflection").as_map()
     fs = fixed_set(f)
     assert len(fs.one) == 1
     chain = fs.one[0]
@@ -144,30 +149,32 @@ def test_equator_reflection_fixed_circle_avoids_poles():
 
 
 def test_boundary_restriction_rotation():
-    f = rotation_map(DISC, 1, 3)
+    f = ModelIsometry(DISC, "rotation", 1, 3).as_map()
     b = boundary_restriction(f)
     rc = rotation_number(b)
     assert (rc.k, rc.n) == (1, 3)
 
 
 def test_boundary_restriction_reflection():
-    f = reflection_map(DISC)
+    f = ModelIsometry(DISC, "reflection").as_map()
     b = boundary_restriction(f)
     assert b.orientation == -1
     assert b(Q(0)) == 0 and b(Q(1, 4)) == Q(3, 4)
 
 
 def test_map_equality_mod_representation():
-    f = rotation_map(DISC, 1, 4, bands=4)
-    g = rotation_map(DISC, 1, 4, bands=8)
+    quarter = ModelIsometry(DISC, "rotation", 1, 4)
+    f = quarter.as_map()   # on 4 bands
+    g = follow(identity_map(DISC, band_cells(DISC, 8)), quarter.affine())
     assert first_disagreement(f, g) is None
-    w = first_disagreement(f, rotation_map(DISC, 3, 4))
+    three_quarters = ModelIsometry(DISC, "rotation", 3, 4).as_map()
+    w = first_disagreement(f, three_quarters)
     assert w is not None
-    assert evaluate(f, w) != evaluate(rotation_map(DISC, 3, 4), w)
+    assert evaluate(f, w) != evaluate(three_quarters, w)
 
 
 def test_map_equal_ignores_integer_shifts_of_images():
-    f = rotation_map(DISC, 3, 4)
+    f = ModelIsometry(DISC, "rotation", 3, 4).as_map()
     g = PLMap2(DISC, [CellMap(c.poly, tuple((x + 1, y) for x, y in c.img))
                       for c in f.cells])
     assert first_disagreement(f, g) is None
@@ -175,17 +182,20 @@ def test_map_equal_ignores_integer_shifts_of_images():
 
 
 def test_maps_on_different_models_are_not_compared():
-    f, g = rotation_map(DISC, 1, 4), rotation_map(SPHERE, 1, 4)
+    quarter = ModelIsometry(DISC, "rotation", 1, 4)
+    f = quarter.as_map()
+    g = ModelIsometry(SPHERE, "rotation", 1, 4).as_map()
     with pytest.raises(ParseError):
         first_disagreement(f, g)
     assert not map_equal(f, g)
-    assert map_equal(f, rotation_map(DISC, 1, 4, bands=8))
+    assert map_equal(f, follow(identity_map(DISC, band_cells(DISC, 8)),
+                               quarter.affine()))
 
 
 def test_map_equal_refuses_a_map_that_does_not_tile():
     # a cell of f left uncovered without a differing neighbour, or covered
     # twice, shows that the second map does not tile the chart
-    f = rotation_map(DISC, 1, 4)
+    f = ModelIsometry(DISC, "rotation", 1, 4).as_map()
     for g in (PLMap2(DISC, f.cells[1:]), PLMap2(DISC, f.cells + f.cells[:1])):
         with pytest.raises(StructureViolated):
             first_disagreement(f, g)
@@ -233,7 +243,8 @@ def test_follow_cuts_cells_at_the_meridian(model):
 
 
 def test_serialization_roundtrip():
-    f = compose(rotation_map(DISC, 1, 4), reflection_map(DISC, bands=4))
+    f = compose(ModelIsometry(DISC, "rotation", 1, 4).as_map(),
+                ModelIsometry(DISC, "reflection").as_map())
     cx, img_verts, img_lifts = serializable_parts(f)
     g = from_complex(cx, img_verts, img_lifts)
     assert first_disagreement(f, g) is None

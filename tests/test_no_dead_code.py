@@ -3,8 +3,10 @@
 Every top-level function and class in ``src/plhomeo`` must be referenced by
 name from ``src/`` outside its own body, every imported name must be used
 in the module that imports it, every field of a dataclass must be read
-as an attribute somewhere in ``src/``, and every parameter of a function or
-lambda must be read in its body.
+as an attribute somewhere in ``src/``, every parameter of a function or
+lambda must be read in its body, and every parameter with a default must
+be set by some call in ``src/``: a default that no caller overrides is a
+knob nothing turns.
 """
 
 import ast
@@ -23,6 +25,10 @@ ALLOWED_UNREFERENCED = {"convex_touch", "map_equal"}
 # bench/test_bench.py reads plhomeo.cli.compose and plhomeo.disc.compose
 # to check that its tracer patches the name in every module that imports it.
 ALLOWED_UNUSED_IMPORTS = {("cli", "compose"), ("disc", "compose")}
+
+# cli.main is the entry point: the tests and bench/ call it with an argv
+# list, and the console script calls it without one.
+ALLOWED_UNSET_DEFAULTS = {"cli.main.argv"}
 
 
 def _modules():
@@ -110,3 +116,37 @@ def test_every_parameter_is_read():
             unread += [f"{name}.{label}.{p.arg}" for p in params
                        if p.arg not in read]
     assert unread == []
+
+
+def test_every_default_is_set_by_a_caller():
+    """A defaulted parameter counts as set when some call passes a keyword
+    of its name, or enough positional arguments to a function of its
+    name."""
+    inf = float("inf")
+    keywords, positional = set(), Counter()
+    for tree in _modules().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else \
+                    f.attr if isinstance(f, ast.Attribute) else None
+                keywords.update(k.arg for k in node.keywords)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                positional[name] = max(positional[name],
+                                       inf if starred else len(node.args))
+    unset = []
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args
+            first = len(params) - len(a.defaults)
+            # each defaulted parameter, with the positional count reaching it
+            defaulted = [(p.arg, i + 1) for i, p in enumerate(params)
+                         if i >= first] \
+                + [(p.arg, inf) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                   if d is not None]
+            unset += [f"{module}.{node.name}.{arg}" for arg, reach in defaulted
+                      if arg not in keywords and positional[node.name] < reach]
+    assert [u for u in unset if u not in ALLOWED_UNSET_DEFAULTS] == []

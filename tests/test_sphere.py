@@ -4,16 +4,15 @@ from fractions import Fraction
 import pytest
 
 from plhomeo.circle import rotation_number
-from plhomeo.conjugacy import check_certificate
+from plhomeo.conjugacy import ModelIsometry, check_certificate
 from plhomeo.errors import NotPeriodic, StructureViolated
 from plhomeo.generate import make_instance, scramble, scrambled_conjugate
 from plhomeo.maps import (CellMap, PLMap2, boundary_restriction, compose,
-                          evaluate, fixed_set, identity_map, inverse, period,
-                          power, reflection_map, rotation_map,
-                          rotoreflection_map, validate_homeo)
+                          evaluate, fixed_set, follow, identity_map, inverse,
+                          is_model_rotation, period, power, validate_homeo)
 from plhomeo.sphere import (analyze_sphere, build_conjugacy_fixedpoint,
-                            build_conjugacy_free, is_model_rotation, t0_cut)
-from plhomeo.suspension import SPHERE, band_cells
+                            build_conjugacy_free, t0_cut)
+from plhomeo.suspension import SPHERE, band_cells, isometry_affine
 
 Q = Fraction
 
@@ -23,12 +22,12 @@ def pt(x, y):
 
 
 def test_analyze_model_rotation():
-    ana = analyze_sphere(rotation_map(SPHERE, 1, 3))
+    ana = analyze_sphere(ModelIsometry(SPHERE, "rotation", 1, 3).as_map())
     assert (ana.kind, ana.k, ana.n) == ("rotation", 1, 3)
 
 
 def test_analyze_model_reflection():
-    ana = analyze_sphere(reflection_map(SPHERE))
+    ana = analyze_sphere(ModelIsometry(SPHERE, "reflection").as_map())
     assert ana.kind == "reflection" and ana.n == 2
     assert ana.fixed.one[0][0] == ana.fixed.one[0][-1]
 
@@ -43,14 +42,16 @@ def test_analyze_equator_reflection():
 
 
 def test_analyze_model_rotoreflection():
-    ana = analyze_sphere(rotoreflection_map(1, 4))
+    f = ModelIsometry(SPHERE, "rotoreflection", 1, 4).as_map()
+    ana = analyze_sphere(f)
     assert (ana.kind, ana.k, ana.n) == ("rotoreflection", 1, 4)
 
 
 def test_equator_reflection_gets_twice_the_link_period_of_its_square():
     # it swaps the poles and squares to the identity; the rotoreflection
     # 1/4, whose square is the rotation 1/2, is test_rotoreflection_period
-    equator = rotoreflection_map(0, 2)
+    equator = follow(identity_map(SPHERE, band_cells(SPHERE, 4)),
+                     isometry_affine(1, Q(0), -1))
     assert evaluate(equator, pt(0, 1)) == pt(0, -1)
     assert period(equator) == 2
     assert analyze_sphere(equator).n == 2
@@ -74,7 +75,7 @@ def test_link_periodic_but_squeezing_map_is_not_periodic():
 
     sq = PLMap2(SPHERE, [CellMap(c, tuple(squeeze(p) for p in c))
                          for c in cells])
-    f = compose(rotation_map(SPHERE, 1, 3), sq)
+    f = compose(ModelIsometry(SPHERE, "rotation", 1, 3).as_map(), sq)
     assert validate_homeo(f) == []
     link = rotation_number(boundary_restriction(f))
     assert (link.k, link.n) == (1, 3)
@@ -98,7 +99,7 @@ def test_analyze_off_pole_fixed_points_rejected():
 
 
 def test_conjugacy_model_sphere_rotation():
-    f = rotation_map(SPHERE, 1, 3)
+    f = ModelIsometry(SPHERE, "rotation", 1, 3).as_map()
     cert = build_conjugacy_fixedpoint(f, analyze_sphere(f))
     assert cert.exact
     assert (cert.model.kind, cert.model.k, cert.model.n) == ("rotation", 1, 3)
@@ -122,7 +123,7 @@ def test_conjugacy_scrambled_sphere_rotation_k2():
 
 
 def test_conjugacy_model_sphere_reflection():
-    f = reflection_map(SPHERE)
+    f = ModelIsometry(SPHERE, "reflection").as_map()
     cert = build_conjugacy_fixedpoint(f, analyze_sphere(f))
     assert cert.exact and cert.model.kind == "reflection"
 
@@ -139,7 +140,7 @@ def test_conjugacy_scrambled_sphere_reflection():
 
 
 def test_t0_model_rotoreflection():
-    f = rotoreflection_map(1, 4)
+    f = ModelIsometry(SPHERE, "rotoreflection", 1, 4).as_map()
     assert t0_cut(f) == 0
 
 
@@ -268,14 +269,14 @@ def test_t0_matches_scan_oracle():
 
 
 def test_conjugacy_model_rotoreflection():
-    f = rotoreflection_map(1, 4)
+    f = ModelIsometry(SPHERE, "rotoreflection", 1, 4).as_map()
     cert = build_conjugacy_free(f, analyze_sphere(f))
     assert cert.exact
     assert (cert.model.k, cert.model.n) == (1, 4)
 
 
 def test_conjugacy_model_antipodal():
-    f = rotoreflection_map(1, 2)
+    f = ModelIsometry(SPHERE, "rotoreflection", 1, 2).as_map()
     cert = build_conjugacy_free(f, analyze_sphere(f))
     assert cert.exact and (cert.model.k, cert.model.n) == (1, 2)
 
@@ -290,7 +291,7 @@ def test_conjugacy_scrambled_rotoreflection():
 
 def test_conjugacy_subcase_a():
     # gcd(2k, n) = 2 with k even: the orbit of P0 closes at i = n/2 odd
-    f = rotoreflection_map(2, 6)
+    f = ModelIsometry(SPHERE, "rotoreflection", 2, 6).as_map()
     cert = build_conjugacy_free(f, analyze_sphere(f))
     assert cert.exact
     assert (cert.model.k, cert.model.n) == (2, 6)
@@ -324,6 +325,6 @@ def test_normalize_plane():
 
 
 def test_normalize_plane_rejects_pole_swap():
-    f = rotoreflection_map(1, 4)
+    f = ModelIsometry(SPHERE, "rotoreflection", 1, 4).as_map()
     with pytest.raises(StructureViolated):
         build_conjugacy_fixedpoint(f, analyze_sphere(f))
