@@ -1,9 +1,17 @@
 """Periodic PL homeomorphisms in one dimension.
 
-Interval and line maps are classified directly (identity, or conjugate to
-the standard involution); circle maps get exact rotation numbers, fixed
-points, and explicit PL conjugacies to the model rotation or reflection.
-Map equality is decided on a normalized breakpoint form.
+Every periodic map here is conjugated to its model isometry r by averaging
+its orbit: h = (1/n) sum_{j<n} r^-j o f^j.  Then h o f = r o h, since
+composing with f shifts the sum by one term, and h is increasing, since an
+average of increasing maps is increasing.  On the circle this reads, on
+lifts, h(t) = (1/n) sum_j sigma^j (F^j(t) - j K/n), with sigma the
+orientation of f and K = F^n(0) (K = 0 when f reverses orientation, whose
+period is 2); h breaks only on the f-orbit of f's breaks.  On the interval
+and the line, f is the identity or an involution, and h(x) = (x + 1 -
+f(x)) / 2 conjugates f to x -> 1 - x.  The construction is 1-D only: in
+the plane an average of homeomorphisms need not be injective, which is why
+the disc and the sphere need Kerekjarto's construction.  Map equality is
+decided on a normalized breakpoint form.
 """
 
 from __future__ import annotations
@@ -225,59 +233,70 @@ class RotationClass:
         return Q(self.k, self.n)
 
 
+def _lift_orbit(f: CirclePL, t: Fraction, m: int) -> list[Fraction]:
+    """[t, F(t), ..., F^m(t)] on the lift."""
+    out = [t]
+    for _ in range(m):
+        out.append(f.lift(out[-1]))
+    return out
+
+
+def _proved_period(f: CirclePL) -> int:
+    """The period of f: searched for when f preserves orientation, 2 when
+    it reverses orientation and f^2 = id."""
+    if f.orientation == 1:
+        n = period_circle(f)
+        if n is None:
+            raise NotPeriodic(f"no period up to {MAX_PERIOD}")
+        return n
+    if not is_circle_identity(iterate_circle(f, 2)):
+        raise NotPeriodic("reversing map with f^2 != id is not periodic")
+    return 2
+
+
 def rotation_number(f: CirclePL, n: int | None = None) -> RotationClass:
-    """Cyclic displacement k/n of the orbit of 0 under a periodic map of
-    period n; n is searched for with ``period_circle`` when not given."""
+    """The class k/n of a map of period n: k = F^n(0) mod n, since F^n is
+    the translation by the integer F^n(0); n is searched for with
+    ``period_circle`` when not given."""
     if f.orientation == -1:
         raise OrientationReversing(
             "rotation number undefined for reversing maps; "
             "use fixed_points_reversing")
     if n is None:
-        n = period_circle(f)
-    if n is None:
-        raise NotPeriodic(f"no period up to {MAX_PERIOD}")
-    if n == 1:
-        return RotationClass(0, 1)
-    orbit = [Q(0)]
-    for _ in range(n - 1):
-        orbit.append(f(orbit[-1]))
-    order = sorted(range(n), key=lambda i: orbit[i])
-    pos = {i: j for j, i in enumerate(order)}
-    k = (pos[1] - pos[0]) % n
-    for i in range(n):
-        if pos[(i + 1) % n] != (pos[i] + k) % n:
-            raise StructureViolated("orbit is not cyclically coherent")
-    return RotationClass(k, n)
+        n = _proved_period(f)
+    big_k = _lift_orbit(f, Q(0), n)[-1]
+    if big_k.denominator != 1:
+        raise StructureViolated(
+            f"F^{n}(0) = {big_k} is not an integer: {n} is not a period")
+    return RotationClass(big_k.numerator % n, n)
+
+
+def average_conjugacy(f: CirclePL, n: int) -> CirclePL:
+    """h = (1/n) sum_j sigma^j (F^j - j K/n) on lifts, for f of period n:
+    h o f = r o h for the model rotation K/n, or the reflection t -> -t
+    when f reverses orientation (K = 0).  h breaks on the f-orbit of f's
+    breaks, where every F^j does."""
+    sign = f.orientation
+    big_k = _lift_orbit(f, Q(0), n)[-1] if sign == 1 else 0
+    ts = sorted({mod1(x) for t, _ in f.breaks
+                 for x in _lift_orbit(f, t, n - 1)})
+    pts = []
+    for t in ts:
+        orbit = _lift_orbit(f, t, n - 1)
+        pts.append((t, sum(sign ** j * (x - j * Q(big_k, n))
+                           for j, x in enumerate(orbit)) / n))
+    return CirclePL(tuple(pts), 1).normalize()
 
 
 def fixed_points_reversing(f: CirclePL) -> tuple[Fraction, Fraction]:
-    """The two fixed angles of an orientation-reversing periodic map."""
+    """The two fixed angles of an orientation-reversing periodic map: if
+    f(p) = p, then F(p) = p + m and h(p) = -m/2 for the averaged h, so the
+    fixed points are h^-1(0) and h^-1(1/2)."""
     if f.orientation != -1:
         raise OrientationReversing("map must reverse orientation")
-    if not is_circle_identity(iterate_circle(f, 2)):
-        raise NotPeriodic("reversing map with f^2 != id is not periodic")
-    t0, u0 = f.breaks[0]
-    bs = list(f.breaks) + [(t0 + 1, u0 - 1)]
-    found: list[Fraction] = []
-    for (ta, ua), (tb, ub) in zip(bs, bs[1:]):
-        # solve u(t) = t + k on the segment; u - t strictly decreasing
-        hi, lo = ua - ta, ub - tb
-        k = floor(hi)
-        while k >= ceil(lo):
-            # u(t) - t = k  with u linear on [ta, tb]
-            if lo <= k <= hi:
-                s = (ub - ua) / (tb - ta)
-                t = (k + ta * s - ua) / (s - 1)
-                if ta <= t <= tb:
-                    x = mod1(t)
-                    if x not in found:
-                        found.append(x)
-            k -= 1
-    if len(found) != 2:
-        raise StructureViolated(
-            f"reversing map must have exactly two fixed points, got {len(found)}")
-    found.sort()
-    return found[0], found[1]
+    hinv = inverse_circle(average_conjugacy(f, _proved_period(f)))
+    p, q = sorted((hinv(Q(0)), hinv(Q(1, 2))))
+    return p, q
 
 
 @dataclass(frozen=True)
@@ -297,16 +316,13 @@ class CircleCertificate:
 
 
 def conjugate_circle_to_model(f: CirclePL) -> CircleCertificate:
-    if f.orientation == 1:
-        rc = rotation_number(f)
-        if rc.n == 1:
-            return CircleCertificate("identity", rc, circle_identity(), True)
-        cert = CircleCertificate("rotation", rc, _conjugacy_preserving(f, rc),
-                                 True)
+    n = _proved_period(f)
+    h = average_conjugacy(f, n)
+    if f.orientation == -1:
+        cert = CircleCertificate("reflection", None, h, True)
     else:
-        p, q = fixed_points_reversing(f)
-        cert = CircleCertificate("reflection", None,
-                                 _conjugacy_reversing(f, p, q), True)
+        cert = CircleCertificate("identity" if n == 1 else "rotation",
+                                 rotation_number(f, n), h, True)
     if not circle_conjugacy_holds(f, cert.h, cert.model_map()):
         raise StructureViolated("constructed conjugacy failed exact check")
     return cert
@@ -315,61 +331,6 @@ def conjugate_circle_to_model(f: CirclePL) -> CircleCertificate:
 def circle_conjugacy_holds(f: CirclePL, h: CirclePL, r: CirclePL) -> bool:
     """h o f = r o h, exactly."""
     return compose_circle(f, h).equals(compose_circle(h, r))
-
-
-def _conjugacy_preserving(f: CirclePL, rc: RotationClass) -> CirclePL:
-    """h with h(f(x)) = h(x) + k/n, equivariant over the orbit of 0."""
-    n, k = rc.n, rc.k
-    orbit = [Q(0)]
-    for _ in range(n - 1):
-        orbit.append(f(orbit[-1]))
-    s = sorted(orbit)
-    finv = inverse_circle(f)
-    pts: list[tuple[Fraction, Fraction]] = []
-    for m in range(n):
-        j = (m * pow(k, -1, n)) % n  # f^j maps arc_0 onto arc_m
-        gj = iterate_circle(finv, j)
-        a = s[m]
-        length = mod1(s[(m + 1) % n] - a) or Q(1)
-        base_len = mod1(s[1] - s[0])
-        xs = {a}
-        for t, _ in gj.breaks:
-            if 0 < mod1(t - a) < length:
-                xs.add(a + mod1(t - a))
-        for x in sorted(xs):
-            z = gj(mod1(x))
-            zlift = s[0] + mod1(z - s[0])
-            u = Q(m, n) + (zlift - s[0]) / base_len / n
-            pts.append((mod1(x), u))
-    pts.sort()
-    return CirclePL(tuple(pts), 1).normalize()
-
-
-def _conjugacy_reversing(f: CirclePL, p: Fraction, q: Fraction) -> CirclePL:
-    """h sending fixed points to {0, 1/2}; h = -(h o f) on the second arc.
-
-    The lift rises from h(p) = 0 through h(q) = 1/2 over arc1 = [p, q] and
-    continues to 1 over arc2; breakpoints left of p take the branch - 1.
-    """
-    l1 = mod1(q - p)
-    l2 = 1 - l1
-
-    def h1(z: Fraction) -> Fraction:  # parameter along arc1 = [p, q]
-        return mod1(z - p) / l1 / 2
-
-    pts: list[tuple[Fraction, Fraction]] = [(mod1(p), Q(0)), (mod1(q), Q(1, 2))]
-    for t, _ in f.breaks:
-        if 0 < mod1(t - q) < l2:
-            x = mod1(q + mod1(t - q))
-            pts.append((x, 1 - h1(f(x))))
-    out = []
-    for x, u in pts:
-        if x < mod1(p):
-            out.append((x, u - 1))
-        else:
-            out.append((x, u))
-    out.sort()
-    return CirclePL(tuple(out), 1).normalize()
 
 
 # ---------------------------------------------------------------------------
@@ -451,25 +412,32 @@ def inverse_interval(f: IntervalPL) -> IntervalPL:
 
 
 @dataclass(frozen=True)
-class IntervalClassification:
+class Classification:
+    """An interval or line map: the identity, or an involution with its
+    conjugacy h to x -> 1 - x and its fixed point."""
     kind: str                  # "identity" | "involution"
-    h: IntervalPL | None       # conjugacy to x -> 1 - x when kind == involution
+    h: IntervalPL | LinePL | None
     fixed_point: Fraction | None
 
 
-def classify_interval(f: IntervalPL) -> IntervalClassification:
+def _averaged_breaks(f):
+    """The breaks of h(x) = (x + 1 - f(x)) / 2 at those of f, where
+    h o f = 1 - h for an involution f."""
+    return tuple((x, (x + 1 - y) / 2) for x, y in f.breaks)
+
+
+def classify_interval(f: IntervalPL) -> Classification:
     """Identity forced, or an exact conjugacy to the reflection x -> 1 - x."""
     if f.increasing:
         if f.equals(interval_identity()):
-            return IntervalClassification("identity", None, None)
+            return Classification("identity", None, None)
         raise NotPeriodic("increasing interval map differs from the identity")
     if not compose_interval(f, f).equals(interval_identity()):
         raise NotPeriodic("decreasing interval map with f^2 != id")
-    xstar = _interval_fixed_point(f)
-    h = _interval_conjugacy(f, xstar)
+    h = IntervalPL(_averaged_breaks(f)).normalize()
     if not interval_conjugacy_holds(f, h):
         raise StructureViolated("interval conjugacy failed exact check")
-    return IntervalClassification("involution", h, xstar)
+    return Classification("involution", h, inverse_interval(h)(Q(1, 2)))
 
 
 def interval_conjugacy_holds(f: IntervalPL, h: IntervalPL) -> bool:
@@ -478,38 +446,8 @@ def interval_conjugacy_holds(f: IntervalPL, h: IntervalPL) -> bool:
         compose_interval(h, interval_reflection()))
 
 
-def _interval_fixed_point(f: IntervalPL) -> Fraction:
-    bs = f.breaks
-    for (xa, ya), (xb, yb) in zip(bs, bs[1:]):
-        if (ya - xa) >= 0 >= (yb - xb):
-            if ya == xa:
-                return xa
-            if yb == xb:
-                return xb
-            s = (yb - ya) / (xb - xa)
-            return (xa * s - ya) / (s - 1)
-    raise StructureViolated("decreasing map without a fixed point")
-
-
-def _interval_conjugacy(f: IntervalPL, xstar: Fraction) -> IntervalPL:
-    def h0(x: Fraction) -> Fraction:
-        return x / xstar / 2
-
-    xs = {Q(0), xstar, Q(1)}
-    for x, _ in f.breaks:
-        if xstar < x < 1:
-            xs.add(x)
-    pts = []
-    for x in sorted(xs):
-        if x <= xstar:
-            pts.append((x, h0(x)))
-        else:
-            pts.append((x, 1 - h0(f(x))))
-    return IntervalPL(tuple(pts)).normalize()
-
-
 # ---------------------------------------------------------------------------
-# line maps (affine ends), reduced to the interval case
+# line maps (affine ends)
 
 
 @dataclass(frozen=True)
@@ -553,13 +491,6 @@ class LinePL:
         raise ParseError("unreachable")  # pragma: no cover
 
 
-@dataclass(frozen=True)
-class LineClassification:
-    kind: str                  # "identity" | "involution"
-    h: LinePL | None           # conjugacy to x -> 1 - x
-    fixed_point: Fraction | None
-
-
 def is_line_identity(f: LinePL) -> bool:
     return (f.left_slope == 1 and f.right_slope == 1
             and all(x == y for x, y in f.breaks))
@@ -586,12 +517,13 @@ def line_conjugacy_holds(f: LinePL, h: LinePL) -> bool:
     return all(h(f(x)) == 1 - h(x) for x in xs)
 
 
-def classify_line(f: LinePL) -> LineClassification:
+def classify_line(f: LinePL) -> Classification:
     """Increasing periodic line maps are the identity; decreasing ones are
-    conjugate to x -> 1 - x via an invariant-interval chart."""
+    conjugate to x -> 1 - x by the averaged h, whose end slopes are
+    (1 + slope) / 2."""
     if f.increasing:
         if is_line_identity(f):
-            return LineClassification("identity", None, None)
+            return Classification("identity", None, None)
         raise NotPeriodic("increasing line map differs from the identity")
     # decreasing: must be an exact involution, i.e. f equal to its inverse
     finv = inverse_line(f)
@@ -600,62 +532,8 @@ def classify_line(f: LinePL) -> LineClassification:
         + [probe_xs[-1] + 1, probe_xs[-1] + 2]
     if any(f(x) != finv(x) for x in probe_xs):
         raise NotPeriodic("decreasing line map with f^2 != id")
-    xstar = _line_fixed_point(f)
-    a = min(xstar - 1, f.breaks[0][0] - 1)
-    b = f(a)
-    width = b - a
-    # chart [a, b] -> [0, 1]
-    xs = {a, xstar, b}
-    xs.update(x for x, _ in f.breaks if a < x < b)
-    ipts = tuple(sorted(((x - a) / width, (f(x) - a) / width) for x in xs))
-    fi = IntervalPL(ipts)
-    cls = classify_interval(fi)
-    hi = cls.h
-    # h on (-inf, a]: affine through (a, 0) with the slope of h_int o chart
-    s0 = _left_slope_of(hi, width)
-    hxs = sorted({a, b, xstar}
-                 | {x for x, _ in f.breaks}
-                 | {f(x) for x, _ in f.breaks})
-    pts = []
-    for x in hxs:
-        pts.append((x, _line_h_value(f, hi, a, b, width, s0, x)))
-    sr = _slope_beyond(f, hi, a, b, width, s0, hxs[-1])
-    h = LinePL(tuple(pts), s0, sr)
+    h = LinePL(_averaged_breaks(f), (1 + f.left_slope) / 2,
+               (1 + f.right_slope) / 2)
     if not line_conjugacy_holds(f, h):
         raise StructureViolated("line conjugacy failed exact check")
-    return LineClassification("involution", h, xstar)
-
-
-def _left_slope_of(hi: IntervalPL, width: Fraction) -> Fraction:
-    (x0, y0), (x1, y1) = hi.breaks[0], hi.breaks[1]
-    return (y1 - y0) / (x1 - x0) / width
-
-
-def _line_h_value(f, hi, a, b, width, s0, x):
-    if x <= a:
-        return s0 * (x - a)
-    if x <= b:
-        return hi((x - a) / width)
-    return 1 - _line_h_value(f, hi, a, b, width, s0, f(x))
-
-
-def _slope_beyond(f, hi, a, b, width, s0, xr):
-    x1, x2 = xr + 1, xr + 2
-    v1 = _line_h_value(f, hi, a, b, width, s0, x1)
-    v2 = _line_h_value(f, hi, a, b, width, s0, x2)
-    return v2 - v1
-
-
-def _line_fixed_point(f: LinePL) -> Fraction:
-    bs = f.breaks
-    pts = [(bs[0][0] - 1, f(bs[0][0] - 1))] + list(bs) \
-        + [(bs[-1][0] + 1, f(bs[-1][0] + 1))]
-    for (xa, ya), (xb, yb) in zip(pts, pts[1:]):
-        if (ya - xa) >= 0 >= (yb - xb):
-            if ya == xa:
-                return xa
-            if yb == xb:
-                return xb
-            s = (yb - ya) / (xb - xa)
-            return (xa * s - ya) / (s - 1)
-    raise StructureViolated("decreasing line map without a fixed point")
+    return Classification("involution", h, inverse_line(h)(Q(1, 2)))

@@ -19,15 +19,15 @@ import time
 from fractions import Fraction
 
 from . import io as pio
-from .circle import (MAX_PERIOD, circle_conjugacy_holds, classify_interval,
+from .circle import (circle_conjugacy_holds, classify_interval,
                      classify_line, conjugate_circle_to_model,
                      fixed_points_reversing, interval_conjugacy_holds,
                      interval_identity, is_line_identity,
-                     line_conjugacy_holds, period_circle, rotation_number)
+                     line_conjugacy_holds, rotation_number)
 from .conjugacy import Certificate, check_certificate
 from .disc import (analyze_disc, build_conjugacy_reflection,
                    build_conjugacy_rotation)
-from .errors import NotPeriodic, ParseError, PLHomeoError
+from .errors import ParseError, PLHomeoError
 from .exact import fmt_rat
 from .generate import make_instance
 from .maps import PLMap2, compose, evaluate, validate_homeo
@@ -108,6 +108,8 @@ def _build_parser():
 
 
 def cmd_generate(args) -> int:
+    pio.model_from_dict({"space": args.space, "kind": args.kind,
+                         "k": args.k, "n": args.n})
     f, h, r = make_instance(args.space, args.kind, args.k, args.n,
                             args.seed, args.moves)
     pio.save_json(args.out, pio.instance_to_dict(args.space, f))
@@ -140,11 +142,9 @@ def _analysis_dict(space, f):
             return {"space": space, "period": rc.n,
                     "orientation": "preserving", "class": "rotation",
                     "k": rc.k, "n": rc.n}
-        n = period_circle(f)
-        if n is None:
-            raise NotPeriodic(f"no period up to {MAX_PERIOD}")
+        # fixed_points_reversing proves f^2 = id, or raises NotPeriodic
         p, q = fixed_points_reversing(f)
-        return {"space": space, "period": n, "orientation": "reversing",
+        return {"space": space, "period": 2, "orientation": "reversing",
                 "class": "reflection",
                 "fixed_points": [fmt_rat(p), fmt_rat(q)]}
     if space == DISC:

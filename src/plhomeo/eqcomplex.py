@@ -13,8 +13,9 @@ from fractions import Fraction
 
 from .errors import OverlayDegenerate, StructureViolated
 from .exact import mod1
-from .geom import Pt, area2, centroid, split_convex
-from .maps import PLMap2, compose, is_identity, locate_cell, poly_key, power
+from .geom import Pt, area2, centroid, cross, split_convex
+from .maps import (PLMap2, compose, fixed_set, identity_map, is_identity,
+                   locate_cell, poly_key, power, shift_into_unit)
 from .suspension import Affine, IDENTITY_AFFINE, _edge_key
 
 Q = Fraction
@@ -72,7 +73,6 @@ def conjugated_equivariant_complex(fp: PLMap2, f: PLMap2, h: PLMap2, n: int,
     of the requested curves, is pushed through h cell by cell.  base_chords
     are chords already expressed in the f-frame (full chords of the chain
     cells of the matching iterate)."""
-    from .maps import fixed_set, identity_map
     id_h = identity_map(f.model, [list(c.poly) for c in h.cells])
     f_ref = compose(id_h, f)
     g = power(f_ref, n)
@@ -94,7 +94,6 @@ def conjugated_equivariant_complex(fp: PLMap2, f: PLMap2, h: PLMap2, n: int,
         delta = q[0] - c[0]
         A = h.affine(ci)
         img = [A((x + delta, y)) for x, y in poly]
-        from .maps import shift_into_unit
         _, img_u = shift_into_unit(img)
         out = list(img_u)
         if area2(tuple(out)) < 0:
@@ -150,7 +149,6 @@ def _chord_points(img, a, b):
     """Endpoints of the chord of segment (a, b) inside a convex polygon,
     or None; the chord may end inside (partial overlap is fine here since
     the complement curves cut first)."""
-    from .geom import cross
     vals = [cross(a, b, p) for p in img]
     if all(v > 0 for v in vals) or all(v < 0 for v in vals):
         return None
@@ -182,7 +180,6 @@ def _iterate_affines(f: PLMap2, poly, n: int):
     """Affines of f^i on a chain cell, i in [0, n), located step by step in
     f's own (small) cell list.  Valid because chain cells map into a single
     f-cell under every lower iterate."""
-    from .maps import locate_cell
     affs = [IDENTITY_AFFINE]
     x = centroid(list(poly))
     A = IDENTITY_AFFINE
@@ -279,12 +276,10 @@ def _chord_split(img, a, b):
 
     Returns None when the segment misses the polygon; raises only when the
     segment genuinely ends strictly inside it (not a full chord)."""
-    from .geom import cross, clip_halfplane, normalize_poly
     vals = [cross(a, b, p) for p in img]
     if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
         return None
-    lo = normalize_poly(clip_halfplane(list(img), a, b))
-    hi = normalize_poly(clip_halfplane(list(img), b, a))
+    lo, hi = split_convex(img, a, b)
     if not lo or not hi:
         return None
     # the chord of the supporting line inside img, as segment parameters

@@ -4,14 +4,15 @@ from math import gcd
 
 import pytest
 
-from plhomeo.circle import (CirclePL, IntervalPL, LinePL, circle_identity,
-                            circle_reflection, circle_rotation,
-                            classify_interval, classify_line, compose_circle,
-                            compose_interval, conjugate_circle_to_model,
-                            fixed_points_reversing, interval_reflection,
-                            inverse_circle, is_circle_identity, iterate_circle,
-                            period_circle, rotation_number)
-from plhomeo.errors import NotPeriodic, OrientationReversing
+from plhomeo.circle import (CirclePL, IntervalPL, LinePL, average_conjugacy,
+                            circle_identity, circle_reflection,
+                            circle_rotation, classify_interval, classify_line,
+                            compose_circle, compose_interval,
+                            conjugate_circle_to_model, fixed_points_reversing,
+                            interval_reflection, inverse_circle,
+                            is_circle_identity, is_line_identity,
+                            iterate_circle, period_circle, rotation_number)
+from plhomeo.errors import NotPeriodic, OrientationReversing, StructureViolated
 
 Q = Fraction
 
@@ -93,6 +94,39 @@ def test_rotation_number_additivity():
             assert rc.angle == Q(j * k % n, n)
 
 
+def orbit_order_oracle(f: CirclePL, n: int):
+    """Independent oracle: k is the number of steps the orbit of 0 moves
+    along its own cyclic order, which must be the same at every point."""
+    if n == 1:
+        return 0, 1
+    orbit = [Q(0)]
+    for _ in range(n - 1):
+        orbit.append(f(orbit[-1]))
+    order = sorted(range(n), key=lambda i: orbit[i])
+    pos = {i: j for j, i in enumerate(order)}
+    k = (pos[1] - pos[0]) % n
+    assert all(pos[(i + 1) % n] == (pos[i] + k) % n for i in range(n))
+    return k, n
+
+
+def test_rotation_number_matches_orbit_order_oracle():
+    rng = random.Random(17)
+    for n in range(1, 10):
+        for k in range(n):
+            if gcd(k, n) != 1:
+                continue
+            f = scrambled(rng, circle_rotation(Q(k, n)))
+            rc = rotation_number(f)
+            assert (rc.k, rc.n) == orbit_order_oracle(f, n) == (k, n)
+
+
+def test_rotation_number_refuses_a_non_period():
+    f = scrambled(random.Random(19), circle_rotation(Q(1, 3)))
+    for n in (2, 4, 5, 7):
+        with pytest.raises(StructureViolated):
+            rotation_number(f, n)
+
+
 def test_fixed_points_reversing_models():
     assert fixed_points_reversing(circle_reflection()) == (Q(0), Q(1, 2))
     t_to_half_minus_t = CirclePL(((Q(0), Q(1, 2)),), -1)
@@ -121,12 +155,39 @@ def fixed_point_scan_oracle(f: CirclePL):
 
 def test_fixed_points_scrambled_reversing():
     rng = random.Random(11)
-    for _ in range(10):
-        f = scrambled(rng, CirclePL(((Q(0), Q(1, 2)),), -1))
-        assert f.orientation == -1
-        p, q = fixed_points_reversing(f)
-        assert list(fixed_point_scan_oracle(f)) == [p, q]
-        assert is_circle_identity(iterate_circle(f, 2))
+    for base in (CirclePL(((Q(0), Q(1, 2)),), -1), circle_reflection(),
+                 CirclePL(((Q(0), Q(1, 3)),), -1)):
+        for _ in range(10):
+            f = scrambled(rng, base)
+            assert f.orientation == -1
+            p, q = fixed_points_reversing(f)
+            assert list(fixed_point_scan_oracle(f)) == [p, q]
+            assert is_circle_identity(iterate_circle(f, 2))
+
+
+def test_averaged_conjugacy_of_a_model_is_the_identity():
+    for n in range(1, 9):
+        for k in range(n):
+            if gcd(k, n) == 1:
+                assert is_circle_identity(
+                    average_conjugacy(circle_rotation(Q(k, n)), n))
+    assert is_circle_identity(average_conjugacy(circle_reflection(), 2))
+    line = classify_line(LinePL(((Q(0), Q(1)), (Q(1), Q(0))), Q(1), Q(1)))
+    assert is_line_identity(line.h)
+
+
+def test_averaged_conjugacy_breaks_on_the_orbit_of_the_breaks():
+    rng = random.Random(29)
+    for k, n in ((1, 3), (2, 5), (3, 8)):
+        f = scrambled(rng, circle_rotation(Q(k, n)))
+        orbit = set()
+        for t, _ in f.breaks:
+            for _ in range(n):
+                orbit.add(t)
+                t = f(t)
+        h = conjugate_circle_to_model(f).h
+        assert {t for t, _ in h.breaks} <= orbit
+        assert len(h.breaks) <= n * len(f.breaks)
 
 
 def test_conjugacy_model_rotation_is_identityish():
@@ -216,6 +277,32 @@ def test_classify_interval_non_involution():
             classify_interval(f)
 
 
+def segment_scan_fixed_point(pts):
+    """Independent oracle: the zero of y - x on the first segment of the
+    polyline through pts where it changes sign."""
+    for (xa, ya), (xb, yb) in zip(pts, pts[1:]):
+        da, db = ya - xa, yb - xb
+        if da == 0:
+            return xa
+        if da > 0 > db:
+            return xa + da * (xb - xa) / (da - db)
+    raise AssertionError("no fixed point on the polyline")
+
+
+INTERVAL_INVOLUTIONS = [
+    interval_reflection(),
+    IntervalPL(((Q(0), Q(1)), (Q(1, 4), Q(1, 2)), (Q(1, 2), Q(1, 4)),
+                (Q(1), Q(0)))),
+    IntervalPL(((Q(0), Q(1)), (Q(1, 3), Q(1, 2)), (Q(1, 2), Q(1, 3)),
+                (Q(1), Q(0))))]
+
+
+@pytest.mark.parametrize("f", INTERVAL_INVOLUTIONS)
+def test_interval_fixed_point_matches_the_scan_oracle(f):
+    cls = classify_interval(f)
+    assert cls.fixed_point == segment_scan_fixed_point(f.breaks)
+
+
 # -- line --------------------------------------------------------------------
 
 
@@ -251,3 +338,16 @@ def test_classify_line_not_periodic():
     g = LinePL(((Q(0), Q(0)), (Q(1), Q(-2))), Q(1), Q(2))  # decreasing, not involutive
     with pytest.raises(NotPeriodic):
         classify_line(g)
+
+
+LINE_INVOLUTIONS = [
+    LinePL(((Q(0), Q(1)), (Q(1), Q(0))), Q(1), Q(1)),
+    LinePL(((Q(-1), Q(2)), (Q(0), Q(0)), (Q(2), Q(-1))), Q(2), Q(1, 2))]
+
+
+@pytest.mark.parametrize("f", LINE_INVOLUTIONS)
+def test_line_fixed_point_matches_the_scan_oracle(f):
+    (x0, _), (x1, _) = f.breaks[0], f.breaks[-1]
+    pts = [(x0 - 1, f(x0 - 1))] + list(f.breaks) + [(x1 + 1, f(x1 + 1))]
+    cls = classify_line(f)
+    assert cls.fixed_point == segment_scan_fixed_point(pts)

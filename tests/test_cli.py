@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from plhomeo import cli
+from plhomeo import circle, cli
 from plhomeo import io as pio
 from plhomeo.circle import CirclePL, IntervalPL, LinePL, circle_rotation
 from plhomeo.maps import CellMap, PLMap2, shift_into_unit
@@ -187,14 +187,51 @@ def test_verify_rejects_identity_certificate_of_a_line_scaling(
     assert "REJECTED" in capsys.readouterr().out
 
 
+def _scrambled_circle(model):
+    """h^-1 o model o h for a fixed four-break h."""
+    h = CirclePL(((Q(0), Q(0)), (Q(1, 5), Q(1, 3)), (Q(1, 2), Q(5, 8)),
+                  (Q(3, 4), Q(4, 5))), 1)
+    return circle.compose_circle(circle.compose_circle(h, model),
+                                 circle.inverse_circle(h))
+
+
 def test_verify_accepts_own_onedim_certificates(tmp_path):
     for space, f in (
             ("circle", circle_rotation(Q(1, 3))),
+            ("circle", _scrambled_circle(circle_rotation(Q(1, 3)))),
+            ("circle", _scrambled_circle(circle_rotation(Q(3, 8)))),
+            ("circle", _scrambled_circle(CirclePL(((Q(0), Q(1, 3)),), -1))),
             ("interval", IntervalPL(((Q(0), Q(1)), (Q(1, 3), Q(1, 2)),
                                      (Q(1, 2), Q(1, 3)), (Q(1), Q(0))))),
             ("line", LinePL(((Q(0), Q(1)), (Q(1), Q(0))), Q(1), Q(1)))):
         inst, cert = _onedim_instance(tmp_path, space, f)
         assert _verify(tmp_path, inst, cert) == 0, space
+
+
+def test_analyze_does_not_search_the_period_of_a_reversing_circle_map(
+        tmp_path, capsys, monkeypatch):
+    def no_search(f):
+        raise AssertionError("period_circle called")
+
+    monkeypatch.setattr(circle, "period_circle", no_search)
+    monkeypatch.setattr(cli, "period_circle", no_search, raising=False)
+    inst = tmp_path / "f.json"
+    pio.save_json(str(inst), pio.instance_to_dict(
+        "circle", CirclePL(((Q(0), Q(1, 3)),), -1)))
+    assert cli.main(["analyze", str(inst), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["period"] == 2
+
+
+@pytest.mark.parametrize("kind, k, n", [("reflection", 5, 0),
+                                        ("rotation", 1, 1)])
+def test_generate_refuses_an_invalid_class(tmp_path, capsys, kind, k, n):
+    out, key = tmp_path / "g.json", tmp_path / "k.json"
+    assert cli.main(["generate", "--space", "disc", "--kind", kind,
+                     "--k", str(k), "--n", str(n), "--seed", "1",
+                     "--moves", "2", "--out", str(out),
+                     "--key-out", str(key)]) == 3
+    assert not out.exists() and not key.exists()
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def _circle_period_zero(cert):

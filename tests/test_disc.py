@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from plhomeo.circle import (circle_rotation, compose_circle,
-                            is_circle_identity, rotation_number)
-from plhomeo.conjugacy import ModelIsometry, check_certificate
+from plhomeo.circle import is_circle_identity
+from plhomeo.conjugacy import ModelIsometry
 from plhomeo.disc import (analyze_disc, build_conjugacy_reflection,
                           build_conjugacy_rotation, sector_decomposition)
 from plhomeo.errors import NotPeriodic, StructureViolated
@@ -13,7 +12,7 @@ from plhomeo.generate import make_instance
 from plhomeo.maps import (CellMap, PLMap2, boundary_restriction, compose,
                           evaluate, first_disagreement, identity_map, inverse,
                           is_identity, power, validate_homeo)
-from plhomeo.suspension import DISC, band_cells
+from plhomeo.suspension import DISC
 
 Q = Fraction
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from plhomeo.circle import is_circle_identity, rotation_number
+from plhomeo.circle import rotation_number
 from plhomeo.conjugacy import ModelIsometry
 from plhomeo.errors import ParseError, StructureViolated
 from plhomeo.maps import (CellMap, PLMap2, boundary_restriction, compose,

@@ -1,8 +1,8 @@
 """Guard against code that nothing calls.
 
 Every top-level function and class in ``src/plhomeo`` must be referenced by
-name from ``src/`` outside its own body, every imported name must be used
-in the module that imports it, every field of a dataclass must be read
+name from ``src/`` outside its own body, every imported name in ``src/``
+and ``tests/`` must be used in the module that imports it, every field of a dataclass must be read
 as an attribute somewhere in ``src/``, every parameter of a function or
 lambda must be read in its body, and every parameter with a default must
 be set by some call in ``src/``: a default that no caller overrides is a
@@ -13,7 +13,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "plhomeo"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "plhomeo"
 
 # convex_touch is called only by the brute-force oracle of
 # test_t0_matches_scan_oracle, which checks t0_cut against an independent
@@ -31,9 +32,9 @@ ALLOWED_UNUSED_IMPORTS = {("cli", "compose"), ("disc", "compose")}
 ALLOWED_UNSET_DEFAULTS = {"cli.main.argv"}
 
 
-def _modules():
+def _modules(root=SRC):
     return {p.stem: ast.parse(p.read_text(), filename=str(p))
-            for p in sorted(SRC.glob("*.py"))}
+            for p in sorted(root.glob("*.py"))}
 
 
 def _used_names(root):
@@ -62,7 +63,7 @@ def test_every_top_level_def_is_referenced():
 
 def test_no_unused_imports():
     unused = []
-    for name, tree in _modules().items():
+    for name, tree in {**_modules(), **_modules(TESTS)}.items():
         used = _used_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":

@@ -1,14 +1,13 @@
-import random
 from fractions import Fraction
 
 import pytest
 
 from plhomeo.circle import rotation_number
-from plhomeo.conjugacy import ModelIsometry, check_certificate
+from plhomeo.conjugacy import ModelIsometry
 from plhomeo.errors import NotPeriodic, StructureViolated
-from plhomeo.generate import make_instance, scramble, scrambled_conjugate
+from plhomeo.generate import make_instance
 from plhomeo.maps import (CellMap, PLMap2, boundary_restriction, compose,
-                          evaluate, fixed_set, follow, identity_map, inverse,
+                          evaluate, fixed_set, follow, identity_map,
                           is_model_rotation, period, power, validate_homeo)
 from plhomeo.sphere import (analyze_sphere, build_conjugacy_fixedpoint,
                             build_conjugacy_free, t0_cut)
@@ -160,7 +159,7 @@ def test_t0_shifted_by_conjugation():
 def brute_force_t0_oracle(f):
     """Independent scan: all candidate latitudes from cell geometry, then
     exact region disjointness tests on each side of each candidate."""
-    from plhomeo.geom import clip_convex, poly_bbox, bbox_overlap, area2
+    from plhomeo.geom import area2
     from plhomeo.maps import shift_into_unit
 
     def cap_pieces(t):
