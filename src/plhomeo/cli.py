@@ -2,13 +2,14 @@
 selftest.
 
 Exit codes: 0 success, 1 verification failure, 2 structural violation,
-3 parse error (including a malformed certificate, or one naming an invalid
-model class), 4 not periodic (NotPeriodic).  A disc or sphere map is not
-periodic when f^n is not the identity for the period n of its circle map
-on s = 1, which is a proof (see ``maps.period``), or when that circle map
-has no period up to ``circle.MAX_PERIOD``; a circle map is searched for a
-period up to the same bound, and one that reverses orientation is not
-periodic when its square is not the identity.
+3 parse error (including a malformed certificate, one naming an invalid
+model class, or a file that cannot be read or written), 4 not periodic
+(NotPeriodic).  A disc or sphere map is not periodic when f^n is not the
+identity for the period n of its circle map on s = 1, which is a proof
+(see ``maps.period``), or when that circle map has no period up to
+``circle.MAX_PERIOD``; a circle map is searched for a period up to the
+same bound, and one that reverses orientation is not periodic when its
+square is not the identity.
 """
 
 from __future__ import annotations
@@ -295,8 +296,7 @@ def cmd_render(args) -> int:
         print(f"render: analysis failed ({type(exc).__name__}: {exc}); "
               "drawing the bare map", file=sys.stderr)
     svg = render_map(f, arcs=arcs, orbit=orbit, extra_curves=extra)
-    with open(args.out, "w") as fh:
-        fh.write(svg)
+    pio.save_text(args.out, svg)
     print(f"wrote {args.out}")
     return 0
 

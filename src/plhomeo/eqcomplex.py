@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import OverlayDegenerate, StructureViolated
 from .exact import mod1
-from .geom import Pt, area2, centroid, cross, split_convex
+from .geom import Pt, area2, centroid, cross, line_points, split_convex
 from .maps import (PLMap2, compose, fixed_set, identity_map, is_identity,
                    locate_cell, poly_key, power, shift_into_unit)
 from .suspension import Affine, IDENTITY_AFFINE, _edge_key
@@ -116,7 +116,7 @@ def _pullback_levels(h: PLMap2, levels):
             vals = [p[1] - tau for p in img]
             if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
                 continue
-            c1, c2 = _crossings(img, vals)
+            c1, c2 = sorted(line_points(img, vals))
             inv = inv or A.inverse()
             out.append((inv(c1), inv(c2)))
     return out
@@ -150,25 +150,11 @@ def _chord_points(img, a, b):
     or None; the chord may end inside (partial overlap is fine here since
     the complement curves cut first)."""
     vals = [cross(a, b, p) for p in img]
-    if all(v > 0 for v in vals) or all(v < 0 for v in vals):
+    ts = sorted(_param_along(a, b, p) for p in line_points(img, vals))
+    if len(ts) < 2:
         return None
-    hits = []
-    n = len(img)
-    for i in range(n):
-        fa, fb = vals[i], vals[(i + 1) % n]
-        if fa == 0:
-            hits.append((img[i], _param_along(a, b, img[i])))
-        if fa * fb < 0:
-            t = fa / (fa - fb)
-            p, q = img[i], img[(i + 1) % n]
-            pt = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
-            hits.append((pt, _param_along(a, b, pt)))
-    if len(hits) < 2:
-        return None
-    hits.sort(key=lambda x: x[1])
-    t1, t2 = hits[0][1], hits[-1][1]
-    lo = max(t1, Q(0))
-    hi = min(t2, Q(1))
+    lo = max(ts[0], Q(0))
+    hi = min(ts[-1], Q(1))
     if hi <= lo:
         return None
     p1 = (a[0] + lo * (b[0] - a[0]), a[1] + lo * (b[1] - a[1]))
@@ -228,16 +214,13 @@ def _first_cut(poly, affs, levels, segs):
         ys = [p[1] for p in img]
         ylo, yhi = min(ys), max(ys)
         for tau in levels:
-            if not ylo < tau < yhi:
-                continue
-            vals = [p[1] - tau for p in img]
-            if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
-                continue
-            c1, c2 = _crossings(img, vals)
-            inv = A.inverse()
-            lo, hi = split_convex(list(poly), inv(c1), inv(c2))
-            if lo and hi:
-                return [lo, hi]
+            if ylo < tau < yhi:
+                # sign(det A) (y - tau) is positive left of the level's
+                # chord run towards increasing t and pulled back to poly;
+                # that piece comes first, which fixes the output order
+                side = 1 if A.det > 0 else -1
+                return list(split_convex(poly, [side * (y - tau)
+                                                for y in ys]))
         if not segs:
             continue
         xs = [p[0] for p in img]
@@ -279,20 +262,13 @@ def _chord_split(img, a, b):
     vals = [cross(a, b, p) for p in img]
     if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
         return None
-    lo, hi = split_convex(img, a, b)
-    if not lo or not hi:
-        return None
     # the chord of the supporting line inside img, as segment parameters
-    pts = [p for p in lo if p in hi]
-    params = sorted(_param_along(a, b, p) for p in pts)
-    if not params:
-        return None
-    t1, t2 = params[0], params[-1]
+    t1, t2 = sorted(_param_along(a, b, p) for p in line_points(img, vals))
     if t2 <= 0 or t1 >= 1:
         return None  # the line crosses here, the segment does not
     if t1 < 0 or t2 > 1:
         raise OverlayDegenerate("cut segment ends inside a cell")
-    return [[tuple(q) for q in lo], [tuple(q) for q in hi]]
+    return list(split_convex(img, vals))
 
 
 def _param_along(a, b, p) -> Fraction:
@@ -300,23 +276,6 @@ def _param_along(a, b, p) -> Fraction:
     if dx != 0:
         return (p[0] - a[0]) / dx
     return (p[1] - a[1]) / dy
-
-
-def _crossings(img, vals):
-    pts = []
-    n = len(img)
-    for i in range(n):
-        fa, fb = vals[i], vals[(i + 1) % n]
-        if fa == 0:
-            pts.append(img[i])
-        elif fa * fb < 0:
-            t = fa / (fa - fb)
-            a, b = img[i], img[(i + 1) % n]
-            pts.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
-    uniq = sorted(set(pts))
-    if len(uniq) != 2:
-        raise OverlayDegenerate(f"level crossing is not a chord: {uniq}")
-    return uniq
 
 
 def _index_complex(k: EqComplex):

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from .conjugacy import ModelIsometry
 from .errors import StructureViolated
-from .geom import INSIDE, Pt, clip_halfplane, normalize_poly, point_in_convex
+from .geom import (INSIDE, Pt, clip_halfplane, cross, line_points,
+                   normalize_poly, point_in_convex)
 from .maps import (CellMap, PLMap2, compose, identity_map, inverse,
                    validate_homeo)
 from .suspension import DISC, band_cells, collapsed_levels, s_range
@@ -187,7 +188,7 @@ def relocate_vertex(rng, model, tiling, v: Pt):
         shift = copy[0] - v[0]
         a = (poly[(i + 1) % 3][0] - shift, poly[(i + 1) % 3][1])
         b = (poly[(i + 2) % 3][0] - shift, poly[(i + 2) % 3][1])
-        kern = clip_halfplane(kern, a, b)
+        kern = clip_halfplane(kern, [cross(a, b, p) for p in kern])
         kern = normalize_poly(kern)
         if not kern:
             return None
@@ -232,22 +233,11 @@ def _sample_target(rng, kern, v, line):
 
 def _line_slice(kern, v, horizontal: bool):
     """Open interval of the kernel along the axis line through v."""
-    lo, hi = None, None
-    n = len(kern)
-    coords = []
-    level = v[1] if horizontal else v[0]
     axis = 1 if horizontal else 0
-    other = 0 if horizontal else 1
-    for i in range(n):
-        a, b = kern[i], kern[(i + 1) % n]
-        fa, fb = a[axis] - level, b[axis] - level
-        if fa == 0:
-            coords.append(a[other])
-        if fa * fb < 0:
-            t = fa / (fa - fb)
-            coords.append(a[other] + t * (b[other] - a[other]))
-    if len(coords) < 2:
+    pts = line_points(kern, [p[axis] - v[axis] for p in kern])
+    if len(pts) < 2:
         return None
+    coords = [p[1 - axis] for p in pts]
     return min(coords), max(coords)
 
 

@@ -2,6 +2,11 @@
 
 Points are (x, y) tuples of Fractions.  Everything here is decided by the
 sign of exact determinants; there are no tolerances.
+
+A line meets a convex polygon only here.  It is given by an affine
+function, as its values at the polygon's vertices, so a caller that has
+those values (a level s - tau, ``cross(a, b, .)``, a row of a linear
+equation) passes them as they are.
 """
 
 from __future__ import annotations
@@ -137,19 +142,39 @@ def _gcd(a, b):
     return gcd(a, b) or 1
 
 
-def clip_halfplane(poly: list[Pt], a: Pt, b: Pt) -> list[Pt]:
-    """Keep the closed side left of the directed line a->b."""
+def line_points(poly, vals) -> list[Pt]:
+    """Where the line vals = 0 meets the boundary of a convex polygon: each
+    vertex on it, and one point on each edge whose ends it strictly
+    separates, in boundary order."""
+    out: list[Pt] = []
+    n = len(poly)
+    for i in range(n):
+        vp, vq = vals[i], vals[(i + 1) % n]
+        if vp == 0:
+            out.append(poly[i])
+        elif (vp > 0 and vq < 0) or (vp < 0 and vq > 0):
+            out.append(_crossing(poly[i], poly[(i + 1) % n], vp, vq))
+    return out
+
+
+def clip_halfplane(poly, vals) -> list[Pt]:
+    """Keep the closed side vals >= 0 of a convex polygon."""
     res: list[Pt] = []
     n = len(poly)
     for i in range(n):
-        p, q = poly[i], poly[(i + 1) % n]
-        sp, sq = cross(a, b, p), cross(a, b, q)
-        if sp >= 0:
-            res.append(p)
-        if (sp > 0 and sq < 0) or (sp < 0 and sq > 0):
-            t = sp / (sp - sq)
-            res.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+        vp, vq = vals[i], vals[(i + 1) % n]
+        if vp >= 0:
+            res.append(poly[i])
+        if (vp > 0 and vq < 0) or (vp < 0 and vq > 0):
+            res.append(_crossing(poly[i], poly[(i + 1) % n], vp, vq))
     return res
+
+
+def _crossing(p: Pt, q: Pt, vp, vq) -> Pt:
+    """The zero on the edge p q of the affine function with values vp at p
+    and vq at q, of opposite signs."""
+    t = vp / (vp - vq)
+    return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
 
 
 def normalize_poly(poly: list[Pt]) -> list[Pt]:
@@ -174,14 +199,15 @@ def normalize_poly(poly: list[Pt]) -> list[Pt]:
     return out
 
 
-def split_convex(poly: list[Pt], a: Pt, b: Pt) -> tuple[list[Pt], list[Pt]]:
-    """Split a convex polygon by the full line through a, b.
+def split_convex(poly, vals) -> tuple[list[Pt], list[Pt]]:
+    """Split a convex polygon by the line vals = 0.
 
-    Returns (left piece, right piece); either may be [] if the line misses.
+    Returns the normalized pieces (vals >= 0, vals <= 0); either is [] if
+    the line misses the interior.
     """
-    left = normalize_poly(clip_halfplane(list(poly), a, b))
-    right = normalize_poly(clip_halfplane(list(poly), b, a))
-    return left, right
+    neg = [-v for v in vals]
+    return (normalize_poly(clip_halfplane(poly, vals)),
+            normalize_poly(clip_halfplane(poly, neg)))
 
 
 def poly_bbox(poly) -> tuple[Fraction, Fraction, Fraction, Fraction]:

@@ -68,16 +68,17 @@ def _int_triples(rows, what: str) -> list[tuple[int, int, int]]:
 def circle_from_dict(data: dict) -> CirclePL:
     try:
         breaks = tuple((parse_rat(t), parse_rat(u)) for t, u in data["lift"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad circle payload: {exc}") from exc
-    us = [u for _, u in breaks]
-    if len(us) == 1:
-        sign = 1 if data.get("orientation", 1) >= 0 else -1
-        if "orientation" not in data:
+        if not breaks:
+            raise ParseError("circle map needs a breakpoint")
+        if len(breaks) > 1:
+            sign = 1 if breaks[1][1] > breaks[0][1] else -1
+        elif "orientation" not in data:
             raise ParseError("single-breakpoint circle map needs an "
                              "explicit orientation")
-    else:
-        sign = 1 if us[1] > us[0] else -1
+        else:
+            sign = 1 if data["orientation"] >= 0 else -1
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad circle payload: {exc}") from exc
     return CirclePL(breaks, sign)
 
 
@@ -246,8 +247,17 @@ def load_json(path: str) -> dict:
         raise ParseError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 def save_json(path: str, obj):
-    with open(path, "w") as fh:
-        fh.write(dumps(obj))
+    save_text(path, dumps(obj))
+
+
+def save_text(path: str, text: str):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc

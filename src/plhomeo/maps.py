@@ -21,8 +21,8 @@ from math import ceil, floor
 from .circle import CirclePL, period_circle
 from .errors import OverlayDegenerate, ParseError, StructureViolated
 from .exact import mod1
-from .geom import (Pt, area2, bbox_overlap, clip_convex, point_in_convex,
-                   poly_bbox, INSIDE, OUTSIDE)
+from .geom import (Pt, area2, bbox_overlap, clip_convex, clip_halfplane,
+                   line_points, point_in_convex, poly_bbox, INSIDE, OUTSIDE)
 from .suspension import (Affine, SuspensionComplex, affine_from_pairs,
                          band_cells, collapsed_levels, complex_check,
                          is_collapsed, model_point, s_range, DISC, SPHERE)
@@ -232,21 +232,9 @@ def _meridian_pieces(poly: list[Pt], B: Affine) -> list[list[Pt]]:
     vals = [level(p) for p in poly]
     pieces = []
     for m in range(floor(min(vals)) + 1, ceil(max(vals))):
-        below, above = [], []
         vs = [level(p) - m for p in poly]
-        for i, (p, vp) in enumerate(zip(poly, vs)):
-            q, vq = poly[(i + 1) % len(poly)], vs[(i + 1) % len(poly)]
-            if vp <= 0:
-                below.append(p)
-            if vp >= 0:
-                above.append(p)
-            if vp * vq < 0:
-                t = vp / (vp - vq)
-                x = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
-                below.append(x)
-                above.append(x)
-        pieces.append(below)
-        poly = above
+        pieces.append(clip_halfplane(poly, [-v for v in vs]))
+        poly = clip_halfplane(poly, vs)
     pieces.append(poly)
     return pieces
 
@@ -490,7 +478,8 @@ def _fixed_in_cell(A: Affine, poly: list[Pt], delta: int):
         x0, y0 = _line_point(p, q, r)
         if m11 * x0 + m12 * y0 != r1:
             return "none", None
-    pts = _line_cell_points(p, q, r, poly)
+    pts = sorted(set(line_points(poly, [p * v[0] + q * v[1] - r
+                                        for v in poly])))
     if not pts:
         return "none", None
     if len(pts) == 1:
@@ -502,24 +491,6 @@ def _line_point(p, q, r) -> Pt:
     if q != 0:
         return (Q(0), r / q)
     return (r / p, Q(0))
-
-
-def _line_cell_points(p, q, r, poly: list[Pt]) -> list[Pt]:
-    """Intersection of the line p x + q y = r with a convex polygon,
-    as sorted extreme points."""
-    hits: list[Pt] = []
-    n = len(poly)
-    vals = [p * v[0] + q * v[1] - r for v in poly]
-    for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
-        fa, fb = vals[i], vals[(i + 1) % n]
-        if fa == 0:
-            hits.append(a)
-        if fa * fb < 0:
-            t = fa / (fa - fb)
-            hits.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
-    uniq = sorted(set(hits))
-    return [uniq[0], uniq[-1]] if len(uniq) > 1 else uniq
 
 
 def _assemble_fixed(model, zero_chart, segs):
@@ -625,7 +596,11 @@ def validate_homeo(f: PLMap2) -> list[str]:
     problems.extend(complex_check(cx))
     sign = None
     for i in range(len(f.cells)):
-        d = f.affine(i).det
+        try:
+            d = f.affine(i).det
+        except OverlayDegenerate as exc:
+            problems.append(f"cell {i} is degenerate: {exc}")
+            continue
         if d == 0:
             problems.append(f"cell {i} has zero determinant")
         elif sign is None:

@@ -12,11 +12,14 @@ and from the north pole line to the south pole line in the sphere.  A
 fundamental domain is laid out on [0, wedge] x [lo, hi]: its left and right
 arcs, listed from the top down, go onto t = 0 and t = wedge by
 combinatorial arc length, and its bottom and top chains, listed from left
-to right, are spaced evenly along s = lo and s = hi.
+to right, are spaced evenly along s = lo and s = hi.  Every such arc or
+chain is read off the complex by ``edge_path``, the one walk along a
+simple path of edges.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -279,30 +282,34 @@ def fixed_edges(k: EqComplex, g: PLMap2) -> set[int]:
     return out
 
 
-def line_walk(k: EqComplex, side, level: Fraction, start: int, stop: int):
-    """Walk the edges of the side on the line s = level from start to stop
-    (in either direction)."""
+def edge_path(k: EqComplex, edges, start: int, stops) -> list[int]:
+    """The vertex path along the given edges from start to the first
+    vertex in stops; each step must have exactly one way on."""
     adj: dict[int, list[int]] = {}
-    for ei, (a, b) in enumerate(k.edge_verts):
-        pa, pb = k.edges[ei]
-        if pa[1] != level or pb[1] != level:
-            continue
-        if not any(c in side for c in k.edge_cells[ei]):
-            continue
+    for ei in edges:
+        a, b = k.edge_verts[ei]
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
     path = [start]
     prev = None
-    cur = start
-    while cur != stop:
-        if len(path) > len(adj) + 2:
-            raise StructureViolated("level walk lost")
-        nxt = [w for w in sorted(adj.get(cur, [])) if w != prev]
+    while path[-1] not in stops:
+        if len(path) > len(adj):
+            raise StructureViolated("edge path walk lost")
+        nxt = [w for w in adj.get(path[-1], []) if w != prev]
         if len(nxt) != 1:
-            raise StructureViolated("level walk is not a simple path")
-        prev, cur = cur, nxt[0]
-        path.append(cur)
+            raise StructureViolated("edge path is not a simple path")
+        prev = path[-1]
+        path.append(nxt[0])
     return path
+
+
+def line_walk(k: EqComplex, side, level: Fraction, start: int, stop: int):
+    """Walk the edges of the side on the line s = level from start to stop
+    (in either direction)."""
+    on_line = [ei for ei, (pa, pb) in enumerate(k.edges)
+               if pa[1] == level == pb[1]
+               and any(c in side for c in k.edge_cells[ei])]
+    return edge_path(k, on_line, start, {stop})
 
 
 # ---------------------------------------------------------------------------
@@ -379,28 +386,13 @@ def _curve_halves(k: EqComplex, arc_edges: set[int]):
     """The fixed curve split at the end lines: two vertex paths, each from
     the line s = 1 down to the bottom line of the chart."""
     lo = s_range(k.model)[0]
-    adj: dict[int, list[int]] = {}
-    for ei in arc_edges:
-        a, b = k.edge_verts[ei]
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    starts = sorted(v for v, nb in adj.items()
-                    if len(nb) == 1 and k.verts[v][1] == 1)
+    degree = Counter(v for ei in arc_edges for v in k.edge_verts[ei])
+    starts = sorted(v for v, d in degree.items()
+                    if d == 1 and k.verts[v][1] == 1)
     if len(starts) != 2:
         raise StructureViolated("fixed curve must meet the line s = 1 twice")
-    halves = []
-    for start in starts:
-        path = [start]
-        prev = None
-        cur = start
-        while k.verts[cur][1] != lo:
-            nxt = [w for w in sorted(adj[cur]) if w != prev]
-            if len(nxt) != 1:
-                raise StructureViolated("fixed curve branches")
-            prev, cur = cur, nxt[0]
-            path.append(cur)
-        halves.append(path)
-    return halves
+    bottom = {v for v in degree if k.verts[v][1] == lo}
+    return [edge_path(k, arc_edges, start, bottom) for start in starts]
 
 
 # ---------------------------------------------------------------------------

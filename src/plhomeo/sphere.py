@@ -36,12 +36,12 @@ from .eqcomplex import (EqComplex, apply_perm, conjugated_equivariant_complex,
                         equivariant_complex)
 from .errors import ArcSearchFailed, NotPeriodic, StructureViolated
 from .exact import mod1
-from .geom import Pt, centroid
+from .geom import Pt, centroid, line_points
 from .maps import (FixedSet, PLMap2, boundary_restriction, compose, evaluate,
                    fixed_set, identity_map, inverse, is_identity,
                    orientation, period, power, unit_rotation_power,
                    validate_homeo)
-from .sectors import (Layout, components, cut_sectors,
+from .sectors import (Layout, components, cut_sectors, edge_path,
                       embed_fundamental_domain, fixed_edges,
                       lifted_quotient_path, line_walk, orbit_cells,
                       orbit_ids, polar_layout, quotient_adjacency,
@@ -236,23 +236,13 @@ def _height_envelope(f: PLMap2, t: Fraction) -> Fraction:
         pts = [p for p in cell.poly if p[1] >= t]
         if not pts:
             continue
-        for p in pts + _level_crossings(cell.poly, t):
+        for p in pts + line_points(cell.poly, [q[1] - t for q in cell.poly]):
             v = A(p)[1]
             if best is None or v > best:
                 best = v
     if best is None:
         raise StructureViolated("empty cap")
     return best
-
-
-def _level_crossings(poly, t: Fraction) -> list[Pt]:
-    """The points where the edges of poly cross the latitude s = t."""
-    out = []
-    for a, b in zip(poly, poly[1:] + poly[:1]):
-        if (a[1] - t) * (b[1] - t) < 0:
-            lam = (t - a[1]) / (b[1] - a[1])
-            out.append((a[0] + lam * (b[0] - a[0]), t))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +269,8 @@ def _touch_point(f: PLMap2, t0: Fraction) -> Pt:
     pts = set()
     for ci, cell in enumerate(f.cells):
         A = f.affine(ci)
-        for p in cell.poly + tuple(_level_crossings(cell.poly, t0)):
-            if p[1] == t0 and A(p)[1] == t0:
+        for p in line_points(cell.poly, [q[1] - t0 for q in cell.poly]):
+            if A(p)[1] == t0:
                 pts.add((mod1(p[0]), t0))
     if not pts:
         raise StructureViolated("caps do not touch at the critical latitude")
@@ -398,28 +388,11 @@ def _bstar_arc(k: EqComplex, t0, p0, n, subcase):
 def _meridian_path(k: EqComplex, p0, t0):
     """Edge path from the north line down the meridian t = p0.t to P0."""
     t_p = mod1(p0[0])
-    on_line = {}
-    for ei, (a, b) in enumerate(k.edge_verts):
-        pa, pb = k.edges[ei]
-        if mod1(pa[0]) == t_p and pa[0] == pb[0] and min(pa[1], pb[1]) >= t0:
-            hi = max(pa[1], pb[1])
-            on_line[hi] = (a, b, pa, pb)
-    path = []
-    cur_s = Q(1)
-    guard = 0
-    while cur_s > t0:
-        guard += 1
-        if guard > len(on_line) + 2 or cur_s not in on_line:
-            raise StructureViolated("meridian segment is not edge-covered")
-        a, b, pa, pb = on_line[cur_s]
-        hi_v, lo_v = (a, b) if pa[1] > pb[1] else (b, a)
-        if not path:
-            path.append(hi_v)
-        path.append(lo_v)
-        cur_s = min(pa[1], pb[1])
-    if k.verts[path[-1]] != (mod1(p0[0]), t0):
-        raise StructureViolated("meridian path misses P0")
-    return path
+    on_line = [ei for ei, (pa, pb) in enumerate(k.edges)
+               if mod1(pa[0]) == t_p and pa[0] == pb[0]
+               and min(pa[1], pb[1]) >= t0]
+    return edge_path(k, on_line, _vert_at(k, (t_p, Q(1))),
+                     {_vert_at(k, p0)})
 
 
 def _bprime_path(k: EqComplex, t0, p0, n, b0):
@@ -484,31 +457,9 @@ def _coincident_layout(k, fp, bstar, right, sector0, arc_edges, m, n, jstar,
     left = bstar[:bstar.index(p0v) + 1]
     right = right[:right.index(pj) + 1]
     # equatorial cross arc: from P0 to P_{j*} along the fixed curve
-    cross = _path_along_edges(k, phi_edges, p0v, pj, north_half)
+    cross = edge_path(k, [ei for ei in phi_edges
+                          if any(ci in north_half for ci in k.edge_cells[ei])],
+                      p0v, {pj})
     top = line_walk(k, north_half, Q(1), left[0], right[0])
     targets = rectangle_targets(left, right, cross, top, Q(1, m), Q(0), Q(1))
     return Layout(north_half, targets, [left, right, cross, top], c)
-
-
-def _path_along_edges(k: EqComplex, allowed_edges, start, stop, side):
-    adj: dict[int, list[int]] = {}
-    for ei in allowed_edges:
-        if not any(c in side for c in k.edge_cells[ei]):
-            continue
-        a, b = k.edge_verts[ei]
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    path = [start]
-    prev = None
-    cur = start
-    guard = 0
-    while cur != stop:
-        guard += 1
-        if guard > 2 * len(adj) + 4:
-            raise StructureViolated("edge path walk lost")
-        nxt = [w for w in sorted(adj.get(cur, [])) if w != prev]
-        if not nxt:
-            raise StructureViolated("edge path dead end")
-        prev, cur = cur, nxt[0]
-        path.append(cur)
-    return path

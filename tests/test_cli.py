@@ -1,6 +1,8 @@
 """The command-line contract: exit codes of analyze, verify and render."""
 
+import copy
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -114,6 +116,20 @@ def test_verify_reflection_with_a_class_is_a_parse_error(
     cert["model"]["k"], cert["model"]["n"] = k, n
     assert _verify(tmp_path, INPUTS / f"{name}.json", cert) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _degenerate_triangle(cert):
+    cert["h"]["triangles"][4] = [0, 3, 0]
+
+
+def test_verify_reports_a_degenerate_cell_as_invalid(tmp_path, capsys):
+    name = "sphere-rotoreflection-1-2"
+    cert = json.loads((INPUTS / f"{name}.cert.json").read_text())
+    _degenerate_triangle(cert)
+    assert _verify(tmp_path, INPUTS / f"{name}.json", cert) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("certificate invalid: ")
+    assert "cell 4 is degenerate: " in out
 
 
 def test_render_reports_analysis_failure(tmp_path, capsys):
@@ -246,8 +262,27 @@ def _circle_kind_unknown(cert):
     cert["model"]["kind"] = "spiral"
 
 
+def _circle_lift_empty(cert):
+    cert["h"]["lift"] = []
+
+
+def _circle_orientation_x(cert):
+    cert["h"]["lift"] = cert["h"]["lift"][:1]
+    cert["h"]["orientation"] = "x"
+
+
+def _circle_orientation_null(cert):
+    _circle_orientation_x(cert)
+    cert["h"]["orientation"] = None
+
+
+CIRCLE_MAP_DAMAGES = [_circle_lift_empty, _circle_orientation_x,
+                      _circle_orientation_null]
+
+
 @pytest.mark.parametrize("damage", [
-    _circle_period_zero, _circle_model_not_a_mapping, _circle_kind_unknown])
+    _circle_period_zero, _circle_model_not_a_mapping, _circle_kind_unknown,
+    *CIRCLE_MAP_DAMAGES])
 def test_verify_malformed_circle_certificate_is_a_parse_error(
         tmp_path, capsys, damage):
     inst, cert = _onedim_instance(tmp_path, "circle",
@@ -267,3 +302,84 @@ def test_verify_malformed_onedim_certificate_is_a_parse_error(
     assert _verify(tmp_path, inst, cert) == 3
     assert _verify(tmp_path, inst, [cert]) == 3
     assert capsys.readouterr().err.count("error: ") == 2
+
+
+@pytest.mark.parametrize("damage", CIRCLE_MAP_DAMAGES)
+def test_analyze_malformed_circle_map_is_a_parse_error(
+        tmp_path, capsys, damage):
+    data = pio.instance_to_dict(
+        "circle", _scrambled_circle(circle_rotation(Q(1, 3))))
+    damage({"h": data["map"]})  # the damages act on a certificate's h
+    inst = tmp_path / "f.json"
+    inst.write_text(json.dumps(data))
+    assert cli.main(["analyze", str(inst)]) == 3
+    assert cli.main(["conjugate", str(inst),
+                     "--out", str(tmp_path / "f.cert.json")]) == 3
+    assert capsys.readouterr().err.count("error: ") == 2
+
+
+def test_unreadable_and_unwritable_files_are_parse_errors(
+        disc_rotation, tmp_path, capsys):
+    inst, cert = disc_rotation
+    cert_path, binary = tmp_path / "cert.json", tmp_path / "binary.json"
+    cert_path.write_text(json.dumps(cert))
+    binary.write_bytes(b"\xff\xfe{}")
+    missing = str(tmp_path / "no-such-dir" / "out")
+    assert cli.main(["verify", str(tmp_path), str(cert_path)]) == 3
+    assert cli.main(["verify", str(inst), str(binary)]) == 3
+    assert cli.main(["conjugate", str(inst), "--out", missing]) == 3
+    assert cli.main(["render", str(inst), "--out", missing]) == 3
+    assert capsys.readouterr().err.count("error: ") == 4
+
+
+MUTATION_VALUES = (None, "x", -1, 0, [], {}, "1/0")
+
+
+def _slots(data):
+    """Every (container, key) inside a JSON value."""
+    items = data.items() if isinstance(data, dict) else \
+        enumerate(data) if isinstance(data, list) else ()
+    for key, value in items:
+        yield data, key
+        yield from _slots(value)
+
+
+def _random_damage(rng, cert) -> str:
+    """Set one random slot to a bad value, or delete a random key."""
+    holder, key = rng.choice(list(_slots(cert)))
+    pick = rng.randrange(len(MUTATION_VALUES) + isinstance(holder, dict))
+    if pick == len(MUTATION_VALUES):
+        del holder[key]
+        return f"delete {key!r}"
+    holder[key] = copy.deepcopy(MUTATION_VALUES[pick])
+    return f"{key!r} = {MUTATION_VALUES[pick]!r}"
+
+
+def test_verify_survives_mutated_certificates(tmp_path, capsys):
+    circle_inst, circle_cert = _onedim_instance(
+        tmp_path, "circle", _scrambled_circle(circle_rotation(Q(1, 3))))
+    cases = [(INPUTS / f"{name}.json",
+              json.loads((INPUTS / f"{name}.cert.json").read_text()),
+              [_degenerate_triangle])
+             for name in ("disc-reflection-0-2", "sphere-rotoreflection-1-2")]
+    cases.append((circle_inst, circle_cert, CIRCLE_MAP_DAMAGES))
+    rng = random.Random(0)
+    bad = []
+    for inst, cert, damages in cases:
+        mutants = []
+        for damage in damages:
+            mutant = copy.deepcopy(cert)
+            damage(mutant)
+            mutants.append((damage.__name__, mutant))
+        for _ in range(20):
+            mutant = copy.deepcopy(cert)
+            mutants.append((_random_damage(rng, mutant), mutant))
+        for what, mutant in mutants:
+            try:
+                code = _verify(tmp_path, inst, mutant)
+            except Exception as exc:  # a crash is what this test looks for
+                code = repr(exc)
+            if code not in (0, 1, 3):
+                bad.append((inst.name, what, code))
+    capsys.readouterr()
+    assert bad == []

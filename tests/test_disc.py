@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +13,7 @@ from plhomeo.generate import make_instance
 from plhomeo.maps import (CellMap, PLMap2, boundary_restriction, compose,
                           evaluate, first_disagreement, identity_map, inverse,
                           is_identity, power, validate_homeo)
+from plhomeo.sectors import edge_path
 from plhomeo.suspension import DISC
 
 Q = Fraction
@@ -128,6 +130,16 @@ def test_sector_decomposition_model():
     for i in range(4):
         img = frozenset(k.cell_perm[c] for c in dec.sectors[i])
         assert img == dec.sectors[(i + 1) % 4]
+
+
+def test_edge_path_refuses_a_branch():
+    # the path 0-1-2 with a spur 1-3: from 1 there are two ways on
+    k = SimpleNamespace(edge_verts=[(0, 1), (1, 2), (1, 3)])
+    assert edge_path(k, [0, 1], 0, {2}) == [0, 1, 2]
+    with pytest.raises(StructureViolated):
+        edge_path(k, [0, 1, 2], 0, {2})
+    with pytest.raises(StructureViolated):
+        edge_path(k, [0, 1, 2], 3, {2})
 
 
 def test_sector_decomposition_scrambled():

@@ -2,8 +2,8 @@ import random
 from fractions import Fraction
 
 from plhomeo.geom import (BOUNDARY, INSIDE, OUTSIDE, area2, clip_convex,
-                          on_segment, orient, point_in_convex,
-                          seg_intersection, split_convex)
+                          cross, line_points, on_segment, orient,
+                          point_in_convex, seg_intersection, split_convex)
 
 Q = Fraction
 
@@ -70,10 +70,16 @@ def test_clip_convex():
     assert out == []
 
 
+def _cross_vals(poly, a, b):
+    return [cross(a, b, p) for p in poly]
+
+
 def test_split_convex():
-    left, right = split_convex(list(UNIT_SQUARE), pt(Q(1, 2), 0), pt(Q(1, 2), 1))
+    left, right = split_convex(list(UNIT_SQUARE), _cross_vals(
+        UNIT_SQUARE, pt(Q(1, 2), 0), pt(Q(1, 2), 1)))
     assert area2(tuple(left)) == 1 and area2(tuple(right)) == 1
-    left, right = split_convex(list(UNIT_SQUARE), pt(5, 0), pt(5, 1))
+    left, right = split_convex(list(UNIT_SQUARE),
+                               _cross_vals(UNIT_SQUARE, pt(5, 0), pt(5, 1)))
     assert right == [] and area2(tuple(left)) == 2
 
 
@@ -81,3 +87,57 @@ def test_on_segment():
     assert on_segment(pt(1, 1), pt(0, 0), pt(2, 2))
     assert not on_segment(pt(3, 3), pt(0, 0), pt(2, 2))
     assert on_segment(pt(0, 0), pt(0, 0), pt(2, 2))
+
+
+def _grid_pt(rng, r):
+    """A random point of the grid of step 1/4 in [-r/4, r/4]^2."""
+    return pt(Q(rng.randint(-r, r), 4), Q(rng.randint(-r, r), 4))
+
+
+def _random_convex(rng):
+    """The CCW convex hull of random grid points."""
+    while True:
+        pts = sorted({_grid_pt(rng, 20) for _ in range(rng.randint(3, 9))})
+        hull = []
+        for chain in (pts, pts[::-1]):
+            start = len(hull)
+            for p in chain:
+                while len(hull) >= start + 2 and \
+                        orient(hull[-2], hull[-1], p) <= 0:
+                    hull.pop()
+                hull.append(p)
+            hull.pop()
+        if len(hull) >= 3:
+            return hull
+
+
+def test_line_points_match_the_edge_oracle():
+    rng = random.Random(0)
+    for _ in range(50):
+        poly = _random_convex(rng)
+        n = len(poly)
+        i = rng.randrange(n)
+        lines = [(_grid_pt(rng, 24), _grid_pt(rng, 24)),
+                 (poly[i], _grid_pt(rng, 24)), (poly[i], poly[(i + 1) % n])]
+        for a, b in lines:
+            if a == b:
+                continue
+            vals = [cross(a, b, p) for p in poly]
+            far = (a[0] + 100 * (b[0] - a[0]), a[1] + 100 * (b[1] - a[1]))
+            back = (a[0] - 100 * (b[0] - a[0]), a[1] - 100 * (b[1] - a[1]))
+            oracle = set()
+            for j in range(n):
+                kind, got = seg_intersection(poly[j], poly[(j + 1) % n],
+                                             back, far)
+                if kind == "point":
+                    oracle.add(got)
+                elif kind == "overlap":
+                    oracle.update(got)
+            hits = line_points(poly, vals)
+            assert len(hits) == len(set(hits))
+            assert set(hits) == oracle
+            left, right = split_convex(poly, vals)
+            assert area2(tuple(left)) + area2(tuple(right)) == \
+                area2(tuple(poly))
+            assert all(cross(a, b, p) >= 0 for p in left)
+            assert all(cross(a, b, p) <= 0 for p in right)

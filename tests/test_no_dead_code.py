@@ -6,7 +6,8 @@ and ``tests/`` must be used in the module that imports it, every field of a data
 as an attribute somewhere in ``src/``, every parameter of a function or
 lambda must be read in its body, and every parameter with a default must
 be set by some call in ``src/``: a default that no caller overrides is a
-knob nothing turns.
+knob nothing turns.  Where a line crosses the edge of a polygon is
+computed in ``geom`` alone.
 """
 
 import ast
@@ -151,3 +152,21 @@ def test_every_default_is_set_by_a_caller():
             unset += [f"{module}.{node.name}.{arg}" for arg, reach in defaulted
                       if arg not in keywords and positional[node.name] < reach]
     assert [u for u in unset if u not in ALLOWED_UNSET_DEFAULTS] == []
+
+
+def test_edge_crossings_are_computed_in_geom():
+    """No ``v / (v - w)`` outside geom.py: the parameter where a line
+    crosses an edge, from its values v and w at the edge's ends."""
+    found = []
+    for name, tree in _modules().items():
+        if name == "geom":
+            continue
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.BinOp) and \
+                        isinstance(node.op, ast.Div) and \
+                        isinstance(node.right, ast.BinOp) and \
+                        isinstance(node.right.op, ast.Sub) and \
+                        ast.dump(node.right.left) == ast.dump(node.left):
+                    found.append(f"{name}.{getattr(top, 'name', '?')}")
+    assert found == []
