@@ -10,6 +10,17 @@ identity for the period n of its circle map on s = 1, which is a proof
 ``circle.MAX_PERIOD``; a circle map is searched for a period up to the
 same bound, and one that reverses orientation is not periodic when its
 square is not the identity.
+
+The angle k/n that ``analyze`` reports for a disc or sphere rotation or
+a sphere rotoreflection, and that its certificate's model names, is kept
+by a conjugacy that preserves orientation and fixes the poles, or that
+reverses orientation and swaps them; on the disc, by one that preserves
+orientation.  Others turn k into n - k: on the disc, sigma: (t, s) ->
+(-t, s) turns the rotation 1/3 into 2/3; on the sphere, both sigma and
+rho: (t, s) -> (-t, -s) turn k into n - k, for the rotation 1/3 and for
+the rotoreflection 1/4, while sigma o rho keeps k.  So k/n is not yet a
+class up to every conjugacy; item 3 of ROADMAP.md names the canonical
+class.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ from .conjugacy import Certificate, check_certificate
 from .disc import (analyze_disc, build_conjugacy_reflection,
                    build_conjugacy_rotation)
 from .errors import ParseError, PLHomeoError
-from .exact import fmt_rat
+from .exact import fmt_pt, fmt_rat
 from .generate import make_instance
 from .maps import PLMap2, compose, evaluate, validate_homeo
 from .sphere import (analyze_sphere, build_conjugacy_fixedpoint,
@@ -256,9 +267,8 @@ def cmd_verify(args) -> int:
     if cert.exact:
         print("certificate verified: h o f = model o h exactly")
         return 0
-    w = cert.witness
-    print(f"certificate REJECTED: first disagreement at "
-          f"({fmt_rat(w[0])}, {fmt_rat(w[1])})")
+    print("certificate REJECTED: first disagreement at "
+          + fmt_pt(cert.witness))
     return 1
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InvalidClass, ParseError, StructureViolated
+from .exact import fmt_pt
 from .maps import PLMap2, compose, first_disagreement, follow, identity_map
 from .suspension import Affine, DISC, SPHERE, band_cells, isometry_affine
 
@@ -99,5 +100,5 @@ def require_exact(f: PLMap2, cert: Certificate) -> Certificate:
     check_certificate(f, cert)
     if not cert.exact:
         raise StructureViolated(
-            f"certificate not exact; witness {cert.witness}")
+            f"certificate not exact; witness {fmt_pt(cert.witness)}")
     return cert

@@ -7,30 +7,26 @@ involutions whose fixed set is a boundary-to-boundary arc, conjugate to
 the reflection.
 
 This module owns what is particular to the disc: the analysis and the
-boundary rotation number.  The arc system, the sectors, the embedding of a
-fundamental domain and its equivariant extension are shared with the
-sphere and live in ``sectors.py``.
+boundary rotation number.  Both certificate builders check the class and
+hand it to ``sectors.fixed_point_conjugacy``, the one builder of the
+classes with fixed points on the disc and the sphere: it cuts the arc
+system and the sectors, embeds a fundamental domain and extends it by
+``sectors.orbit_cells``, the push-forward by the model's affine map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .circle import MAX_PERIOD, rotation_number
-from .conjugacy import (Certificate, ModelIsometry, IDENTITY, REFLECTION,
-                        ROTATION, require_exact)
+from .conjugacy import Certificate, IDENTITY, REFLECTION, ROTATION
 from .eqcomplex import equivariant_complex
 from .errors import NotPeriodic, StructureViolated
 from .maps import (FixedSet, PLMap2, boundary_restriction, compose,
-                   fixed_set, identity_map, orientation, period, power,
-                   unit_rotation_power, validate_homeo)
-from .sectors import (SectorDecomposition, embed_fundamental_domain,
-                      orbit_cells, reflection_conjugacy, rotation_layout,
+                   fixed_set, orientation, period, power, validate_homeo)
+from .sectors import (LEVEL_CUTS, SectorDecomposition, fixed_point_conjugacy,
                       rotation_sectors)
 from .suspension import DISC
-
-Q = Fraction
 
 
 @dataclass
@@ -93,37 +89,21 @@ def sector_decomposition(f: PLMap2, n: int) -> SectorDecomposition:
     Requires the rotation number of f on the boundary to be 1/n so that
     consecutive arcs bound the sectors in cyclic order.
     """
-    return rotation_sectors(equivariant_complex(f, n, level_cuts=[Q(1, 2)]))
+    return rotation_sectors(equivariant_complex(f, n,
+                                                level_cuts=LEVEL_CUTS[DISC]))
 
 
 def build_conjugacy_rotation(f: PLMap2, ana: DiscAnalysis) -> Certificate:
     """Conjugacy to the model rotation of the class in ``ana``, the
-    analysis of f."""
-    if ana.kind == "identity":
-        cert = Certificate(ModelIsometry(DISC, IDENTITY), identity_map(DISC),
-                           True)
-        return require_exact(f, cert)
-    if ana.kind != "rotation":
+    analysis of f, or to the identity."""
+    if ana.kind not in (IDENTITY, ROTATION):
         raise StructureViolated("map is not rotation-like")
-    n, kk = ana.n, ana.k
-    k = equivariant_complex(unit_rotation_power(f, kk, n), n,
-                            level_cuts=[Q(1, 2)])
-    k, lay, pos = embed_fundamental_domain(k, rotation_layout, oriented=True)
-    # always False; kept since bench/inputs/manifest.json pins the bytes
-    # of the disc rotation certificate, this pin included
-    cert = Certificate(ModelIsometry(DISC, ROTATION, kk, n),
-                       PLMap2(DISC, orbit_cells(k, lay, pos)), True,
-                       pins={"boundary": False})
-    return require_exact(f, cert)
+    return fixed_point_conjugacy(f, ana.kind, ana.k, ana.n, ana.fixed)
 
 
 def build_conjugacy_reflection(f: PLMap2, ana: DiscAnalysis) -> Certificate:
     """Conjugacy to the model reflection, cutting along the fixed arc that
     ``ana``, the analysis of f, found."""
-    if ana.kind != "reflection":
+    if ana.kind != REFLECTION:
         raise StructureViolated("map is not reflection-like")
-    k = equivariant_complex(f, 2, level_cuts=[Q(1, 2)],
-                            chord_cuts=ana.fixed.segments)
-    cert = Certificate(ModelIsometry(DISC, REFLECTION),
-                       reflection_conjugacy(f, k), True)
-    return require_exact(f, cert)
+    return fixed_point_conjugacy(f, ana.kind, ana.k, ana.n, ana.fixed)

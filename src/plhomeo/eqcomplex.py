@@ -23,20 +23,31 @@ Q = Fraction
 
 @dataclass
 class EqComplex:
-    model: str
+    """The cells polys of an f-equivariant complex, indexed, with the
+    action of f on its cells, vertices and edges, all computed on
+    construction."""
     f: PLMap2
     n: int
     polys: list[tuple[Pt, ...]]
-    f_affines: list[Affine]
-    cell_perm: list[int] = field(default=None)
-    verts: list[Pt] = field(default=None)
-    vert_index: dict = field(default=None)
-    vert_perm: list[int] = field(default=None)
-    edges: list[tuple[Pt, Pt]] = field(default=None)
-    edge_index: dict = field(default=None)
-    edge_perm: list[int] = field(default=None)
-    edge_verts: list[tuple[int, int]] = field(default=None)
-    edge_cells: list[list[int]] = field(default=None)
+    f_affines: list[Affine] = field(init=False)
+    cell_perm: list[int] = field(init=False)
+    verts: list[Pt] = field(init=False)
+    vert_index: dict = field(init=False)
+    vert_perm: list[int] = field(init=False)
+    edges: list[tuple[Pt, Pt]] = field(init=False)
+    edge_index: dict = field(init=False)
+    edge_perm: list[int] = field(init=False)
+    edge_verts: list[tuple[int, int]] = field(init=False)
+    edge_cells: list[list[int]] = field(init=False)
+    _cell_key: dict = field(init=False)  # poly_key of a cell -> its index
+
+    def __post_init__(self):
+        _index_complex(self)
+        _build_action(self)
+
+    @property
+    def model(self) -> str:
+        return self.f.model
 
     def vertex_id(self, chart: Pt) -> int:
         return self.vert_index[(mod1(chart[0]), chart[1])]
@@ -57,10 +68,7 @@ def equivariant_complex(f: PLMap2, n: int, level_cuts=(),
     polys = [c.poly for c in g.cells]
     if level_cuts or chord_cuts:
         polys = _cut_polys(f, n, polys, list(level_cuts), list(chord_cuts))
-    k = EqComplex(f.model, f, n, polys, [])
-    _index_complex(k)
-    _build_action(k)
-    return k
+    return EqComplex(f, n, polys)
 
 
 def conjugated_equivariant_complex(fp: PLMap2, f: PLMap2, h: PLMap2, n: int,
@@ -99,10 +107,7 @@ def conjugated_equivariant_complex(fp: PLMap2, f: PLMap2, h: PLMap2, n: int,
         if area2(tuple(out)) < 0:
             out.reverse()
         pushed.append(tuple(out))
-    k = EqComplex(fp.model, fp, n, pushed, [])
-    _index_complex(k)
-    _build_action(k)
-    return k
+    return EqComplex(fp, n, pushed)
 
 
 def _pullback_levels(h: PLMap2, levels):
@@ -282,9 +287,9 @@ def _index_complex(k: EqComplex):
     k.verts, k.vert_index = [], {}
     k.edges, k.edge_index = [], {}
     k.edge_verts, k.edge_cells = [], []
-    key_to_cell = {}
+    k._cell_key = {}
     for ci, poly in enumerate(k.polys):
-        key_to_cell[poly_key(poly)] = ci
+        k._cell_key[poly_key(poly)] = ci
         m = len(poly)
         for i in range(m):
             p = poly[i]
@@ -305,7 +310,6 @@ def _index_complex(k: EqComplex):
     for ei, (p, q) in enumerate(k.edges):
         k.edge_verts[ei] = (k.vert_index[(mod1(p[0]), p[1])],
                             k.vert_index[(mod1(q[0]), q[1])])
-    k._cell_key = key_to_cell
     k.f_affines = [_affine_at(k.f, poly) for poly in k.polys]
 
 
@@ -357,10 +361,7 @@ def refine_cells(k: EqComplex, cell_ids) -> EqComplex:
         m = len(poly)
         for i in range(m):
             polys.append((g, poly[i], poly[(i + 1) % m]))
-    k2 = EqComplex(k.model, k.f, k.n, polys, [])
-    _index_complex(k2)
-    _build_action(k2)
-    return k2
+    return EqComplex(k.f, k.n, polys)
 
 
 def refine_edges(k: EqComplex, edge_ids) -> EqComplex:
@@ -403,10 +404,7 @@ def refine_edges(k: EqComplex, edge_ids) -> EqComplex:
             a, b = corners[i], corners[(i + 1) % mm]
             if area2((g, a, b)) > 0:
                 polys.append((g, a, b))
-    k2 = EqComplex(k.model, k.f, k.n, polys, [])
-    _index_complex(k2)
-    _build_action(k2)
-    return k2
+    return EqComplex(k.f, k.n, polys)
 
 
 def apply_perm(perm: list[int], i: int, times: int) -> int:

@@ -35,6 +35,11 @@ def fmt_rat(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def fmt_pt(p) -> str:
+    """A chart point as '(p/q, p/q)', the form messages show it in."""
+    return f"({fmt_rat(p[0])}, {fmt_rat(p[1])})"
+
+
 def mod1(q: Fraction) -> Fraction:
     """Reduce into [0, 1); the representative of an angle."""
     return q - (q.numerator // q.denominator)

@@ -20,7 +20,7 @@ from math import ceil, floor
 
 from .circle import CirclePL, period_circle
 from .errors import OverlayDegenerate, ParseError, StructureViolated
-from .exact import mod1
+from .exact import fmt_pt, mod1
 from .geom import (Pt, area2, bbox_overlap, clip_convex, clip_halfplane,
                    line_points, point_in_convex, poly_bbox, INSIDE, OUTSIDE)
 from .suspension import (Affine, SuspensionComplex, affine_from_pairs,
@@ -141,7 +141,7 @@ def locate_cell(f: PLMap2, p: Pt) -> tuple[int, Pt]:
                 best = i
                 best_q = q
     if best is None:
-        raise StructureViolated(f"point {p} not covered by any cell")
+        raise StructureViolated(f"point {fmt_pt(p)} not covered by any cell")
     return best, best_q
 
 
@@ -650,7 +650,8 @@ def _edge_image_consistency(f: PLMap2) -> list[str]:
                 d1, d2 = pi[0] - p0[0], qi[0] - q0[0]
                 if pi[1] != p0[1] or qi[1] != q0[1] or d1 != d2 \
                         or d1.denominator != 1:
-                    problems.append(f"edge {key} image mismatch")
+                    problems.append(f"edge {fmt_pt(key[0])} to "
+                                    f"{fmt_pt(key[1])} image mismatch")
     return problems
 
 

@@ -1,11 +1,15 @@
-"""Arc systems, sectors and equivariant embeddings, shared by disc and sphere.
+"""Arc systems, sectors, equivariant embeddings and the certificates of
+the classes with fixed points, shared by disc and sphere.
 
 The disc and the sphere are conjugated to their models the same way: an
 arc system is cut out of an equivariant complex, one fundamental domain
 bounded by arcs is embedded by a Tutte (convex-combination) embedding onto
-a rectangle of the model chart, and the embedding is pushed around the
-orbit.  This module owns those steps.  ``disc.py`` and ``sphere.py`` own the
-analysis of their model and say which arcs bound the fundamental domain.
+a rectangle of the model chart, and ``orbit_cells``, the one equivariant
+extension, pushes the embedding around the orbit by the model's chart
+affine map (``Layout.affine``).  From these steps
+``fixed_point_conjugacy`` builds the certificate of the identity, a
+rotation or the reflection on either model.  ``disc.py`` and ``sphere.py``
+own the analyses, and ``sphere.py`` the arcs of the fixed-point-free case.
 
 Arcs run from the collapsed center line to the boundary line in the disc,
 and from the north pole line to the south pole line in the sphere.  A
@@ -23,15 +27,19 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .conjugacy import (Certificate, ModelIsometry, IDENTITY, REFLECTION,
+                        ROTATION, require_exact)
 from .embedding import tutte_positions
-from .eqcomplex import EqComplex, refine_cells, refine_edges
+from .eqcomplex import (EqComplex, equivariant_complex, refine_cells,
+                        refine_edges)
 from .errors import (EmbeddingDegenerate, QuotientPathNotFound,
                      StructureViolated)
 from .exact import mod1
 from .geom import Pt, area2
-from .maps import CellMap, PLMap2, evaluate, shift_into_unit
-from .suspension import (DISC, SPHERE, _edge_key, collapsed_levels,
-                         s_range)
+from .maps import (CellMap, FixedSet, PLMap2, evaluate, identity_map,
+                   shift_into_unit, unit_rotation_power)
+from .suspension import (DISC, IDENTITY_AFFINE, SPHERE, Affine, _edge_key,
+                         collapsed_levels, isometry_affine, s_range)
 
 Q = Fraction
 
@@ -40,6 +48,17 @@ MAX_REFINEMENTS = 6
 
 # The line an arc of a sector system starts on and the line it ends on.
 ARC_LEVELS = {DISC: (Q(0), Q(1)), SPHERE: (Q(1), Q(-1))}
+
+# The levels whose orbits cut the equivariant complex of a map with fixed
+# points.
+LEVEL_CUTS = {DISC: (Q(1, 2),), SPHERE: (Q(1, 2), Q(-1, 2))}
+
+# The pins of a fixed-point certificate, by model and class (none for the
+# others); bench/inputs/manifest.json pins the bytes of the certificates,
+# so "boundary", always False, stays.
+PINS = {(DISC, ROTATION): {"boundary": False},
+        (SPHERE, ROTATION): {"north": True},
+        (SPHERE, REFLECTION): {"north": True}}
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +338,10 @@ def line_walk(k: EqComplex, side, level: Fraction, start: int, stop: int):
 @dataclass
 class Layout:
     """Prescribed chart positions for the boundary of a fundamental domain."""
-    fund: frozenset[int]          # the cells of the domain
-    targets: dict[int, Pt]        # vertex -> prescribed position
-    chains: list[list[int]]       # left, right, bottom and top sides
-    step: Fraction | None = None  # model angle between consecutive iterates
+    fund: frozenset[int]     # the cells of the domain
+    targets: dict[int, Pt]   # vertex -> prescribed position
+    chains: list[list[int]]  # left, right, bottom and top sides
+    affine: Affine           # the model map between consecutive iterates
 
 
 def rectangle_targets(left, right, bottom, top, wedge: Fraction,
@@ -344,7 +363,7 @@ def rectangle_targets(left, right, bottom, top, wedge: Fraction,
 
 
 def polar_layout(k: EqComplex, fund, left, right, wedge: Fraction,
-                 step: Fraction | None = None) -> Layout:
+                 affine: Affine) -> Layout:
     """The domain between two arcs onto [0, wedge] x s_range: its bottom
     and top sides run along the end lines of the chart."""
     lo, hi = s_range(k.model)
@@ -352,7 +371,7 @@ def polar_layout(k: EqComplex, fund, left, right, wedge: Fraction,
     top = line_walk(k, fund, hi, left[0], right[0])
     return Layout(fund, rectangle_targets(left, right, bottom, top, wedge,
                                           lo, hi),
-                  [left, right, bottom, top], step)
+                  [left, right, bottom, top], affine)
 
 
 def rotation_layout(k: EqComplex) -> Layout:
@@ -363,7 +382,7 @@ def rotation_layout(k: EqComplex) -> Layout:
     left = arc0 if top_end(k, arc0) == arc0[0] else arc0[::-1]
     right = [k.vert_perm[v] for v in left]
     return polar_layout(k, dec.sectors[0], left, right, Q(1, k.n),
-                        Q(1, k.n))
+                        isometry_affine(1, Q(1, k.n), 1))
 
 
 def reflection_layout(k: EqComplex, f: PLMap2) -> Layout:
@@ -379,7 +398,8 @@ def reflection_layout(k: EqComplex, f: PLMap2) -> Layout:
     if frozenset(k.cell_perm[c] for c in side1) != side2:
         raise StructureViolated("involution does not swap the two sides")
     half1, half2 = _curve_halves(k, arc_edges)
-    return polar_layout(k, side1, half1, half2, Q(1, 2))
+    return polar_layout(k, side1, half1, half2, Q(1, 2),
+                        isometry_affine(-1, Q(0), 1))
 
 
 def _curve_halves(k: EqComplex, arc_edges: set[int]):
@@ -529,13 +549,12 @@ def _cell(tri, img) -> CellMap:
     return CellMap(tuple(poly), tuple(img))
 
 
-def orbit_cells(k: EqComplex, lay: Layout, pos, flip_odd: bool = False
-                ) -> list[CellMap]:
+def orbit_cells(k: EqComplex, lay: Layout, pos) -> list[CellMap]:
     """Fan-triangulate the fundamental domain and push it by the action.
 
-    The i-th iterate of a domain cell gets the embedded corners turned by
-    i * lay.step, with s negated for odd i when flip_odd; the arcs between
-    iterates come out automatically."""
+    The i-th iterate of a domain cell has the corners f^i(tri0) and the
+    images M^i(pos), where M is lay.affine; the arcs between iterates come
+    out automatically."""
     rep = {}
     for c0 in sorted(lay.fund):
         cur = c0
@@ -544,49 +563,56 @@ def orbit_cells(k: EqComplex, lay: Layout, pos, flip_odd: bool = False
             cur = k.cell_perm[cur]
     if len(rep) != len(k.polys):
         raise StructureViolated("fundamental domain orbit does not tile")
+    images, M = [], IDENTITY_AFFINE  # images[i][v] = M^i(pos[v])
+    for _ in range(k.n):
+        images.append({v: M(p) for v, p in pos.items()})
+        M = lay.affine.compose_after(M)
     cells: list[CellMap] = []
     for c in range(len(k.polys)):
         c0, i = rep[c]
-        A = None
-        cur = c0
+        A, cur = IDENTITY_AFFINE, c0
         for _ in range(i):
-            step = k.f_affines[cur]
-            A = step if A is None else step.compose_after(A)
+            A = k.f_affines[cur].compose_after(A)
             cur = k.cell_perm[cur]
-        sign = -1 if flip_odd and i % 2 else 1
         base = k.polys[c0]
         for tri0 in _fan_triples(base, _fan_anchor(k, base, lay.targets)):
-            img = [(pos[v][0] + i * lay.step, sign * pos[v][1])
-                   for v in map(k.vertex_id, tri0)]
-            cells.append(_cell(tri0 if A is None else [A(q) for q in tri0],
-                               img))
+            cells.append(_cell([A(q) for q in tri0],
+                               [images[i][k.vertex_id(q)] for q in tri0]))
     return cells
 
 
-def reflection_cells(k: EqComplex, side1, pos, targets) -> list[CellMap]:
-    """Side 1 by the embedding; side 2 forced by S o h o f, where S is the
-    model reflection (t, s) -> (-t, s)."""
-    cells: list[CellMap] = []
-    for c, poly in enumerate(k.polys):
-        if c in side1:
-            for tri in _fan_triples(poly, _fan_anchor(k, poly, targets)):
-                cells.append(_cell(tri, [pos[k.vertex_id(q)] for q in tri]))
-            continue
-        c0 = k.cell_perm[c]  # f maps this side-2 cell onto a side-1 cell
-        if c0 not in side1:
-            raise StructureViolated("side permutation broken")
-        Ainv = k.f_affines[c].inverse()
-        base = k.polys[c0]
-        for tri0 in _fan_triples(base, _fan_anchor(k, base, targets)):
-            img = [(1 - pos[v][0], pos[v][1])
-                   for v in map(k.vertex_id, tri0)]
-            cells.append(_cell([Ainv(q) for q in tri0], img))
-    return cells
+# ---------------------------------------------------------------------------
+# the certificates of the classes with fixed points
 
 
-def reflection_conjugacy(f: PLMap2, k: EqComplex) -> PLMap2:
-    """h with h o f = S o h for the orientation-reversing involution f,
-    built on its equivariant complex k (cut along the fixed curve)."""
-    k, lay, pos = embed_fundamental_domain(
-        k, lambda k: reflection_layout(k, f), oriented=False)
-    return PLMap2(k.model, reflection_cells(k, lay.fund, pos, lay.targets))
+def fixed_point_conjugacy(f: PLMap2, kind: str, kk: int, n: int,
+                          fixed: FixedSet | None) -> Certificate:
+    """The certificate of a disc or sphere map f of the class kind, with
+    fixed points: the identity, the rotation by kk/n, or the reflection.
+
+    A rotation is built on its iterate of class 1/n
+    (``unit_rotation_power``), a reflection on its complex cut along the
+    fixed segments that the analysis found.  The reflection has period n = 2,
+    but its model, like the identity's, has k = 0 and n = 1."""
+    model = f.model
+    if kind == IDENTITY:
+        return require_exact(f, Certificate(ModelIsometry(model, IDENTITY),
+                                            identity_map(model), True))
+    if kind == ROTATION:
+        iso = ModelIsometry(model, ROTATION, kk, n)
+        k = equivariant_complex(unit_rotation_power(f, kk, n), n,
+                                level_cuts=LEVEL_CUTS[model])
+        k, lay, pos = embed_fundamental_domain(k, rotation_layout,
+                                               oriented=True)
+    elif kind == REFLECTION:
+        iso = ModelIsometry(model, REFLECTION)
+        k = equivariant_complex(f, n, level_cuts=LEVEL_CUTS[model],
+                                chord_cuts=fixed.segments)
+        k, lay, pos = embed_fundamental_domain(
+            k, lambda k: reflection_layout(k, f), oriented=False)
+    else:
+        raise StructureViolated(
+            "map has no fixed points; use the free pipeline")
+    return require_exact(f, Certificate(
+        iso, PLMap2(model, orbit_cells(k, lay, pos)), True,
+        dict(PINS.get((model, kind), {}))))

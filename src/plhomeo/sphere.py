@@ -17,9 +17,13 @@ This module owns what is particular to the sphere: the analysis, the pole
 link rotation number, the normalization of the square, the critical
 latitude and the arcs of the free case (the meridian through P0, its
 continuation inside the image cap, and the half-sector cut of subcase A).
-The arc system of the fixed-point cases, the sectors, the embedding of a
-fundamental domain and its equivariant extension are shared with the disc
-and live in ``sectors.py``.
+The certificates of the classes with fixed points, and the rotation that
+normalizes the square, come from ``sectors.fixed_point_conjugacy``, the
+builder shared with the disc.  Every certificate, the free one included,
+is extended from its fundamental domain by ``sectors.orbit_cells``, the
+push-forward by the model's affine map: (t, s) -> (t + 1/n, s) for the
+iterate of class 1/n of a rotation, (t, s) -> (-t, s) for the reflection,
+and (t, s) -> (t + k/n, -s) for the rotoreflection.
 """
 
 from __future__ import annotations
@@ -30,24 +34,22 @@ from math import gcd
 from typing import NamedTuple
 
 from .circle import MAX_PERIOD, rotation_number
-from .conjugacy import (Certificate, ModelIsometry, IDENTITY, REFLECTION,
-                        ROTATION, ROTOREFLECTION, require_exact)
+from .conjugacy import (Certificate, ModelIsometry, ROTATION, ROTOREFLECTION,
+                        require_exact)
 from .eqcomplex import (EqComplex, apply_perm, conjugated_equivariant_complex,
                         equivariant_complex)
 from .errors import ArcSearchFailed, NotPeriodic, StructureViolated
-from .exact import mod1
+from .exact import fmt_pt, mod1
 from .geom import Pt, centroid, line_points
 from .maps import (FixedSet, PLMap2, boundary_restriction, compose, evaluate,
-                   fixed_set, identity_map, inverse, is_identity,
-                   orientation, period, power, unit_rotation_power,
-                   validate_homeo)
+                   fixed_set, inverse, is_identity, orientation, period,
+                   power, validate_homeo)
 from .sectors import (Layout, components, cut_sectors, edge_path,
                       embed_fundamental_domain, fixed_edges,
-                      lifted_quotient_path, line_walk, orbit_cells,
-                      orbit_ids, polar_layout, quotient_adjacency,
-                      rectangle_targets, reflection_conjugacy,
-                      rotation_layout, top_end)
-from .suspension import SPHERE
+                      fixed_point_conjugacy, lifted_quotient_path, line_walk,
+                      orbit_cells, orbit_ids, polar_layout,
+                      quotient_adjacency, rectangle_targets, top_end)
+from .suspension import SPHERE, isometry_affine
 
 Q = Fraction
 
@@ -143,35 +145,7 @@ def build_conjugacy_fixedpoint(f: PLMap2, ana: SphereAnalysis
     """Conjugacy of a map with fixed points to the model that ``ana``, the
     analysis of f, names; the reflection cuts along the fixed circle it
     found."""
-    if ana.kind == "identity":
-        cert = Certificate(ModelIsometry(SPHERE, IDENTITY),
-                           identity_map(SPHERE), True)
-        return require_exact(f, cert)
-    if ana.kind == "rotation":
-        return _build_sphere_rotation(f, ana)
-    if ana.kind == "reflection":
-        return _build_sphere_reflection(f, ana)
-    raise StructureViolated("map has no fixed points; use the free pipeline")
-
-
-def _build_sphere_rotation(f: PLMap2, ana: SphereAnalysis) -> Certificate:
-    n, kk = ana.n, ana.k
-    k = equivariant_complex(unit_rotation_power(f, kk, n), n,
-                            level_cuts=[Q(1, 2), Q(-1, 2)])
-    k, lay, pos = embed_fundamental_domain(k, rotation_layout, oriented=True)
-    cert = Certificate(ModelIsometry(SPHERE, ROTATION, kk, n),
-                       PLMap2(SPHERE, orbit_cells(k, lay, pos)), True,
-                       pins={"north": True})
-    return require_exact(f, cert)
-
-
-def _build_sphere_reflection(f: PLMap2, ana: SphereAnalysis) -> Certificate:
-    k = equivariant_complex(f, 2, level_cuts=[Q(1, 2), Q(-1, 2)],
-                            chord_cuts=ana.fixed.segments)
-    cert = Certificate(ModelIsometry(SPHERE, REFLECTION),
-                       reflection_conjugacy(f, k), True,
-                       pins={"north": True})
-    return require_exact(f, cert)
+    return fixed_point_conjugacy(f, ana.kind, ana.k, ana.n, ana.fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +231,7 @@ def _normalize_square(f: PLMap2, n: int):
         return f, None
     # f swaps the poles, so g has period n / 2, that of its link map
     rc = rotation_number(boundary_restriction(g), n // 2)
-    ana_g = SphereAnalysis("rotation", n // 2, rc.k)
-    conj = _build_sphere_rotation(g, ana_g)
+    conj = fixed_point_conjugacy(g, ROTATION, rc.k, n // 2, None)
     fp = compose(compose(inverse(conj.h), f), conj.h)
     # require_exact proved h g = r h, so (fp)^2 = h g h^-1 is r exactly
     return fp, conj
@@ -342,14 +315,15 @@ def _assemble_free_map(f: PLMap2, fs: FreeStructure):
         c = Q(_solve_class_angle(jstar, n, m, r2), n)
         # odd iterates swap the poles: turn the right arc to run downwards
         right = arcs[jstar] if jstar % 2 == 0 else arcs[jstar][::-1]
+        M = isometry_affine(1, c, -1)
         if subcase == "distinct":
-            return polar_layout(k, sector0, bstar, right, Q(1, m), c)
+            return polar_layout(k, sector0, bstar, right, Q(1, m), M)
         return _coincident_layout(k, fp, bstar, right, sector0, arc_edges,
-                                  m, n, jstar, c, p0)
+                                  m, n, jstar, M, p0)
 
     k, lay, pos = embed_fundamental_domain(k, layout, oriented=True)
-    return (PLMap2(SPHERE, orbit_cells(k, lay, pos, flip_odd=True)),
-            int(lay.step * n))
+    return (PLMap2(SPHERE, orbit_cells(k, lay, pos)),
+            int(lay.affine.c * n))
 
 
 def _right_arc_index(k: EqComplex, arcs) -> int:
@@ -432,12 +406,12 @@ def _bprime_path(k: EqComplex, t0, p0, n, b0):
 def _vert_at(k: EqComplex, p: Pt) -> int:
     key = (mod1(p[0]), p[1])
     if key not in k.vert_index:
-        raise StructureViolated(f"point {p} is not a complex vertex")
+        raise StructureViolated(f"point {fmt_pt(p)} is not a complex vertex")
     return k.vert_index[key]
 
 
 def _coincident_layout(k, fp, bstar, right, sector0, arc_edges, m, n, jstar,
-                       c, p0) -> Layout:
+                       M, p0) -> Layout:
     """Subcase A: the fundamental domain is the north half of the sector,
     cut by the fixed curve of f^(n/2), mapped onto [0, 1/m] x [0, 1]."""
     phi_edges = fixed_edges(k, power(fp, n // 2))
@@ -462,4 +436,4 @@ def _coincident_layout(k, fp, bstar, right, sector0, arc_edges, m, n, jstar,
                       p0v, {pj})
     top = line_walk(k, north_half, Q(1), left[0], right[0])
     targets = rectangle_targets(left, right, cross, top, Q(1, m), Q(0), Q(1))
-    return Layout(north_half, targets, [left, right, cross, top], c)
+    return Layout(north_half, targets, [left, right, cross, top], M)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateInput, OverlayDegenerate, ParseError
-from .exact import mod1
+from .exact import fmt_pt, mod1
 from .geom import Pt, area2, orient
 
 Q = Fraction
@@ -196,10 +196,12 @@ def complex_check(cx: SuspensionComplex) -> list[str]:
         on_boundary = cx.model == DISC and p[1] == q[1] == 1
         if on_collapsed or on_boundary:
             if len(signs) != 1:
-                problems.append(f"line edge {key} used {len(signs)} times")
+                problems.append(f"line edge {fmt_pt(p)} to {fmt_pt(q)} "
+                                f"used {len(signs)} times")
         else:
             if len(signs) != 2 or sum(signs) != 0:
-                problems.append(f"edge {key} not matched: {signs}")
+                problems.append(f"edge {fmt_pt(p)} to {fmt_pt(q)} not "
+                                f"matched: {signs}")
     for level in collapsed_levels(cx.model) + (
             (Q(1),) if cx.model == DISC else ()):
         if not _line_covered(edge_count, level):

@@ -88,11 +88,10 @@ VERIFY_OUTPUT = {
            "zero determinant; poles must map onto poles; image complex: "
            "triangle 26 not positively oriented; image complex: triangle 44 "
            "not positively oriented; image complex: chart area 47/12 != 4; "
-           "image complex: edge ((Fraction(11, 12), Fraction(1, 1)), "
-           "(Fraction(1, 1), Fraction(1, 2))) not matched: [-1]; image "
-           "complex: edge ((Fraction(0, 1), Fraction(1, 2)), (Fraction(1, "
-           "12), Fraction(1, 1))) not matched: [-1]; image complex: line "
-           "s=1 not fully edge-covered\n"),
+           "image complex: edge (11/12, 1/1) to (1/1, 1/2) not matched: "
+           "[-1]; image complex: edge (0/1, 1/2) to (1/12, 1/1) not "
+           "matched: [-1]; image complex: line s=1 not fully "
+           "edge-covered\n"),
     "sphere-rotoreflection-1-2": (0, VERIFIED),
     "sphere-rotoreflection-1-2-m10": (0, VERIFIED),
     "sphere-rotoreflection-1-4": (0, VERIFIED),

@@ -41,6 +41,24 @@ def test_verify_accepts_own_certificate(disc_rotation, tmp_path):
     assert _verify(tmp_path, inst, cert) == 0
 
 
+@pytest.mark.parametrize("space, kind, k, n", [
+    (DISC, "identity", 0, 1), (DISC, "rotation", 2, 5),
+    (DISC, "reflection", 0, 1), (SPHERE, "identity", 0, 1),
+    (SPHERE, "rotation", 1, 3), (SPHERE, "reflection", 0, 1),
+    (SPHERE, "rotoreflection", 1, 4)])
+def test_conjugate_and_verify_every_class(tmp_path, space, kind, k, n):
+    """generate, conjugate and verify succeed for every class of both
+    models; the model of an identity or a reflection has k = 0, n = 1."""
+    inst, cert = tmp_path / "f.json", tmp_path / "f.cert.json"
+    assert cli.main(["generate", "--space", space, "--kind", kind,
+                     "--k", str(k), "--n", str(n), "--seed", "2",
+                     "--moves", "3", "--out", str(inst)]) == 0
+    assert cli.main(["conjugate", str(inst), "--out", str(cert)]) == 0
+    assert cli.main(["verify", str(inst), str(cert)]) == 0
+    assert json.loads(cert.read_text())["model"] == {
+        "space": space, "kind": kind, "k": k, "n": n}
+
+
 def test_verify_rejects_changed_class(disc_rotation, tmp_path, capsys):
     inst, cert = disc_rotation
     cert = json.loads(json.dumps(cert))
@@ -379,7 +397,9 @@ def test_verify_survives_mutated_certificates(tmp_path, capsys):
                 code = _verify(tmp_path, inst, mutant)
             except Exception as exc:  # a crash is what this test looks for
                 code = repr(exc)
+            out = capsys.readouterr()
             if code not in (0, 1, 3):
                 bad.append((inst.name, what, code))
-    capsys.readouterr()
+            if "Fraction(" in out.out + out.err:  # points print as p/q
+                bad.append((inst.name, what, out.out + out.err))
     assert bad == []

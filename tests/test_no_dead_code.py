@@ -7,15 +7,19 @@ as an attribute somewhere in ``src/``, every parameter of a function or
 lambda must be read in its body, and every parameter with a default must
 be set by some call in ``src/``: a default that no caller overrides is a
 knob nothing turns.  Where a line crosses the edge of a polygon is
-computed in ``geom`` alone.
+computed in ``geom`` alone.  Every function that ``bench/tracer.py``
+traces by name is still defined in its module.
 """
 
 import ast
+import importlib
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "plhomeo"
+TRACER = TESTS.parent / "bench" / "tracer.py"
 
 # convex_touch is called only by the brute-force oracle of
 # test_t0_matches_scan_oracle, which checks t0_cut against an independent
@@ -170,3 +174,18 @@ def test_edge_crossings_are_computed_in_geom():
                         ast.dump(node.right.left) == ast.dump(node.left):
                     found.append(f"{name}.{getattr(top, 'name', '?')}")
     assert found == []
+
+
+def test_traced_functions_are_defined():
+    """A name in ``GROUPS`` of ``bench/tracer.py`` that its plhomeo module
+    no longer defines breaks ``bench/run.py --trace 1``."""
+    spec = importlib.util.spec_from_file_location("tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module, funcs, _ in tracer.GROUPS.values():
+        home = importlib.import_module(f"plhomeo.{module}")
+        missing += [f"{module}.{fn}" for fn in funcs
+                    if getattr(getattr(home, fn, None), "__module__", None)
+                    != home.__name__]
+    assert missing == []
