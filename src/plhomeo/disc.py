@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circle import MAX_PERIOD, rotation_number
+from .circle import rotation_number
 from .conjugacy import Certificate, IDENTITY, REFLECTION, ROTATION
 from .eqcomplex import equivariant_complex
-from .errors import NotPeriodic, StructureViolated
+from .errors import StructureViolated
 from .maps import (FixedSet, PLMap2, boundary_restriction, compose,
                    fixed_set, orientation, period, power, validate_homeo)
 from .sectors import (LEVEL_CUTS, SectorDecomposition, fixed_point_conjugacy,
@@ -51,10 +51,6 @@ def analyze_disc(f: PLMap2) -> DiscAnalysis:
     if problems:
         raise StructureViolated("invalid map: " + "; ".join(problems))
     n = period(f)
-    if n is None:
-        raise NotPeriodic(
-            f"not periodic: the boundary map has no period up to "
-            f"{MAX_PERIOD}, or f^n != id for its period n")
     if n == 1:
         return DiscAnalysis("identity", 1)
     fs = fixed_set(f)

@@ -14,9 +14,9 @@ from fractions import Fraction
 from .errors import OverlayDegenerate, StructureViolated
 from .exact import mod1
 from .geom import Pt, area2, centroid, cross, line_points, split_convex
-from .maps import (PLMap2, compose, fixed_set, identity_map, is_identity,
-                   locate_cell, poly_key, power, shift_into_unit)
-from .suspension import Affine, IDENTITY_AFFINE, _edge_key
+from .maps import (PLMap2, ccw, compose, fixed_set, identity_map, is_identity,
+                   poly_key, power, shift_into_unit)
+from .suspension import Affine, IDENTITY_AFFINE, _edge_key, isometry_affine
 
 Q = Fraction
 
@@ -24,12 +24,13 @@ Q = Fraction
 @dataclass
 class EqComplex:
     """The cells polys of an f-equivariant complex, indexed, with the
-    action of f on its cells, vertices and edges, all computed on
-    construction."""
+    action of f on its cells, vertices and edges.  f_affines[i] is the
+    affine map of f on polys[i], handed on by the builder; the rest is
+    computed on construction."""
     f: PLMap2
     n: int
     polys: list[tuple[Pt, ...]]
-    f_affines: list[Affine] = field(init=False)
+    f_affines: list[Affine]
     cell_perm: list[int] = field(init=False)
     verts: list[Pt] = field(init=False)
     vert_index: dict = field(init=False)
@@ -62,13 +63,11 @@ def equivariant_complex(f: PLMap2, n: int, level_cuts=(),
     segments (each a chord of the current refinement's cells under every
     iterate); cut the same way.
     """
-    g = power(f, n)
-    if not is_identity(g):
-        raise StructureViolated(f"map is not periodic of period {n}")
-    polys = [c.poly for c in g.cells]
+    chains = _chain_cells(f, n)
     if level_cuts or chord_cuts:
-        polys = _cut_polys(f, n, polys, list(level_cuts), list(chord_cuts))
-    return EqComplex(f, n, polys)
+        chains = _cut_polys(chains, list(level_cuts), list(chord_cuts))
+    return EqComplex(f, n, [c[0] for c in chains],
+                     [f.affine(c[1]) for c in chains])
 
 
 def conjugated_equivariant_complex(fp: PLMap2, f: PLMap2, h: PLMap2, n: int,
@@ -78,36 +77,33 @@ def conjugated_equivariant_complex(fp: PLMap2, f: PLMap2, h: PLMap2, n: int,
 
     The chain refinement and all cuts run on f's (small) coordinates: the
     complex of f refined against h's source cells, cut along the h-pullbacks
-    of the requested curves, is pushed through h cell by cell.  base_chords
-    are chords already expressed in the f-frame (full chords of the chain
-    cells of the matching iterate)."""
+    of the requested curves, and with phi_power along the fixed segments
+    of that iterate of f, is pushed through h cell by cell.  Each cell lies
+    in the cell of h that its cell of f_ref = compose(id_h, f) is a piece
+    of, and fp acts on its push-forward as H' o F o H^-1, with H' the map
+    of h where F sends the cell, and shifts into the unit chart between."""
     id_h = identity_map(f.model, [list(c.poly) for c in h.cells])
     f_ref = compose(id_h, f)
-    g = power(f_ref, n)
-    if not is_identity(g):
-        raise StructureViolated(f"map is not periodic of period {n}")
-    polys = [c.poly for c in g.cells]
+    chains = _chain_cells(f_ref, n)
     base_chords = []
     if phi_power is not None:
         base_chords = list(fixed_set(power(f_ref, phi_power)).segments)
     primary = _pullback_levels(h, level_cuts) + base_chords
     secondary = _pullback_segments(h, chord_cuts)
     if primary or secondary:
-        polys = _cut_polys(f_ref, n, polys, [], primary,
-                           segs_secondary=secondary)
-    pushed = []
-    for poly in polys:
-        c = centroid(list(poly))
-        ci, q = locate_cell(h, (mod1(c[0]), c[1]))
-        delta = q[0] - c[0]
-        A = h.affine(ci)
-        img = [A((x + delta, y)) for x, y in poly]
-        _, img_u = shift_into_unit(img)
-        out = list(img_u)
-        if area2(tuple(out)) < 0:
-            out.reverse()
-        pushed.append(tuple(out))
-    return EqComplex(fp, n, pushed)
+        chains = _cut_polys(chains, [], primary, segs_secondary=secondary)
+    frame = EqComplex(f_ref, n, [c[0] for c in chains],
+                      [f_ref.affine(c[1]) for c in chains])
+    hs = [h.affine(f_ref.parents[c[1]]) for c in chains]
+    pushed, affines = [], []
+    for j, (poly, F) in enumerate(zip(frame.polys, frame.f_affines)):
+        m, img = shift_into_unit([hs[j](p) for p in poly])
+        m_f, _ = shift_into_unit([F(p) for p in poly])
+        pushed.append(ccw(img))
+        affines.append(hs[frame.cell_perm[j]].compose_after(
+            isometry_affine(1, Q(-m_f), 1)).compose_after(F).compose_after(
+            hs[j].inverse()).compose_after(isometry_affine(1, Q(m), 1)))
+    return EqComplex(fp, n, pushed, affines)
 
 
 def _pullback_levels(h: PLMap2, levels):
@@ -167,47 +163,45 @@ def _chord_points(img, a, b):
     return p1, p2
 
 
-def _iterate_affines(f: PLMap2, poly, n: int):
-    """Affines of f^i on a chain cell, i in [0, n), located step by step in
-    f's own (small) cell list.  Valid because chain cells map into a single
-    f-cell under every lower iterate."""
-    affs = [IDENTITY_AFFINE]
-    x = centroid(list(poly))
-    A = IDENTITY_AFFINE
-    for _ in range(1, n):
-        q = (mod1(x[0]), x[1])
-        ci, qq = locate_cell(f, q)
-        delta = qq[0] - x[0]
-        step = f.affine(ci)
-        if delta != 0:
-            step = step.compose_after(Affine(Q(1), Q(0), delta,
-                                             Q(0), Q(1), Q(0)))
-        A = step.compose_after(A)
-        affs.append(A)
-        x = step(x)
-    return affs
+def _chain_cells(f: PLMap2, n: int):
+    """(poly, cell of f, [A_0, ..., A_(n-1)]) for each cell of f^n, which
+    must be the identity, where A_i is the affine map of f^i on the cell.
+    They are read down the ``parents`` of the iterates that ``power``
+    caches, so nothing is located or solved again; A_i may differ from
+    the step-by-step composite by a horizontal integer shift."""
+    if not is_identity(power(f, n)):
+        raise StructureViolated(f"map is not periodic of period {n}")
+    cache = f.pow_cache()
+    out = []
+    for c, cell in enumerate(cache[n].cells):
+        affs = [IDENTITY_AFFINE] * n
+        for i in range(n - 1, 0, -1):
+            c = cache[i + 1].parents[c]
+            affs[i] = cache[i].affine(c)
+        out.append((cell.poly, c, affs))
+    return out
 
 
-def _cut_polys(f: PLMap2, n: int, polys, levels, segs, segs_secondary=()):
-    """Split cells so every f^i-pullback of the given levels and segments
-    lies in the 1-skeleton.  Pieces inherit their parent's iterate affines.
+def _cut_polys(chains, levels, segs, segs_secondary=()):
+    """Split chain cells so every f^i-pullback of the given levels and
+    segments lies in the 1-skeleton.  Each of chains and of the result is
+    (poly, cell of f, affines of f^0..f^(n-1)); pieces inherit the cell of
+    f and the iterate affines of their parent.
 
     Secondary segments are only applied to cells with no primary cut left,
     so their endpoints already lie on edges produced by the primary pass."""
     out = []
-    stack = [(tuple(p), None) for p in polys]
+    stack = list(chains)
     while stack:
-        poly, affs = stack.pop()
-        if affs is None:
-            affs = _iterate_affines(f, poly, n)
+        poly, cell, affs = stack.pop()
         pieces = _first_cut(poly, affs, levels, segs)
         if pieces is None and segs_secondary:
             pieces = _first_cut(poly, affs, [], segs_secondary)
         if pieces is None:
-            out.append(poly)
+            out.append((poly, cell, affs))
         else:
-            stack.extend((tuple(pc), affs) for pc in pieces)
-    out.sort(key=lambda p: min(p))
+            stack.extend((tuple(pc), cell, affs) for pc in pieces)
+    out.sort(key=lambda c: min(c[0]))
     return out
 
 
@@ -251,12 +245,6 @@ def _first_cut(poly, affs, levels, segs):
                 src.append(pulled)
             return src
     return None
-
-
-def _affine_at(m: PLMap2, poly) -> Affine:
-    c = centroid(list(poly))
-    idx, _ = locate_cell(m, (mod1(c[0]), c[1]))
-    return m.affine(idx)
 
 
 def _chord_split(img, a, b):
@@ -310,7 +298,6 @@ def _index_complex(k: EqComplex):
     for ei, (p, q) in enumerate(k.edges):
         k.edge_verts[ei] = (k.vert_index[(mod1(p[0]), p[1])],
                             k.vert_index[(mod1(q[0]), q[1])])
-    k.f_affines = [_affine_at(k.f, poly) for poly in k.polys]
 
 
 def _build_action(k: EqComplex):
@@ -352,16 +339,17 @@ def refine_cells(k: EqComplex, cell_ids) -> EqComplex:
         while cur not in chosen:
             chosen.add(cur)
             cur = k.cell_perm[cur]
-    polys = []
+    polys, affines = [], []
     for ci, poly in enumerate(k.polys):
-        if ci not in chosen:
-            polys.append(poly)
-            continue
-        g = centroid(list(poly))
-        m = len(poly)
-        for i in range(m):
-            polys.append((g, poly[i], poly[(i + 1) % m]))
-    return EqComplex(k.f, k.n, polys)
+        if ci in chosen:
+            g = centroid(list(poly))
+            m = len(poly)
+            poly = [(g, poly[i], poly[(i + 1) % m]) for i in range(m)]
+        else:
+            poly = [poly]
+        polys += poly
+        affines += [k.f_affines[ci]] * len(poly)
+    return EqComplex(k.f, k.n, polys, affines)
 
 
 def refine_edges(k: EqComplex, edge_ids) -> EqComplex:
@@ -379,8 +367,8 @@ def refine_edges(k: EqComplex, edge_ids) -> EqComplex:
     for ei in chosen:
         p, q = k.edges[ei]
         split_keys[k.edges[ei]] = ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
-    polys = []
-    for poly in k.polys:
+    polys, affines = [], []
+    for poly, A in zip(k.polys, k.f_affines):
         m = len(poly)
         hits = []
         for i in range(m):
@@ -391,6 +379,7 @@ def refine_edges(k: EqComplex, edge_ids) -> EqComplex:
                 hits.append((i, (mid[0] + shift, mid[1])))
         if not hits:
             polys.append(poly)
+            affines.append(A)
             continue
         corners = []
         for i in range(m):
@@ -404,7 +393,8 @@ def refine_edges(k: EqComplex, edge_ids) -> EqComplex:
             a, b = corners[i], corners[(i + 1) % mm]
             if area2((g, a, b)) > 0:
                 polys.append((g, a, b))
-    return EqComplex(k.f, k.n, polys)
+                affines.append(A)
+    return EqComplex(k.f, k.n, polys, affines)
 
 
 def apply_perm(perm: list[int], i: int, times: int) -> int:

@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor
 
-from .circle import CirclePL, period_circle
-from .errors import OverlayDegenerate, ParseError, StructureViolated
+from .circle import MAX_PERIOD, CirclePL, period_circle
+from .errors import (NotPeriodic, OverlayDegenerate, ParseError,
+                     StructureViolated)
 from .exact import fmt_pt, mod1
 from .geom import (Pt, area2, bbox_overlap, clip_convex, clip_halfplane,
                    line_points, point_in_convex, poly_bbox, INSIDE, OUTSIDE)
@@ -64,11 +65,15 @@ class PLMap2:
     """``affines``, when given, is the affine map of each cell, aligned
     with ``cells``; whoever passes it vouches that each one sends its
     cell's ``poly`` to its ``img``.  Otherwise ``affine`` solves each one
-    from the cell's vertices when it is first asked for."""
+    from the cell's vertices when it is first asked for.  ``parents``, set
+    by ``compose``, is the index of the cell of its first argument that
+    each cell is a piece of."""
     model: str
     cells: list[CellMap]
     affines: list[Affine] | None = field(default=None, repr=False,
                                          compare=False)
+    parents: list[int] | None = field(default=None, repr=False,
+                                      compare=False)
     _bboxes: list = field(default=None, repr=False, compare=False)
     _xindex: tuple = field(default=None, repr=False, compare=False)
     _pows: dict = field(default=None, repr=False, compare=False)
@@ -163,13 +168,15 @@ def compose(f: PLMap2, g: PLMap2) -> PLMap2:
     The pieces tile each cell of f, which the area check below confirms, so
     the result tiles the chart rectangle wherever f's cells do.  Each piece
     carries its affine map, g's on that g-cell after f's shifted into the
-    unit chart, so the result never solves one from its vertices.  A model
+    unit chart, so the result never solves one from its vertices, and the
+    index of the cell of f it is a piece of (``parents``).  A model
     isometry is one affine map, so following f by it needs no overlay:
     ``follow`` does that and keeps f's cells."""
     if f.model != g.model:
         raise ParseError("cannot compose maps on different models")
     out: list[CellMap] = []
     affines: list[Affine] = []
+    parents: list[int] = []
     for ci, cell in enumerate(f.cells):
         A = f.affine(ci)
         img = [A(p) for p in cell.poly]
@@ -196,9 +203,10 @@ def compose(f: PLMap2, g: PLMap2) -> PLMap2:
                 new_img.reverse()
             out.append(CellMap(tuple(src), tuple(new_img)))
             affines.append(B.compose_after(A_unit))
+            parents.append(ci)
         if got != target:
             raise OverlayDegenerate("composition pieces fail to tile a cell")
-    return PLMap2(f.model, out, affines)
+    return PLMap2(f.model, out, affines, parents)
 
 
 def follow(h: PLMap2, R: Affine) -> PLMap2:
@@ -260,7 +268,8 @@ def power(f: PLMap2, m: int) -> PLMap2:
     iterates.  For periodic f that refinement is permuted cell-to-cell by
     f, which the equivariant machinery relies on; every caller therefore
     shares these iterates, and ``period`` builds the ones the analysis and
-    the certificate need."""
+    the certificate need.  Each cached iterate f^i, i >= 2, hands on its
+    ``parents`` in f^(i-1) with its affines."""
     cache = f.pow_cache()
     if not cache:
         cache[0] = identity_map(f.model, [list(c.poly) for c in f.cells])
@@ -380,8 +389,9 @@ def map_equal(f: PLMap2, g: PLMap2) -> bool:
     return f.model == g.model and first_disagreement(f, g) is None
 
 
-def period(f: PLMap2) -> int | None:
-    """The period of f, or None when f is not periodic.
+def period(f: PLMap2) -> int:
+    """The period of f; NotPeriodic, naming which case holds, when f has
+    none.
 
     The candidate n is the period of the circle map on s = 1, the disc
     boundary or the link of the north pole; when f swaps the poles, it is
@@ -392,14 +402,21 @@ def period(f: PLMap2) -> int | None:
     At a fixed pole, it maps each ray of a small star into itself with a
     slope that periodicity forces to be 1; so it is the identity near the
     pole, and by Newman's theorem everywhere.  Hence f^n = id confirms n,
-    and f^n != id proves that f is not periodic.  Only the search for the
-    circle period is bounded, by ``circle.MAX_PERIOD``."""
+    and f^n != id proves that f is not periodic; the message then names a
+    point that f^n moves.  Only the search for the circle period is
+    bounded, by ``circle.MAX_PERIOD``."""
     swaps = f.model == SPHERE and _collapsed_image(f, Q(1))[1] != 1
     m = period_circle(boundary_restriction(power(f, 2) if swaps else f))
     if m is None:
-        return None
+        raise NotPeriodic(f"not periodic: the circle map on s = 1 has no "
+                          f"period up to {MAX_PERIOD}")
     n = 2 * m if swaps else m
-    return n if is_identity(power(f, n)) else None
+    g = power(f, n)
+    if not is_identity(g):
+        p = first_disagreement(g, identity_map(f.model))
+        raise NotPeriodic(f"not periodic: f^n != id for n = {n}, e.g. at "
+                          f"{fmt_pt(p)} -> {fmt_pt(evaluate(g, p))}")
+    return n
 
 
 def orientation(f: PLMap2) -> str:

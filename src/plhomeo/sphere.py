@@ -33,12 +33,12 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .circle import MAX_PERIOD, rotation_number
+from .circle import rotation_number
 from .conjugacy import (Certificate, ModelIsometry, ROTATION, ROTOREFLECTION,
                         require_exact)
 from .eqcomplex import (EqComplex, apply_perm, conjugated_equivariant_complex,
                         equivariant_complex)
-from .errors import ArcSearchFailed, NotPeriodic, StructureViolated
+from .errors import ArcSearchFailed, StructureViolated
 from .exact import fmt_pt, mod1
 from .geom import Pt, centroid, line_points
 from .maps import (FixedSet, PLMap2, boundary_restriction, compose, evaluate,
@@ -94,10 +94,6 @@ def analyze_sphere(f: PLMap2) -> SphereAnalysis:
     if problems:
         raise StructureViolated("invalid map: " + "; ".join(problems))
     n = period(f)
-    if n is None:
-        raise NotPeriodic(
-            f"not periodic: the north pole link map has no period up to "
-            f"{MAX_PERIOD}, or f^n != id for its period n")
     if n == 1:
         return SphereAnalysis("identity", 1)
     fs = fixed_set(f)

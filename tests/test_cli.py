@@ -184,7 +184,10 @@ def test_analyze_of_a_non_periodic_map_exits_4(tmp_path, capsys):
     inst = tmp_path / "f.json"
     pio.save_json(str(inst), pio.instance_to_dict(DISC, f))
     assert cli.main(["analyze", str(inst)]) == 4
-    assert "not periodic" in capsys.readouterr().err
+    # the error names the case and a point that f^1 moves
+    assert capsys.readouterr().err == (
+        "error: not periodic: f^n != id for n = 1, e.g. at (1/4, 3/8) -> "
+        "(1/4, 3/16)\n")
 
 
 def test_reversing_circle_map_with_non_identity_square_exits_4(

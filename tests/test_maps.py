@@ -5,7 +5,7 @@ import pytest
 
 from plhomeo.circle import rotation_number
 from plhomeo.conjugacy import ModelIsometry
-from plhomeo.errors import ParseError, StructureViolated
+from plhomeo.errors import NotPeriodic, ParseError, StructureViolated
 from plhomeo.maps import (CellMap, PLMap2, boundary_restriction, compose,
                           evaluate, first_disagreement, fixed_set, follow,
                           identity_map, inverse, is_identity, map_equal,
@@ -300,4 +300,10 @@ def test_nonperiodic_map_detected():
     f = PLMap2(DISC, [CellMap(tuple(c), tuple(squeeze(p) for p in c))
                       for c in cells])
     assert validate_homeo(f) == []
-    assert period(f) is None
+    # the boundary map is the identity, so n = 1, and f moves a witness
+    with pytest.raises(NotPeriodic, match=r"f\^n != id for n = 1, e\.g\. "
+                       r"at \(1/4, 1/2\) -> \(1/4, 1/4\)"):
+        period(f)
+    # the search for the period of the boundary map is bounded
+    with pytest.raises(NotPeriodic, match="no period up to 64"):
+        period(ModelIsometry(DISC, "rotation", 1, 65).as_map())

@@ -8,7 +8,8 @@ lambda must be read in its body, and every parameter with a default must
 be set by some call in ``src/``: a default that no caller overrides is a
 knob nothing turns.  Where a line crosses the edge of a polygon is
 computed in ``geom`` alone.  Every function that ``bench/tracer.py``
-traces by name is still defined in its module.
+traces by name is still defined in its module.  A cell is located by a
+point only to evaluate the map there.
 """
 
 import ast
@@ -174,6 +175,21 @@ def test_edge_crossings_are_computed_in_geom():
                         ast.dump(node.right.left) == ast.dump(node.left):
                     found.append(f"{name}.{getattr(top, 'name', '?')}")
     assert found == []
+
+
+def test_cells_are_located_only_to_evaluate():
+    """``maps.locate_cell`` has no caller in ``src/`` but ``maps.evaluate``:
+    the cell a piece lies in, and its affine map, are handed on by the
+    construction that made the piece, not found again by point location."""
+    callers = set()
+    for name, tree in _modules().items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "locate_cell" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    callers.add(f"{name}.{getattr(top, 'name', '?')}")
+    assert callers == {"maps.evaluate"}
 
 
 def test_traced_functions_are_defined():

@@ -78,7 +78,8 @@ def test_link_periodic_but_squeezing_map_is_not_periodic():
     assert validate_homeo(f) == []
     link = rotation_number(boundary_restriction(f))
     assert (link.k, link.n) == (1, 3)
-    assert period(f) is None
+    with pytest.raises(NotPeriodic, match="f\\^n != id for n = 3"):
+        period(f)
     with pytest.raises(NotPeriodic):
         analyze_sphere(f)
 
