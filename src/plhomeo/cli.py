@@ -1,7 +1,10 @@
 """Command-line driver: generate, analyze, conjugate, verify, render,
 selftest.
 
-Exit codes: 0 success, 1 verification failure, 2 structural violation,
+Exit codes: 0 success, 1 verification failure (``verify`` also exits 1,
+before any check of h o f = model o h, when the instance map f or the
+certificate's map h is not a PL homeomorphism of its model, as
+``maps.validate_homeo`` decides), 2 structural violation,
 3 parse error (including a malformed certificate, one naming an invalid
 model class, or a file that cannot be read or written), 4 not periodic
 (NotPeriodic).  A disc or sphere map is not periodic when f^n is not the
@@ -259,10 +262,11 @@ def cmd_verify(args) -> int:
     if space in ("circle", "interval", "line"):
         return _verify_onedim(space, f, data)
     cert = pio.certificate_from_dict(data)
-    problems = validate_homeo(cert.h)
-    if problems:
-        print("certificate invalid: " + "; ".join(problems))
-        return 1
+    for what, g in (("instance", f), ("certificate", cert.h)):
+        problems = validate_homeo(g)
+        if problems:
+            print(f"{what} invalid: " + "; ".join(problems))
+            return 1
     check_certificate(f, cert)
     if cert.exact:
         print("certificate verified: h o f = model o h exactly")

@@ -82,7 +82,7 @@ def check_certificate(f: PLMap2, cert: Certificate) -> Certificate:
     which needs its second map to tile the chart rectangle.  That map is
     model o h built by ``follow``: h's own cells, each followed by the
     model's single affine map, so it tiles exactly where h's domain cells
-    do.  ``verify`` checks them with ``validate_homeo(h)`` before calling
+    do.  ``verify`` checks them, and f, with ``validate_homeo`` before calling
     this, and every certificate builder takes the cells of an equivariant
     complex of f as h's domain.  A tiling failure that slips through
     raises StructureViolated rather than a verdict without a witness."""

@@ -190,13 +190,14 @@ def _cut_polys(chains, levels, segs, segs_secondary=()):
 
     Secondary segments are only applied to cells with no primary cut left,
     so their endpoints already lie on edges produced by the primary pass."""
+    primary, secondary = _boxed(segs), _boxed(segs_secondary)
     out = []
     stack = list(chains)
     while stack:
         poly, cell, affs = stack.pop()
-        pieces = _first_cut(poly, affs, levels, segs)
-        if pieces is None and segs_secondary:
-            pieces = _first_cut(poly, affs, [], segs_secondary)
+        pieces = _first_cut(poly, affs, levels, primary)
+        if pieces is None and secondary:
+            pieces = _first_cut(poly, affs, [], secondary)
         if pieces is None:
             out.append((poly, cell, affs))
         else:
@@ -205,9 +206,21 @@ def _cut_polys(chains, levels, segs, segs_secondary=()):
     return out
 
 
+def _boxed(segs):
+    """Each segment's y-range, and its x-range and ends at each horizontal
+    shift a cut tries, in the order tried."""
+    out = []
+    for a, b in segs:
+        xlo, xhi = min(a[0], b[0]), max(a[0], b[0])
+        out.append(((min(a[1], b[1]), max(a[1], b[1])),
+                    [(xlo + dx, xhi + dx, (a[0] + dx, a[1]), (b[0] + dx, b[1]))
+                     for dx in (0, -1, 1, -2, 2)]))
+    return out
+
+
 def _first_cut(poly, affs, levels, segs):
-    seg_boxes = [(min(a[0], b[0]), min(a[1], b[1]),
-                  max(a[0], b[0]), max(a[1], b[1])) for a, b in segs]
+    """The pieces of the first cut of poly, or None: its first iterate
+    image that a level or a segment (given ``_boxed``) crosses is split."""
     for A in affs:
         img = [A(p) for p in poly]
         ys = [p[1] for p in img]
@@ -224,14 +237,14 @@ def _first_cut(poly, affs, levels, segs):
             continue
         xs = [p[0] for p in img]
         xlo, xhi = min(xs), max(xs)
-        for (a, b), sb in zip(segs, seg_boxes):
+        for (sylo, syhi), shifted in segs:
+            if syhi < ylo or sylo > yhi:
+                continue
             pieces = None
-            for dx in (0, -1, 1, -2, 2):
-                if sb[2] + dx < xlo or sb[0] + dx > xhi \
-                        or sb[3] < ylo or sb[1] > yhi:
+            for sxlo, sxhi, a, b in shifted:
+                if sxhi < xlo or sxlo > xhi:
                     continue
-                pieces = _chord_split(img, (a[0] + dx, a[1]),
-                                      (b[0] + dx, b[1]))
+                pieces = _chord_split(img, a, b)
                 if pieces is not None:
                     break
             if pieces is None:

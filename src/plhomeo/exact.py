@@ -42,4 +42,4 @@ def fmt_pt(p) -> str:
 
 def mod1(q: Fraction) -> Fraction:
     """Reduce into [0, 1); the representative of an angle."""
-    return q - (q.numerator // q.denominator)
+    return Fraction(q.numerator % q.denominator, q.denominator)

@@ -1,7 +1,10 @@
 """Planar primitives over exact rationals.
 
 Points are (x, y) tuples of Fractions.  Everything here is decided by the
-sign of exact determinants; there are no tolerances.
+sign of exact determinants; there are no tolerances.  The kernels
+(``orient``, ``cross``, ``area2``, ``clip_convex``) take Fractions (or
+ints) and return Fractions, but inside they compute on integer numerators
+over a common denominator, and build one Fraction per output value.
 
 A line meets a convex polygon only here.  It is given by an affine
 function, as its values at the polygon's vertices, so a caller that has
@@ -12,7 +15,7 @@ equation) passes them as they are.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DegenerateInput
 
@@ -23,12 +26,31 @@ INSIDE, BOUNDARY, OUTSIDE = "inside", "boundary", "outside"
 
 def orient(a: Pt, b: Pt, c: Pt) -> int:
     """Sign of the 2x2 determinant of (b - a, c - a): +1 CCW, -1 CW, 0."""
-    d = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    d = _cross_ints(a, b, c)[0]
     return 1 if d > 0 else (-1 if d < 0 else 0)
 
 
 def cross(o: Pt, a: Pt, b: Pt) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    """The determinant of (a - o, b - o)."""
+    return Fraction(*_cross_ints(o, a, b))
+
+
+def _cross_ints(o: Pt, a: Pt, b: Pt) -> tuple[int, int]:
+    """cross(o, a, b) as an integer over a positive integer: the 3x3
+    determinant of the homogeneous points over their weights' product."""
+    ox, oy, ow = _hom(o)
+    ax, ay, aw = _hom(a)
+    bx, by, bw = _hom(b)
+    return (ox * (ay * bw - by * aw) - oy * (ax * bw - bx * aw)
+            + ow * (ax * by - bx * ay), ow * aw * bw)
+
+
+def _hom(p: Pt) -> tuple[int, int, int]:
+    """p as integers (X, Y, W) with W > 0 and p = (X/W, Y/W)."""
+    x, y = p
+    xd, yd = x.denominator, y.denominator
+    w = lcm(xd, yd)
+    return x.numerator * (w // xd), y.numerator * (w // yd), w
 
 
 def on_segment(p: Pt, a: Pt, b: Pt) -> bool:
@@ -73,13 +95,12 @@ def seg_intersection(a: Pt, b: Pt, c: Pt, d: Pt):
 
 def area2(verts: tuple[Pt, ...]) -> Fraction:
     """Twice the signed area of a closed polygon (CCW positive)."""
-    total = Fraction(0)
-    n = len(verts)
-    for i in range(n):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % n]
-        total += x1 * y2 - x2 * y1
-    return total
+    den = lcm(*[c.denominator for p in verts for c in p])
+    xs = [x.numerator * (den // x.denominator) for x, _ in verts]
+    ys = [y.numerator * (den // y.denominator) for _, y in verts]
+    total = sum(xs[i - 1] * ys[i] - xs[i] * ys[i - 1]
+                for i in range(len(verts)))
+    return Fraction(total, den * den)
 
 
 def clip_convex(subject: list[Pt], clip: list[Pt]) -> list[Pt]:
@@ -89,34 +110,19 @@ def clip_convex(subject: list[Pt], clip: list[Pt]) -> list[Pt]:
     returns a possibly empty CCW Fraction vertex list, degenerate results
     as [].
     """
-    out = []
-    for x, y in subject:
-        w = x.denominator * y.denominator // _gcd(x.denominator,
-                                                  y.denominator)
-        out.append((x.numerator * (w // x.denominator),
-                    y.numerator * (w // y.denominator), w))
+    out = [_hom(p) for p in subject]
+    hc = [_hom(p) for p in clip]
     n = len(clip)
     for i in range(n):
         if not out:
             return []
-        a, b = clip[i], clip[(i + 1) % n]
-        # integer line functional matching cross(a, b, .): positive = left
-        axn, axd = a[0].numerator, a[0].denominator
-        ayn, ayd = a[1].numerator, a[1].denominator
-        bxn, bxd = b[0].numerator, b[0].denominator
-        byn, byd = b[1].numerator, b[1].denominator
-        ca = ayn * byd - byn * ayd          # ay - by, over ayd*byd
-        cb = bxn * axd - axn * bxd          # bx - ax, over axd*bxd
-        sa = ayd * byd
-        sb = axd * bxd
-        ai = ca * sb
-        bi = cb * sa
-        ci = -(ai * axn * ayd + bi * ayn * axd)
-        scale = axd * ayd
-        ais, bis = ai * scale, bi * scale
+        (ax, ay, aw), (bx, by, bw) = hc[i], hc[(i + 1) % n]
+        # the line through a and b: at p, a positive multiple of
+        # cross(a, b, p), so positive on the left
+        lx, ly, lw = ay * bw - by * aw, bx * aw - ax * bw, ax * by - bx * ay
         res = []
         m = len(out)
-        vals = [ais * px + bis * py + ci * pw for (px, py, pw) in out]
+        vals = [lx * px + ly * py + lw * pw for (px, py, pw) in out]
         for j in range(m):
             p, vp = out[j], vals[j]
             q, vq = out[(j + 1) % m], vals[(j + 1) % m]

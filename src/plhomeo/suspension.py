@@ -22,10 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .errors import DegenerateInput, OverlayDegenerate, ParseError
 from .exact import fmt_pt, mod1
-from .geom import Pt, area2, orient
+from .geom import Pt, area2, cross, orient
 
 Q = Fraction
 
@@ -66,7 +68,13 @@ def is_collapsed(model: str, p: Pt) -> bool:
 
 @dataclass(frozen=True)
 class Affine:
-    """x' = a x + b y + c ; y' = d x + e y + f, all rational."""
+    """x' = a x + b y + c ; y' = d x + e y + f, all rational.
+
+    The maps take Fractions (or ints) and return Fractions.  Inside, they
+    compute on ``_ints``, the coefficients as integer numerators over one
+    common denominator, built once on first use and kept outside the
+    dataclass fields, so equality, hash and repr are those of the six
+    coefficients."""
     a: Fraction
     b: Fraction
     c: Fraction
@@ -74,33 +82,44 @@ class Affine:
     e: Fraction
     f: Fraction
 
+    @cached_property
+    def _ints(self) -> tuple[int, ...]:
+        """(A, B, C, D, E, F, W) with a = A/W, ..., f = F/W and W > 0."""
+        cs = (self.a, self.b, self.c, self.d, self.e, self.f)
+        w = lcm(*[q.denominator for q in cs])
+        return tuple(q.numerator * (w // q.denominator) for q in cs) + (w,)
+
     def __call__(self, p: Pt) -> Pt:
+        A, B, C, D, E, F, W = self._ints
         x, y = p
-        return (self.a * x + self.b * y + self.c,
-                self.d * x + self.e * y + self.f)
+        xd, yd = x.denominator, y.denominator
+        # x = X/Z and y = Y/Z
+        X, Y, Z = x.numerator * yd, y.numerator * xd, xd * yd
+        den = W * Z
+        return (Q(A * X + B * Y + C * Z, den), Q(D * X + E * Y + F * Z, den))
 
     @property
     def det(self) -> Fraction:
-        return self.a * self.e - self.b * self.d
+        A, B, _, D, E, _, W = self._ints
+        return Q(A * E - B * D, W * W)
 
     def inverse(self) -> "Affine":
-        dt = self.det
+        A, B, C, D, E, F, W = self._ints
+        dt = A * E - B * D
         if dt == 0:
             raise OverlayDegenerate("affine map not invertible")
-        ia, ib = self.e / dt, -self.b / dt
-        id_, ie = -self.d / dt, self.a / dt
-        return Affine(ia, ib, -(ia * self.c + ib * self.f),
-                      id_, ie, -(id_ * self.c + ie * self.f))
+        return Affine(Q(E * W, dt), Q(-B * W, dt), Q(B * F - C * E, dt),
+                      Q(-D * W, dt), Q(A * W, dt), Q(C * D - A * F, dt))
 
     def compose_after(self, other: "Affine") -> "Affine":
         """self o other."""
-        o = other
-        return Affine(self.a * o.a + self.b * o.d,
-                      self.a * o.b + self.b * o.e,
-                      self.a * o.c + self.b * o.f + self.c,
-                      self.d * o.a + self.e * o.d,
-                      self.d * o.b + self.e * o.e,
-                      self.d * o.c + self.e * o.f + self.f)
+        A, B, C, D, E, F, W = self._ints
+        a, b, c, d, e, f, w = other._ints
+        den = W * w
+        return Affine(Q(A * a + B * d, den), Q(A * b + B * e, den),
+                      Q(A * c + B * f + C * w, den),
+                      Q(D * a + E * d, den), Q(D * b + E * e, den),
+                      Q(D * c + E * f + F * w, den))
 
 
 IDENTITY_AFFINE = Affine(Q(1), Q(0), Q(0), Q(0), Q(1), Q(0))
@@ -117,14 +136,15 @@ def affine_from_pairs(src: list[Pt], dst: list[Pt]) -> Affine:
     i, j, k = _independent_triple(src)
     (x1, y1), (x2, y2), (x3, y3) = src[i], src[j], src[k]
     (u1, v1), (u2, v2), (u3, v3) = dst[i], dst[j], dst[k]
-    det = (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
+    det = cross((x1, y1), (x2, y2), (x3, y3))
     if det == 0:
         raise OverlayDegenerate("degenerate source triple")
-    a = ((u2 - u1) * (y3 - y1) - (u3 - u1) * (y2 - y1)) / det
-    b = ((u3 - u1) * (x2 - x1) - (u2 - u1) * (x3 - x1)) / det
+    # Cramer's rule: det with the x or the y column replaced by u or v
+    a = cross((u1, y1), (u2, y2), (u3, y3)) / det
+    b = cross((x1, u1), (x2, u2), (x3, u3)) / det
     c = u1 - a * x1 - b * y1
-    d = ((v2 - v1) * (y3 - y1) - (v3 - v1) * (y2 - y1)) / det
-    e = ((v3 - v1) * (x2 - x1) - (v2 - v1) * (x3 - x1)) / det
+    d = cross((v1, y1), (v2, y2), (v3, y3)) / det
+    e = cross((x1, v1), (x2, v2), (x3, v3)) / det
     f = v1 - d * x1 - e * y1
     aff = Affine(a, b, c, d, e, f)
     for p, q in zip(src, dst):

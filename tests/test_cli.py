@@ -150,6 +150,23 @@ def test_verify_reports_a_degenerate_cell_as_invalid(tmp_path, capsys):
     assert "cell 4 is degenerate: " in out
 
 
+@pytest.mark.parametrize("name", ["disc-rotation-1-3",
+                                  "sphere-rotoreflection-1-4"])
+def test_verify_rejects_an_instance_with_a_hole(tmp_path, capsys, name):
+    """An instance missing a triangle is not a homeomorphism; verify says
+    so before it compares h o f with model o h."""
+    inst = json.loads((INPUTS / f"{name}.json").read_text())
+    for key in ("triangles", "lifts", "image_lifts"):
+        del inst["map"][key][0]
+    path = tmp_path / "holed.json"
+    path.write_text(json.dumps(inst))
+    assert cli.main(["verify", str(path),
+                     str(INPUTS / f"{name}.cert.json")]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("instance invalid: ")
+    assert "chart area" in out
+
+
 def test_render_reports_analysis_failure(tmp_path, capsys):
     # (t, s) -> (-t, -s) preserves orientation and swaps the poles, so its
     # fixed points lie off the polar axis and the analysis rejects it

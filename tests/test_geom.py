@@ -1,9 +1,16 @@
+import dataclasses
 import random
 from fractions import Fraction
 
+import pytest
+
+from plhomeo.errors import OverlayDegenerate
+from plhomeo.exact import mod1
 from plhomeo.geom import (BOUNDARY, INSIDE, OUTSIDE, area2, clip_convex,
                           cross, line_points, on_segment, orient,
                           point_in_convex, seg_intersection, split_convex)
+from plhomeo.maps import _action_key
+from plhomeo.suspension import Affine, affine_from_pairs
 
 Q = Fraction
 
@@ -141,3 +148,137 @@ def test_line_points_match_the_edge_oracle():
                 area2(tuple(poly))
             assert all(cross(a, b, p) >= 0 for p in left)
             assert all(cross(a, b, p) <= 0 for p in right)
+
+
+# Oracles: the kernels written in Fraction arithmetic.
+
+def _orient_oracle(a, b, c):
+    d = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return 1 if d > 0 else (-1 if d < 0 else 0)
+
+
+def _cross_oracle(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _area2_oracle(verts):
+    total = Fraction(0)
+    n = len(verts)
+    for i in range(n):
+        x1, y1 = verts[i]
+        x2, y2 = verts[(i + 1) % n]
+        total += x1 * y2 - x2 * y1
+    return total
+
+
+def _mod1_oracle(q):
+    return q - (q.numerator // q.denominator)
+
+
+def _call_oracle(A, p):
+    x, y = p
+    return (A.a * x + A.b * y + A.c, A.d * x + A.e * y + A.f)
+
+
+def _det_oracle(A):
+    return A.a * A.e - A.b * A.d
+
+
+def _inverse_oracle(A):
+    # as a Fraction, so that int coefficients do not divide into floats
+    dt = Q(_det_oracle(A))
+    if dt == 0:
+        raise OverlayDegenerate("affine map not invertible")
+    ia, ib = A.e / dt, -A.b / dt
+    id_, ie = -A.d / dt, A.a / dt
+    return Affine(ia, ib, -(ia * A.c + ib * A.f),
+                  id_, ie, -(id_ * A.c + ie * A.f))
+
+
+def _compose_oracle(A, o):
+    return Affine(A.a * o.a + A.b * o.d, A.a * o.b + A.b * o.e,
+                  A.a * o.c + A.b * o.f + A.c, A.d * o.a + A.e * o.d,
+                  A.d * o.b + A.e * o.e, A.d * o.c + A.e * o.f + A.f)
+
+
+def _affine_from_pairs_oracle(src, dst):
+    (x1, y1), (x2, y2), (x3, y3) = src
+    (u1, v1), (u2, v2), (u3, v3) = dst
+    # as a Fraction, so that int coordinates do not divide into floats
+    det = Q((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1))
+    a = ((u2 - u1) * (y3 - y1) - (u3 - u1) * (y2 - y1)) / det
+    b = ((u3 - u1) * (x2 - x1) - (u2 - u1) * (x3 - x1)) / det
+    d = ((v2 - v1) * (y3 - y1) - (v3 - v1) * (y2 - y1)) / det
+    e = ((v3 - v1) * (x2 - x1) - (v2 - v1) * (x3 - x1)) / det
+    return Affine(a, b, u1 - a * x1 - b * y1, d, e, v1 - d * x1 - e * y1)
+
+
+def _rat(rng):
+    """A small int, or a Fraction of either sign with a denominator of up
+    to 100 bits."""
+    if rng.random() < 0.3:
+        return rng.randint(-5, 5)
+    den = rng.randint(1, 2 ** rng.randint(0, 100))
+    return Q(rng.randint(-4 * den, 4 * den), den)
+
+
+def _same(got, want):
+    assert got == want
+    if isinstance(want, Fraction):
+        assert type(got) is Fraction
+    if isinstance(want, tuple):
+        for g, w in zip(got, want):
+            _same(g, w)
+
+
+def _affine_fields(A):
+    return [getattr(A, f.name) for f in dataclasses.fields(A)]
+
+
+def test_integer_kernels_match_the_fraction_formulas():
+    rng = random.Random(0)
+    for _ in range(400):
+        a, b, p = [(_rat(rng), _rat(rng)) for _ in range(3)]
+        t = _rat(rng)
+        on_ab = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+        for c in (p, on_ab, a):
+            _same(orient(a, b, c), _orient_oracle(a, b, c))
+            _same(cross(a, b, c), _cross_oracle(a, b, c))
+        poly = (a, b, p, on_ab)[:rng.randint(1, 4)]
+        _same(area2(poly), _area2_oracle(poly))
+        _same(mod1(t), _mod1_oracle(t))
+        A = Affine(*[_rat(rng) for _ in range(6)])
+        B = Affine(*[_rat(rng) for _ in range(6)])
+        if orient(a, b, p) != 0:
+            src = [a, b, p, on_ab]
+            dst = [A(q) for q in src]
+            _same(_affine_fields(affine_from_pairs(src, dst)),
+                  _affine_fields(_affine_from_pairs_oracle(src[:3],
+                                                           dst[:3])))
+            dst[3] = (dst[3][0] + 1, dst[3][1])
+            with pytest.raises(OverlayDegenerate):
+                affine_from_pairs(src, dst)
+        # a singular map: second row a multiple of the first
+        S = Affine(A.a, A.b, A.c, t * A.a, t * A.b, A.f)
+        for M in (A, B, S):
+            _same(M(p), _call_oracle(M, p))
+            _same(M.det, _det_oracle(M))
+            _same(M.compose_after(B), _compose_oracle(M, B))
+            _same(_affine_fields(M.compose_after(B)),
+                  _affine_fields(_compose_oracle(M, B)))
+            if _det_oracle(M) == 0:
+                with pytest.raises(OverlayDegenerate):
+                    M.inverse()
+            else:
+                _same(_affine_fields(M.inverse()),
+                      _affine_fields(_inverse_oracle(M)))
+
+
+def test_affine_integer_form_stays_out_of_equality_hash_and_repr():
+    A = Affine(Q(1, 2), Q(-3, 4), Q(7, 3), Q(0), Q(5, 6), Q(-1))
+    twin = Affine(*_affine_fields(A))
+    before = (hash(A), repr(A), _action_key(A))
+    A((Q(1, 3), Q(2, 5)))              # builds A's integer form
+    assert A == twin and hash(A) == hash(twin)
+    assert (hash(A), repr(A), _action_key(A)) == before
+    assert [f.name for f in dataclasses.fields(Affine)] == list("abcdef")
