@@ -24,14 +24,26 @@ rho: (t, s) -> (-t, -s) turn k into n - k, for the rotation 1/3 and for
 the rotoreflection 1/4, while sigma o rho keeps k.  So k/n is not yet a
 class up to every conjugacy; item 3 of ROADMAP.md names the canonical
 class.
+
+``render`` draws a disc or sphere map's cell edges in grey and its fixed
+set in red.  It builds the certificate h as ``conjugate`` does and draws
+in blue the h-preimages of the model's meridians t = i k/n mod 1, the
+orbit of t = 0 under the model (only t = 0 for the identity and the
+reflection, whose model has k = 0 and n = 1): the arcs that bound the
+fundamental domains of f (``conjugacy.meridian_edges``).  When the
+construction fails it says why on stderr and draws the bare map.
 """
 
 from __future__ import annotations
 
 import argparse
+# the package, not ProcessPoolExecutor: concurrent.futures loads
+# multiprocessing only when that name is first looked up, so the commands
+# other than selftest --jobs do not pay its import time and memory
+import concurrent.futures
 import sys
 import time
-from fractions import Fraction
+from math import gcd
 
 from . import io as pio
 from .circle import (circle_conjugacy_holds, classify_interval,
@@ -39,18 +51,17 @@ from .circle import (circle_conjugacy_holds, classify_interval,
                      fixed_points_reversing, interval_conjugacy_holds,
                      interval_identity, is_line_identity,
                      line_conjugacy_holds, rotation_number)
-from .conjugacy import Certificate, check_certificate
+from .conjugacy import Certificate, check_certificate, meridian_edges
 from .disc import (analyze_disc, build_conjugacy_reflection,
                    build_conjugacy_rotation)
 from .errors import ParseError, PLHomeoError
 from .exact import fmt_pt, fmt_rat
 from .generate import make_instance
-from .maps import PLMap2, compose, evaluate, validate_homeo
+from .maps import CellMap, PLMap2, compose, validate_homeo
 from .sphere import (analyze_sphere, build_conjugacy_fixedpoint,
                      build_conjugacy_free)
 from .suspension import DISC, SPHERE
-
-Q = Fraction
+from .svg import render_map
 
 
 def main(argv=None) -> int:
@@ -101,7 +112,10 @@ def _build_parser():
     v.add_argument("certificate")
     v.set_defaults(func=cmd_verify)
 
-    r = sub.add_parser("render", help="draw an instance as SVG")
+    r = sub.add_parser(
+        "render", help="draw an instance as SVG: its fixed set in red, and "
+        "in blue the arcs that the certificate h maps onto the model's "
+        "meridians")
     r.add_argument("path")
     r.add_argument("--out", required=True)
     r.set_defaults(func=cmd_render)
@@ -162,8 +176,17 @@ def _analysis_dict(space, f):
         return {"space": space, "period": 2, "orientation": "reversing",
                 "class": "reflection",
                 "fixed_points": [fmt_rat(p), fmt_rat(q)]}
+    return _map_analysis_dict(space, _analyze(space, f))
+
+
+def _analyze(space, f):
+    """The analysis of a disc or sphere map, which its certificate builder
+    consumes."""
+    return analyze_disc(f) if space == DISC else analyze_sphere(f)
+
+
+def _map_analysis_dict(space, ana) -> dict:
     if space == DISC:
-        ana = analyze_disc(f)
         out = {"space": space, "class": ana.kind, "period": ana.n,
                "orientation": "reversing" if ana.kind == "reflection"
                else "preserving"}
@@ -175,7 +198,6 @@ def _analysis_dict(space, f):
             out["fixed_arc_endpoints"] = [[fmt_rat(x) for x in arc[0]],
                                           [fmt_rat(x) for x in arc[-1]]]
         return out
-    ana = analyze_sphere(f)
     out = {"space": space, "class": ana.kind, "period": ana.n,
            "orientation": "preserving" if ana.kind in ("identity", "rotation")
            else "reversing"}
@@ -235,7 +257,7 @@ def cmd_conjugate(args) -> int:
         cls = _classify_onedim(space, f)
         body = pio.onedim_certificate_to_dict(space, cls.kind, cls.h)
     else:
-        cert = _conjugate_map(space, f)
+        cert = _conjugate_map(space, f, _analyze(space, f))
         pio.save_json(args.out, pio.certificate_to_dict(cert))
         print(f"wrote {args.out} ({'exact' if cert.exact else 'INEXACT'})")
         return 0
@@ -244,13 +266,12 @@ def cmd_conjugate(args) -> int:
     return 0
 
 
-def _conjugate_map(space, f) -> Certificate:
+def _conjugate_map(space, f, ana) -> Certificate:
+    """The certificate of f, built from ``ana``, its analysis."""
     if space == DISC:
-        ana = analyze_disc(f)
         if ana.kind == "reflection":
             return build_conjugacy_reflection(f, ana)
         return build_conjugacy_rotation(f, ana)
-    ana = analyze_sphere(f)
     if ana.kind == "rotoreflection":
         return build_conjugacy_free(f, ana)
     return build_conjugacy_fixedpoint(f, ana)
@@ -297,56 +318,18 @@ def _verify_onedim(space, f, data) -> int:
 
 
 def cmd_render(args) -> int:
-    from .svg import render_map
     space, f = pio.instance_from_dict(pio.load_json(args.path))
     if space not in (DISC, SPHERE):
         raise ParseError("render supports disc and sphere instances")
     arcs = None
-    orbit = None
-    extra = None
     try:
-        arcs, orbit, extra = _render_decorations(space, f)
+        arcs = meridian_edges(_conjugate_map(space, f, _analyze(space, f)))
     except PLHomeoError as exc:
         print(f"render: analysis failed ({type(exc).__name__}: {exc}); "
               "drawing the bare map", file=sys.stderr)
-    svg = render_map(f, arcs=arcs, orbit=orbit, extra_curves=extra)
-    pio.save_text(args.out, svg)
+    pio.save_text(args.out, render_map(f, arcs=arcs))
     print(f"wrote {args.out}")
     return 0
-
-
-def _render_decorations(space, f):
-    if space == DISC:
-        ana = analyze_disc(f)
-        if ana.kind == "rotation":
-            from .disc import sector_decomposition
-            from .maps import unit_rotation_power
-            dec = sector_decomposition(unit_rotation_power(f, ana.k, ana.n),
-                                       ana.n)
-            k = dec.complex
-            arcs = [[k.verts[v] for v in arc] for arc in dec.arcs]
-            return arcs, None, None
-        return None, None, None
-    ana = analyze_sphere(f)
-    if ana.kind == "rotoreflection":
-        from .eqcomplex import _pullback_levels
-        from .maps import inverse
-        _, conj, t0, orbit_fp, _ = ana.free
-        if conj is None:
-            curve = [[(Q(i, 64), t0) for i in range(65)]]
-            orbit = orbit_fp
-        else:
-            hinv = inverse(conj.h)
-            segs = _pullback_levels(conj.h, [t0])
-            curve = [[(p[0] % 1, p[1]) for p in seg] for seg in segs]
-            orbit = [evaluate(hinv, p) for p in orbit_fp]
-        image_curve = []
-        for seg in curve:
-            image_curve.append([evaluate(f, p) for p in seg])
-        extra = [(c, "#cc7700") for c in curve] \
-            + [(c, "#7700cc") for c in image_curve]
-        return None, orbit, extra
-    return None, None, None
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +337,6 @@ def _render_decorations(space, f):
 
 
 def _class_matrix(quick: bool):
-    from math import gcd
     out = []
     if quick:
         out = [
@@ -383,14 +365,12 @@ def _run_case(case):
     t0 = time.time()
     try:
         f, h, r = make_instance(space, kind, k, n, seed, moves)
-        d = _analysis_dict(space, f)
-        want = {"identity": "identity", "rotation": "rotation",
-                "reflection": "reflection",
-                "rotoreflection": "rotoreflection"}[kind]
-        if d["class"] != want or (kind in ("rotation", "rotoreflection")
+        ana = _analyze(space, f)
+        d = _map_analysis_dict(space, ana)
+        if d["class"] != kind or (kind in ("rotation", "rotoreflection")
                                   and (d["k"], d["n"]) != (k, n)):
             return (case, False, "class mismatch", time.time() - t0)
-        cert = _conjugate_map(space, f)
+        cert = _conjugate_map(space, f, ana)
         if corrupt:
             cert = _corrupt(cert)
         ok = check_certificate(f, cert).exact
@@ -406,7 +386,6 @@ def _run_case(case):
 
 
 def _corrupt(cert: Certificate) -> Certificate:
-    from .maps import CellMap
     cells = list(cert.h.cells)
     for idx, c in enumerate(cells):
         img = list(c.img)
@@ -428,8 +407,8 @@ def cmd_selftest(args) -> int:
         cases.append((DISC, "rotation", 1, 3, 999, args.moves, True))
     results = []
     if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=args.jobs) as pool:
             results = list(pool.map(_run_case, cases))
     else:
         results = [_run_case(c) for c in cases]

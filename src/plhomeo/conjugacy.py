@@ -8,9 +8,11 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InvalidClass, ParseError, StructureViolated
-from .exact import fmt_pt
+from .exact import fmt_pt, mod1
+from .geom import Pt
 from .maps import PLMap2, compose, first_disagreement, follow, identity_map
-from .suspension import Affine, DISC, SPHERE, band_cells, isometry_affine
+from .suspension import (Affine, DISC, SPHERE, _edge_key, band_cells,
+                         isometry_affine)
 
 IDENTITY, ROTATION, REFLECTION, ROTOREFLECTION = (
     "identity", "rotation", "reflection", "rotoreflection")
@@ -73,6 +75,25 @@ class Certificate:
     exact: bool
     pins: dict = field(default_factory=dict)
     witness: tuple | None = None
+
+
+def meridian_edges(cert: Certificate) -> list[tuple[Pt, Pt]]:
+    """The edges of h's cells that h maps onto a meridian of the model,
+    t = i k/n mod 1 for 0 <= i < n, the orbit of t = 0 under the model
+    isometry.  h carries the model's sectors onto fundamental domains of
+    f, so these are the arcs that bound them.  Each edge comes once, keyed
+    by ``_edge_key``, which keeps an edge that ends on t = 1 in one piece
+    of the chart."""
+    iso = cert.model
+    meridians = {mod1(Fraction(i * iso.k, iso.n)) for i in range(iso.n)}
+    out = set()
+    for cell in cert.h.cells:
+        m = len(cell.poly)
+        for i in range(m):
+            a, b = _edge_key(cell.img[i], cell.img[(i + 1) % m])
+            if a[0] == b[0] and a[0] in meridians:
+                out.add(_edge_key(cell.poly[i], cell.poly[(i + 1) % m]))
+    return sorted(out)
 
 
 def check_certificate(f: PLMap2, cert: Certificate) -> Certificate:

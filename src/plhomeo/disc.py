@@ -20,12 +20,10 @@ from dataclasses import dataclass
 
 from .circle import rotation_number
 from .conjugacy import Certificate, IDENTITY, REFLECTION, ROTATION
-from .eqcomplex import equivariant_complex
 from .errors import StructureViolated
 from .maps import (FixedSet, PLMap2, boundary_restriction, compose,
                    fixed_set, orientation, period, power, validate_homeo)
-from .sectors import (LEVEL_CUTS, SectorDecomposition, fixed_point_conjugacy,
-                      rotation_sectors)
+from .sectors import fixed_point_conjugacy
 from .suspension import DISC
 
 
@@ -77,16 +75,6 @@ def analyze_disc(f: PLMap2) -> DiscAnalysis:
     if len(set(arc)) != len(arc):
         raise StructureViolated("fixed arc is not simple")
     return DiscAnalysis("reflection", 2, fixed=fs)
-
-
-def sector_decomposition(f: PLMap2, n: int) -> SectorDecomposition:
-    """Arc system from the center to the boundary with its n sectors.
-
-    Requires the rotation number of f on the boundary to be 1/n so that
-    consecutive arcs bound the sectors in cyclic order.
-    """
-    return rotation_sectors(equivariant_complex(f, n,
-                                                level_cuts=LEVEL_CUTS[DISC]))
 
 
 def build_conjugacy_rotation(f: PLMap2, ana: DiscAnalysis) -> Certificate:

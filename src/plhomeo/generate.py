@@ -14,11 +14,12 @@ from fractions import Fraction
 
 from .conjugacy import ModelIsometry
 from .errors import StructureViolated
-from .geom import (INSIDE, Pt, clip_halfplane, cross, line_points,
-                   normalize_poly, point_in_convex)
+from .geom import (INSIDE, Pt, area2, centroid, clip_halfplane, cross,
+                   line_points, normalize_poly, point_in_convex)
 from .maps import (CellMap, PLMap2, compose, identity_map, inverse,
                    validate_homeo)
-from .suspension import DISC, band_cells, collapsed_levels, s_range
+from .suspension import (DISC, _edge_key, band_cells, collapsed_levels,
+                         s_range)
 
 Q = Fraction
 
@@ -79,7 +80,6 @@ def make_instance(model: str, kind: str, k: int, n: int, seed: int,
 
 
 def _edges_of(tiling):
-    from .suspension import _edge_key
     seen = {}
     for ci, poly in enumerate(tiling):
         np_ = len(poly)
@@ -102,8 +102,6 @@ def split_edge(tiling, edge, lam):
     The split point is computed on the canonical edge chart, then shifted
     into each incident cell's copy, so both sides agree exactly.
     """
-    from .geom import area2
-    from .suspension import _edge_key
     key = _edge_key(edge[0], edge[1])
     p, q = key
     m0 = (p[0] + lam * (q[0] - p[0]), p[1] + lam * (q[1] - p[1]))
@@ -138,7 +136,6 @@ def _split_random_face(rng, tiling):
 
 
 def split_face(tiling, ci):
-    from .geom import centroid
     out = []
     for i, poly in enumerate(tiling):
         if i != ci:

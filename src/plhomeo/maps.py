@@ -24,9 +24,10 @@ from .errors import (NotPeriodic, OverlayDegenerate, ParseError,
 from .exact import fmt_pt, mod1
 from .geom import (Pt, area2, bbox_overlap, clip_convex, clip_halfplane,
                    line_points, point_in_convex, poly_bbox, INSIDE, OUTSIDE)
-from .suspension import (Affine, SuspensionComplex, affine_from_pairs,
-                         band_cells, collapsed_levels, complex_check,
-                         is_collapsed, model_point, s_range, DISC, SPHERE)
+from .suspension import (Affine, SuspensionComplex, _edge_key,
+                         affine_from_pairs, band_cells, collapsed_levels,
+                         complex_check, is_collapsed, model_point, s_range,
+                         DISC, SPHERE)
 
 Q = Fraction
 
@@ -517,7 +518,6 @@ def _assemble_fixed(model, zero_chart, segs):
     the same pair of collapsed points (e.g. both meridians of a fixed great
     circle), so deduplication must use the chart form, not the endpoints.
     """
-    from .suspension import _edge_key
     canon: dict[tuple[Pt, Pt], tuple[Pt, Pt]] = {}
     for a, b in segs:
         key = _edge_key(a, b)
@@ -649,7 +649,6 @@ def validate_homeo(f: PLMap2) -> list[str]:
 def _edge_image_consistency(f: PLMap2) -> list[str]:
     """Shared cell edges must have images agreeing up to one horizontal
     integer shift: the model map is then well defined across the edge."""
-    from .suspension import _edge_key
     problems = []
     seen: dict = {}
     for cell in f.cells:

@@ -30,14 +30,14 @@ from fractions import Fraction
 from .conjugacy import (Certificate, ModelIsometry, IDENTITY, REFLECTION,
                         ROTATION, require_exact)
 from .embedding import tutte_positions
-from .eqcomplex import (EqComplex, equivariant_complex, refine_cells,
-                        refine_edges)
+from .eqcomplex import (EqComplex, apply_perm, equivariant_complex,
+                        refine_cells, refine_edges)
 from .errors import (EmbeddingDegenerate, QuotientPathNotFound,
                      StructureViolated)
 from .exact import mod1
 from .geom import Pt, area2
-from .maps import (CellMap, FixedSet, PLMap2, evaluate, identity_map,
-                   shift_into_unit, unit_rotation_power)
+from .maps import (CellMap, FixedSet, PLMap2, identity_map, shift_into_unit,
+                   unit_rotation_power)
 from .suspension import (DISC, IDENTITY_AFFINE, SPHERE, Affine, _edge_key,
                          collapsed_levels, isometry_affine, s_range)
 
@@ -264,37 +264,16 @@ def cut_sectors(k: EqComplex, arc0, m: int):
     raise StructureViolated("no edge of the line s = 1 leaves the arc end")
 
 
-@dataclass
-class SectorDecomposition:
-    complex: EqComplex
-    arcs: list[list[int]]          # vertex paths between the arc lines
-    sectors: list[frozenset[int]]  # cell sets, f(sector_i) = sector_{i+1}
-
-
-def rotation_sectors(k: EqComplex) -> SectorDecomposition:
-    """The orbit of a polar arc and the k.n sectors between its arcs.
-
-    Requires the map to turn each sector onto the next one, which holds
-    when its rotation number is 1/n."""
-    arcs, _, comps, sector0 = cut_sectors(k, polar_arc(k), k.n)
-    sectors = [sector0]
-    for _ in range(1, k.n):
-        sectors.append(frozenset(k.cell_perm[c] for c in sectors[-1]))
-    if set(sectors) != set(comps):
-        raise StructureViolated("sectors are not permuted cyclically")
-    return SectorDecomposition(k, arcs, sectors)
-
-
-def fixed_edges(k: EqComplex, g: PLMap2) -> set[int]:
-    """Edges of k that g fixes pointwise, apart from the end lines."""
+def fixed_edges(k: EqComplex, j: int) -> set[int]:
+    """Edges of k that f^j fixes pointwise, apart from the end lines: the
+    edges that f^j maps onto themselves with both vertices fixed."""
     ends = s_range(k.model)
     out = set()
     for ei, (pa, pb) in enumerate(k.edges):
         if pa[1] == pb[1] and pa[1] in ends:
             continue
-        mid = ((pa[0] + pb[0]) / 2, (pa[1] + pb[1]) / 2)
-        mp = (mod1(mid[0]), mid[1])
-        if evaluate(g, mp) == mp:
+        if apply_perm(k.edge_perm, ei, j) == ei and all(
+                apply_perm(k.vert_perm, v, j) == v for v in k.edge_verts[ei]):
             out.add(ei)
     if not out:
         raise StructureViolated("no fixed edges found")
@@ -375,20 +354,29 @@ def polar_layout(k: EqComplex, fund, left, right, wedge: Fraction,
 
 
 def rotation_layout(k: EqComplex) -> Layout:
-    """The first sector onto [0, 1/n] x s_range, its right arc forced as
-    the image of the left one."""
-    dec = rotation_sectors(k)
-    arc0 = dec.arcs[0]
+    """The first of the k.n sectors between the arcs of the orbit of a
+    polar arc onto [0, 1/n] x s_range, its right arc forced as the image of
+    the left one.
+
+    Requires the map to turn each sector onto the next one, which holds
+    when its rotation number is 1/n."""
+    arcs, _, comps, sector0 = cut_sectors(k, polar_arc(k), k.n)
+    sectors = [sector0]
+    for _ in range(1, k.n):
+        sectors.append(frozenset(k.cell_perm[c] for c in sectors[-1]))
+    if set(sectors) != set(comps):
+        raise StructureViolated("sectors are not permuted cyclically")
+    arc0 = arcs[0]
     left = arc0 if top_end(k, arc0) == arc0[0] else arc0[::-1]
     right = [k.vert_perm[v] for v in left]
-    return polar_layout(k, dec.sectors[0], left, right, Q(1, k.n),
+    return polar_layout(k, sector0, left, right, Q(1, k.n),
                         isometry_affine(1, Q(1, k.n), 1))
 
 
-def reflection_layout(k: EqComplex, f: PLMap2) -> Layout:
-    """One side of the fixed curve of the involution f onto
+def reflection_layout(k: EqComplex) -> Layout:
+    """One side of the fixed curve of the involution k.f onto
     [0, 1/2] x s_range, the two halves of the curve onto t = 0 and 1/2."""
-    arc_edges = fixed_edges(k, f)
+    arc_edges = fixed_edges(k, 1)
     comps = components(k, arc_edges)
     if len(comps) != 2:
         raise StructureViolated(
@@ -608,8 +596,8 @@ def fixed_point_conjugacy(f: PLMap2, kind: str, kk: int, n: int,
         iso = ModelIsometry(model, REFLECTION)
         k = equivariant_complex(f, n, level_cuts=LEVEL_CUTS[model],
                                 chord_cuts=fixed.segments)
-        k, lay, pos = embed_fundamental_domain(
-            k, lambda k: reflection_layout(k, f), oriented=False)
+        k, lay, pos = embed_fundamental_domain(k, reflection_layout,
+                                               oriented=False)
     else:
         raise StructureViolated(
             "map has no fixed points; use the free pipeline")

@@ -314,8 +314,8 @@ def _assemble_free_map(f: PLMap2, fs: FreeStructure):
         M = isometry_affine(1, c, -1)
         if subcase == "distinct":
             return polar_layout(k, sector0, bstar, right, Q(1, m), M)
-        return _coincident_layout(k, fp, bstar, right, sector0, arc_edges,
-                                  m, n, jstar, M, p0)
+        return _coincident_layout(k, bstar, right, sector0, arc_edges, m, n,
+                                  jstar, M, p0)
 
     k, lay, pos = embed_fundamental_domain(k, layout, oriented=True)
     return (PLMap2(SPHERE, orbit_cells(k, lay, pos)),
@@ -406,11 +406,11 @@ def _vert_at(k: EqComplex, p: Pt) -> int:
     return k.vert_index[key]
 
 
-def _coincident_layout(k, fp, bstar, right, sector0, arc_edges, m, n, jstar,
-                       M, p0) -> Layout:
+def _coincident_layout(k, bstar, right, sector0, arc_edges, m, n, jstar, M,
+                       p0) -> Layout:
     """Subcase A: the fundamental domain is the north half of the sector,
     cut by the fixed curve of f^(n/2), mapped onto [0, 1/m] x [0, 1]."""
-    phi_edges = fixed_edges(k, power(fp, n // 2))
+    phi_edges = fixed_edges(k, n // 2)
     halves = components(k, arc_edges | phi_edges, sector0)
     if len(halves) != 2:
         raise StructureViolated(

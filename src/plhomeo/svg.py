@@ -38,10 +38,8 @@ def _proj(model: str):
     return _disc_xy if model == DISC else _sphere_xy
 
 
-def _polyline(points, color, width="1", dash=None):
+def _polyline(points, color, width="1"):
     attrs = f'stroke="{color}" stroke-width="{width}" fill="none"'
-    if dash:
-        attrs += f' stroke-dasharray="{dash}"'
     coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
     return f'<polyline points="{coords}" {attrs}/>'
 
@@ -51,8 +49,9 @@ def _circle(x, y, r, color):
             f'fill="{color}"/>')
 
 
-def render_map(f: PLMap2, arcs=None, orbit=None, extra_curves=None) -> str:
-    """SVG drawing: cell edges, the fixed set, optional arcs and orbits."""
+def render_map(f: PLMap2, arcs=None) -> str:
+    """SVG drawing: cell edges in grey, the fixed set in red, and in blue
+    the chart edges (p, q) listed in arcs."""
     proj = _proj(f.model)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
              f'height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">',
@@ -68,9 +67,7 @@ def render_map(f: PLMap2, arcs=None, orbit=None, extra_curves=None) -> str:
             if key in seen:
                 continue
             seen.add(key)
-            parts.append(_polyline(
-                [proj(*_seg_pt(p, q, Fraction(j, 8))) for j in range(9)],
-                "#c8c8c8"))
+            parts.append(_polyline(_edge_points(proj, p, q), "#c8c8c8"))
     fs = fixed_set(f)
     for chain in fs.one:
         pts = [proj(t, s) for t, s in chain]
@@ -78,17 +75,16 @@ def render_map(f: PLMap2, arcs=None, orbit=None, extra_curves=None) -> str:
     for p in fs.zero:
         x, y = proj(*p)
         parts.append(_circle(x, y, 4, "red"))
-    for curve, color in (extra_curves or []):
-        pts = [proj(t, s) for t, s in curve]
-        parts.append(_polyline(pts, color, "2", dash="4 3"))
-    for arc in arcs or []:
-        pts = [proj(t, s) for t, s in arc]
-        parts.append(_polyline(pts, "blue", "2"))
-    for p in orbit or []:
-        x, y = proj(*p)
-        parts.append(_circle(x, y, 3, "green"))
+    for p, q in arcs or []:
+        parts.append(_polyline(_edge_points(proj, p, q), "blue", "2"))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def _edge_points(proj, p, q):
+    """The chart segment from p to q projected at nine points, so that it
+    bends as the projection does."""
+    return [proj(*_seg_pt(p, q, Fraction(j, 8))) for j in range(9)]
 
 
 def _seg_pt(p, q, lam: Fraction):

@@ -8,10 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from plhomeo import circle, cli
+from plhomeo import circle, cli, sphere
 from plhomeo import io as pio
 from plhomeo.circle import CirclePL, IntervalPL, LinePL, circle_rotation
-from plhomeo.maps import CellMap, PLMap2, shift_into_unit
+from plhomeo.conjugacy import meridian_edges
+from plhomeo.exact import mod1
+from plhomeo.geom import on_segment
+from plhomeo.maps import CellMap, PLMap2, evaluate, shift_into_unit
 from plhomeo.suspension import DISC, SPHERE, band_cells
 
 Q = Fraction
@@ -181,6 +184,46 @@ def test_render_reports_analysis_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "StructureViolated" in err and "bare map" in err
     assert svg.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("space, kind, k, n", [
+    (DISC, "rotation", 1, 3), (DISC, "reflection", 0, 1),
+    (SPHERE, "rotoreflection", 1, 2)])
+def test_render_draws_the_arcs_the_certificate_maps_onto_meridians(
+        tmp_path, space, kind, k, n):
+    """render draws in blue one polyline per edge that the certificate maps
+    onto a meridian of the model, and f maps that set of edges into
+    itself: the midpoint of every drawn edge onto a drawn edge."""
+    inst, cert = tmp_path / "f.json", tmp_path / "f.cert.json"
+    svg = tmp_path / "f.svg"
+    assert cli.main(["generate", "--space", space, "--kind", kind,
+                     "--k", str(k), "--n", str(n), "--seed", "2",
+                     "--moves", "3", "--out", str(inst)]) == 0
+    assert cli.main(["render", str(inst), "--out", str(svg)]) == 0
+    assert cli.main(["conjugate", str(inst), "--out", str(cert)]) == 0
+    _, f = pio.instance_from_dict(pio.load_json(str(inst)))
+    edges = meridian_edges(pio.certificate_from_dict(pio.load_json(str(cert))))
+    blue = svg.read_text().count('stroke="blue"')
+    assert blue >= 1 and blue == len(edges)
+    for a, b in edges:
+        q = evaluate(f, (mod1((a[0] + b[0]) / 2), (a[1] + b[1]) / 2))
+        assert any(on_segment((q[0] + dx, q[1]), c, d)
+                   for c, d in edges for dx in (0, 1))
+
+
+def test_selftest_case_builds_the_free_structure_once(monkeypatch):
+    """A selftest case hands one analysis to the report and to the
+    certificate builder."""
+    calls = []
+    original = sphere.free_structure
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(sphere, "free_structure", counted)
+    case = (SPHERE, "rotoreflection", 1, 2, 100, 3, False)
+    assert cli._run_case(case)[1:3] == (True, "ok")
+    assert len(calls) == 1
 
 
 def test_analyze_of_a_non_periodic_map_exits_4(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from plhomeo.circle import is_circle_identity
 from plhomeo.conjugacy import ModelIsometry
 from plhomeo.disc import (analyze_disc, build_conjugacy_reflection,
-                          build_conjugacy_rotation, sector_decomposition)
+                          build_conjugacy_rotation)
 from plhomeo.errors import NotPeriodic, StructureViolated
 from plhomeo.generate import make_instance
 from plhomeo.maps import (CellMap, PLMap2, boundary_restriction, compose,
@@ -115,23 +115,6 @@ def test_rigidity_check_cases():
         analyze_disc(bad)
 
 
-def test_sector_decomposition_model():
-    f = ModelIsometry(DISC, "rotation", 1, 4).as_map()
-    dec = sector_decomposition(f, 4)
-    k = dec.complex
-    assert len(dec.sectors) == 4
-    assert len(dec.arcs) == 4
-    # arcs pairwise share no vertex except bottom chart copies of the center
-    for i in range(4):
-        for j in range(i + 1, 4):
-            shared = set(dec.arcs[i]) & set(dec.arcs[j])
-            assert all(k.verts[v][1] == 0 for v in shared)
-    # sectors are permuted cyclically by f
-    for i in range(4):
-        img = frozenset(k.cell_perm[c] for c in dec.sectors[i])
-        assert img == dec.sectors[(i + 1) % 4]
-
-
 def test_edge_path_refuses_a_branch():
     # the path 0-1-2 with a spur 1-3: from 1 there are two ways on
     k = SimpleNamespace(edge_verts=[(0, 1), (1, 2), (1, 3)])
@@ -140,14 +123,6 @@ def test_edge_path_refuses_a_branch():
         edge_path(k, [0, 1, 2], 0, {2})
     with pytest.raises(StructureViolated):
         edge_path(k, [0, 1, 2], 3, {2})
-
-
-def test_sector_decomposition_scrambled():
-    f, h, r = make_instance(DISC, "rotation", 1, 3, seed=2, moves=8)
-    dec = sector_decomposition(f, 3)
-    assert len(dec.sectors) == 3
-    total = sum(len(s) for s in dec.sectors)
-    assert total == len(dec.complex.polys)
 
 
 def test_conjugacy_model_rotation():

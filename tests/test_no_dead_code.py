@@ -9,7 +9,8 @@ be set by some call in ``src/``: a default that no caller overrides is a
 knob nothing turns.  Where a line crosses the edge of a polygon is
 computed in ``geom`` alone.  Every function that ``bench/tracer.py``
 traces by name is still defined in its module.  A cell is located by a
-point only to evaluate the map there.
+point only to evaluate the map there.  Every import in ``src/`` is at
+module level.
 """
 
 import ast
@@ -190,6 +191,18 @@ def test_cells_are_located_only_to_evaluate():
                         getattr(node.func, "attr", None)):
                     callers.add(f"{name}.{getattr(top, 'name', '?')}")
     assert callers == {"maps.evaluate"}
+
+
+def test_no_function_local_imports():
+    """No import cycle in ``src/`` needs an import inside a function or a
+    class, and one there hides what its module stands on."""
+    local = []
+    for name, tree in _modules().items():
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                local += [f"{name}.{top.name}" for node in ast.walk(top)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert local == []
 
 
 def test_traced_functions_are_defined():
