@@ -301,11 +301,10 @@ def fixed_points_reversing(f: CirclePL) -> tuple[Fraction, Fraction]:
 
 @dataclass(frozen=True)
 class CircleCertificate:
-    """Conjugacy h with h o f = model o h, checked exactly."""
+    """A conjugacy claim: h o f = model o h."""
     kind: str                      # "rotation" | "reflection" | "identity"
     klass: RotationClass | None
     h: CirclePL
-    exact: bool
 
     def model_map(self) -> CirclePL:
         if self.kind == "rotation":
@@ -319,10 +318,10 @@ def conjugate_circle_to_model(f: CirclePL) -> CircleCertificate:
     n = _proved_period(f)
     h = average_conjugacy(f, n)
     if f.orientation == -1:
-        cert = CircleCertificate("reflection", None, h, True)
+        cert = CircleCertificate("reflection", None, h)
     else:
         cert = CircleCertificate("identity" if n == 1 else "rotation",
-                                 rotation_number(f, n), h, True)
+                                 rotation_number(f, n), h)
     if not circle_conjugacy_holds(f, cert.h, cert.model_map()):
         raise StructureViolated("constructed conjugacy failed exact check")
     return cert

@@ -257,10 +257,9 @@ def cmd_conjugate(args) -> int:
         cls = _classify_onedim(space, f)
         body = pio.onedim_certificate_to_dict(space, cls.kind, cls.h)
     else:
-        cert = _conjugate_map(space, f, _analyze(space, f))
-        pio.save_json(args.out, pio.certificate_to_dict(cert))
-        print(f"wrote {args.out} ({'exact' if cert.exact else 'INEXACT'})")
-        return 0
+        # every builder ends in require_exact
+        body = pio.certificate_to_dict(
+            _conjugate_map(space, f, _analyze(space, f)))
     pio.save_json(args.out, body)
     print(f"wrote {args.out} (exact)")
     return 0
@@ -288,12 +287,11 @@ def cmd_verify(args) -> int:
         if problems:
             print(f"{what} invalid: " + "; ".join(problems))
             return 1
-    check_certificate(f, cert)
-    if cert.exact:
+    witness = check_certificate(f, cert)
+    if witness is None:
         print("certificate verified: h o f = model o h exactly")
         return 0
-    print("certificate REJECTED: first disagreement at "
-          + fmt_pt(cert.witness))
+    print("certificate REJECTED: first disagreement at " + fmt_pt(witness))
     return 1
 
 
@@ -366,14 +364,12 @@ def _run_case(case):
     try:
         f, h, r = make_instance(space, kind, k, n, seed, moves)
         ana = _analyze(space, f)
-        d = _map_analysis_dict(space, ana)
-        if d["class"] != kind or (kind in ("rotation", "rotoreflection")
-                                  and (d["k"], d["n"]) != (k, n)):
+        if (ana.kind, ana.k, ana.n) != (kind, k, n):
             return (case, False, "class mismatch", time.time() - t0)
         cert = _conjugate_map(space, f, ana)
         if corrupt:
             cert = _corrupt(cert)
-        ok = check_certificate(f, cert).exact
+        ok = check_certificate(f, cert) is None
         if corrupt:
             return (case, not ok, "corruption detected" if not ok
                     else "corruption NOT detected", time.time() - t0)
@@ -393,8 +389,7 @@ def _corrupt(cert: Certificate) -> Certificate:
             if 0 < y < 1 and abs(y) != 1:
                 img[j] = (x, y + (1 - y) / 7)
                 cells[idx] = CellMap(c.poly, tuple(img))
-                return Certificate(cert.model, PLMap2(cert.h.model, cells),
-                                   cert.exact, cert.pins)
+                return Certificate(cert.model, PLMap2(cert.h.model, cells))
     return cert
 
 

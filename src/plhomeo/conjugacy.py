@@ -1,9 +1,11 @@
 """Model isometries of the disc and sphere models, and conjugacy
-certificates h with h o f = r o h checked exactly."""
+certificates h with h o f = r o h checked exactly.  A certificate is the
+pair (r, h) alone; the verdict of ``check_certificate`` is its return
+value, a point where h o f and r o h differ, or None when they agree."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -67,14 +69,11 @@ def _band_count(n: int) -> int:
     return bands
 
 
-@dataclass
+@dataclass(frozen=True)
 class Certificate:
-    """An exact conjugacy: h o f = model o h as maps of the model."""
+    """A conjugacy claim: h o f = model o h as maps of the model."""
     model: ModelIsometry
     h: PLMap2
-    exact: bool
-    pins: dict = field(default_factory=dict)
-    witness: tuple | None = None
 
 
 def meridian_edges(cert: Certificate) -> list[tuple[Pt, Pt]]:
@@ -96,8 +95,9 @@ def meridian_edges(cert: Certificate) -> list[tuple[Pt, Pt]]:
     return sorted(out)
 
 
-def check_certificate(f: PLMap2, cert: Certificate) -> Certificate:
-    """Re-verify h o f = model o h exactly; fill the exact/witness fields.
+def check_certificate(f: PLMap2, cert: Certificate) -> Pt | None:
+    """Re-verify h o f = model o h exactly; the verdict is the return
+    value, a witness point where they differ, or None when they agree.
 
     The verdict and the witness come from one ``first_disagreement`` scan,
     which needs its second map to tile the chart rectangle.  That map is
@@ -112,14 +112,12 @@ def check_certificate(f: PLMap2, cert: Certificate) -> Certificate:
                          "different models")
     lhs = compose(f, cert.h)
     rhs = follow(cert.h, cert.model.affine())
-    cert.witness = first_disagreement(lhs, rhs)
-    cert.exact = cert.witness is None
-    return cert
+    return first_disagreement(lhs, rhs)
 
 
 def require_exact(f: PLMap2, cert: Certificate) -> Certificate:
-    check_certificate(f, cert)
-    if not cert.exact:
+    witness = check_certificate(f, cert)
+    if witness is not None:
         raise StructureViolated(
-            f"certificate not exact; witness {fmt_pt(cert.witness)}")
+            f"certificate not exact; witness {fmt_pt(witness)}")
     return cert

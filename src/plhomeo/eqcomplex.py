@@ -23,11 +23,11 @@ Q = Fraction
 
 @dataclass
 class EqComplex:
-    """The cells polys of an f-equivariant complex, indexed, with the
-    action of f on its cells, vertices and edges.  f_affines[i] is the
-    affine map of f on polys[i], handed on by the builder; the rest is
-    computed on construction."""
-    f: PLMap2
+    """The cells polys of an f-equivariant complex on the model ``model``,
+    indexed, with the action of f on its cells, vertices and edges.
+    f_affines[i] is the affine map of f on polys[i], handed on by the
+    builder; the rest is computed on construction."""
+    model: str
     n: int
     polys: list[tuple[Pt, ...]]
     f_affines: list[Affine]
@@ -46,10 +46,6 @@ class EqComplex:
         _index_complex(self)
         _build_action(self)
 
-    @property
-    def model(self) -> str:
-        return self.f.model
-
     def vertex_id(self, chart: Pt) -> int:
         return self.vert_index[(mod1(chart[0]), chart[1])]
 
@@ -66,11 +62,11 @@ def equivariant_complex(f: PLMap2, n: int, level_cuts=(),
     chains = _chain_cells(f, n)
     if level_cuts or chord_cuts:
         chains = _cut_polys(chains, list(level_cuts), list(chord_cuts))
-    return EqComplex(f, n, [c[0] for c in chains],
+    return EqComplex(f.model, n, [c[0] for c in chains],
                      [f.affine(c[1]) for c in chains])
 
 
-def conjugated_equivariant_complex(fp: PLMap2, f: PLMap2, h: PLMap2, n: int,
+def conjugated_equivariant_complex(f: PLMap2, h: PLMap2, n: int,
                                    level_cuts=(), chord_cuts=(),
                                    phi_power: int | None = None) -> EqComplex:
     """Equivariant complex for fp = h o f o h^-1, built in the f-frame.
@@ -92,7 +88,7 @@ def conjugated_equivariant_complex(fp: PLMap2, f: PLMap2, h: PLMap2, n: int,
     secondary = _pullback_segments(h, chord_cuts)
     if primary or secondary:
         chains = _cut_polys(chains, [], primary, segs_secondary=secondary)
-    frame = EqComplex(f_ref, n, [c[0] for c in chains],
+    frame = EqComplex(f.model, n, [c[0] for c in chains],
                       [f_ref.affine(c[1]) for c in chains])
     hs = [h.affine(f_ref.parents[c[1]]) for c in chains]
     pushed, affines = [], []
@@ -103,7 +99,7 @@ def conjugated_equivariant_complex(fp: PLMap2, f: PLMap2, h: PLMap2, n: int,
         affines.append(hs[frame.cell_perm[j]].compose_after(
             isometry_affine(1, Q(-m_f), 1)).compose_after(F).compose_after(
             hs[j].inverse()).compose_after(isometry_affine(1, Q(m), 1)))
-    return EqComplex(fp, n, pushed, affines)
+    return EqComplex(f.model, n, pushed, affines)
 
 
 def _pullback_levels(h: PLMap2, levels):
@@ -362,7 +358,7 @@ def refine_cells(k: EqComplex, cell_ids) -> EqComplex:
             poly = [poly]
         polys += poly
         affines += [k.f_affines[ci]] * len(poly)
-    return EqComplex(k.f, k.n, polys, affines)
+    return EqComplex(k.model, k.n, polys, affines)
 
 
 def refine_edges(k: EqComplex, edge_ids) -> EqComplex:
@@ -407,7 +403,7 @@ def refine_edges(k: EqComplex, edge_ids) -> EqComplex:
             if area2((g, a, b)) > 0:
                 polys.append((g, a, b))
                 affines.append(A)
-    return EqComplex(k.f, k.n, polys, affines)
+    return EqComplex(k.model, k.n, polys, affines)
 
 
 def apply_perm(perm: list[int], i: int, times: int) -> int:

@@ -10,13 +10,21 @@ import json
 
 from .circle import (CircleCertificate, CirclePL, IntervalPL, LinePL,
                      RotationClass)
-from .conjugacy import Certificate, ModelIsometry, IDENTITY, REFLECTION
+from .conjugacy import (Certificate, ModelIsometry, IDENTITY, REFLECTION,
+                        ROTATION)
 from .errors import InvalidClass, ParseError, StructureViolated
 from .exact import fmt_rat, parse_rat
 from .maps import PLMap2, from_complex, serializable_parts
 from .suspension import DISC, SPHERE, SuspensionComplex
 
 SPACES = ("interval", "line", "circle", "disc", "sphere")
+
+# The pins a certificate file carries, by model and class (none for the
+# others); bench/inputs/manifest.json pins the bytes of the certificates,
+# so "boundary", always False, stays.
+PINS = {(DISC, ROTATION): {"boundary": False},
+        (SPHERE, ROTATION): {"north": True},
+        (SPHERE, REFLECTION): {"north": True}}
 
 
 def dumps(obj) -> str:
@@ -174,18 +182,21 @@ def model_from_dict(data: dict) -> ModelIsometry:
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
+    """Every certificate written is one its builder checked exactly."""
     return {"model": model_to_dict(cert.model),
             "h": map2_to_dict(cert.h),
-            "exact": cert.exact,
-            "pins": cert.pins}
+            "exact": True,
+            "pins": PINS.get((cert.model.model, cert.model.kind), {})}
 
 
 def certificate_from_dict(data: dict) -> Certificate:
+    """The model and h of a certificate file; its "exact" claim is not
+    read, and its "pins", constant per class, need only convert to a dict."""
     try:
-        return Certificate(model_from_dict(data["model"]),
-                           map2_from_dict(data["h"]),
-                           bool(data.get("exact", False)),
-                           dict(data.get("pins", {})))
+        cert = Certificate(model_from_dict(data["model"]),
+                           map2_from_dict(data["h"]))
+        dict(data.get("pins", {}))
+        return cert
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad certificate payload: {exc}") from exc
 
@@ -213,7 +224,7 @@ def circle_certificate_from_dict(data: dict) -> CircleCertificate:
             raise ParseError(f"unknown circle model kind {kind!r}")
     except (KeyError, TypeError, StructureViolated) as exc:
         raise ParseError(f"bad circle certificate: {exc}") from exc
-    return CircleCertificate(kind, klass, h, False)
+    return CircleCertificate(kind, klass, h)
 
 
 def onedim_certificate_to_dict(space: str, kind: str, h) -> dict:

@@ -53,13 +53,6 @@ ARC_LEVELS = {DISC: (Q(0), Q(1)), SPHERE: (Q(1), Q(-1))}
 # points.
 LEVEL_CUTS = {DISC: (Q(1, 2),), SPHERE: (Q(1, 2), Q(-1, 2))}
 
-# The pins of a fixed-point certificate, by model and class (none for the
-# others); bench/inputs/manifest.json pins the bytes of the certificates,
-# so "boundary", always False, stays.
-PINS = {(DISC, ROTATION): {"boundary": False},
-        (SPHERE, ROTATION): {"north": True},
-        (SPHERE, REFLECTION): {"north": True}}
-
 
 # ---------------------------------------------------------------------------
 # arcs
@@ -374,7 +367,7 @@ def rotation_layout(k: EqComplex) -> Layout:
 
 
 def reflection_layout(k: EqComplex) -> Layout:
-    """One side of the fixed curve of the involution k.f onto
+    """One side of the fixed curve of the involution of k onto
     [0, 1/2] x s_range, the two halves of the curve onto t = 0 and 1/2."""
     arc_edges = fixed_edges(k, 1)
     comps = components(k, arc_edges)
@@ -585,7 +578,7 @@ def fixed_point_conjugacy(f: PLMap2, kind: str, kk: int, n: int,
     model = f.model
     if kind == IDENTITY:
         return require_exact(f, Certificate(ModelIsometry(model, IDENTITY),
-                                            identity_map(model), True))
+                                            identity_map(model)))
     if kind == ROTATION:
         iso = ModelIsometry(model, ROTATION, kk, n)
         k = equivariant_complex(unit_rotation_power(f, kk, n), n,
@@ -602,5 +595,4 @@ def fixed_point_conjugacy(f: PLMap2, kind: str, kk: int, n: int,
         raise StructureViolated(
             "map has no fixed points; use the free pipeline")
     return require_exact(f, Certificate(
-        iso, PLMap2(model, orbit_cells(k, lay, pos)), True,
-        dict(PINS.get((model, kind), {}))))
+        iso, PLMap2(model, orbit_cells(k, lay, pos))))

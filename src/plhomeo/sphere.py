@@ -75,8 +75,9 @@ class SphereAnalysis:
     n: int
     k: int = 0
     fixed: FixedSet | None = None
-    free: FreeStructure | None = None   # rotoreflection only
-    free_map: PLMap2 | None = None      # conjugates free.fp to the model
+    # rotoreflection only: f to fp (None when f^2 = id), and fp to the model
+    norm_h: PLMap2 | None = None
+    free_map: PLMap2 | None = None
 
 
 def analyze_sphere(f: PLMap2) -> SphereAnalysis:
@@ -86,8 +87,8 @@ def analyze_sphere(f: PLMap2) -> SphereAnalysis:
     (see ``maps.period``), and so is the class of a rotation.  The analysis
     is the input of the certificate builders.  A
     fixed-point-free map is classified by building its conjugacy, whose
-    arc system fixes the angle; the structure and the map are kept, so
-    ``build_conjugacy_free`` only composes and checks them."""
+    arc system fixes the angle; the normalizing map and that conjugacy are
+    kept, so ``build_conjugacy_free`` only composes and checks them."""
     if f.model != SPHERE:
         raise StructureViolated("analyze_sphere needs a sphere-model map")
     problems = validate_homeo(f)
@@ -118,7 +119,9 @@ def analyze_sphere(f: PLMap2) -> SphereAnalysis:
                 "fixed-point-free periodic map must have even period")
         free = free_structure(f, n)
         free_map, k = _assemble_free_map(f, free)
-        return SphereAnalysis("rotoreflection", n, k, fs, free, free_map)
+        return SphereAnalysis("rotoreflection", n, k, fs,
+                              free.conj.h if free.conj is not None else None,
+                              free_map)
     if n != 2:
         raise StructureViolated(
             "orientation-reversing sphere map with fixed points must be an "
@@ -277,11 +280,10 @@ def build_conjugacy_free(f: PLMap2, ana: SphereAnalysis) -> Certificate:
     normalizing conjugacy followed by the map the analysis built."""
     if ana.kind != "rotoreflection":
         raise StructureViolated("map is not fixed-point free")
-    conj = ana.free.conj
-    h = compose(conj.h, ana.free_map) if conj is not None else ana.free_map
-    cert = Certificate(ModelIsometry(SPHERE, ROTOREFLECTION, ana.k, ana.n),
-                       h, True)
-    return require_exact(f, cert)
+    h = ana.free_map if ana.norm_h is None else \
+        compose(ana.norm_h, ana.free_map)
+    return require_exact(f, Certificate(
+        ModelIsometry(SPHERE, ROTOREFLECTION, ana.k, ana.n), h))
 
 
 def _assemble_free_map(f: PLMap2, fs: FreeStructure):
@@ -295,14 +297,11 @@ def _assemble_free_map(f: PLMap2, fs: FreeStructure):
     # (fp)^2 is exactly the rotation conj certifies (_normalize_square)
     r2 = Q(conj.model.k, conj.model.n) if conj is not None else Q(0)
     if conj is None:
-        chord_cuts = [seg]
-        if phi is not None:
-            chord_cuts += list(fixed_set(power(fp, phi)).segments)
-        k = equivariant_complex(fp, n, level_cuts=[t0], chord_cuts=chord_cuts)
+        # f^2 = id makes n = 2, and subcase A would then need fp(P0) = P0
+        k = equivariant_complex(fp, n, level_cuts=[t0], chord_cuts=[seg])
     else:
-        k = conjugated_equivariant_complex(fp, f, conj.h, n,
-                                           level_cuts=[t0], chord_cuts=[seg],
-                                           phi_power=phi)
+        k = conjugated_equivariant_complex(f, conj.h, n, level_cuts=[t0],
+                                           chord_cuts=[seg], phi_power=phi)
 
     def layout(k: EqComplex) -> Layout:
         bstar = _bstar_arc(k, t0, p0, n, subcase)

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from .maps import PLMap2, fixed_set
-from .suspension import DISC
+from .suspension import DISC, _edge_key
 
 SIZE = 480
 R = 200
@@ -58,12 +58,14 @@ def render_map(f: PLMap2, arcs=None) -> str:
              f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>']
     boundary = [proj(Fraction(i, 256), Fraction(1)) for i in range(257)]
     parts.append(_polyline(boundary, "black", "2"))
+    # keyed as conjugacy.meridian_edges keys its edges, so an edge that two
+    # cells list at t = 0 and at t = 1 is drawn once
     seen = set()
     for cell in f.cells:
         m = len(cell.poly)
         for i in range(m):
             p, q = cell.poly[i], cell.poly[(i + 1) % m]
-            key = (min(p, q), max(p, q))
+            key = _edge_key(p, q)
             if key in seen:
                 continue
             seen.add(key)

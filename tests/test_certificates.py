@@ -5,9 +5,11 @@ refine-and-retry loop of the embedding; sphere-rotoreflection-1-4 is the
 one whose square is normalized by a conjugacy first.  ``verify`` prints
 the same verdict, witness and exit code on every frozen certificate,
 the two tampered ones included, and the witness it prints is a point where
-h o f and model o h differ.
+h o f and model o h differ.  ``verify`` ignores the certificate file's own
+"exact" claim, and a certificate is the pair of its model and its map.
 """
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -18,6 +20,7 @@ import pytest
 
 from plhomeo import cli, sphere
 from plhomeo import io as pio
+from plhomeo.conjugacy import Certificate
 from plhomeo.generate import make_instance
 from plhomeo.maps import evaluate
 
@@ -113,3 +116,21 @@ def test_verify_output_of_frozen_certificate(name, capsys):
             pio.load_json(INPUTS / f"{name}.cert.json"))
         h, model = cert.h, cert.model.as_map()
         assert evaluate(h, evaluate(f, w)) != evaluate(model, evaluate(h, w))
+
+
+def test_verify_ignores_the_files_exact_claim(tmp_path, capsys):
+    name = "disc-rotation-1-3"
+    cert = json.loads((INPUTS / f"{name}.cert.json").read_text())
+    cert["exact"] = False
+    path = tmp_path / "claims-inexact.cert.json"
+    path.write_text(json.dumps(cert))
+    code = cli.main(["verify", str(INPUTS / f"{name}.json"), str(path)])
+    assert (code, capsys.readouterr().out) == (0, VERIFIED)
+
+
+def test_certificate_is_its_model_and_its_map():
+    cert = pio.certificate_from_dict(
+        pio.load_json(INPUTS / "disc-rotation-1-3.cert.json"))
+    assert [x.name for x in dataclasses.fields(Certificate)] == ["model", "h"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.h = None

@@ -5,8 +5,9 @@ from math import gcd
 import pytest
 
 from plhomeo.circle import (CirclePL, IntervalPL, LinePL, average_conjugacy,
-                            circle_identity, circle_reflection,
-                            circle_rotation, classify_interval, classify_line,
+                            circle_conjugacy_holds, circle_identity,
+                            circle_reflection, circle_rotation,
+                            classify_interval, classify_line,
                             compose_circle, compose_interval,
                             conjugate_circle_to_model, fixed_points_reversing,
                             interval_reflection, inverse_circle,
@@ -191,8 +192,10 @@ def test_averaged_conjugacy_breaks_on_the_orbit_of_the_breaks():
 
 
 def test_conjugacy_model_rotation_is_identityish():
-    cert = conjugate_circle_to_model(circle_rotation(Q(1, 4)))
-    assert cert.exact and cert.kind == "rotation"
+    f = circle_rotation(Q(1, 4))
+    cert = conjugate_circle_to_model(f)
+    assert circle_conjugacy_holds(f, cert.h, cert.model_map())
+    assert cert.kind == "rotation"
     assert (cert.klass.k, cert.klass.n) == (1, 4)
     assert is_circle_identity(cert.h)
 

@@ -1,4 +1,5 @@
-"""The command-line contract: exit codes of analyze, verify and render."""
+"""The command-line contract: exit codes of analyze, verify and render,
+the output of analyze, and the selftest with a planted corruption."""
 
 import copy
 import json
@@ -15,7 +16,8 @@ from plhomeo.conjugacy import meridian_edges
 from plhomeo.exact import mod1
 from plhomeo.geom import on_segment
 from plhomeo.maps import CellMap, PLMap2, evaluate, shift_into_unit
-from plhomeo.suspension import DISC, SPHERE, band_cells
+from plhomeo.suspension import DISC, SPHERE, _edge_key, band_cells
+from plhomeo.svg import render_map
 
 Q = Fraction
 INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
@@ -90,6 +92,14 @@ def _pins_not_a_mapping(cert):
     cert["pins"] = 5
 
 
+def _pins_not_pairs(cert):
+    cert["pins"] = "north"
+
+
+def _pins_unhashable_key(cert):
+    cert["pins"] = [[["north"], True]]
+
+
 def _class_not_reduced(cert):
     cert["model"]["k"] = 3
 
@@ -117,7 +127,8 @@ def _rotation_renamed_reflection(cert):
 
 @pytest.mark.parametrize("damage", [
     _triangle_index_out_of_range, _images_cut_short, _lifts_cut_short,
-    _integer_coordinate, _pins_not_a_mapping, _class_not_reduced,
+    _integer_coordinate, _pins_not_a_mapping, _pins_not_pairs,
+    _pins_unhashable_key, _class_not_reduced,
     _unknown_kind, _period_zero, _model_on_the_other_space, _class_a_boolean,
     _rotation_renamed_reflection])
 def test_verify_malformed_certificate_is_a_parse_error(
@@ -211,8 +222,20 @@ def test_render_draws_the_arcs_the_certificate_maps_onto_meridians(
                    for c, d in edges for dx in (0, 1))
 
 
+@pytest.mark.parametrize("name", [
+    "disc-rotation-1-3", "sphere-rotation-1-3", "disc-reflection-0-2",
+    "sphere-rotoreflection-1-4"])
+def test_render_draws_each_cell_edge_once(name):
+    """One grey polyline per edge of f's cells, an edge that two cells list
+    at t = 0 and at t = 1 included."""
+    _, f = pio.instance_from_dict(pio.load_json(str(INPUTS / f"{name}.json")))
+    edges = {_edge_key(c.poly[i], c.poly[(i + 1) % len(c.poly)])
+             for c in f.cells for i in range(len(c.poly))}
+    assert render_map(f).count('stroke="#c8c8c8"') == len(edges)
+
+
 def test_selftest_case_builds_the_free_structure_once(monkeypatch):
-    """A selftest case hands one analysis to the report and to the
+    """A selftest case hands one analysis to the class check and to the
     certificate builder."""
     calls = []
     original = sphere.free_structure
@@ -224,6 +247,51 @@ def test_selftest_case_builds_the_free_structure_once(monkeypatch):
     case = (SPHERE, "rotoreflection", 1, 2, 100, 3, False)
     assert cli._run_case(case)[1:3] == (True, "ok")
     assert len(calls) == 1
+
+
+ANALYSIS = {
+    "disc-reflection-0-2": (
+        "disc, reflection, period 2, fixed arc endpoints (0/1, 1/1) and "
+        "(5/8, 1/1)",
+        '{"class":"reflection","fixed_arc_endpoints":[["0/1","1/1"],'
+        '["5/8","1/1"]],"orientation":"reversing","period":2,'
+        '"space":"disc"}'),
+    "disc-rotation-1-3": (
+        "disc, rotation, period 3, angle 1/3, fixed point (0/1, 0/1)",
+        '{"class":"rotation","fixed_point":["0/1","0/1"],"k":1,"n":3,'
+        '"orientation":"preserving","period":3,"space":"disc"}'),
+    "sphere-reflection-0-2": (
+        "sphere, reflection, period 2, fixed set: simple closed curve",
+        '{"class":"reflection","fixed_set":"simple closed curve",'
+        '"orientation":"reversing","period":2,"space":"sphere"}'),
+    "sphere-rotation-1-3": (
+        "sphere, rotation, period 3, angle 1/3, fixed set: two poles",
+        '{"class":"rotation","fixed_set":"two poles","k":1,"n":3,'
+        '"orientation":"preserving","period":3,"space":"sphere"}'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYSIS))
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_analyze_output_of_frozen_instance(name, fmt, capsys):
+    argv = ["analyze", str(INPUTS / f"{name}.json")]
+    if fmt == "json":
+        argv += ["--format", "json"]
+    assert cli.main(argv) == 0
+    text, js = ANALYSIS[name]
+    assert capsys.readouterr().out == (text if fmt == "text" else js) + "\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_selftest_detects_the_planted_corruption(jobs, capsys):
+    """With no seeds only the corrupted case runs; selftest passes when
+    verify rejects it, serially and in worker processes."""
+    assert cli.main(["selftest", "--quick", "--seeds", "0",
+                     "--inject-corruption", "--moves", "1",
+                     "--jobs", jobs]) == 0
+    out = capsys.readouterr().out
+    assert "[corrupted]: corruption detected" in out
+    assert out.endswith("1/1 cases passed\n")
 
 
 def test_analyze_of_a_non_periodic_map_exits_4(tmp_path, capsys):

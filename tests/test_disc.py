@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from plhomeo.circle import is_circle_identity
-from plhomeo.conjugacy import ModelIsometry
+from plhomeo.conjugacy import ModelIsometry, check_certificate
 from plhomeo.disc import (analyze_disc, build_conjugacy_reflection,
                           build_conjugacy_rotation)
 from plhomeo.errors import NotPeriodic, StructureViolated
@@ -128,14 +128,14 @@ def test_edge_path_refuses_a_branch():
 def test_conjugacy_model_rotation():
     f = ModelIsometry(DISC, "rotation", 1, 4).as_map()
     cert = build_conjugacy_rotation(f, analyze_disc(f))
-    assert cert.exact
+    assert check_certificate(f, cert) is None
     assert (cert.model.kind, cert.model.k, cert.model.n) == ("rotation", 1, 4)
 
 
 def test_conjugacy_scrambled_rotation_k1():
     f, h, r = make_instance(DISC, "rotation", 1, 3, seed=2, moves=8)
     cert = build_conjugacy_rotation(f, analyze_disc(f))
-    assert cert.exact
+    assert check_certificate(f, cert) is None
     lhs = compose(f, cert.h)
     rhs = compose(cert.h, cert.model.as_map())
     assert first_disagreement(lhs, rhs) is None
@@ -146,7 +146,7 @@ def test_conjugacy_scrambled_rotation_k1():
 def test_conjugacy_scrambled_rotation_k2_n5():
     f, h, r = make_instance(DISC, "rotation", 2, 5, seed=3, moves=9)
     cert = build_conjugacy_rotation(f, analyze_disc(f))
-    assert cert.exact
+    assert check_certificate(f, cert) is None
     assert (cert.model.k, cert.model.n) == (2, 5)
     assert validate_homeo(cert.h) == []
 
@@ -154,13 +154,14 @@ def test_conjugacy_scrambled_rotation_k2_n5():
 def test_conjugacy_model_reflection():
     f = ModelIsometry(DISC, "reflection").as_map()
     cert = build_conjugacy_reflection(f, analyze_disc(f))
-    assert cert.exact and cert.model.kind == "reflection"
+    assert check_certificate(f, cert) is None
+    assert cert.model.kind == "reflection"
 
 
 def test_conjugacy_scrambled_reflection():
     f, h, r = make_instance(DISC, "reflection", 0, 2, seed=4, moves=10)
     cert = build_conjugacy_reflection(f, analyze_disc(f))
-    assert cert.exact
+    assert check_certificate(f, cert) is None
     assert validate_homeo(cert.h) == []
     # the fixed arc maps onto the model diameter
     from plhomeo.maps import fixed_set

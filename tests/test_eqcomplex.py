@@ -63,13 +63,15 @@ def _iterate_affines(f, poly, n):
     return affs
 
 
-def _check_complex(k):
+def _check_complex(k, f):
     """The builder's affine maps, and those that refine_cells and
-    refine_edges give the children of their cells, are the located ones."""
+    refine_edges give the children of their cells, are the located ones of
+    f, the map k is a complex of."""
     for cx in (k, refine_cells(k, [0, len(k.polys) - 1]),
                refine_edges(k, [0, len(k.edges) - 1])):
+        assert cx.model == f.model
         assert len(cx.f_affines) == len(cx.polys)
-        assert cx.f_affines == [_affine_at(cx.f, poly) for poly in cx.polys]
+        assert cx.f_affines == [_affine_at(f, poly) for poly in cx.polys]
 
 
 def _check_chains(f, n, levels):
@@ -86,7 +88,7 @@ def _check_chains(f, n, levels):
 
 def test_disc_rotation_complex_affines_are_handed_on():
     f = _load("disc-rotation-1-3")
-    _check_complex(equivariant_complex(f, 3, level_cuts=LEVEL_CUTS[DISC]))
+    _check_complex(equivariant_complex(f, 3, level_cuts=LEVEL_CUTS[DISC]), f)
     _check_chains(f, 3, LEVEL_CUTS[DISC])
 
 
@@ -110,9 +112,9 @@ def test_conjugated_complex_affines_are_handed_on(moved):
         fp = compose(compose(inverse(h), f), h)
     p0 = fs.orbit[0]
     k = conjugated_equivariant_complex(
-        fp, f, h, 4, level_cuts=[fs.t0],
+        f, h, 4, level_cuts=[fs.t0],
         chord_cuts=[((p0[0], fs.t0), (p0[0], Q(1)))],
         phi_power=2 if fs.subcase == "coincident" else None)
-    _check_complex(k)
+    _check_complex(k, fp)
     f_ref = compose(identity_map(SPHERE, [c.poly for c in h.cells]), f)
     _check_chains(f_ref, 4, [Q(1, 3), Q(-1, 3)])

@@ -10,7 +10,8 @@ knob nothing turns.  Where a line crosses the edge of a polygon is
 computed in ``geom`` alone.  Every function that ``bench/tracer.py``
 traces by name is still defined in its module.  A cell is located by a
 point only to evaluate the map there.  Every import in ``src/`` is at
-module level.
+module level.  A check's verdict is a return value, never stored on the
+record checked.
 """
 
 import ast
@@ -203,6 +204,20 @@ def test_no_function_local_imports():
                 local += [f"{name}.{top.name}" for node in ast.walk(top)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert local == []
+
+
+def test_verdicts_are_return_values():
+    """No attribute ``exact`` or ``witness`` is assigned in ``src/``: a
+    check returns its witness instead of marking what it checked."""
+    stores = []
+    for name, tree in _modules().items():
+        for top in tree.body:
+            stores += [f"{name}.{getattr(top, 'name', '?')}.{node.attr}"
+                       for node in ast.walk(top)
+                       if isinstance(node, ast.Attribute)
+                       and isinstance(node.ctx, ast.Store)
+                       and node.attr in ("exact", "witness")]
+    assert stores == []
 
 
 def test_traced_functions_are_defined():

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from plhomeo import io as pio
 from plhomeo.circle import rotation_number
-from plhomeo.conjugacy import ModelIsometry
+from plhomeo.conjugacy import ModelIsometry, check_certificate
 from plhomeo.errors import NotPeriodic, StructureViolated
 from plhomeo.generate import make_instance
 from plhomeo.maps import (CellMap, PLMap2, boundary_restriction, compose,
@@ -101,14 +102,14 @@ def test_analyze_off_pole_fixed_points_rejected():
 def test_conjugacy_model_sphere_rotation():
     f = ModelIsometry(SPHERE, "rotation", 1, 3).as_map()
     cert = build_conjugacy_fixedpoint(f, analyze_sphere(f))
-    assert cert.exact
+    assert check_certificate(f, cert) is None
     assert (cert.model.kind, cert.model.k, cert.model.n) == ("rotation", 1, 3)
 
 
 def test_conjugacy_scrambled_sphere_rotation():
     f, h, r = make_instance(SPHERE, "rotation", 1, 3, seed=5, moves=8)
     cert = build_conjugacy_fixedpoint(f, analyze_sphere(f))
-    assert cert.exact
+    assert check_certificate(f, cert) is None
     assert validate_homeo(cert.h) == []
     # both fixed points go to the poles
     assert evaluate(cert.h, pt(0, 1)) == pt(0, 1)
@@ -118,20 +119,21 @@ def test_conjugacy_scrambled_sphere_rotation():
 def test_conjugacy_scrambled_sphere_rotation_k2():
     f, h, r = make_instance(SPHERE, "rotation", 2, 5, seed=9, moves=8)
     cert = build_conjugacy_fixedpoint(f, analyze_sphere(f))
-    assert cert.exact
+    assert check_certificate(f, cert) is None
     assert (cert.model.k, cert.model.n) == (2, 5)
 
 
 def test_conjugacy_model_sphere_reflection():
     f = ModelIsometry(SPHERE, "reflection").as_map()
     cert = build_conjugacy_fixedpoint(f, analyze_sphere(f))
-    assert cert.exact and cert.model.kind == "reflection"
+    assert check_certificate(f, cert) is None
+    assert cert.model.kind == "reflection"
 
 
 def test_conjugacy_scrambled_sphere_reflection():
     f, h, r = make_instance(SPHERE, "reflection", 0, 2, seed=13, moves=8)
     cert = build_conjugacy_fixedpoint(f, analyze_sphere(f))
-    assert cert.exact
+    assert check_certificate(f, cert) is None
     # the fixed circle maps onto the model fixed circle (t in {0, 1/2})
     fs = fixed_set(f)
     for p in fs.one[0]:
@@ -271,20 +273,21 @@ def test_t0_matches_scan_oracle():
 def test_conjugacy_model_rotoreflection():
     f = ModelIsometry(SPHERE, "rotoreflection", 1, 4).as_map()
     cert = build_conjugacy_free(f, analyze_sphere(f))
-    assert cert.exact
+    assert check_certificate(f, cert) is None
     assert (cert.model.k, cert.model.n) == (1, 4)
 
 
 def test_conjugacy_model_antipodal():
     f = ModelIsometry(SPHERE, "rotoreflection", 1, 2).as_map()
     cert = build_conjugacy_free(f, analyze_sphere(f))
-    assert cert.exact and (cert.model.k, cert.model.n) == (1, 2)
+    assert check_certificate(f, cert) is None
+    assert (cert.model.k, cert.model.n) == (1, 2)
 
 
 def test_conjugacy_scrambled_rotoreflection():
     f, h, r = make_instance(SPHERE, "rotoreflection", 1, 4, seed=3, moves=8)
     cert = build_conjugacy_free(f, analyze_sphere(f))
-    assert cert.exact
+    assert check_certificate(f, cert) is None
     assert (cert.model.k, cert.model.n) == (1, 4)
     assert validate_homeo(cert.h) == []
 
@@ -293,7 +296,7 @@ def test_conjugacy_subcase_a():
     # gcd(2k, n) = 2 with k even: the orbit of P0 closes at i = n/2 odd
     f = ModelIsometry(SPHERE, "rotoreflection", 2, 6).as_map()
     cert = build_conjugacy_free(f, analyze_sphere(f))
-    assert cert.exact
+    assert check_certificate(f, cert) is None
     assert (cert.model.k, cert.model.n) == (2, 6)
 
 
@@ -303,7 +306,7 @@ def test_conjugacy_scrambled_subcase_a():
     fp, conj, t0, orbit, subcase = free_structure(f, 6)
     assert subcase == "coincident"
     cert = build_conjugacy_free(f, analyze_sphere(f))
-    assert cert.exact
+    assert check_certificate(f, cert) is None
     assert (cert.model.k, cert.model.n) == (2, 6)
 
 
@@ -320,7 +323,8 @@ def test_normalize_plane():
     # keeps that pole fixed and records it as a pin
     f, h, r = make_instance(SPHERE, "rotation", 1, 4, seed=6, moves=8)
     cert = build_conjugacy_fixedpoint(f, analyze_sphere(f))
-    assert cert.exact and cert.pins.get("north")
+    assert check_certificate(f, cert) is None
+    assert pio.certificate_to_dict(cert)["pins"]["north"]
     assert evaluate(cert.h, pt(0, 1)) == pt(0, 1)
 
 
