@@ -8,10 +8,13 @@ lifts, h(t) = (1/n) sum_j sigma^j (F^j(t) - j K/n), with sigma the
 orientation of f and K = F^n(0) (K = 0 when f reverses orientation, whose
 period is 2); h breaks only on the f-orbit of f's breaks.  On the interval
 and the line, f is the identity or an involution, and h(x) = (x + 1 -
-f(x)) / 2 conjugates f to x -> 1 - x.  The construction is 1-D only: in
-the plane an average of homeomorphisms need not be injective, which is why
-the disc and the sphere need Kerekjarto's construction.  Map equality is
-decided on a normalized breakpoint form.
+f(x)) / 2 conjugates f to x -> 1 - x.  An interval map is read as the line
+map that continues it with slope 1, as x -> x or x -> 1 - x outside
+[0, 1]: that map is the identity or an involution exactly when the
+interval map is, and its h maps [0, 1] onto itself.  The construction is
+1-D only: in the plane an average of homeomorphisms need not be injective,
+which is why the disc and the sphere need Kerekjarto's construction.
+Circle map equality is decided on a normalized breakpoint form.
 """
 
 from __future__ import annotations
@@ -333,119 +336,6 @@ def circle_conjugacy_holds(f: CirclePL, h: CirclePL, r: CirclePL) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# interval maps
-
-
-@dataclass(frozen=True)
-class IntervalPL:
-    """Monotone PL self-homeomorphism of [0, 1] given by its breakpoints."""
-    breaks: tuple[tuple[Fraction, Fraction], ...]
-
-    def __post_init__(self):
-        bs = self.breaks
-        if len(bs) < 2 or bs[0][0] != 0 or bs[-1][0] != 1:
-            raise ParseError("breakpoints must span x = 0..1")
-        xs = [x for x, _ in bs]
-        if sorted(set(xs)) != xs:
-            raise ParseError("x-values must be strictly increasing")
-        ys = [y for _, y in bs]
-        inc = all(b > a for a, b in zip(ys, ys[1:]))
-        dec = all(b < a for a, b in zip(ys, ys[1:]))
-        if not (inc or dec):
-            raise ParseError("y-values must be strictly monotone")
-        if inc and not (ys[0] == 0 and ys[-1] == 1):
-            raise ParseError("increasing map must fix the endpoints")
-        if dec and not (ys[0] == 1 and ys[-1] == 0):
-            raise ParseError("decreasing map must swap the endpoints")
-
-    @property
-    def increasing(self) -> bool:
-        return self.breaks[0][1] == 0
-
-    def __call__(self, x: Fraction) -> Fraction:
-        bs = self.breaks
-        for (xa, ya), (xb, yb) in zip(bs, bs[1:]):
-            if xa <= x <= xb:
-                if x == xa:
-                    return ya
-                return ya + (x - xa) * (yb - ya) / (xb - xa)
-        raise ParseError(f"{x} outside [0,1]")
-
-    def normalize(self) -> "IntervalPL":
-        pts = list(self.breaks)
-        changed = True
-        while changed and len(pts) > 2:
-            changed = False
-            for i in range(1, len(pts) - 1):
-                (xa, ya), (xb, yb), (xc, yc) = pts[i - 1], pts[i], pts[i + 1]
-                if (xb - xa) * (yc - ya) == (yb - ya) * (xc - xa):
-                    del pts[i]
-                    changed = True
-                    break
-        return IntervalPL(tuple(pts))
-
-    def equals(self, other: "IntervalPL") -> bool:
-        return self.normalize().breaks == other.normalize().breaks
-
-
-def interval_identity() -> IntervalPL:
-    return IntervalPL(((Q(0), Q(0)), (Q(1), Q(1))))
-
-
-def interval_reflection() -> IntervalPL:
-    return IntervalPL(((Q(0), Q(1)), (Q(1), Q(0))))
-
-
-def compose_interval(f: IntervalPL, g: IntervalPL) -> IntervalPL:
-    """g after f."""
-    finv = inverse_interval(f)
-    xs = {x for x, _ in f.breaks}
-    xs.update(finv(s) for s, _ in g.breaks)
-    pts = tuple(sorted((x, g(f(x))) for x in xs))
-    return IntervalPL(pts).normalize()
-
-
-def inverse_interval(f: IntervalPL) -> IntervalPL:
-    pts = sorted((y, x) for x, y in f.breaks)
-    return IntervalPL(tuple(pts))
-
-
-@dataclass(frozen=True)
-class Classification:
-    """An interval or line map: the identity, or an involution with its
-    conjugacy h to x -> 1 - x and its fixed point."""
-    kind: str                  # "identity" | "involution"
-    h: IntervalPL | LinePL | None
-    fixed_point: Fraction | None
-
-
-def _averaged_breaks(f):
-    """The breaks of h(x) = (x + 1 - f(x)) / 2 at those of f, where
-    h o f = 1 - h for an involution f."""
-    return tuple((x, (x + 1 - y) / 2) for x, y in f.breaks)
-
-
-def classify_interval(f: IntervalPL) -> Classification:
-    """Identity forced, or an exact conjugacy to the reflection x -> 1 - x."""
-    if f.increasing:
-        if f.equals(interval_identity()):
-            return Classification("identity", None, None)
-        raise NotPeriodic("increasing interval map differs from the identity")
-    if not compose_interval(f, f).equals(interval_identity()):
-        raise NotPeriodic("decreasing interval map with f^2 != id")
-    h = IntervalPL(_averaged_breaks(f)).normalize()
-    if not interval_conjugacy_holds(f, h):
-        raise StructureViolated("interval conjugacy failed exact check")
-    return Classification("involution", h, inverse_interval(h)(Q(1, 2)))
-
-
-def interval_conjugacy_holds(f: IntervalPL, h: IntervalPL) -> bool:
-    """h o f = r o h for the reflection r(x) = 1 - x, exactly."""
-    return compose_interval(f, h).equals(
-        compose_interval(h, interval_reflection()))
-
-
-# ---------------------------------------------------------------------------
 # line maps (affine ends)
 
 
@@ -490,6 +380,21 @@ class LinePL:
         raise ParseError("unreachable")  # pragma: no cover
 
 
+def interval_map(breaks) -> LinePL:
+    """The monotone PL self-homeomorphism of [0, 1] through ``breaks``,
+    continued with slope 1 beyond both ends."""
+    bs = tuple(breaks)
+    if len(bs) < 2 or bs[0][0] != 0 or bs[-1][0] != 1:
+        raise ParseError("breakpoints must span x = 0..1")
+    f = LinePL(bs, Q(1), Q(1))  # x strictly increasing, y strictly monotone
+    ends = (bs[0][1], bs[-1][1])
+    if f.increasing and ends != (0, 1):
+        raise ParseError("increasing map must fix the endpoints")
+    if not f.increasing and ends != (1, 0):
+        raise ParseError("decreasing map must swap the endpoints")
+    return f
+
+
 def is_line_identity(f: LinePL) -> bool:
     return (f.left_slope == 1 and f.right_slope == 1
             and all(x == y for x, y in f.breaks))
@@ -516,23 +421,33 @@ def line_conjugacy_holds(f: LinePL, h: LinePL) -> bool:
     return all(h(f(x)) == 1 - h(x) for x in xs)
 
 
+@dataclass(frozen=True)
+class Classification:
+    """An interval or line map, the interval read as the line map that
+    continues it with slope 1: the identity, or an involution with its
+    conjugacy h to x -> 1 - x and its fixed point."""
+    kind: str                  # "identity" | "involution"
+    h: LinePL | None
+    fixed_point: Fraction | None
+
+
 def classify_line(f: LinePL) -> Classification:
     """Increasing periodic line maps are the identity; decreasing ones are
-    conjugate to x -> 1 - x by the averaged h, whose end slopes are
-    (1 + slope) / 2."""
+    conjugate to x -> 1 - x by the averaged h(x) = (x + 1 - f(x)) / 2, whose
+    end slopes are (1 + slope) / 2."""
     if f.increasing:
         if is_line_identity(f):
             return Classification("identity", None, None)
-        raise NotPeriodic("increasing line map differs from the identity")
+        raise NotPeriodic("increasing map differs from the identity")
     # decreasing: must be an exact involution, i.e. f equal to its inverse
     finv = inverse_line(f)
     probe_xs = sorted({x for x, _ in f.breaks} | {x for x, _ in finv.breaks})
     probe_xs = [probe_xs[0] - 2, probe_xs[0] - 1] + probe_xs \
         + [probe_xs[-1] + 1, probe_xs[-1] + 2]
     if any(f(x) != finv(x) for x in probe_xs):
-        raise NotPeriodic("decreasing line map with f^2 != id")
-    h = LinePL(_averaged_breaks(f), (1 + f.left_slope) / 2,
-               (1 + f.right_slope) / 2)
+        raise NotPeriodic("decreasing map with f^2 != id")
+    h = LinePL(tuple((x, (x + 1 - y) / 2) for x, y in f.breaks),
+               (1 + f.left_slope) / 2, (1 + f.right_slope) / 2)
     if not line_conjugacy_holds(f, h):
         raise StructureViolated("line conjugacy failed exact check")
     return Classification("involution", h, inverse_line(h)(Q(1, 2)))

@@ -61,38 +61,6 @@ def on_segment(p: Pt, a: Pt, b: Pt) -> bool:
             and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
-def seg_intersection(a: Pt, b: Pt, c: Pt, d: Pt):
-    """Intersect closed segments [a,b] and [c,d] exactly.
-
-    Returns ("none", None), ("point", p) or ("overlap", (p, q)) with p != q.
-    """
-    o1, o2 = orient(a, b, c), orient(a, b, d)
-    if o1 == 0 and o2 == 0:  # collinear supporting lines
-        lo1, hi1 = sorted((a, b))
-        lo2, hi2 = sorted((c, d))
-        lo, hi = max(lo1, lo2), min(hi1, hi2)
-        if lo > hi:
-            return ("none", None)
-        if lo == hi:
-            return ("point", lo)
-        return ("overlap", (lo, hi))
-    if o1 == 0 and on_segment(c, a, b):
-        return ("point", c)
-    if o2 == 0 and on_segment(d, a, b):
-        return ("point", d)
-    o3, o4 = orient(c, d, a), orient(c, d, b)
-    if o3 == 0 and on_segment(a, c, d):
-        return ("point", a)
-    if o4 == 0 and on_segment(b, c, d):
-        return ("point", b)
-    if o1 * o2 < 0 and o3 * o4 < 0:
-        denom = (b[0] - a[0]) * (d[1] - c[1]) - (b[1] - a[1]) * (d[0] - c[0])
-        t = ((c[0] - a[0]) * (d[1] - c[1]) - (c[1] - a[1]) * (d[0] - c[0])) / denom
-        p = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-        return ("point", p)
-    return ("none", None)
-
-
 def area2(verts: tuple[Pt, ...]) -> Fraction:
     """Twice the signed area of a closed polygon (CCW positive)."""
     den = lcm(*[c.denominator for p in verts for c in p])
@@ -240,24 +208,6 @@ def point_in_convex(p: Pt, poly: list[Pt]) -> str:
             else:
                 return OUTSIDE
     return BOUNDARY if on_edge else INSIDE
-
-
-def convex_touch(p_poly: list[Pt], q_poly: list[Pt]) -> bool:
-    """Do two convex polygons intersect at all (even in a single point)?"""
-    for v in p_poly:
-        if point_in_convex(v, q_poly) != OUTSIDE:
-            return True
-    for v in q_poly:
-        if point_in_convex(v, p_poly) != OUTSIDE:
-            return True
-    np_, nq = len(p_poly), len(q_poly)
-    for i in range(np_):
-        for j in range(nq):
-            kind, _ = seg_intersection(p_poly[i], p_poly[(i + 1) % np_],
-                                       q_poly[j], q_poly[(j + 1) % nq])
-            if kind != "none":
-                return True
-    return False
 
 
 def centroid(poly: list[Pt]) -> Pt:

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import json
 
-from .circle import (CircleCertificate, CirclePL, IntervalPL, LinePL,
-                     RotationClass)
+from .circle import (CircleCertificate, CirclePL, LinePL, RotationClass,
+                     interval_map)
 from .conjugacy import (Certificate, ModelIsometry, IDENTITY, REFLECTION,
                         ROTATION)
 from .errors import InvalidClass, ParseError, StructureViolated
@@ -98,15 +98,15 @@ def circle_to_dict_oriented(f: CirclePL) -> dict:
     return d
 
 
-def interval_to_dict(f: IntervalPL) -> dict:
+def interval_to_dict(f: LinePL) -> dict:
     return {"type": "interval_pl",
             "breakpoints": [[fmt_rat(x), fmt_rat(y)] for x, y in f.breaks]}
 
 
-def interval_from_dict(data: dict) -> IntervalPL:
+def interval_from_dict(data: dict) -> LinePL:
     try:
-        return IntervalPL(tuple((parse_rat(x), parse_rat(y))
-                                for x, y in data["breakpoints"]))
+        return interval_map((parse_rat(x), parse_rat(y))
+                            for x, y in data["breakpoints"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad interval payload: {exc}") from exc
 

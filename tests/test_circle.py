@@ -4,15 +4,15 @@ from math import gcd
 
 import pytest
 
-from plhomeo.circle import (CirclePL, IntervalPL, LinePL, average_conjugacy,
+from plhomeo.circle import (CirclePL, LinePL, average_conjugacy,
                             circle_conjugacy_holds, circle_identity,
-                            circle_reflection, circle_rotation,
-                            classify_interval, classify_line,
-                            compose_circle, compose_interval,
-                            conjugate_circle_to_model, fixed_points_reversing,
-                            interval_reflection, inverse_circle,
-                            is_circle_identity, is_line_identity,
-                            iterate_circle, period_circle, rotation_number)
+                            circle_reflection, circle_rotation, classify_line,
+                            compose_circle, conjugate_circle_to_model,
+                            fixed_points_reversing, interval_map,
+                            inverse_circle, inverse_line, is_circle_identity,
+                            is_line_identity, iterate_circle,
+                            line_conjugacy_holds, period_circle,
+                            rotation_number)
 from plhomeo.errors import NotPeriodic, OrientationReversing, StructureViolated
 
 Q = Fraction
@@ -242,42 +242,42 @@ def test_conjugacy_not_periodic():
 
 
 def test_classify_interval_identity():
-    f = IntervalPL(((Q(0), Q(0)), (Q(1), Q(1))))
-    assert classify_interval(f).kind == "identity"
+    f = interval_map(((Q(0), Q(0)), (Q(1), Q(1))))
+    assert classify_line(f).kind == "identity"
 
 
 def test_classify_interval_reflection_self():
-    cls = classify_interval(interval_reflection())
+    cls = classify_line(interval_map(((Q(0), Q(1)), (Q(1), Q(0)))))
     assert cls.kind == "involution"
-    assert cls.h.equals(IntervalPL(((Q(0), Q(0)), (Q(1), Q(1)))))
+    assert is_line_identity(cls.h)
 
 
 def test_classify_interval_pl_involution():
-    f = IntervalPL(((Q(0), Q(1)), (Q(1, 4), Q(1, 2)), (Q(1, 2), Q(1, 4)),
-                    (Q(1), Q(0))))
-    assert compose_interval(f, f).equals(IntervalPL(((Q(0), Q(0)), (Q(1), Q(1)))))
-    cls = classify_interval(f)
+    f = interval_map(((Q(0), Q(1)), (Q(1, 4), Q(1, 2)), (Q(1, 2), Q(1, 4)),
+                      (Q(1), Q(0))))
+    assert inverse_line(f) == f
+    cls = classify_line(f)
     assert cls.kind == "involution"
-    h, r = cls.h, interval_reflection()
-    lhs, rhs = compose_interval(f, h), compose_interval(h, r)
-    assert lhs.equals(rhs)
-    # direct substitution at the refined breakpoints
-    for x, _ in lhs.breaks:
+    h = cls.h
+    assert line_conjugacy_holds(f, h)
+    # direct substitution at the breaks of h o f and beyond [0, 1]
+    xs = {x for x, _ in f.breaks + h.breaks} | {f(x) for x, _ in h.breaks}
+    for x in xs | {Q(-1), Q(2)}:
         assert h(f(x)) == 1 - h(x)
 
 
 def test_classify_interval_violation():
-    f = IntervalPL(((Q(0), Q(0)), (Q(1, 2), Q(1, 4)), (Q(1), Q(1))))
+    f = interval_map(((Q(0), Q(0)), (Q(1, 2), Q(1, 4)), (Q(1), Q(1))))
     with pytest.raises(NotPeriodic):
-        classify_interval(f)
+        classify_line(f)
 
 
 def test_classify_interval_non_involution():
-    f = IntervalPL(((Q(0), Q(1)), (Q(1, 4), Q(1, 2)), (Q(3, 4), Q(1, 4)),
-                    (Q(1), Q(0))))
-    if not compose_interval(f, f).equals(IntervalPL(((Q(0), Q(0)), (Q(1), Q(1))))):
-        with pytest.raises(NotPeriodic):
-            classify_interval(f)
+    f = interval_map(((Q(0), Q(1)), (Q(1, 4), Q(1, 2)), (Q(3, 4), Q(1, 4)),
+                      (Q(1), Q(0))))
+    assert f(f(Q(1, 4))) == Q(3, 8)  # so f^2 != id
+    with pytest.raises(NotPeriodic):
+        classify_line(f)
 
 
 def segment_scan_fixed_point(pts):
@@ -293,16 +293,16 @@ def segment_scan_fixed_point(pts):
 
 
 INTERVAL_INVOLUTIONS = [
-    interval_reflection(),
-    IntervalPL(((Q(0), Q(1)), (Q(1, 4), Q(1, 2)), (Q(1, 2), Q(1, 4)),
-                (Q(1), Q(0)))),
-    IntervalPL(((Q(0), Q(1)), (Q(1, 3), Q(1, 2)), (Q(1, 2), Q(1, 3)),
-                (Q(1), Q(0))))]
+    interval_map(((Q(0), Q(1)), (Q(1), Q(0)))),
+    interval_map(((Q(0), Q(1)), (Q(1, 4), Q(1, 2)), (Q(1, 2), Q(1, 4)),
+                  (Q(1), Q(0)))),
+    interval_map(((Q(0), Q(1)), (Q(1, 3), Q(1, 2)), (Q(1, 2), Q(1, 3)),
+                  (Q(1), Q(0))))]
 
 
 @pytest.mark.parametrize("f", INTERVAL_INVOLUTIONS)
 def test_interval_fixed_point_matches_the_scan_oracle(f):
-    cls = classify_interval(f)
+    cls = classify_line(f)
     assert cls.fixed_point == segment_scan_fixed_point(f.breaks)
 
 

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from plhomeo import circle, cli, sphere
+from plhomeo import circle, cli, conjugacy, sphere
 from plhomeo import io as pio
-from plhomeo.circle import CirclePL, IntervalPL, LinePL, circle_rotation
+from plhomeo.circle import CirclePL, LinePL, circle_rotation, interval_map
 from plhomeo.conjugacy import meridian_edges
 from plhomeo.exact import mod1
 from plhomeo.geom import on_segment
@@ -249,6 +249,23 @@ def test_selftest_case_builds_the_free_structure_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("case, scans", [
+    ((DISC, "rotation", 1, 3, 100, 3, False), 1),
+    ((SPHERE, "rotoreflection", 1, 4, 100, 3, False), 2)])
+def test_selftest_case_checks_its_certificate_once(monkeypatch, case, scans):
+    """The builder's own exact check is the case's verdict; only a planted
+    corruption is checked again."""
+    calls = []
+    original = conjugacy.first_disagreement
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(conjugacy, "first_disagreement", counted)
+    assert cli._run_case(case)[1:3] == (True, "ok")
+    assert len(calls) == scans
+
+
 ANALYSIS = {
     "disc-reflection-0-2": (
         "disc, reflection, period 2, fixed arc endpoints (0/1, 1/1) and "
@@ -352,6 +369,32 @@ def test_verify_rejects_identity_certificate_of_a_line_scaling(
     assert "REJECTED" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("breaks, message", [
+    ([["0", "0"], ["1/2", "1"]], "breakpoints must span x = 0..1"),
+    ([["0", "0"], ["1/2", "1/2"], ["1/2", "3/4"], ["1", "1"]],
+     "x-values must be strictly increasing"),
+    ([["0", "0"], ["1/2", "3/4"], ["3/4", "1/2"], ["1", "1"]],
+     "y-values must be strictly monotone"),
+    ([["0", "1/4"], ["1", "1"]], "increasing map must fix the endpoints"),
+    ([["0", "1"], ["1", "1/4"]], "decreasing map must swap the endpoints")])
+def test_analyze_malformed_interval_map_is_a_parse_error(
+        tmp_path, capsys, breaks, message):
+    inst = tmp_path / "f.json"
+    inst.write_text(json.dumps({"space": "interval", "map": {
+        "type": "interval_pl", "breakpoints": breaks}}))
+    assert cli.main(["analyze", str(inst)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_interval_involution_with_a_collinear_break_verifies(tmp_path):
+    # h keeps f's break (1/4, 3/4) as its own collinear break (1/4, 1/4)
+    f = interval_map(((Q(0), Q(1)), (Q(1, 4), Q(3, 4)), (Q(1), Q(0))))
+    inst, cert = _onedim_instance(tmp_path, "interval", f)
+    assert cert["h"]["breakpoints"] == [["0/1", "0/1"], ["1/4", "1/4"],
+                                        ["1/1", "1/1"]]
+    assert _verify(tmp_path, inst, cert) == 0
+
+
 def _scrambled_circle(model):
     """h^-1 o model o h for a fixed four-break h."""
     h = CirclePL(((Q(0), Q(0)), (Q(1, 5), Q(1, 3)), (Q(1, 2), Q(5, 8)),
@@ -366,8 +409,8 @@ def test_verify_accepts_own_onedim_certificates(tmp_path):
             ("circle", _scrambled_circle(circle_rotation(Q(1, 3)))),
             ("circle", _scrambled_circle(circle_rotation(Q(3, 8)))),
             ("circle", _scrambled_circle(CirclePL(((Q(0), Q(1, 3)),), -1))),
-            ("interval", IntervalPL(((Q(0), Q(1)), (Q(1, 3), Q(1, 2)),
-                                     (Q(1, 2), Q(1, 3)), (Q(1), Q(0))))),
+            ("interval", interval_map(((Q(0), Q(1)), (Q(1, 3), Q(1, 2)),
+                                       (Q(1, 2), Q(1, 3)), (Q(1), Q(0))))),
             ("line", LinePL(((Q(0), Q(1)), (Q(1), Q(0))), Q(1), Q(1)))):
         inst, cert = _onedim_instance(tmp_path, space, f)
         assert _verify(tmp_path, inst, cert) == 0, space
@@ -442,7 +485,7 @@ def test_verify_malformed_circle_certificate_is_a_parse_error(
 
 
 @pytest.mark.parametrize("space, f", [
-    ("interval", IntervalPL(((Q(0), Q(1)), (Q(1), Q(0))))),
+    ("interval", interval_map(((Q(0), Q(1)), (Q(1), Q(0))))),
     ("line", LinePL(((Q(0), Q(1)), (Q(1), Q(0))), Q(1), Q(1)))])
 def test_verify_malformed_onedim_certificate_is_a_parse_error(
         tmp_path, capsys, space, f):

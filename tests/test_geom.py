@@ -8,9 +8,10 @@ from plhomeo.errors import OverlayDegenerate
 from plhomeo.exact import mod1
 from plhomeo.geom import (BOUNDARY, INSIDE, OUTSIDE, area2, clip_convex,
                           cross, line_points, on_segment, orient,
-                          point_in_convex, seg_intersection, split_convex)
+                          point_in_convex, split_convex)
 from plhomeo.maps import _action_key
 from plhomeo.suspension import Affine, affine_from_pairs
+from test_sphere import seg_intersection
 
 Q = Fraction
 

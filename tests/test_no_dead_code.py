@@ -24,12 +24,9 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "plhomeo"
 TRACER = TESTS.parent / "bench" / "tracer.py"
 
-# convex_touch is called only by the brute-force oracle of
-# test_t0_matches_scan_oracle, which checks t0_cut against an independent
-# polygon-touch scan; the oracle must not share code with t0_cut.
 # map_equal is kept for bench/tracer.py, which traces maps.map_equal by
 # name; the verifier takes its verdict from first_disagreement alone.
-ALLOWED_UNREFERENCED = {"convex_touch", "map_equal"}
+ALLOWED_UNREFERENCED = {"map_equal"}
 
 # bench/test_bench.py reads plhomeo.cli.compose and plhomeo.disc.compose
 # to check that its tracer patches the name in every module that imports it.

@@ -7,6 +7,7 @@ from plhomeo.circle import rotation_number
 from plhomeo.conjugacy import ModelIsometry, check_certificate
 from plhomeo.errors import NotPeriodic, StructureViolated
 from plhomeo.generate import make_instance
+from plhomeo.geom import OUTSIDE, on_segment, orient, point_in_convex
 from plhomeo.maps import (CellMap, PLMap2, boundary_restriction, compose,
                           evaluate, fixed_set, follow, identity_map,
                           is_model_rotation, period, power, validate_homeo)
@@ -159,6 +160,57 @@ def test_t0_shifted_by_conjugation():
     assert _height_envelope(fp, t0) == t0
 
 
+def seg_intersection(a, b, c, d):
+    """Intersect closed segments [a,b] and [c,d] exactly.
+
+    Returns ("none", None), ("point", p) or ("overlap", (p, q)) with p != q.
+    """
+    o1, o2 = orient(a, b, c), orient(a, b, d)
+    if o1 == 0 and o2 == 0:  # collinear supporting lines
+        lo1, hi1 = sorted((a, b))
+        lo2, hi2 = sorted((c, d))
+        lo, hi = max(lo1, lo2), min(hi1, hi2)
+        if lo > hi:
+            return ("none", None)
+        if lo == hi:
+            return ("point", lo)
+        return ("overlap", (lo, hi))
+    if o1 == 0 and on_segment(c, a, b):
+        return ("point", c)
+    if o2 == 0 and on_segment(d, a, b):
+        return ("point", d)
+    o3, o4 = orient(c, d, a), orient(c, d, b)
+    if o3 == 0 and on_segment(a, c, d):
+        return ("point", a)
+    if o4 == 0 and on_segment(b, c, d):
+        return ("point", b)
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        denom = (b[0] - a[0]) * (d[1] - c[1]) - (b[1] - a[1]) * (d[0] - c[0])
+        t = ((c[0] - a[0]) * (d[1] - c[1]) - (c[1] - a[1]) * (d[0] - c[0])) / denom
+        p = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+        return ("point", p)
+    return ("none", None)
+
+
+def convex_touch(p_poly, q_poly):
+    """Do two convex polygons intersect at all (even in a single point)?
+    The touch scan of the t0 oracle, which shares no code with t0_cut."""
+    for v in p_poly:
+        if point_in_convex(v, q_poly) != OUTSIDE:
+            return True
+    for v in q_poly:
+        if point_in_convex(v, p_poly) != OUTSIDE:
+            return True
+    np_, nq = len(p_poly), len(q_poly)
+    for i in range(np_):
+        for j in range(nq):
+            kind, _ = seg_intersection(p_poly[i], p_poly[(i + 1) % np_],
+                                       q_poly[j], q_poly[(j + 1) % nq])
+            if kind != "none":
+                return True
+    return False
+
+
 def brute_force_t0_oracle(f):
     """Independent scan: all candidate latitudes from cell geometry, then
     exact region disjointness tests on each side of each candidate."""
@@ -222,7 +274,6 @@ def brute_force_t0_oracle(f):
         return []
 
     def touches(t):
-        from plhomeo.geom import convex_touch
         caps = cap_pieces(t)
         imgs = image_polys(t)
         for c in caps:
