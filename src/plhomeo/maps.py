@@ -25,8 +25,9 @@ from .exact import fmt_pt, mod1
 from .geom import (Pt, area2, bbox_overlap, clip_convex, clip_halfplane,
                    line_points, point_in_convex, poly_bbox, INSIDE, OUTSIDE)
 from .suspension import (Affine, SuspensionComplex, _edge_key,
-                         affine_from_pairs, band_cells, collapsed_levels,
-                         complex_check, is_collapsed, model_point, s_range,
+                         _int_edge_key, affine_from_pairs, band_cells,
+                         chart_point, collapsed_levels, complex_check,
+                         integer_charts, is_collapsed, model_point, s_range,
                          DISC, SPHERE)
 
 Q = Fraction
@@ -604,13 +605,28 @@ def boundary_restriction(f: PLMap2) -> CirclePL:
 
 
 def validate_homeo(f: PLMap2) -> list[str]:
-    """Structured report; empty means the map is a valid model homeo."""
-    problems: list[str] = []
-    try:
-        cx, img_charts = to_complex(f)
-    except (OverlayDegenerate, StructureViolated, ParseError) as exc:
-        return [f"cell structure invalid: {exc}"]
-    problems.extend(complex_check(cx))
+    """Structured report; empty means the map is a valid model homeo.
+
+    The checks, in the order their problems are listed:
+
+    1. the cells tile the chart rectangle (``complex_check``);
+    2. each cell's affine map is solved from its vertices and is
+       invertible, with one sign of determinant on all cells;
+    3. the images of a shared edge agree up to one horizontal integer
+       shift (``_edge_image_consistency``);
+    4. the collapsed lines, and the disc's boundary, go where they must
+       (``_collapse_conditions``);
+    5. the image cells, shifted into the unit chart (``inverse``), tile
+       it too, reported with the prefix "image complex";
+
+    and only when these find nothing, 6. on the disc, the circle map on
+    the boundary is valid, and 7. a generic point has one preimage.
+
+    Checks 1, 3 and 5 run on integer coordinates: the points of one
+    tiling as integer numerators over the lcm of their denominators
+    (``suspension.integer_charts``).  The others run on Fractions."""
+    D, polys = integer_charts([c.poly for c in f.cells])
+    problems = complex_check(f.model, D, polys)
     sign = None
     for i in range(len(f.cells)):
         try:
@@ -625,15 +641,15 @@ def validate_homeo(f: PLMap2) -> list[str]:
         elif (d > 0) != (sign > 0):
             problems.append("mixed determinant signs")
             break
-    problems.extend(_edge_image_consistency(f))
+    problems.extend(_edge_image_consistency(f, D, polys))
     problems.extend(_collapse_conditions(f))
     try:
         inv = inverse(f)
-        icx, _ = to_complex(inv)
-        for msg in complex_check(icx):
-            problems.append(f"image complex: {msg}")
-    except (OverlayDegenerate, StructureViolated, ParseError) as exc:
+    except OverlayDegenerate as exc:
         problems.append(f"image complex invalid: {exc}")
+    else:
+        problems.extend(f"image complex: {msg}" for msg in complex_check(
+            f.model, *integer_charts([c.poly for c in inv.cells])))
     if f.model == DISC and not problems:
         try:
             boundary_restriction(f)
@@ -646,28 +662,31 @@ def validate_homeo(f: PLMap2) -> list[str]:
     return problems
 
 
-def _edge_image_consistency(f: PLMap2) -> list[str]:
+def _edge_image_consistency(f: PLMap2, D: int, polys) -> list[str]:
     """Shared cell edges must have images agreeing up to one horizontal
-    integer shift: the model map is then well defined across the edge."""
+    integer shift: the model map is then well defined across the edge.
+    ``polys`` are f's cells as integer points over D; the images go over
+    their own common denominator E."""
+    E, imgs = integer_charts([c.img for c in f.cells])
     problems = []
     seen: dict = {}
-    for cell in f.cells:
-        n = len(cell.poly)
+    for poly, img in zip(polys, imgs):
+        n = len(poly)
         for i in range(n):
-            p, q = cell.poly[i], cell.poly[(i + 1) % n]
-            pi, qi = cell.img[i], cell.img[(i + 1) % n]
+            p, q = poly[i], poly[(i + 1) % n]
+            pi, qi = img[i], img[(i + 1) % n]
             if q < p:
                 p, q, pi, qi = q, p, qi, pi
-            key = _edge_key(p, q)
+            key = _int_edge_key(p, q, D)
             if key not in seen:
                 seen[key] = (pi, qi)
-            else:
-                p0, q0 = seen[key]
-                d1, d2 = pi[0] - p0[0], qi[0] - q0[0]
-                if pi[1] != p0[1] or qi[1] != q0[1] or d1 != d2 \
-                        or d1.denominator != 1:
-                    problems.append(f"edge {fmt_pt(key[0])} to "
-                                    f"{fmt_pt(key[1])} image mismatch")
+                continue
+            p0, q0 = seen[key]
+            d1, d2 = pi[0] - p0[0], qi[0] - q0[0]
+            if pi[1] != p0[1] or qi[1] != q0[1] or d1 != d2 or d1 % E:
+                problems.append(f"edge {fmt_pt(chart_point(key[0], D))} to "
+                                f"{fmt_pt(chart_point(key[1], D))} "
+                                f"image mismatch")
     return problems
 
 
@@ -721,41 +740,7 @@ def _generic_preimage_count(f: PLMap2) -> int:
 
 
 # ---------------------------------------------------------------------------
-# triangulated view (serialization and complex checks)
-
-
-def to_complex(f: PLMap2) -> tuple[SuspensionComplex, list[list[Pt]]]:
-    """Fan-triangulate cells into the vertex/lift form plus image charts."""
-    verts: list[Pt] = []
-    index: dict[Pt, int] = {}
-
-    def vid(chart: Pt) -> int:
-        key = (mod1(chart[0]), chart[1])
-        if key not in index:
-            index[key] = len(verts)
-            verts.append(key)
-        return index[key]
-
-    tris = []
-    lifts = []
-    img_charts = []
-    for cell in f.cells:
-        n = len(cell.poly)
-        for i in range(1, n - 1):
-            corners = [cell.poly[0], cell.poly[i], cell.poly[i + 1]]
-            imgs = [cell.img[0], cell.img[i], cell.img[i + 1]]
-            ids = [vid(c) for c in corners]
-            lf = []
-            for c, vi in zip(corners, ids):
-                lift = c[0] - verts[vi][0]
-                if lift.denominator != 1:
-                    raise OverlayDegenerate("non-integer lift")
-                lf.append(int(lift))
-            tris.append(tuple(ids))
-            lifts.append(tuple(lf))
-            img_charts.append(imgs)
-    cx = SuspensionComplex(f.model, verts, tris, lifts)
-    return cx, img_charts
+# triangulated view (the serialized form)
 
 
 def from_complex(cx: SuspensionComplex, img_verts: list[Pt],
@@ -777,19 +762,33 @@ def from_complex(cx: SuspensionComplex, img_verts: list[Pt],
 
 
 def serializable_parts(f: PLMap2):
-    """(complex, per-vertex image, per-triangle image lifts) for JSON."""
-    cx, img_charts = to_complex(f)
-    img_verts: list[Pt | None] = [None] * len(cx.verts)
-    img_lifts = []
-    for ti, tri in enumerate(cx.tris):
-        lf = []
-        for z, vi in enumerate(tri):
-            x, y = img_charts[ti][z]
-            canon = (mod1(x), y)
-            if img_verts[vi] is None:
-                img_verts[vi] = canon
-            if img_verts[vi][1] != y or (x - img_verts[vi][0]).denominator != 1:
-                raise OverlayDegenerate("vertex images inconsistent")
-            lf.append(int(x - img_verts[vi][0]))
-        img_lifts.append(tuple(lf))
-    return cx, img_verts, img_lifts
+    """(complex, per-vertex image, per-triangle image lifts) for JSON.
+
+    The cells are fan-triangulated from their first vertex.  A vertex is
+    its model point (angle mod 1, height), a lift the integer that takes
+    it back to the cell's chart point, and likewise for the images."""
+    verts: list[Pt] = []
+    img_verts: list[Pt] = []
+    index: dict[Pt, int] = {}
+    tris, lifts, img_lifts = [], [], []
+    for cell in f.cells:
+        for i in range(1, len(cell.poly) - 1):
+            tri, lf, img_lf = [], [], []
+            for z in (0, i, i + 1):
+                (x, y), (xi, yi) = cell.poly[z], cell.img[z]
+                key = (mod1(x), y)
+                if key not in index:
+                    index[key] = len(verts)
+                    verts.append(key)
+                    img_verts.append((mod1(xi), yi))
+                vi = index[key]
+                t0, s0 = img_verts[vi]
+                if s0 != yi or (xi - t0).denominator != 1:
+                    raise OverlayDegenerate("vertex images inconsistent")
+                tri.append(vi)
+                lf.append(int(x - key[0]))
+                img_lf.append(int(xi - t0))
+            tris.append(tuple(tri))
+            lifts.append(tuple(lf))
+            img_lifts.append(tuple(img_lf))
+    return SuspensionComplex(f.model, verts, tris, lifts), img_verts, img_lifts

@@ -27,7 +27,7 @@ from math import lcm
 
 from .errors import DegenerateInput, OverlayDegenerate, ParseError
 from .exact import fmt_pt, mod1
-from .geom import Pt, area2, cross, orient
+from .geom import Pt, cross, orient
 
 Q = Fraction
 
@@ -181,77 +181,110 @@ class SuspensionComplex:
                 (self.verts[k][0] + lk, self.verts[k][1])]
 
 
-def complex_check(cx: SuspensionComplex) -> list[str]:
-    """Tiling certificate: CCW charts inside the rectangle, matched edges
-    with one boundary cycle per free line, full area."""
+# ---------------------------------------------------------------------------
+# tilings, checked on integer coordinates
+
+
+def integer_charts(polys) -> tuple[int, list[list[tuple[int, int]]]]:
+    """Chart polygons as integer points: (D, polys) with each point (x, y)
+    given as (X, Y), x = X/D and y = Y/D, over the lcm D of all the
+    coordinates' denominators."""
+    D = lcm(*{c.denominator for poly in polys for p in poly for c in p})
+    return D, [[(x.numerator * (D // x.denominator),
+                 y.numerator * (D // y.denominator)) for x, y in poly]
+               for poly in polys]
+
+
+def chart_point(p: tuple[int, int], D: int) -> Pt:
+    """The Fraction point of an integer point over D."""
+    return (Q(p[0], D), Q(p[1], D))
+
+
+def complex_check(model: str, D: int, polys) -> list[str]:
+    """Tiling certificate for chart polygons given as integer points over
+    D (``integer_charts``), each fan-triangulated from its first vertex.
+
+    The checks, in the order their problems are listed: every vertex
+    lies at a height in the s-range, once per model point (X mod D, Y);
+    every triangle is CCW, and then inside the chart rectangle; the
+    triangles' area is the rectangle's; every edge, keyed by
+    ``_int_edge_key``, is matched by one of the opposite direction, except
+    on a collapsed line or the disc boundary, where each is used once;
+    and those edges cover their line.  A Fraction is built only for a
+    message."""
+    lo, hi = s_range(model)
+    LO, HI = int(lo) * D, int(hi) * D
+    lines: dict[int, list] = {int(level) * D: [] for level in (
+        collapsed_levels(model) + ((Q(1),) if model == DISC else ()))}
+    heights: list[str] = []
     problems: list[str] = []
-    lo, hi = s_range(cx.model)
-    for t, s in cx.verts:
-        if not (0 <= t < 1):
-            problems.append(f"vertex angle {t} outside [0,1)")
-        if not (lo <= s <= hi):
-            problems.append(f"vertex height {s} outside range")
-    total = Q(0)
-    edge_count: dict[tuple[Pt, Pt], list[int]] = {}
-    for ti in range(len(cx.tris)):
-        ch = cx.chart(ti)
-        a2 = area2(tuple(ch))
-        if a2 <= 0:
-            problems.append(f"triangle {ti} not positively oriented")
-            continue
-        total += a2
-        for p in ch:
-            if not (0 <= p[0] <= 1 and lo <= p[1] <= hi):
-                problems.append(f"triangle {ti} leaves the chart rectangle")
-        for z in range(3):
-            p, q = ch[z], ch[(z + 1) % 3]
-            edge_count.setdefault(_edge_key(p, q), []).append(
-                1 if p < q else -1)
+    seen: set = set()
+    total = 0
+    edges: dict = {}
+    ti = -1
+    for poly in polys:
+        for i in range(1, len(poly) - 1):
+            ti += 1
+            ch = (poly[0], poly[i], poly[i + 1])
+            for X, Y in ch:
+                key = (X % D, Y)
+                if key not in seen:
+                    seen.add(key)
+                    if not LO <= Y <= HI:
+                        heights.append(
+                            f"vertex height {Q(Y, D)} outside range")
+            (ax, ay), (bx, by), (cx, cy) = ch
+            a2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+            if a2 <= 0:
+                problems.append(f"triangle {ti} not positively oriented")
+                continue
+            total += a2
+            for X, Y in ch:
+                if not (0 <= X <= D and LO <= Y <= HI):
+                    problems.append(
+                        f"triangle {ti} leaves the chart rectangle")
+            for p, q in ((ch[0], ch[1]), (ch[1], ch[2]), (ch[2], ch[0])):
+                edges.setdefault(_int_edge_key(p, q, D), []).append(
+                    1 if p < q else -1)
     expected = 2 * (hi - lo)
-    if total != expected:
-        problems.append(f"chart area {total} != {expected}")
-    for key, signs in edge_count.items():
-        (p, q) = key
-        on_collapsed = p[1] == q[1] and p[1] in collapsed_levels(cx.model)
-        on_boundary = cx.model == DISC and p[1] == q[1] == 1
-        if on_collapsed or on_boundary:
+    if total != expected * D * D:
+        problems.append(f"chart area {Q(total, D * D)} != {expected}")
+    for (p, q), signs in edges.items():
+        if p[1] == q[1] and p[1] in lines:
+            lines[p[1]].append((p[0], q[0]))
             if len(signs) != 1:
-                problems.append(f"line edge {fmt_pt(p)} to {fmt_pt(q)} "
-                                f"used {len(signs)} times")
-        else:
-            if len(signs) != 2 or sum(signs) != 0:
-                problems.append(f"edge {fmt_pt(p)} to {fmt_pt(q)} not "
-                                f"matched: {signs}")
-    for level in collapsed_levels(cx.model) + (
-            (Q(1),) if cx.model == DISC else ()):
-        if not _line_covered(edge_count, level):
-            problems.append(f"line s={level} not fully edge-covered")
-    return problems
+                problems.append(
+                    f"line edge {fmt_pt(chart_point(p, D))} to "
+                    f"{fmt_pt(chart_point(q, D))} used {len(signs)} times")
+        elif len(signs) != 2 or sum(signs) != 0:
+            problems.append(f"edge {fmt_pt(chart_point(p, D))} to "
+                            f"{fmt_pt(chart_point(q, D))} not matched: "
+                            f"{signs}")
+    for level, spans in lines.items():
+        # an edge key starts in [0, D), so after a gap pos stays -1
+        pos = 0
+        for x0, x1 in sorted(spans):
+            pos = x1 if x0 == pos else -1
+        if pos != D:
+            problems.append(f"line s={Q(level, D)} not fully edge-covered")
+    return heights + problems
 
 
 def _edge_key(p: Pt, q: Pt) -> tuple[Pt, Pt]:
     """Canonical key for a model edge: shift the chart back into [0,1)."""
     lo = min(p[0], q[0])
     shift = lo - mod1(lo)
-    if min(p[0], q[0]) == 1 and max(p[0], q[0]) == 1:
-        shift = Q(1)
     pp = (p[0] - shift, p[1])
     qq = (q[0] - shift, q[1])
     return (pp, qq) if pp < qq else (qq, pp)
 
 
-def _line_covered(edge_count, level: Fraction) -> bool:
-    spans = []
-    for (p, q) in edge_count:
-        if p[1] == level and q[1] == level:
-            spans.append((min(p[0], q[0]), max(p[0], q[0])))
-    spans.sort()
-    pos = Q(0)
-    for a, b in spans:
-        if a != pos:
-            return False
-        pos = b
-    return pos == 1
+def _int_edge_key(p: tuple[int, int], q: tuple[int, int], D: int):
+    """``_edge_key`` of two integer points over D."""
+    shift = min(p[0], q[0]) // D * D
+    pp = (p[0] - shift, p[1])
+    qq = (q[0] - shift, q[1])
+    return (pp, qq) if pp < qq else (qq, pp)
 
 
 # ---------------------------------------------------------------------------
