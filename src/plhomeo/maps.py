@@ -284,12 +284,6 @@ def power(f: PLMap2, m: int) -> PLMap2:
     return out
 
 
-def unit_rotation_power(f: PLMap2, k: int, n: int) -> PLMap2:
-    """f^j with j k = 1 (mod n): the iterate of a map of rotation class k/n
-    whose class is 1/n."""
-    return power(f, pow(k, -1, n))
-
-
 def is_model_rotation(f: PLMap2):
     """The exact rotation angle if f is (t, s) -> (t + c, s); else None."""
     c = None
@@ -656,7 +650,7 @@ def validate_homeo(f: PLMap2) -> list[str]:
         except (StructureViolated, ParseError) as exc:
             problems.append(f"boundary restriction invalid: {exc}")
     if not problems:
-        cnt = _generic_preimage_count(f)
+        cnt = _generic_preimage_count(inv)
         if cnt != 1:
             problems.append(f"generic point has {cnt} preimages")
     return problems
@@ -714,9 +708,10 @@ def _collapse_conditions(f: PLMap2) -> list[str]:
     return problems
 
 
-def _generic_preimage_count(f: PLMap2) -> int:
-    """Preimage count of a generic rational point under the chart images."""
-    img_polys = [ccw(shift_into_unit(cell.img)[1]) for cell in f.cells]
+def _generic_preimage_count(inv: PLMap2) -> int:
+    """Preimage count of a generic rational point under a map's chart
+    images, the cells of its inverse ``inv``."""
+    img_polys = [c.poly for c in inv.cells]
     boxes = [poly_bbox(poly) for poly in img_polys]
     for candidate_cell in img_polys:
         cx = sum(p[0] for p in candidate_cell) / len(candidate_cell)

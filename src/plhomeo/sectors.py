@@ -36,10 +36,9 @@ from .errors import (EmbeddingDegenerate, QuotientPathNotFound,
                      StructureViolated)
 from .exact import mod1
 from .geom import Pt, area2
-from .maps import (CellMap, FixedSet, PLMap2, identity_map, shift_into_unit,
-                   unit_rotation_power)
+from .maps import CellMap, FixedSet, PLMap2, identity_map, shift_into_unit
 from .suspension import (DISC, IDENTITY_AFFINE, SPHERE, Affine, _edge_key,
-                         collapsed_levels, isometry_affine, s_range)
+                         collapsed_levels, s_range)
 
 Q = Fraction
 
@@ -346,13 +345,14 @@ def polar_layout(k: EqComplex, fund, left, right, wedge: Fraction,
                   [left, right, bottom, top], affine)
 
 
-def rotation_layout(k: EqComplex) -> Layout:
+def rotation_layout(k: EqComplex, affine: Affine, j: int) -> Layout:
     """The first of the k.n sectors between the arcs of the orbit of a
     polar arc onto [0, 1/n] x s_range, its right arc forced as the image of
-    the left one.
+    the left one under f^j.
 
-    Requires the map to turn each sector onto the next one, which holds
-    when its rotation number is 1/n."""
+    For f of class kk/n, j kk = 1 (mod n) makes f^j turn each sector onto
+    the next one, and affine, the model rotation by kk/n, carries the i-th
+    image of the sector onto [i kk/n, i kk/n + 1/n]."""
     arcs, _, comps, sector0 = cut_sectors(k, polar_arc(k), k.n)
     sectors = [sector0]
     for _ in range(1, k.n):
@@ -361,14 +361,14 @@ def rotation_layout(k: EqComplex) -> Layout:
         raise StructureViolated("sectors are not permuted cyclically")
     arc0 = arcs[0]
     left = arc0 if top_end(k, arc0) == arc0[0] else arc0[::-1]
-    right = [k.vert_perm[v] for v in left]
-    return polar_layout(k, sector0, left, right, Q(1, k.n),
-                        isometry_affine(1, Q(1, k.n), 1))
+    right = [apply_perm(k.vert_perm, v, j) for v in left]
+    return polar_layout(k, sector0, left, right, Q(1, k.n), affine)
 
 
-def reflection_layout(k: EqComplex) -> Layout:
+def reflection_layout(k: EqComplex, affine: Affine) -> Layout:
     """One side of the fixed curve of the involution of k onto
-    [0, 1/2] x s_range, the two halves of the curve onto t = 0 and 1/2."""
+    [0, 1/2] x s_range, the two halves of the curve onto t = 0 and 1/2;
+    affine is the model reflection."""
     arc_edges = fixed_edges(k, 1)
     comps = components(k, arc_edges)
     if len(comps) != 2:
@@ -379,8 +379,7 @@ def reflection_layout(k: EqComplex) -> Layout:
     if frozenset(k.cell_perm[c] for c in side1) != side2:
         raise StructureViolated("involution does not swap the two sides")
     half1, half2 = _curve_halves(k, arc_edges)
-    return polar_layout(k, side1, half1, half2, Q(1, 2),
-                        isometry_affine(-1, Q(0), 1))
+    return polar_layout(k, side1, half1, half2, Q(1, 2), affine)
 
 
 def _curve_halves(k: EqComplex, arc_edges: set[int]):
@@ -569,11 +568,12 @@ def orbit_cells(k: EqComplex, lay: Layout, pos) -> list[CellMap]:
 def fixed_point_conjugacy(f: PLMap2, kind: str, kk: int, n: int,
                           fixed: FixedSet | None) -> Certificate:
     """The certificate of a disc or sphere map f of the class kind, with
-    fixed points: the identity, the rotation by kk/n, or the reflection.
+    fixed points: the identity, the rotation by kk/n, or the reflection,
+    each built on f's own complex.
 
-    A rotation is built on its iterate of class 1/n
-    (``unit_rotation_power``), a reflection on its complex cut along the
-    fixed segments that the analysis found.  The reflection has period n = 2,
+    A rotation's domain is the sector between a polar arc and its image
+    under f^j, j kk = 1 (mod n); a reflection's is one side of the fixed
+    segments that the analysis found.  The reflection has period n = 2,
     but its model, like the identity's, has k = 0 and n = 1."""
     model = f.model
     if kind == IDENTITY:
@@ -581,16 +581,16 @@ def fixed_point_conjugacy(f: PLMap2, kind: str, kk: int, n: int,
                                             identity_map(model)))
     if kind == ROTATION:
         iso = ModelIsometry(model, ROTATION, kk, n)
-        k = equivariant_complex(unit_rotation_power(f, kk, n), n,
-                                level_cuts=LEVEL_CUTS[model])
-        k, lay, pos = embed_fundamental_domain(k, rotation_layout,
-                                               oriented=True)
+        k = equivariant_complex(f, n, level_cuts=LEVEL_CUTS[model])
+        j = pow(kk, -1, n)
+        k, lay, pos = embed_fundamental_domain(
+            k, lambda k: rotation_layout(k, iso.affine(), j), oriented=True)
     elif kind == REFLECTION:
         iso = ModelIsometry(model, REFLECTION)
         k = equivariant_complex(f, n, level_cuts=LEVEL_CUTS[model],
                                 chord_cuts=fixed.segments)
-        k, lay, pos = embed_fundamental_domain(k, reflection_layout,
-                                               oriented=False)
+        k, lay, pos = embed_fundamental_domain(
+            k, lambda k: reflection_layout(k, iso.affine()), oriented=False)
     else:
         raise StructureViolated(
             "map has no fixed points; use the free pipeline")

@@ -21,9 +21,9 @@ The certificates of the classes with fixed points, and the rotation that
 normalizes the square, come from ``sectors.fixed_point_conjugacy``, the
 builder shared with the disc.  Every certificate, the free one included,
 is extended from its fundamental domain by ``sectors.orbit_cells``, the
-push-forward by the model's affine map: (t, s) -> (t + 1/n, s) for the
-iterate of class 1/n of a rotation, (t, s) -> (-t, s) for the reflection,
-and (t, s) -> (t + k/n, -s) for the rotoreflection.
+push-forward by the model's affine map: (t, s) -> (t + k/n, s) for the
+rotation, (t, s) -> (-t, s) for the reflection, and (t, s) -> (t + k/n, -s)
+for the rotoreflection.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .sectors import (Layout, components, cut_sectors, edge_path,
                       fixed_point_conjugacy, lifted_quotient_path, line_walk,
                       orbit_cells, orbit_ids, polar_layout,
                       quotient_adjacency, rectangle_targets, top_end)
-from .suspension import SPHERE, isometry_affine
+from .suspension import SPHERE
 
 Q = Fraction
 
@@ -307,10 +307,10 @@ def _assemble_free_map(f: PLMap2, fs: FreeStructure):
         bstar = _bstar_arc(k, t0, p0, n, subcase)
         arcs, arc_edges, _, sector0 = cut_sectors(k, bstar, m)
         jstar = _right_arc_index(k, arcs)
-        c = Q(_solve_class_angle(jstar, n, m, r2), n)
+        M = ModelIsometry(SPHERE, ROTOREFLECTION,
+                          _solve_class_angle(jstar, n, m, r2), n).affine()
         # odd iterates swap the poles: turn the right arc to run downwards
         right = arcs[jstar] if jstar % 2 == 0 else arcs[jstar][::-1]
-        M = isometry_affine(1, c, -1)
         if subcase == "distinct":
             return polar_layout(k, sector0, bstar, right, Q(1, m), M)
         return _coincident_layout(k, bstar, right, sector0, arc_edges, m, n,
@@ -332,9 +332,11 @@ def _right_arc_index(k: EqComplex, arcs) -> int:
 def _solve_class_angle(jstar: int, n: int, m: int, r2: Fraction) -> int:
     """k with j* k = n/m (mod n), filtered by the square's rotation r2."""
     rhs = n // m  # 1 in subcase B, 2 in subcase A
+    # in subcase A, fp^(n/2) fixes P0 with n/2 odd, and the model's power
+    # (t + k/2, -s) has a fixed point only when k is even
     cands = [kk for kk in range(n)
              if (jstar * kk) % n == rhs and gcd(2 * kk, n) == 2
-             and mod1(Q(2 * kk, n)) == r2]
+             and mod1(Q(2 * kk, n)) == r2 and (rhs == 1 or kk % 2 == 0)]
     if len(cands) != 1:
         raise StructureViolated(
             f"class angle candidates {cands} from the arc structure")

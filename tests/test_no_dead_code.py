@@ -191,6 +191,23 @@ def test_cells_are_located_only_to_evaluate():
     assert callers == {"maps.evaluate"}
 
 
+def test_model_maps_come_from_the_model_isometry():
+    """``isometry_affine`` is called only in conjugacy.py, where
+    ``ModelIsometry.affine`` names the model's map, and in eqcomplex.py for
+    integer chart shifts: every layout takes its map from the isometry of
+    its certificate."""
+    callers = set()
+    for name, tree in _modules().items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "isometry_affine" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    callers.add(f"{name}.{getattr(top, 'name', '?')}")
+    assert sorted(c for c in callers if c.split(".")[0]
+                  not in ("conjugacy", "eqcomplex")) == []
+
+
 def test_no_function_local_imports():
     """No import cycle in ``src/`` needs an import inside a function or a
     class, and one there hides what its module stands on."""

@@ -11,8 +11,9 @@ from plhomeo.geom import OUTSIDE, on_segment, orient, point_in_convex
 from plhomeo.maps import (CellMap, PLMap2, boundary_restriction, compose,
                           evaluate, fixed_set, follow, identity_map,
                           is_model_rotation, period, power, validate_homeo)
-from plhomeo.sphere import (analyze_sphere, build_conjugacy_fixedpoint,
-                            build_conjugacy_free, t0_cut)
+from plhomeo.sphere import (_solve_class_angle, analyze_sphere,
+                            build_conjugacy_fixedpoint, build_conjugacy_free,
+                            t0_cut)
 from plhomeo.suspension import SPHERE, band_cells, isometry_affine
 
 Q = Fraction
@@ -349,6 +350,21 @@ def test_conjugacy_subcase_a():
     cert = build_conjugacy_free(f, analyze_sphere(f))
     assert check_certificate(f, cert) is None
     assert (cert.model.k, cert.model.n) == (2, 6)
+
+
+def test_subcase_a_class_angle_is_even():
+    """In subcase A, fp^(n/2) fixes P0 and n/2 is odd, so the model's power
+    (t + k/2, -s) must have a fixed point: k is even.  Of the two angles
+    that pass the arc structure of 4/6, 1/6 and 4/6, only 4/6 is left."""
+    assert _solve_class_angle(2, 6, 3, Q(1, 3)) == 4
+
+
+def test_conjugacy_model_rotoreflection_4_6():
+    f = ModelIsometry(SPHERE, "rotoreflection", 4, 6).as_map()
+    cert = build_conjugacy_free(f, analyze_sphere(f))
+    assert check_certificate(f, cert) is None
+    assert (cert.model.k, cert.model.n) == (4, 6)
+    assert validate_homeo(cert.h) == []
 
 
 def test_conjugacy_scrambled_subcase_a():

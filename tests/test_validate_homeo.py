@@ -20,8 +20,9 @@ from plhomeo import io as pio
 from plhomeo import maps
 from plhomeo.errors import OverlayDegenerate, ParseError, StructureViolated
 from plhomeo.exact import fmt_pt, mod1
-from plhomeo.geom import area2
-from plhomeo.maps import CellMap, PLMap2, identity_map, validate_homeo
+from plhomeo.geom import INSIDE, area2, point_in_convex, poly_bbox
+from plhomeo.maps import (CellMap, PLMap2, ccw, identity_map, shift_into_unit,
+                          validate_homeo)
 from plhomeo.suspension import (DISC, SPHERE, SuspensionComplex, _edge_key,
                                 band_cells, collapsed_levels, integer_charts,
                                 s_range)
@@ -161,8 +162,35 @@ def _edge_image_consistency(f):
     return problems
 
 
+def _generic_preimage_count(f):
+    """Preimage count of a generic rational point under the chart images,
+    each image cell shifted into the unit chart and turned CCW here."""
+    img_polys = [ccw(shift_into_unit(cell.img)[1]) for cell in f.cells]
+    boxes = [poly_bbox(poly) for poly in img_polys]
+    for candidate_cell in img_polys:
+        cx = sum(p[0] for p in candidate_cell) / len(candidate_cell)
+        cy = sum(p[1] for p in candidate_cell) / len(candidate_cell)
+        p = (mod1(cx), cy)
+        on_edge = False
+        cnt = 0
+        for poly, box in zip(img_polys, boxes):
+            for q in (p, (p[0] + 1, p[1])):
+                if not (box[0] <= q[0] <= box[2] and box[1] <= q[1] <= box[3]):
+                    continue
+                cls = point_in_convex(q, list(poly))
+                if cls == INSIDE:
+                    cnt += 1
+                elif cls == "boundary":
+                    on_edge = True
+        if on_edge:
+            continue
+        return cnt
+    return -1
+
+
 def reference_validate(f):
-    """``validate_homeo`` with its tiling checks on Fraction keys."""
+    """``validate_homeo`` with its tiling checks on Fraction keys and its
+    generic preimage count on image cells built here."""
     try:
         cx = _to_complex(f)
     except (OverlayDegenerate, StructureViolated, ParseError) as exc:
@@ -195,7 +223,7 @@ def reference_validate(f):
         except (StructureViolated, ParseError) as exc:
             problems.append(f"boundary restriction invalid: {exc}")
     if not problems:
-        cnt = maps._generic_preimage_count(f)
+        cnt = _generic_preimage_count(f)
         if cnt != 1:
             problems.append(f"generic point has {cnt} preimages")
     return problems
