@@ -167,7 +167,7 @@ def _chain_cells(f: PLMap2, n: int):
     the step-by-step composite by a horizontal integer shift."""
     if not is_identity(power(f, n)):
         raise StructureViolated(f"map is not periodic of period {n}")
-    cache = f.pow_cache()
+    cache = f.pows
     out = []
     for c, cell in enumerate(cache[n].cells):
         affs = [IDENTITY_AFFINE] * n

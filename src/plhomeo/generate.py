@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from .conjugacy import ModelIsometry
 from .errors import StructureViolated
-from .geom import (INSIDE, Pt, area2, centroid, clip_halfplane, cross,
-                   line_points, normalize_poly, point_in_convex)
+from .geom import (INSIDE, Pt, area2, centroid, cross, line_points,
+                   point_in_convex, split_convex)
 from .maps import (CellMap, PLMap2, compose, identity_map, inverse,
                    validate_homeo)
 from .suspension import (DISC, _edge_key, band_cells, collapsed_levels,
@@ -185,8 +185,7 @@ def relocate_vertex(rng, model, tiling, v: Pt):
         shift = copy[0] - v[0]
         a = (poly[(i + 1) % 3][0] - shift, poly[(i + 1) % 3][1])
         b = (poly[(i + 2) % 3][0] - shift, poly[(i + 2) % 3][1])
-        kern = clip_halfplane(kern, [cross(a, b, p) for p in kern])
-        kern = normalize_poly(kern)
+        kern, _ = split_convex(kern, [cross(a, b, p) for p in kern])
         if not kern:
             return None
     w = _sample_target(rng, kern, v, line)

@@ -1,10 +1,10 @@
 """Planar primitives over exact rationals.
 
 Points are (x, y) tuples of Fractions.  Everything here is decided by the
-sign of exact determinants; there are no tolerances.  The kernels
-(``orient``, ``cross``, ``area2``, ``clip_convex``) take Fractions (or
-ints) and return Fractions, but inside they compute on integer numerators
-over a common denominator, and build one Fraction per output value.
+sign of exact determinants; there are no tolerances.  ``orient``,
+``cross`` and ``area2`` take Fractions but compute on integers; the
+overlay kernels (``clip_convex``, ``normalize_poly``, ``hom_area2``) take
+integer points (X, Y, W) in lowest terms (``hom``), so tuples compare.
 
 A line meets a convex polygon only here.  It is given by an affine
 function, as its values at the polygon's vertices, so a caller that has
@@ -20,37 +20,42 @@ from math import gcd, lcm
 from .errors import DegenerateInput
 
 Pt = tuple[Fraction, Fraction]
+Hom = tuple[int, int, int]
 
 INSIDE, BOUNDARY, OUTSIDE = "inside", "boundary", "outside"
 
 
 def orient(a: Pt, b: Pt, c: Pt) -> int:
     """Sign of the 2x2 determinant of (b - a, c - a): +1 CCW, -1 CW, 0."""
-    d = _cross_ints(a, b, c)[0]
+    d = _det3(hom(a), hom(b), hom(c))
     return 1 if d > 0 else (-1 if d < 0 else 0)
 
 
 def cross(o: Pt, a: Pt, b: Pt) -> Fraction:
     """The determinant of (a - o, b - o)."""
-    return Fraction(*_cross_ints(o, a, b))
+    o, a, b = hom(o), hom(a), hom(b)
+    return Fraction(_det3(o, a, b), o[2] * a[2] * b[2])
 
 
-def _cross_ints(o: Pt, a: Pt, b: Pt) -> tuple[int, int]:
-    """cross(o, a, b) as an integer over a positive integer: the 3x3
-    determinant of the homogeneous points over their weights' product."""
-    ox, oy, ow = _hom(o)
-    ax, ay, aw = _hom(a)
-    bx, by, bw = _hom(b)
+def _det3(o: Hom, a: Hom, b: Hom) -> int:
+    """cross(o, a, b) times the product of the weights of o, a and b."""
+    (ox, oy, ow), (ax, ay, aw), (bx, by, bw) = o, a, b
     return (ox * (ay * bw - by * aw) - oy * (ax * bw - bx * aw)
-            + ow * (ax * by - bx * ay), ow * aw * bw)
+            + ow * (ax * by - bx * ay))
 
 
-def _hom(p: Pt) -> tuple[int, int, int]:
-    """p as integers (X, Y, W) with W > 0 and p = (X/W, Y/W)."""
+def hom(p: Pt) -> Hom:
+    """p = (X/W, Y/W) as integers (X, Y, W) in lowest terms, W > 0."""
     x, y = p
     xd, yd = x.denominator, y.denominator
     w = lcm(xd, yd)
     return x.numerator * (w // xd), y.numerator * (w // yd), w
+
+
+def lowest(x: int, y: int, w: int) -> Hom:
+    """(x/w, y/w), w > 0, in lowest terms, the form ``hom`` gives."""
+    k = gcd(x, y, w)
+    return x // k, y // k, w // k
 
 
 def on_segment(p: Pt, a: Pt, b: Pt) -> bool:
@@ -63,31 +68,22 @@ def on_segment(p: Pt, a: Pt, b: Pt) -> bool:
 
 def area2(verts: tuple[Pt, ...]) -> Fraction:
     """Twice the signed area of a closed polygon (CCW positive)."""
-    den = lcm(*[c.denominator for p in verts for c in p])
-    xs = [x.numerator * (den // x.denominator) for x, _ in verts]
-    ys = [y.numerator * (den // y.denominator) for _, y in verts]
-    total = sum(xs[i - 1] * ys[i] - xs[i] * ys[i - 1]
-                for i in range(len(verts)))
-    return Fraction(total, den * den)
+    return Fraction(*hom_area2([hom(p) for p in verts]))
 
 
-def clip_convex(subject: list[Pt], clip: list[Pt]) -> list[Pt]:
+def clip_convex(subject: list[Hom], clip: list[Hom]) -> list[Hom]:
     """Intersection of two convex CCW polygons (Sutherland-Hodgman), exact.
 
-    Runs on homogeneous integer coordinates (no per-step normalization);
-    returns a possibly empty CCW Fraction vertex list, degenerate results
-    as [].
+    Takes and returns homogeneous points in lowest terms (``hom``); []
+    when some edge line of either polygon has the other on its closed
+    outer side (an edge whose ends coincide separates nothing), before
+    any intersection is computed, and for any other degenerate result.
     """
-    out = [_hom(p) for p in subject]
-    hc = [_hom(p) for p in clip]
-    n = len(clip)
-    for i in range(n):
-        if not out:
-            return []
-        (ax, ay, aw), (bx, by, bw) = hc[i], hc[(i + 1) % n]
-        # the line through a and b: at p, a positive multiple of
-        # cross(a, b, p), so positive on the left
-        lx, ly, lw = ay * bw - by * aw, bx * aw - ax * bw, ax * by - bx * ay
+    lines = _edge_lines(clip)
+    if _separated(lines, subject) or _separated(_edge_lines(subject), clip):
+        return []
+    out = subject
+    for lx, ly, lw in lines:
         res = []
         m = len(out)
         vals = [lx * px + ly * py + lw * pw for (px, py, pw) in out]
@@ -103,17 +99,32 @@ def clip_convex(subject: list[Pt], clip: list[Pt]) -> list[Pt]:
                 rx = alpha * q[0] * p[2] - beta * p[0] * q[2]
                 ry = alpha * q[1] * p[2] - beta * p[1] * q[2]
                 rw = den * p[2] * q[2]
-                g = _gcd(_gcd(abs(rx), abs(ry)), abs(rw))
+                g = gcd(rx, ry, rw)
                 if rw < 0:
                     g = -g
                 res.append((rx // g, ry // g, rw // g))
         out = res
-    pts = [(Fraction(px, pw), Fraction(py, pw)) for (px, py, pw) in out]
-    return normalize_poly(pts)
+        if not out:
+            return []
+    return normalize_poly(out)
 
 
-def _gcd(a, b):
-    return gcd(a, b) or 1
+def _edge_lines(poly: list[Hom]) -> list[Hom]:
+    """Each edge's line (lx, ly, lw): lx X + ly Y + lw W > 0 on its left."""
+    return [(ay * bw - by * aw, bx * aw - ax * bw, ax * by - bx * ay)
+            for (ax, ay, aw), (bx, by, bw) in zip(poly, poly[1:] + poly[:1])]
+
+
+def _separated(lines: list[Hom], poly: list[Hom]) -> bool:
+    """Some line, not all zero, has all of poly on its closed right side."""
+    for lx, ly, lw in lines:
+        if lx or ly:
+            for px, py, pw in poly:
+                if lx * px + ly * py + lw * pw > 0:
+                    break
+            else:
+                return True
+    return False
 
 
 def line_points(poly, vals) -> list[Pt]:
@@ -151,9 +162,9 @@ def _crossing(p: Pt, q: Pt, vp, vq) -> Pt:
     return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
 
 
-def normalize_poly(poly: list[Pt]) -> list[Pt]:
+def normalize_poly(poly: list[Hom]) -> list[Hom]:
     """Dedupe consecutive and collinear vertices; [] when area vanishes."""
-    out: list[Pt] = []
+    out: list[Hom] = []
     for p in poly:
         if not out or p != out[-1]:
             out.append(p)
@@ -163,14 +174,29 @@ def normalize_poly(poly: list[Pt]) -> list[Pt]:
     while changed and len(out) >= 3:
         changed = False
         for i in range(len(out)):
-            a, b, c = out[i - 1], out[i], out[(i + 1) % len(out)]
-            if orient(a, b, c) == 0:
+            if _det3(out[i - 1], out[i], out[(i + 1) % len(out)]) == 0:
                 del out[i]
                 changed = True
                 break
-    if len(out) < 3 or area2(tuple(out)) == 0:
+    if len(out) < 3 or hom_area2(out)[0] == 0:
         return []
     return out
+
+
+def hom_area2(poly: list[Hom]) -> tuple[int, int]:
+    """Twice the signed area of a polygon of homogeneous points (CCW
+    positive), as an integer over the square of the weights' lcm."""
+    den = lcm(*[w for _, _, w in poly])
+    xs = [x * (den // w) for x, _, w in poly]
+    ys = [y * (den // w) for _, y, w in poly]
+    total = sum(xs[i - 1] * ys[i] - xs[i] * ys[i - 1]
+                for i in range(len(poly)))
+    return total, den * den
+
+
+def frac_poly(poly: list[Hom]) -> list[Pt]:
+    """Homogeneous points as Fraction points."""
+    return [(Fraction(x, w), Fraction(y, w)) for x, y, w in poly]
 
 
 def split_convex(poly, vals) -> tuple[list[Pt], list[Pt]]:
@@ -179,19 +205,9 @@ def split_convex(poly, vals) -> tuple[list[Pt], list[Pt]]:
     Returns the normalized pieces (vals >= 0, vals <= 0); either is [] if
     the line misses the interior.
     """
-    neg = [-v for v in vals]
-    return (normalize_poly(clip_halfplane(poly, vals)),
-            normalize_poly(clip_halfplane(poly, neg)))
-
-
-def poly_bbox(poly) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    xs = [p[0] for p in poly]
-    ys = [p[1] for p in poly]
-    return min(xs), min(ys), max(xs), max(ys)
-
-
-def bbox_overlap(b1, b2) -> bool:
-    return not (b1[2] < b2[0] or b2[2] < b1[0] or b1[3] < b2[1] or b2[3] < b1[1])
+    return tuple(frac_poly(normalize_poly([hom(p) for p in
+                                           clip_halfplane(poly, vs)]))
+                 for vs in (vals, [-v for v in vals]))
 
 
 def point_in_convex(p: Pt, poly: list[Pt]) -> str:

@@ -16,14 +16,16 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor
+from functools import cached_property
+from math import ceil, floor, lcm
 
 from .circle import MAX_PERIOD, CirclePL, period_circle
 from .errors import (NotPeriodic, OverlayDegenerate, ParseError,
                      StructureViolated)
 from .exact import fmt_pt, mod1
-from .geom import (Pt, area2, bbox_overlap, clip_convex, clip_halfplane,
-                   line_points, point_in_convex, poly_bbox, INSIDE, OUTSIDE)
+from .geom import (Hom, Pt, area2, clip_convex, clip_halfplane, frac_poly,
+                   hom, hom_area2, line_points, lowest, point_in_convex,
+                   BOUNDARY, INSIDE, OUTSIDE)
 from .suspension import (Affine, SuspensionComplex, _edge_key,
                          _int_edge_key, affine_from_pairs, band_cells,
                          chart_point, collapsed_levels, complex_check,
@@ -33,16 +35,16 @@ from .suspension import (Affine, SuspensionComplex, _edge_key,
 Q = Fraction
 
 
-def shift_into_unit(poly) -> tuple[int, tuple[Pt, ...]]:
-    """Translate a chart polygon into [0,1] horizontally; error if it
-    straddles a meridian."""
+def shift_into_unit(poly, den=1) -> tuple[int, tuple[Pt, ...]]:
+    """Translate a chart polygon, its coordinates given over den, by an
+    integer m into [0,1] horizontally; error if it straddles a meridian."""
     xs = [p[0] for p in poly]
-    m = floor(min(xs))
-    if max(xs) > m + 1:
+    m = floor(min(xs)) // den
+    if max(xs) > (m + 1) * den:
         m += 1
-        if min(xs) < m:
+        if min(xs) < m * den:
             raise OverlayDegenerate("cell straddles the meridian")
-    return m, tuple((x - m, y) for x, y in poly)
+    return m, tuple((x - m * den, y) for x, y in poly)
 
 
 def ccw(poly):
@@ -62,6 +64,50 @@ class CellMap:
     img: tuple[Pt, ...]    # image chart points, aligned with poly
 
 
+class BoxIndex:
+    """A map's cells as integers for the overlay: their points over the
+    lcm D of all denominators (``integer_charts``), their boxes over D,
+    and the boxes' min-x order; ``homs``, the points in lowest terms
+    (``geom.hom``), when first asked for.  A query box is put over D
+    (``grid``), so each box test is on integers."""
+
+    def __init__(self, cells: list[CellMap]):
+        self.D, self.polys = integer_charts([c.poly for c in cells])
+        self.boxes = [(min(xs), min(ys), max(xs), max(ys))
+                      for xs, ys in (zip(*poly) for poly in self.polys)]
+        self.order = sorted(range(len(cells)), key=lambda i: self.boxes[i][0])
+        self.minxs = [self.boxes[i][0] for i in self.order]
+
+    @cached_property
+    def homs(self) -> list[list[Hom]]:
+        return [[lowest(x, y, self.D) for x, y in poly]
+                for poly in self.polys]
+
+    def grid(self, x0: int, y0: int, x1: int, y1: int, den: int) -> tuple:
+        """The box [x0, x1] x [y0, y1] / den shrunk to integers over D,
+        which the boxes here meet exactly when they meet the box."""
+        return (-(-x0 * self.D // den), -(-y0 * self.D // den),
+                x1 * self.D // den, y1 * self.D // den)
+
+    def meets(self, i: int, q: tuple) -> bool:
+        """Cell i's box meets the box q, given over D."""
+        x0, y0, x1, y1 = self.boxes[i]
+        return x0 <= q[2] and q[0] <= x1 and y0 <= q[3] and q[1] <= y1
+
+    def near(self, q: tuple) -> list[int]:
+        """The cells whose boxes meet the box q over D, in min-x order."""
+        lx, ly, hx, hy = q
+        boxes = self.boxes
+        return [i for i in self.order[:bisect_right(self.minxs, hx)]
+                if lx <= boxes[i][2] and ly <= boxes[i][3]
+                and boxes[i][1] <= hy]
+
+    def at(self, p: Pt) -> list[int]:
+        """The cells whose boxes hold the point p, in min-x order."""
+        x, y, w = hom(p)
+        return self.near(self.grid(x, y, x, y, w))
+
+
 @dataclass
 class PLMap2:
     """``affines``, when given, is the affine map of each cell, aligned
@@ -69,16 +115,15 @@ class PLMap2:
     cell's ``poly`` to its ``img``.  Otherwise ``affine`` solves each one
     from the cell's vertices when it is first asked for.  ``parents``, set
     by ``compose``, is the index of the cell of its first argument that
-    each cell is a piece of."""
+    each cell is a piece of.  ``index`` is the integer ``BoxIndex`` of
+    the cells, which every overlay query reads, and ``pows`` the iterates
+    that ``power`` has built; each is made when first asked for."""
     model: str
     cells: list[CellMap]
     affines: list[Affine] | None = field(default=None, repr=False,
                                          compare=False)
     parents: list[int] | None = field(default=None, repr=False,
                                       compare=False)
-    _bboxes: list = field(default=None, repr=False, compare=False)
-    _xindex: tuple = field(default=None, repr=False, compare=False)
-    _pows: dict = field(default=None, repr=False, compare=False)
 
     def affine(self, i: int) -> Affine:
         if self.affines is None:
@@ -88,28 +133,18 @@ class PLMap2:
             self.affines[i] = affine_from_pairs(list(c.poly), list(c.img))
         return self.affines[i]
 
-    def bbox(self, i: int):
-        if self._bboxes is None:
-            self._bboxes = [poly_bbox(c.poly) for c in self.cells]
-        return self._bboxes[i]
-
-    def cells_from_left(self, x: Fraction) -> list[int]:
-        """The cells whose box starts at or left of x, in min-x order: the
-        only ones that can meet a point or box ending at x."""
-        if self._xindex is None:
-            order = sorted(range(len(self.cells)), key=lambda i: self.bbox(i)[0])
-            self._xindex = (order, [self.bbox(i)[0] for i in order])
-        order, minxs = self._xindex
-        return order[:bisect_right(minxs, x)]
+    @cached_property
+    def index(self) -> BoxIndex:
+        return BoxIndex(self.cells)
 
     @property
     def orientation_sign(self) -> int:
         return 1 if self.affine(0).det > 0 else -1
 
-    def pow_cache(self) -> dict:
-        if self._pows is None:
-            self._pows = {}
-        return self._pows
+    @cached_property
+    def pows(self) -> dict[int, PLMap2]:
+        return {0: identity_map(self.model,
+                                [list(c.poly) for c in self.cells]), 1: self}
 
 
 def identity_map(model: str, cells=None) -> PLMap2:
@@ -138,11 +173,8 @@ def locate_cell(f: PLMap2, p: Pt) -> tuple[int, Pt]:
     best = None
     best_q = None
     for q in candidates:
-        for i in f.cells_from_left(q[0]):
+        for i in f.index.at(q):
             if best is not None and i >= best:
-                continue
-            bb = f.bbox(i)
-            if bb[2] < q[0] or bb[1] > q[1] or bb[3] < q[1]:
                 continue
             if point_in_convex(q, list(f.cells[i].poly)) != OUTSIDE:
                 best = i
@@ -167,48 +199,61 @@ def _collapsed_image(f: PLMap2, level: Fraction) -> Pt:
 def compose(f: PLMap2, g: PLMap2) -> PLMap2:
     """g after f.  Cells: pieces of f's cells whose f-image fits one g-cell.
 
-    The pieces tile each cell of f, which the area check below confirms, so
-    the result tiles the chart rectangle wherever f's cells do.  Each piece
-    carries its affine map, g's on that g-cell after f's shifted into the
-    unit chart, so the result never solves one from its vertices, and the
-    index of the cell of f it is a piece of (``parents``).  A model
-    isometry is one affine map, so following f by it needs no overlay:
-    ``follow`` does that and keeps f's cells."""
+    The overlay runs on integers (``BoxIndex``); only a kept piece becomes
+    Fractions.  The pieces tile each cell of f, which the area check below
+    confirms, so the result tiles the chart rectangle wherever f's cells
+    do.  Each piece carries its affine map, g's on that g-cell after f's
+    shifted into the unit chart, so the result never solves one from its
+    vertices, and the index of the cell of f it is a piece of
+    (``parents``).  A model isometry is one affine map, so following f by
+    it needs no overlay: ``follow`` does that and keeps f's cells."""
     if f.model != g.model:
         raise ParseError("cannot compose maps on different models")
+    findex, gindex = f.index, g.index
+    D = findex.D
     out: list[CellMap] = []
     affines: list[Affine] = []
     parents: list[int] = []
-    for ci, cell in enumerate(f.cells):
+    for ci, poly in enumerate(findex.polys):
         A = f.affine(ci)
-        img = [A(p) for p in cell.poly]
-        m, img_u = shift_into_unit(img)
-        img_ccw = list(img_u) if A.det > 0 else list(reversed(img_u))
-        Ainv = A.inverse()
+        a, b, c, d, e, f_, w = A._ints
+        den = w * D
+        m, img = shift_into_unit([(a * x + b * y + c * D,
+                                   d * x + e * y + f_ * D) for x, y in poly],
+                                 den)
+        xs, ys = zip(*img)
+        q = gindex.grid(min(xs), min(ys), max(xs), max(ys), den)
+        flip = a * e - b * d < 0
+        subject = [lowest(x, y, den) for x, y in
+                   (reversed(img) if flip else img)]
+        target = hom_area2(subject)
         A_unit = Affine(A.a, A.b, A.c - m, A.d, A.e, A.f)
-        target = area2(tuple(img_ccw))
-        got = Q(0)
-        boxi = poly_bbox(img_ccw)
-        for di in g.cells_from_left(boxi[2]):
-            gb = g.bbox(di)
-            if gb[2] < boxi[0] or gb[3] < boxi[1] or boxi[3] < gb[1]:
-                continue
-            piece = clip_convex(img_ccw, g.cells[di].poly)
+        Ainv = A_unit.inverse()
+        got = (0, 1)
+        for di in gindex.near(q):
+            piece = clip_convex(subject, gindex.homs[di])
             if not piece:
                 continue
-            got += area2(tuple(piece))
+            got = _add_area(got, piece)
             B = g.affine(di)
-            src = [Ainv((x + m, y)) for x, y in piece]
-            new_img = [B(p) for p in piece]
-            if A.det < 0:
+            src = [Ainv.at_hom(p) for p in piece]
+            new_img = [B.at_hom(p) for p in piece]
+            if flip:
                 src.reverse()
                 new_img.reverse()
             out.append(CellMap(tuple(src), tuple(new_img)))
             affines.append(B.compose_after(A_unit))
             parents.append(ci)
-        if got != target:
+        if got[0] * target[1] != target[0] * got[1]:
             raise OverlayDegenerate("composition pieces fail to tile a cell")
     return PLMap2(f.model, out, affines, parents)
+
+
+def _add_area(acc: tuple[int, int], piece: list[Hom]) -> tuple[int, int]:
+    """acc + hom_area2(piece), both as an integer over a positive one."""
+    n, d = hom_area2(piece)
+    L = lcm(acc[1], d)
+    return acc[0] * (L // acc[1]) + n * (L // d), L
 
 
 def follow(h: PLMap2, R: Affine) -> PLMap2:
@@ -218,34 +263,35 @@ def follow(h: PLMap2, R: Affine) -> PLMap2:
     The cells are h's cells, cut only where their image under R o A_h
     crosses an integer meridian, so the result tiles the chart rectangle
     exactly where h's cells do.  Each piece carries R o A_h shifted into
-    the unit chart; the cuts come from the first row of that map, so no
-    inverse is taken, and an image that still straddles a meridian raises
-    in ``shift_into_unit``."""
+    the unit chart; the cuts come from the x-coordinates of the vertices'
+    images, so no inverse is taken, and an image that still straddles a
+    meridian raises in ``shift_into_unit``."""
     out: list[CellMap] = []
     affines: list[Affine] = []
     for ci, cell in enumerate(h.cells):
         B = R.compose_after(h.affine(ci))
-        for poly in _meridian_pieces(list(cell.poly), B):
-            m, img = shift_into_unit([B(p) for p in poly])
+        for poly, img in _meridian_pieces(list(cell.poly), B):
+            m, img = shift_into_unit(img)
             out.append(CellMap(tuple(poly), img))
             affines.append(Affine(B.a, B.b, B.c - m, B.d, B.e, B.f))
     return PLMap2(h.model, out, affines)
 
 
-def _meridian_pieces(poly: list[Pt], B: Affine) -> list[list[Pt]]:
-    """A convex CCW polygon cut along the lines B.a x + B.b y + B.c = m
-    for the integers m strictly inside the range of that functional on
-    it, in order of m; the polygon itself when no such m exists."""
-    def level(p):
-        return B.a * p[0] + B.b * p[1] + B.c
-
-    vals = [level(p) for p in poly]
+def _meridian_pieces(poly: list[Pt], B: Affine) -> list[tuple]:
+    """A convex CCW polygon cut where B's x-coordinate is an integer m
+    strictly inside its range, in order of m (or the polygon itself),
+    each piece with its vertices' images under B, computed once."""
+    img = [B(p) for p in poly]
+    xs = [q[0] for q in img]
     pieces = []
-    for m in range(floor(min(vals)) + 1, ceil(max(vals))):
-        vs = [level(p) - m for p in poly]
-        pieces.append(clip_halfplane(poly, [-v for v in vs]))
+    for m in range(floor(min(xs)) + 1, ceil(max(xs))):
+        vs = [x - m for x in xs]
+        cut = clip_halfplane(poly, [-v for v in vs])
+        pieces.append((cut, [B(p) for p in cut]))
         poly = clip_halfplane(poly, vs)
-    pieces.append(poly)
+        img = [B(p) for p in poly]
+        xs = [q[0] for q in img]
+    pieces.append((poly, img))
     return pieces
 
 
@@ -272,10 +318,7 @@ def power(f: PLMap2, m: int) -> PLMap2:
     shares these iterates, and ``period`` builds the ones the analysis and
     the certificate need.  Each cached iterate f^i, i >= 2, hands on its
     ``parents`` in f^(i-1) with its affines."""
-    cache = f.pow_cache()
-    if not cache:
-        cache[0] = identity_map(f.model, [list(c.poly) for c in f.cells])
-        cache[1] = f
+    cache = f.pows
     best = max(i for i in cache if i <= m)
     out = cache[best]
     for i in range(best + 1, m + 1):
@@ -306,8 +349,10 @@ def is_identity(f: PLMap2) -> bool:
 
 def _action_key(A: Affine) -> tuple:
     """Two cells act alike as model maps exactly when their affine maps
-    differ by a horizontal integer shift, that is when these keys agree."""
-    return (A.a, A.b, mod1(A.c), A.d, A.e, A.f)
+    differ by a horizontal integer shift, that is when these keys agree:
+    ``Affine._ints`` with C mod W, as c + 1 has c's denominator, so W."""
+    a, b, c, d, e, f, w = A._ints
+    return (a, b, c % w, d, e, f, w)
 
 
 def _mismatches(f: PLMap2, g: PLMap2):
@@ -323,32 +368,33 @@ def _mismatches(f: PLMap2, g: PLMap2):
     is clipped against all g-cells near it; so on equal maps each cell is
     clipped only against g-cells that act alike.
     A cell left uncovered without a differing piece, or covered beyond its
-    area, proves the precondition false and raises StructureViolated."""
+    area, proves the precondition false and raises StructureViolated.  It
+    runs on integers (``BoxIndex``); a yielded piece becomes Fractions."""
     alike: dict[tuple, list[int]] = {}
     for di in range(len(g.cells)):
         alike.setdefault(_action_key(g.affine(di)), []).append(di)
-    for ci, cell in enumerate(f.cells):
+    findex, gindex = f.index, g.index
+    for ci, poly in enumerate(findex.homs):
         key = _action_key(f.affine(ci))
-        box = f.bbox(ci)
-        covered = Q(0)
+        q = gindex.grid(*findex.boxes[ci], findex.D)
+        covered = (0, 1)
         for di in alike.get(key, ()):
-            if bbox_overlap(box, g.bbox(di)):
-                piece = clip_convex(cell.poly, g.cells[di].poly)
+            if gindex.meets(di, q):
+                piece = clip_convex(poly, gindex.homs[di])
                 if piece:
-                    covered += area2(tuple(piece))
-        target = area2(cell.poly)
-        if covered > target:
+                    covered = _add_area(covered, piece)
+        target = hom_area2(poly)
+        excess = covered[0] * target[1] - target[0] * covered[1]
+        if excess > 0:
             raise StructureViolated("cells of the map compared with overlap")
-        if covered == target:
+        if excess == 0:
             continue
-        near = sorted(di for di in g.cells_from_left(box[2])
-                      if bbox_overlap(box, g.bbox(di)))
         differs = False
-        for di in near:
-            piece = clip_convex(cell.poly, g.cells[di].poly)
+        for di in sorted(gindex.near(q)):
+            piece = clip_convex(poly, gindex.homs[di])
             if piece and _action_key(g.affine(di)) != key:
                 differs = True
-                yield piece
+                yield frac_poly(piece)
         if not differs:
             raise StructureViolated(
                 "cells of the map compared with do not cover the chart")
@@ -711,26 +757,14 @@ def _collapse_conditions(f: PLMap2) -> list[str]:
 def _generic_preimage_count(inv: PLMap2) -> int:
     """Preimage count of a generic rational point under a map's chart
     images, the cells of its inverse ``inv``."""
-    img_polys = [c.poly for c in inv.cells]
-    boxes = [poly_bbox(poly) for poly in img_polys]
-    for candidate_cell in img_polys:
+    for candidate_cell in (c.poly for c in inv.cells):
         cx = sum(p[0] for p in candidate_cell) / len(candidate_cell)
         cy = sum(p[1] for p in candidate_cell) / len(candidate_cell)
         p = (mod1(cx), cy)
-        on_edge = False
-        cnt = 0
-        for poly, box in zip(img_polys, boxes):
-            for q in (p, (p[0] + 1, p[1])):
-                if not (box[0] <= q[0] <= box[2] and box[1] <= q[1] <= box[3]):
-                    continue
-                cls = point_in_convex(q, list(poly))
-                if cls == INSIDE:
-                    cnt += 1
-                elif cls == "boundary":
-                    on_edge = True
-        if on_edge:
-            continue
-        return cnt
+        classes = [point_in_convex(q, list(inv.cells[i].poly))
+                   for q in (p, (p[0] + 1, p[1])) for i in inv.index.at(q)]
+        if BOUNDARY not in classes:
+            return classes.count(INSIDE)
     return -1
 
 

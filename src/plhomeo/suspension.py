@@ -27,7 +27,7 @@ from math import lcm
 
 from .errors import DegenerateInput, OverlayDegenerate, ParseError
 from .exact import fmt_pt, mod1
-from .geom import Pt, cross, orient
+from .geom import Hom, Pt
 
 Q = Fraction
 
@@ -90,11 +90,14 @@ class Affine:
         return tuple(q.numerator * (w // q.denominator) for q in cs) + (w,)
 
     def __call__(self, p: Pt) -> Pt:
-        A, B, C, D, E, F, W = self._ints
         x, y = p
         xd, yd = x.denominator, y.denominator
-        # x = X/Z and y = Y/Z
-        X, Y, Z = x.numerator * yd, y.numerator * xd, xd * yd
+        return self.at_hom((x.numerator * yd, y.numerator * xd, xd * yd))
+
+    def at_hom(self, p: Hom) -> Pt:
+        """The image of the point (X/Z, Y/Z), given as (X, Y, Z), Z > 0."""
+        A, B, C, D, E, F, W = self._ints
+        X, Y, Z = p
         den = W * Z
         return (Q(A * X + B * Y + C * Z, den), Q(D * X + E * Y + F * Z, den))
 
@@ -132,32 +135,36 @@ def isometry_affine(t_sign: int, shift: Fraction, s_sign: int) -> Affine:
 
 
 def affine_from_pairs(src: list[Pt], dst: list[Pt]) -> Affine:
-    """The affine map sending three independent source points to targets."""
-    i, j, k = _independent_triple(src)
-    (x1, y1), (x2, y2), (x3, y3) = src[i], src[j], src[k]
-    (u1, v1), (u2, v2), (u3, v3) = dst[i], dst[j], dst[k]
-    det = cross((x1, y1), (x2, y2), (x3, y3))
-    if det == 0:
-        raise OverlayDegenerate("degenerate source triple")
-    # Cramer's rule: det with the x or the y column replaced by u or v
-    a = cross((u1, y1), (u2, y2), (u3, y3)) / det
-    b = cross((x1, u1), (x2, u2), (x3, u3)) / det
-    c = u1 - a * x1 - b * y1
-    d = cross((v1, y1), (v2, y2), (v3, y3)) / det
-    e = cross((x1, v1), (x2, v2), (x3, v3)) / det
-    f = v1 - d * x1 - e * y1
-    aff = Affine(a, b, c, d, e, f)
-    for p, q in zip(src, dst):
-        if aff(p) != q:
+    """The affine map sending three independent source points to targets,
+    solved by Cramer's rule and checked on every pair on integers: the
+    sources over the lcm S of their denominators, the targets over their
+    own, T (``integer_charts``)."""
+    S, (xy,) = integer_charts([src])
+    T, (uv,) = integer_charts([dst])
+    i, j, k = _independent_triple(xy)
+    (x1, y1), (x2, y2), (x3, y3) = xy[i], xy[j], xy[k]
+    (u1, v1), (u2, v2), (u3, v3) = uv[i], uv[j], uv[k]
+    det = (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
+    # then a = S na / (T det), b = S nb / (T det) and c = nc / (T det)
+    na = (u2 - u1) * (y3 - y1) - (u3 - u1) * (y2 - y1)
+    nb = (x2 - x1) * (u3 - u1) - (x3 - x1) * (u2 - u1)
+    nc = u1 * det - na * x1 - nb * y1
+    nd = (v2 - v1) * (y3 - y1) - (v3 - v1) * (y2 - y1)
+    ne = (x2 - x1) * (v3 - v1) - (x3 - x1) * (v2 - v1)
+    nf = v1 * det - nd * x1 - ne * y1
+    for (x, y), (u, v) in zip(xy, uv):
+        if na * x + nb * y + nc != u * det or nd * x + ne * y + nf != v * det:
             raise OverlayDegenerate("point pairs are not affinely compatible")
-    return aff
+    den = T * det
+    return Affine(Q(S * na, den), Q(S * nb, den), Q(nc, den),
+                  Q(S * nd, den), Q(S * ne, den), Q(nf, den))
 
 
-def _independent_triple(pts: list[Pt]) -> tuple[int, int, int]:
-    n = len(pts)
-    for j in range(1, n):
-        for k in range(j + 1, n):
-            if orient(pts[0], pts[j], pts[k]) != 0:
+def _independent_triple(pts: list[tuple[int, int]]) -> tuple[int, int, int]:
+    for j in range(1, len(pts)):
+        for k in range(j + 1, len(pts)):
+            (x0, y0), (x1, y1), (x2, y2) = pts[0], pts[j], pts[k]
+            if (x1 - x0) * (y2 - y0) != (y1 - y0) * (x2 - x0):
                 return 0, j, k
     raise OverlayDegenerate("all polygon vertices collinear")
 

@@ -7,10 +7,11 @@ import pytest
 from plhomeo.errors import OverlayDegenerate
 from plhomeo.exact import mod1
 from plhomeo.geom import (BOUNDARY, INSIDE, OUTSIDE, area2, clip_convex,
-                          cross, line_points, on_segment, orient,
-                          point_in_convex, split_convex)
+                          cross, frac_poly, hom, line_points, on_segment,
+                          orient, point_in_convex, split_convex)
 from plhomeo.maps import _action_key
 from plhomeo.suspension import Affine, affine_from_pairs
+from test_clip_convex import PRIMES
 from test_sphere import seg_intersection
 
 Q = Fraction
@@ -71,10 +72,12 @@ def test_segment_intersection_cases():
 
 
 def test_clip_convex():
-    tri = [pt(0, 0), pt(1, 0), pt(0, 1)]
-    out = clip_convex(list(UNIT_SQUARE), tri)
-    assert area2(tuple(out)) == 1  # half the unit square, doubled
-    out = clip_convex(list(UNIT_SQUARE), [pt(5, 5), pt(6, 5), pt(6, 6)])
+    square = [hom(p) for p in UNIT_SQUARE]
+    tri = [hom(p) for p in [pt(0, 0), pt(1, 0), pt(0, 1)]]
+    out = clip_convex(square, tri)
+    assert area2(tuple(frac_poly(out))) == 1  # half the unit square, doubled
+    out = clip_convex(square, [hom(p) for p in [pt(5, 5), pt(6, 5),
+                                                pt(6, 6)]])
     assert out == []
 
 
@@ -219,7 +222,11 @@ def _rat(rng):
     to 100 bits."""
     if rng.random() < 0.3:
         return rng.randint(-5, 5)
-    den = rng.randint(1, 2 ** rng.randint(0, 100))
+    return _big(rng, rng.randint(1, 2 ** rng.randint(0, 100)))
+
+
+def _big(rng, den):
+    """A Fraction of either sign over den, within 4 of zero."""
     return Q(rng.randint(-4 * den, 4 * den), den)
 
 
@@ -257,7 +264,7 @@ def test_integer_kernels_match_the_fraction_formulas():
                   _affine_fields(_affine_from_pairs_oracle(src[:3],
                                                            dst[:3])))
             dst[3] = (dst[3][0] + 1, dst[3][1])
-            with pytest.raises(OverlayDegenerate):
+            with pytest.raises(OverlayDegenerate, match=INCOMPATIBLE):
                 affine_from_pairs(src, dst)
         # a singular map: second row a multiple of the first
         S = Affine(A.a, A.b, A.c, t * A.a, t * A.b, A.f)
@@ -273,6 +280,52 @@ def test_integer_kernels_match_the_fraction_formulas():
             else:
                 _same(_affine_fields(M.inverse()),
                       _affine_fields(_inverse_oracle(M)))
+    # coordinates and coefficients over distinct primes above 2^61
+    for _ in range(40):
+        dens = rng.sample(PRIMES, len(PRIMES))
+        src = [(_big(rng, dens[2 * i]), _big(rng, dens[2 * i + 1]))
+               for i in range(4)]
+        A = Affine(*[_big(rng, dens[rng.randrange(8)]) for _ in range(6)])
+        dst = [A(q) for q in src]
+        if orient(*src[:3]) != 0:
+            _same(_affine_fields(affine_from_pairs(src, dst)),
+                  _affine_fields(_affine_from_pairs_oracle(src[:3],
+                                                           dst[:3])))
+            dst[3] = (dst[3][0], dst[3][1] + Q(1, dens[0]))
+            with pytest.raises(OverlayDegenerate, match=INCOMPATIBLE):
+                affine_from_pairs(src, dst)
+        line = [(src[0][0] + t * src[1][0], src[0][1] + t * src[1][1])
+                for t in (0, 1, Q(1, dens[2]), -3)]
+        with pytest.raises(OverlayDegenerate, match=COLLINEAR):
+            affine_from_pairs(line, [A(q) for q in line])
+
+
+INCOMPATIBLE = "^point pairs are not affinely compatible$"
+COLLINEAR = "^all polygon vertices collinear$"
+
+
+def _fraction_action_key(A):
+    """The key of two cells that act alike, on Fractions."""
+    return (A.a, A.b, mod1(A.c), A.d, A.e, A.f)
+
+
+def test_action_key_agrees_with_the_fraction_key():
+    rng = random.Random(4)
+    affines = []
+    for _ in range(40):
+        # few distinct values, so that random keys also coincide
+        A = Affine(*[Q(rng.randint(-2, 2), rng.choice([1, 2, 3]))
+                     for _ in range(6)])
+        affines += [A, Affine(A.a, A.b, A.c + rng.randint(-3, 3), A.d, A.e,
+                              A.f),
+                    Affine(A.a, A.b, A.c + Q(1, 2), A.d, A.e, A.f)]
+    equal = 0
+    for A in affines:
+        for B in affines:
+            same = _fraction_action_key(A) == _fraction_action_key(B)
+            assert (_action_key(A) == _action_key(B)) == same
+            equal += same
+    assert len(affines) < equal < len(affines) ** 2
 
 
 def test_affine_integer_form_stays_out_of_equality_hash_and_repr():

@@ -11,6 +11,7 @@ side model o h is built both as ``check_certificate`` builds it, by
 """
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,12 +20,16 @@ from plhomeo import geom
 from plhomeo import io as pio
 from plhomeo import maps
 from plhomeo.exact import mod1
-from plhomeo.geom import (INSIDE, BOUNDARY, bbox_overlap, clip_convex,
-                          point_in_convex, poly_bbox)
+from plhomeo.geom import (INSIDE, BOUNDARY, clip_convex, frac_poly, hom,
+                          point_in_convex)
 from plhomeo.maps import (CellMap, PLMap2, ccw, compose, evaluate,
-                          first_disagreement, follow, power, shift_into_unit)
-from plhomeo.suspension import affine_from_pairs, model_point, s_range
+                          first_disagreement, follow, identity_map, power,
+                          shift_into_unit)
+from plhomeo.suspension import (DISC, affine_from_pairs, band_cells,
+                                model_point, s_range)
+from test_validate_homeo import bbox
 
+Q = Fraction
 INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 NAMES = [
     "disc-reflection-0-2",
@@ -86,13 +91,15 @@ def _oracle_pieces(f, g):
     """Every differing overlap piece, over all box-meeting cell pairs."""
     fk = [_solved(c) for c in f.cells]
     gk = [_solved(c) for c in g.cells]
-    gb = [poly_bbox(c.poly) for c in g.cells]
+    gb = [bbox(c.poly) for c in g.cells]
     for ci, cell in enumerate(f.cells):
-        box = poly_bbox(cell.poly)
+        x0, y0, x1, y1 = bbox(cell.poly)
         for di, other in enumerate(g.cells):
-            if not bbox_overlap(box, gb[di]):
+            u0, v0, u1, v1 = gb[di]
+            if x1 < u0 or u1 < x0 or y1 < v0 or v1 < y0:
                 continue
-            piece = clip_convex(cell.poly, other.poly)
+            piece = frac_poly(clip_convex([hom(p) for p in cell.poly],
+                                          [hom(p) for p in other.poly]))
             if piece and fk[ci] != gk[di]:
                 yield piece
 
@@ -161,6 +168,41 @@ def test_compose_hands_on_the_affine_of_every_piece(frozen):
                                                      list(cell.img))
 
 
+def _meeting(g, x0, y0, x1, y1):
+    """The cells of g whose Fraction boxes meet [x0, x1] x [y0, y1], in
+    the min-x order of those boxes."""
+    boxes = [bbox(c.poly) for c in g.cells]
+    return [i for i in sorted(range(len(boxes)), key=lambda i: boxes[i][0])
+            if boxes[i][0] <= x1 and x0 <= boxes[i][2]
+            and boxes[i][1] <= y1 and y0 <= boxes[i][3]]
+
+
+def test_box_index_finds_the_cells_fraction_boxes_meet(frozen):
+    """``BoxIndex`` queries return the cells whose Fraction boxes meet a
+    box, or hold a point, in the min-x order of those boxes: the
+    candidates, in their order, of the overlay on Fractions."""
+    _, _, sides = frozen["disc-rotation-1-3"]
+    for f, g in sides[_followed], sides[_followed][::-1]:
+        for ci, cell in enumerate(f.cells):
+            x0, y0, x1, y1 = bbox(cell.poly)
+            q = g.index.grid(*f.index.boxes[ci], f.index.D)
+            assert g.index.near(q) == _meeting(g, x0, y0, x1, y1)
+            assert [i for i in range(len(g.cells)) if g.index.meets(i, q)] \
+                == sorted(g.index.near(q))
+            for x, y in (cell.poly[0], ((x0 + x1) / 2, (y0 + y1) / 2)):
+                assert g.index.at((x, y)) == _meeting(g, x, y, x, y)
+    # boxes over small denominators, on and off the grid of the bands
+    g = identity_map(DISC, band_cells(DISC, 4))
+    rng = random.Random(0)
+    for _ in range(300):
+        den = rng.choice([1, 2, 3, 5, 8])
+        xs = sorted(rng.randint(-den, 2 * den) for _ in range(2))
+        ys = sorted(rng.randint(-den, 2 * den) for _ in range(2))
+        assert g.index.near(g.index.grid(xs[0], ys[0], xs[1], ys[1], den)) \
+            == _meeting(g, Q(xs[0], den), Q(ys[0], den), Q(xs[1], den),
+                        Q(ys[1], den))
+
+
 def test_equal_check_clips_each_cell_about_once(frozen, monkeypatch):
     """On disc rotation 1/3 a scan of all box-meeting pairs clips 6024."""
     _, _, sides = frozen["disc-rotation-1-3"]
@@ -172,7 +214,7 @@ def test_equal_check_clips_each_cell_about_once(frozen, monkeypatch):
         return clip_convex(subject, clip)
     monkeypatch.setattr(maps, "clip_convex", counted)
     assert first_disagreement(lhs, rhs) is None
-    assert calls[0] <= len(lhs.cells) + len(rhs.cells)
+    assert 0 < calls[0] <= len(lhs.cells) + len(rhs.cells)
 
 
 def test_right_side_keeps_the_cells_of_h_without_overlay(monkeypatch):

@@ -9,7 +9,8 @@ be set by some call in ``src/``: a default that no caller overrides is a
 knob nothing turns.  Where a line crosses the edge of a polygon is
 computed in ``geom`` alone.  Every function that ``bench/tracer.py``
 traces by name is still defined in its module.  A cell is located by a
-point only to evaluate the map there.  Every import in ``src/`` is at
+point only to evaluate the map there, and the overlay box-tests and
+measures areas on integers.  Every import in ``src/`` is at
 module level.  A check's verdict is a return value, never stored on the
 record checked.
 """
@@ -189,6 +190,25 @@ def test_cells_are_located_only_to_evaluate():
                         getattr(node.func, "attr", None)):
                     callers.add(f"{name}.{getattr(top, 'name', '?')}")
     assert callers == {"maps.evaluate"}
+
+
+def test_overlay_box_tests_and_areas_are_on_integers():
+    """``maps.compose``, ``maps._mismatches`` and ``maps.locate_cell`` read
+    their boxes from the map's integer ``BoxIndex`` and measure areas on
+    integers: none calls the Fraction kernels ``poly_bbox``,
+    ``bbox_overlap`` or ``area2``."""
+    fractional = {"poly_bbox", "bbox_overlap", "area2"}
+    calls = []
+    for top in _modules()["maps"].body:
+        if isinstance(top, ast.FunctionDef) and top.name in (
+                "compose", "_mismatches", "locate_cell"):
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or \
+                        getattr(node.func, "attr", None)
+                    if name in fractional:
+                        calls.append(f"{top.name}: {name}")
+    assert calls == []
 
 
 def test_model_maps_come_from_the_model_isometry():

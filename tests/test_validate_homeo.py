@@ -20,7 +20,7 @@ from plhomeo import io as pio
 from plhomeo import maps
 from plhomeo.errors import OverlayDegenerate, ParseError, StructureViolated
 from plhomeo.exact import fmt_pt, mod1
-from plhomeo.geom import INSIDE, area2, point_in_convex, poly_bbox
+from plhomeo.geom import INSIDE, area2, point_in_convex
 from plhomeo.maps import (CellMap, PLMap2, ccw, identity_map, shift_into_unit,
                           validate_homeo)
 from plhomeo.suspension import (DISC, SPHERE, SuspensionComplex, _edge_key,
@@ -162,11 +162,17 @@ def _edge_image_consistency(f):
     return problems
 
 
+def bbox(poly):
+    """The box (min x, min y, max x, max y) of a Fraction polygon."""
+    xs, ys = [p[0] for p in poly], [p[1] for p in poly]
+    return min(xs), min(ys), max(xs), max(ys)
+
+
 def _generic_preimage_count(f):
     """Preimage count of a generic rational point under the chart images,
     each image cell shifted into the unit chart and turned CCW here."""
     img_polys = [ccw(shift_into_unit(cell.img)[1]) for cell in f.cells]
-    boxes = [poly_bbox(poly) for poly in img_polys]
+    boxes = [bbox(poly) for poly in img_polys]
     for candidate_cell in img_polys:
         cx = sum(p[0] for p in candidate_cell) / len(candidate_cell)
         cy = sum(p[1] for p in candidate_cell) / len(candidate_cell)
