@@ -4,6 +4,10 @@ The source cells of f^n (f periodic of period n) form the common refinement
 of the pullbacks of f's cells under all lower iterates; f maps each cell
 affinely onto another.  Optional cuts along iterated latitude levels or
 iterated chords keep f-invariant curve families inside the 1-skeleton.
+
+A complex is indexed on integers, its points as numerators over the lcm D
+of their denominators (``integer_charts``): a vertex by (X mod D, Y), an
+edge by ``_int_edge_key``, and the action of f by integer cell keys.
 """
 
 from __future__ import annotations
@@ -12,25 +16,28 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import OverlayDegenerate, StructureViolated
-from .exact import mod1
+from .exact import fmt_pt
 from .geom import Pt, area2, centroid, cross, line_points, split_convex
 from .maps import (PLMap2, ccw, compose, fixed_set, identity_map, is_identity,
-                   poly_key, power, shift_into_unit)
-from .suspension import Affine, IDENTITY_AFFINE, _edge_key, isometry_affine
+                   power, shift_into_unit)
+from .suspension import (Affine, IDENTITY_AFFINE, _int_edge_key,
+                         integer_charts, isometry_affine)
 
 Q = Fraction
 
 
 @dataclass
 class EqComplex:
-    """The cells polys of an f-equivariant complex on the model ``model``,
-    indexed, with the action of f on its cells, vertices and edges.
-    f_affines[i] is the affine map of f on polys[i], handed on by the
-    builder; the rest is computed on construction."""
+    """The CCW cells polys of an f-equivariant complex on the model
+    ``model``, indexed, with the action of f on its cells, vertices and
+    edges.  f_affines[i] is the affine map of f on polys[i], handed on by
+    the builder; the rest is computed on construction.  cell_verts[i] and
+    cell_edges[i] list each corner's vertex and the edge leaving it."""
     model: str
     n: int
     polys: list[tuple[Pt, ...]]
     f_affines: list[Affine]
+    D: int = field(init=False)
     cell_perm: list[int] = field(init=False)
     verts: list[Pt] = field(init=False)
     vert_index: dict = field(init=False)
@@ -40,14 +47,25 @@ class EqComplex:
     edge_perm: list[int] = field(init=False)
     edge_verts: list[tuple[int, int]] = field(init=False)
     edge_cells: list[list[int]] = field(init=False)
-    _cell_key: dict = field(init=False)  # poly_key of a cell -> its index
+    cell_verts: list[list[int]] = field(init=False)
+    cell_edges: list[list[int]] = field(init=False)
 
     def __post_init__(self):
-        _index_complex(self)
-        _build_action(self)
+        _build_action(self, _index_complex(self))
 
-    def vertex_id(self, chart: Pt) -> int:
-        return self.vert_index[(mod1(chart[0]), chart[1])]
+    def on_grid(self, p: Pt) -> tuple[int, ...] | None:
+        """p as integers over D, or None when it is off the grid of 1/D."""
+        D = self.D
+        return None if D % p[0].denominator or D % p[1].denominator else \
+            tuple(c.numerator * (D // c.denominator) for c in p)
+
+    def vertex_id(self, p: Pt) -> int:
+        g = self.on_grid(p)
+        v = None if g is None else self.vert_index.get((g[0] % self.D, g[1]))
+        if v is None:
+            raise StructureViolated(
+                f"point {fmt_pt(p)} is not a complex vertex")
+        return v
 
 
 def equivariant_complex(f: PLMap2, n: int, level_cuts=(),
@@ -186,6 +204,7 @@ def _cut_polys(chains, levels, segs, segs_secondary=()):
 
     Secondary segments are only applied to cells with no primary cut left,
     so their endpoints already lie on edges produced by the primary pass."""
+    levels = [(tau.numerator, tau.denominator) for tau in levels]
     primary, secondary = _boxed(segs), _boxed(segs_secondary)
     out = []
     stack = list(chains)
@@ -203,44 +222,51 @@ def _cut_polys(chains, levels, segs, segs_secondary=()):
 
 
 def _boxed(segs):
-    """Each segment's y-range, and its x-range and ends at each horizontal
-    shift a cut tries, in the order tried."""
+    """Each segment's y-range and the lcm S of its denominators, and its
+    x-range and ends at each horizontal shift a cut tries; ranges over S."""
     out = []
     for a, b in segs:
-        xlo, xhi = min(a[0], b[0]), max(a[0], b[0])
-        out.append(((min(a[1], b[1]), max(a[1], b[1])),
-                    [(xlo + dx, xhi + dx, (a[0] + dx, a[1]), (b[0] + dx, b[1]))
-                     for dx in (0, -1, 1, -2, 2)]))
+        S, [[(ax, ay), (bx, by)]] = integer_charts([(a, b)])
+        xlo, xhi = min(ax, bx), max(ax, bx)
+        out.append(((min(ay, by), max(ay, by), S),
+                    [(xlo + dx * S, xhi + dx * S, (a[0] + dx, a[1]),
+                      (b[0] + dx, b[1])) for dx in (0, -1, 1, -2, 2)]))
     return out
 
 
 def _first_cut(poly, affs, levels, segs):
     """The pieces of the first cut of poly, or None: its first iterate
-    image that a level or a segment (given ``_boxed``) crosses is split."""
+    image that a level (p, q) at height p/q or a segment (given
+    ``_boxed``) crosses is split.  The tests are on integers, poly over
+    the lcm L of its denominators and its image under A over W L."""
+    L, (ipoly,) = integer_charts([poly])
     for A in affs:
-        img = [A(p) for p in poly]
-        ys = [p[1] for p in img]
+        a, b, c, d, e, f, w = A._ints
+        den = w * L
+        xs = [a * x + b * y + c * L for x, y in ipoly]
+        ys = [d * x + e * y + f * L for x, y in ipoly]
         ylo, yhi = min(ys), max(ys)
-        for tau in levels:
-            if ylo < tau < yhi:
+        for p, q in levels:
+            if ylo * q < p * den < yhi * q:
                 # sign(det A) (y - tau) is positive left of the level's
                 # chord run towards increasing t and pulled back to poly;
                 # that piece comes first, which fixes the output order
-                side = 1 if A.det > 0 else -1
-                return list(split_convex(poly, [side * (y - tau)
+                side = 1 if a * e - b * d > 0 else -1
+                return list(split_convex(poly, [side * (Q(y, den) - Q(p, q))
                                                 for y in ys]))
         if not segs:
             continue
-        xs = [p[0] for p in img]
         xlo, xhi = min(xs), max(xs)
-        for (sylo, syhi), shifted in segs:
-            if syhi < ylo or sylo > yhi:
+        img = None
+        for (sylo, syhi, S), shifted in segs:
+            if syhi * den < ylo * S or sylo * den > yhi * S:
                 continue
             pieces = None
-            for sxlo, sxhi, a, b in shifted:
-                if sxhi < xlo or sxlo > xhi:
+            for sxlo, sxhi, pa, pb in shifted:
+                if sxhi * den < xlo * S or sxlo * den > xhi * S:
                     continue
-                pieces = _chord_split(img, a, b)
+                img = img or [(Q(x, den), Q(y, den)) for x, y in zip(xs, ys)]
+                pieces = _chord_split(img, pa, pb)
                 if pieces is not None:
                     break
             if pieces is None:
@@ -280,57 +306,77 @@ def _param_along(a, b, p) -> Fraction:
     return (p[1] - a[1]) / dy
 
 
-def _index_complex(k: EqComplex):
-    k.verts, k.vert_index = [], {}
-    k.edges, k.edge_index = [], {}
-    k.edge_verts, k.edge_cells = [], []
-    k._cell_key = {}
-    for ci, poly in enumerate(k.polys):
-        k._cell_key[poly_key(poly)] = ci
-        m = len(poly)
+def _index_complex(k: EqComplex) -> list[list[tuple[int, int]]]:
+    """Index the vertices and edges of k's cells, in order of first use,
+    by their integer points over D; returns those points."""
+    k.D, ipolys = integer_charts(k.polys)
+    D = k.D
+    k.verts, k.vert_index, k.edges, k.edge_index = [], {}, [], {}
+    k.edge_verts, k.edge_cells, k.cell_verts, k.cell_edges = [], [], [], []
+    for ci, poly in enumerate(ipolys):
+        vs, es, m = [], [], len(poly)
+        for (x, y), p in zip(poly, k.polys[ci]):
+            vs.append(k.vert_index.setdefault((x % D, y), len(k.verts)))
+            if vs[-1] == len(k.verts):
+                k.verts.append((Q(x % D, D), p[1]))
         for i in range(m):
-            p = poly[i]
-            vk = (mod1(p[0]), p[1])
-            if vk not in k.vert_index:
-                k.vert_index[vk] = len(k.verts)
-                k.verts.append(vk)
-            q = poly[(i + 1) % m]
-            ek = _edge_key(p, q)
-            if ek not in k.edge_index:
-                k.edge_index[ek] = len(k.edges)
-                k.edges.append(ek)
-                k.edge_verts.append((k.vert_index[vk],
-                                     -1))  # patched below
+            j = (i + 1) % m
+            key = _int_edge_key(poly[i], poly[j], D)
+            es.append(k.edge_index.setdefault(key, len(k.edges)))
+            if es[-1] == len(k.edges):
+                a, b = (vs[i], vs[j]) if poly[i] < poly[j] else (vs[j], vs[i])
+                # the key's first end is a vertex's key, and so is the
+                # second unless its t is 1 or more
+                k.edges.append((k.verts[a], k.verts[b] if key[1][0] < D
+                                else (Q(key[1][0], D), k.verts[b][1])))
+                k.edge_verts.append((a, b))
                 k.edge_cells.append([])
-            k.edge_cells[k.edge_index[ek]].append(ci)
-    # second pass for edge endpoints (canonical chart order)
-    for ei, (p, q) in enumerate(k.edges):
-        k.edge_verts[ei] = (k.vert_index[(mod1(p[0]), p[1])],
-                            k.vert_index[(mod1(q[0]), q[1])])
+            k.edge_cells[es[-1]].append(ci)
+        k.cell_verts.append(vs)
+        k.cell_edges.append(es)
+    return ipolys
 
 
-def _build_action(k: EqComplex):
-    k.cell_perm = []
-    for ci, poly in enumerate(k.polys):
-        img = [k.f_affines[ci](p) for p in poly]
-        key = poly_key(img)
-        if key not in k._cell_key:
+def _rotated(pts) -> tuple[int, tuple]:
+    """(r, pts rotated to start at the r-th, their smallest point)."""
+    r = min(range(len(pts)), key=pts.__getitem__)
+    return r, tuple(pts[r:]) + tuple(pts[:r])
+
+
+def _build_action(k: EqComplex, ipolys) -> None:
+    """The action of f from the cells' integer points over D.  A cell's
+    key is its points shifted into [0, D] and rotated to the smallest.  Its
+    image (A X + B Y + C D, ...) over W D, reversed if A reverses
+    orientation, must have a cell's key; a numerator W does not divide is
+    off the grid of 1/D, so not a vertex.  Corners and edges go where the
+    two keys' rotations say."""
+    D = k.D
+    cells = {key: (ci, r) for ci, (r, key) in enumerate(
+        _rotated(shift_into_unit(poly, D)[1]) for poly in ipolys)}
+    k.cell_perm, k.vert_perm = [], [None] * len(k.verts)
+    k.edge_perm = [None] * len(k.edges)
+    for ci, poly in enumerate(ipolys):
+        a, b, c, d, e, f, w = k.f_affines[ci]._ints
+        _, img = shift_into_unit([(a * x + b * y + c * D,
+                                   d * x + e * y + f * D) for x, y in poly],
+                                 w * D)
+        flip = a * e - b * d < 0
+        img = img[::-1] if flip else img
+        r, key = _rotated([(x // w, y // w) for x, y in img])
+        if key not in cells or any(x % w or y % w for x, y in img):
             raise OverlayDegenerate("cell image is not a cell: refinement "
                                     "is not equivariant")
-        k.cell_perm.append(k._cell_key[key])
-    k.vert_perm = [None] * len(k.verts)
-    k.edge_perm = [None] * len(k.edges)
-    for ci, poly in enumerate(k.polys):
-        A = k.f_affines[ci]
+        cj, rj = cells[key]
+        k.cell_perm.append(cj)
         m = len(poly)
+        vs, es = k.cell_verts[ci], k.cell_edges[ci]
+        ws, fs = k.cell_verts[cj], k.cell_edges[cj]
         for i in range(m):
-            p, q = poly[i], poly[(i + 1) % m]
-            vi = k.vert_index[(mod1(p[0]), p[1])]
-            ip = A(p)
-            k.vert_perm[vi] = k.vert_index[(mod1(ip[0]), ip[1])]
-            ei = k.edge_index[_edge_key(p, q)]
-            iq = A(q)
-            k.edge_perm[ei] = k.edge_index[_edge_key(ip, iq)]
+            # corner i is the image's corner (m - 1 - i if flip else i),
+            # which is cj's corner u
+            u = (m - 1 - i if flip else i) - r + rj
+            k.vert_perm[vs[i]] = ws[u % m]
+            k.edge_perm[es[i]] = fs[(u - 1 if flip else u) % m]
     if sorted(k.vert_perm) != list(range(len(k.verts))) or \
             sorted(k.edge_perm) != list(range(len(k.edges))) or \
             sorted(k.cell_perm) != list(range(len(k.polys))):
@@ -372,20 +418,19 @@ def refine_edges(k: EqComplex, edge_ids) -> EqComplex:
         while cur not in chosen:
             chosen.add(cur)
             cur = k.edge_perm[cur]
-    split_keys = {}
+    mids = {}  # each midpoint, its t measured from its edge's left end
     for ei in chosen:
         p, q = k.edges[ei]
-        split_keys[k.edges[ei]] = ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
+        mids[ei] = ((q[0] - p[0]) / 2, (p[1] + q[1]) / 2)
     polys, affines = [], []
-    for poly, A in zip(k.polys, k.f_affines):
+    for ci, (poly, A) in enumerate(zip(k.polys, k.f_affines)):
         m = len(poly)
         hits = []
-        for i in range(m):
-            key = _edge_key(poly[i], poly[(i + 1) % m])
-            if key in split_keys:
-                mid = split_keys[key]
-                shift = min(poly[i][0], poly[(i + 1) % m][0]) - key[0][0]
-                hits.append((i, (mid[0] + shift, mid[1])))
+        for i, ei in enumerate(k.cell_edges[ci]):
+            if ei in mids:
+                dt, s = mids[ei]
+                left = min(poly[i][0], poly[(i + 1) % m][0])
+                hits.append((i, (left + dt, s)))
         if not hits:
             polys.append(poly)
             affines.append(A)

@@ -51,13 +51,6 @@ def ccw(poly):
     return tuple(poly) if area2(tuple(poly)) > 0 else tuple(reversed(poly))
 
 
-def poly_key(poly) -> tuple[Pt, ...]:
-    """Canonical key: unit-shifted, CCW, rotated to the smallest vertex."""
-    _, p = shift_into_unit(ccw(poly))
-    k = min(range(len(p)), key=lambda i: p[i])
-    return tuple(p[k:] + p[:k])
-
-
 @dataclass(frozen=True)
 class CellMap:
     poly: tuple[Pt, ...]   # CCW convex chart polygon inside [0,1] x s-range
@@ -66,17 +59,27 @@ class CellMap:
 
 class BoxIndex:
     """A map's cells as integers for the overlay: their points over the
-    lcm D of all denominators (``integer_charts``), their boxes over D,
-    and the boxes' min-x order; ``homs``, the points in lowest terms
-    (``geom.hom``), when first asked for.  A query box is put over D
-    (``grid``), so each box test is on integers."""
+    lcm D of all denominators (``integer_charts``); and, each when first
+    asked for, their boxes over D, the boxes' min-x order and ``homs``,
+    the points in lowest terms (``geom.hom``).  A query box is put over D
+    (``grid``), so each box test is on integers.  ``compose`` reads only
+    the points of its first argument's index."""
 
     def __init__(self, cells: list[CellMap]):
         self.D, self.polys = integer_charts([c.poly for c in cells])
-        self.boxes = [(min(xs), min(ys), max(xs), max(ys))
-                      for xs, ys in (zip(*poly) for poly in self.polys)]
-        self.order = sorted(range(len(cells)), key=lambda i: self.boxes[i][0])
-        self.minxs = [self.boxes[i][0] for i in self.order]
+
+    @cached_property
+    def boxes(self) -> list[tuple[int, int, int, int]]:
+        return [(min(xs), min(ys), max(xs), max(ys))
+                for xs, ys in (zip(*poly) for poly in self.polys)]
+
+    @cached_property
+    def order(self) -> list[int]:
+        return sorted(range(len(self.polys)), key=lambda i: self.boxes[i][0])
+
+    @cached_property
+    def minxs(self) -> list[int]:
+        return [self.boxes[i][0] for i in self.order]
 
     @cached_property
     def homs(self) -> list[list[Hom]]:

@@ -37,8 +37,8 @@ from .errors import (EmbeddingDegenerate, QuotientPathNotFound,
 from .exact import mod1
 from .geom import Pt, area2
 from .maps import CellMap, FixedSet, PLMap2, identity_map, shift_into_unit
-from .suspension import (DISC, IDENTITY_AFFINE, SPHERE, Affine, _edge_key,
-                         collapsed_levels, s_range)
+from .suspension import (DISC, IDENTITY_AFFINE, SPHERE, Affine,
+                         _int_edge_key, collapsed_levels, s_range)
 
 Q = Fraction
 
@@ -181,15 +181,13 @@ def top_end(k: EqComplex, arc) -> int:
 
 
 def _edge_between(k: EqComplex, a: int, b: int) -> int:
-    pa, pb = k.verts[a], k.verts[b]
-    for cand in (
-            _edge_key(pa, pb),
-            _edge_key(pa, (pb[0] + 1, pb[1])),
-            _edge_key((pa[0] + 1, pa[1]), pb)):
-        if cand in k.edge_index:
-            ei = k.edge_index[cand]
-            if set(k.edge_verts[ei]) == {a, b}:
-                return ei
+    (ax, ay), (bx, by) = k.on_grid(k.verts[a]), k.on_grid(k.verts[b])
+    D = k.D
+    for p, q in (((ax, ay), (bx, by)), ((ax, ay), (bx + D, by)),
+                 ((ax + D, ay), (bx, by))):
+        ei = k.edge_index.get(_int_edge_key(p, q, D))
+        if ei is not None and set(k.edge_verts[ei]) == {a, b}:
+            return ei
     raise StructureViolated(f"no edge between vertices {a} and {b}")
 
 
@@ -214,10 +212,7 @@ def components(k: EqComplex, blocked_edges, cells=None
         while stack:
             c = stack.pop()
             comp.append(c)
-            poly = k.polys[c]
-            m = len(poly)
-            for i in range(m):
-                ei = k.edge_index[_edge_key(poly[i], poly[(i + 1) % m])]
+            for ei in k.cell_edges[c]:
                 if ei in blocked_edges:
                     continue
                 for d in k.edge_cells[ei]:
@@ -429,8 +424,7 @@ def _embedding_defects(k: EqComplex, sector, targets, chains):
     joining two vertices prescribed on the same straight side."""
     bad_cells = []
     for c in sorted(sector):
-        ids = {k.vertex_id(p) for p in k.polys[c]}
-        if all(v in targets for v in ids):
+        if all(v in targets for v in k.cell_verts[c]):
             bad_cells.append(c)
     chain_edges = set()
     for chain in chains:
@@ -466,28 +460,26 @@ def _common_side(targets, ta, tb) -> bool:
 def _sector_adjacency(k: EqComplex, sector) -> dict[int, set[int]]:
     adj: dict[int, set[int]] = {}
     for c in sorted(sector):
-        poly = k.polys[c]
-        m = len(poly)
-        for i in range(m):
-            a = k.vertex_id(poly[i])
-            b = k.vertex_id(poly[(i + 1) % m])
+        vs = k.cell_verts[c]
+        for i, a in enumerate(vs):
+            b = vs[(i + 1) % len(vs)]
             adj.setdefault(a, set()).add(b)
             adj.setdefault(b, set()).add(a)
     return adj
 
 
-def _fan_anchor(k: EqComplex, poly, targets) -> int:
-    """Fan corner choice: prefer an unprescribed vertex so fan diagonals
-    never join two points of one straight target side."""
-    for i, p in enumerate(poly):
-        if k.vertex_id(p) not in targets:
+def _fan_anchor(k: EqComplex, c: int, targets) -> int:
+    """Fan corner choice for cell c: prefer an unprescribed vertex so fan
+    diagonals never join two points of one straight target side."""
+    for i, v in enumerate(k.cell_verts[c]):
+        if v not in targets:
             return i
     return 0
 
 
-def _fan_triples(poly, anchor: int):
-    m = len(poly)
-    ordered = [poly[(anchor + z) % m] for z in range(m)]
+def _fan_triples(corners, anchor: int):
+    m = len(corners)
+    ordered = [corners[(anchor + z) % m] for z in range(m)]
     return [(ordered[0], ordered[z], ordered[z + 1]) for z in range(1, m - 1)]
 
 
@@ -497,10 +489,9 @@ def _nonembedded_cells(k: EqComplex, sector, pos, targets, oriented: bool):
     bad = []
     sign = None
     for c in sorted(sector):
-        poly = k.polys[c]
-        anchor = _fan_anchor(k, poly, targets)
-        for tri in _fan_triples(poly, anchor):
-            img = tuple(pos[k.vertex_id(q)] for q in tri)
+        anchor = _fan_anchor(k, c, targets)
+        for tri in _fan_triples(k.cell_verts[c], anchor):
+            img = tuple(pos[v] for v in tri)
             a2 = area2(img)
             if oriented:
                 if a2 <= 0:
@@ -554,10 +545,11 @@ def orbit_cells(k: EqComplex, lay: Layout, pos) -> list[CellMap]:
         for _ in range(i):
             A = k.f_affines[cur].compose_after(A)
             cur = k.cell_perm[cur]
-        base = k.polys[c0]
-        for tri0 in _fan_triples(base, _fan_anchor(k, base, lay.targets)):
+        anchor = _fan_anchor(k, c0, lay.targets)
+        for tri0, vs in zip(_fan_triples(k.polys[c0], anchor),
+                            _fan_triples(k.cell_verts[c0], anchor)):
             cells.append(_cell([A(q) for q in tri0],
-                               [images[i][k.vertex_id(q)] for q in tri0]))
+                               [images[i][v] for v in vs]))
     return cells
 
 

@@ -39,8 +39,8 @@ from .conjugacy import (Certificate, ModelIsometry, ROTATION, ROTOREFLECTION,
 from .eqcomplex import (EqComplex, apply_perm, conjugated_equivariant_complex,
                         equivariant_complex)
 from .errors import ArcSearchFailed, StructureViolated
-from .exact import fmt_pt, mod1
-from .geom import Pt, centroid, line_points
+from .exact import mod1
+from .geom import Pt, line_points
 from .maps import (FixedSet, PLMap2, boundary_restriction, compose, evaluate,
                    fixed_set, inverse, is_identity, orientation, period,
                    power, validate_homeo)
@@ -362,8 +362,8 @@ def _meridian_path(k: EqComplex, p0, t0):
     on_line = [ei for ei, (pa, pb) in enumerate(k.edges)
                if mod1(pa[0]) == t_p and pa[0] == pb[0]
                and min(pa[1], pb[1]) >= t0]
-    return edge_path(k, on_line, _vert_at(k, (t_p, Q(1))),
-                     {_vert_at(k, p0)})
+    return edge_path(k, on_line, k.vertex_id((t_p, Q(1))),
+                     {k.vertex_id(p0)})
 
 
 def _bprime_path(k: EqComplex, t0, p0, n, b0):
@@ -378,9 +378,14 @@ def _bprime_path(k: EqComplex, t0, p0, n, b0):
         if i % 2 == 0:
             forbidden.update(arc)
     forbidden_orbits = {orbit_id[v] for v in forbidden}
-    cap_cells = {ci for ci, poly in enumerate(k.polys)
-                 if centroid(list(poly))[1] < t0}
-    p0_vert = _vert_at(k, p0)
+    # the complex is cut along s = t0, so a cell lies in the image cap
+    # exactly when its lowest vertex lies below t0
+    lows = [min(p[1] for p in poly) for poly in k.polys]
+    if any(lo < t0 < max(p[1] for p in poly)
+           for lo, poly in zip(lows, k.polys)):
+        raise StructureViolated("a cell crosses the level t0")
+    cap_cells = {ci for ci, lo in enumerate(lows) if lo < t0}
+    p0_vert = k.vertex_id(p0)
     target_orbit = orbit_id[p0_vert]
     level = [v[1] for v in k.verts]
     path = lifted_quotient_path(
@@ -400,13 +405,6 @@ def _bprime_path(k: EqComplex, t0, p0, n, b0):
     return list(reversed(path))
 
 
-def _vert_at(k: EqComplex, p: Pt) -> int:
-    key = (mod1(p[0]), p[1])
-    if key not in k.vert_index:
-        raise StructureViolated(f"point {fmt_pt(p)} is not a complex vertex")
-    return k.vert_index[key]
-
-
 def _coincident_layout(k, bstar, right, sector0, arc_edges, m, n, jstar, M,
                        p0) -> Layout:
     """Subcase A: the fundamental domain is the north half of the sector,
@@ -421,7 +419,7 @@ def _coincident_layout(k, bstar, right, sector0, arc_edges, m, n, jstar, M,
     if not any(any(p[1] == 1 for p in k.polys[ci]) for ci in north_half):
         raise StructureViolated("north half does not reach the north line")
     # the north halves of the two bounding arcs
-    p0v = _vert_at(k, p0)
+    p0v = k.vertex_id(p0)
     pj = apply_perm(k.vert_perm, p0v, jstar)
     if pj not in right:
         raise StructureViolated("right arc misses its touch point")

@@ -10,7 +10,8 @@ knob nothing turns.  Where a line crosses the edge of a polygon is
 computed in ``geom`` alone.  Every function that ``bench/tracer.py``
 traces by name is still defined in its module.  A cell is located by a
 point only to evaluate the map there, and the overlay box-tests and
-measures areas on integers.  Every import in ``src/`` is at
+measures areas on integers, as the equivariant complex keys, acts and
+cuts on them.  Every import in ``src/`` is at
 module level.  A check's verdict is a return value, never stored on the
 record checked.
 """
@@ -208,6 +209,32 @@ def test_overlay_box_tests_and_areas_are_on_integers():
                         getattr(node.func, "attr", None)
                     if name in fractional:
                         calls.append(f"{top.name}: {name}")
+    assert calls == []
+
+
+def test_complex_keys_acts_and_cuts_on_integers():
+    """``eqcomplex._index_complex``, ``_build_action`` and ``_first_cut``,
+    and ``sectors.components``, which reads the index, call none of the
+    Fraction keys ``mod1``, ``_edge_key`` and ``poly_key``, nor
+    ``centroid``: the complex is indexed on integer points, its cells'
+    vertex and edge ids are handed on, and the cuts box-test on
+    integers."""
+    fractional = {"mod1", "_edge_key", "poly_key", "centroid"}
+    wanted = {("eqcomplex", "_index_complex"), ("eqcomplex", "_build_action"),
+              ("eqcomplex", "_first_cut"), ("sectors", "components")}
+    found, calls = set(), []
+    for name, tree in _modules().items():
+        for top in tree.body:
+            if (name, getattr(top, "name", None)) not in wanted:
+                continue
+            found.add((name, top.name))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    fn = getattr(node.func, "id", None) or \
+                        getattr(node.func, "attr", None)
+                    if fn in fractional:
+                        calls.append(f"{name}.{top.name}: {fn}")
+    assert found == wanted
     assert calls == []
 
 
