@@ -35,7 +35,10 @@ class StructureViolated(PLHomeoError):
 
 
 class QuotientPathNotFound(PLHomeoError):
-    """Quotient-graph search found no admissible arc; refine and retry."""
+    """A quotient path that does not lift or does not join the arc lines
+    (``sectors.lifted_quotient_path``, ``polar_arc``), or an arc orbit that
+    cuts the wrong number of sectors (``cut_sectors``).  Nothing catches
+    it: the command exits 2."""
 
 
 class EmbeddingDegenerate(PLHomeoError):

@@ -2,6 +2,13 @@
 
 All rationals travel as "p/q" strings (q > 0, lowest terms); output is
 deterministic (sorted keys, fixed separators).
+
+A disc or sphere map travels in the triangle form, written and read here
+alone: each cell fan-triangulated from its first vertex; each vertex a
+model point (angle mod 1, height), numbered as the triangles first meet
+it, with one image; and per triangle, the integer lifts back to its chart
+points and to their images.  It is read as one cell per triangle, in
+file order, reversed with its images where clockwise.
 """
 
 from __future__ import annotations
@@ -12,10 +19,12 @@ from .circle import (CircleCertificate, CirclePL, LinePL, RotationClass,
                      interval_map)
 from .conjugacy import (Certificate, ModelIsometry, IDENTITY, REFLECTION,
                         ROTATION)
-from .errors import InvalidClass, ParseError, StructureViolated
-from .exact import fmt_rat, parse_rat
-from .maps import PLMap2, from_complex, serializable_parts
-from .suspension import DISC, SPHERE, SuspensionComplex
+from .errors import (InvalidClass, OverlayDegenerate, ParseError,
+                     StructureViolated)
+from .exact import fmt_rat, mod1, parse_rat
+from .geom import area2
+from .maps import CellMap, PLMap2
+from .suspension import DISC, SPHERE
 
 SPACES = ("interval", "line", "circle", "disc", "sphere")
 
@@ -32,14 +41,33 @@ def dumps(obj) -> str:
 
 
 def map2_to_dict(f: PLMap2) -> dict:
-    cx, img_verts, img_lifts = serializable_parts(f)
+    verts, imgs, index = [], [], {}
+    tris, lifts, img_lifts = [], [], []
+    for cell in f.cells:
+        for i in range(1, len(cell.poly) - 1):
+            for out in (tris, lifts, img_lifts):
+                out.append([])
+            for z in (0, i, i + 1):
+                (x, y), (xi, yi) = cell.poly[z], cell.img[z]
+                key = (mod1(x), y)
+                if key not in index:
+                    index[key] = len(verts)
+                    verts.append(key)
+                    imgs.append((mod1(xi), yi))
+                vi = index[key]
+                t0, s0 = imgs[vi]
+                if s0 != yi or (xi - t0).denominator != 1:
+                    raise OverlayDegenerate("vertex images inconsistent")
+                tris[-1].append(vi)
+                lifts[-1].append(int(x - key[0]))
+                img_lifts[-1].append(int(xi - t0))
     return {
         "model": f.model,
-        "vertices": [[fmt_rat(t), fmt_rat(s)] for t, s in cx.verts],
-        "triangles": [list(t) for t in cx.tris],
-        "lifts": [list(l) for l in cx.lifts],
-        "images": [[fmt_rat(t), fmt_rat(s)] for t, s in img_verts],
-        "image_lifts": [list(l) for l in img_lifts],
+        "vertices": [[fmt_rat(t), fmt_rat(s)] for t, s in verts],
+        "triangles": tris,
+        "lifts": lifts,
+        "images": [[fmt_rat(t), fmt_rat(s)] for t, s in imgs],
+        "image_lifts": img_lifts,
     }
 
 
@@ -61,8 +89,15 @@ def map2_from_dict(data: dict) -> PLMap2:
         raise ParseError("lifts and image_lifts need one entry per triangle")
     if any(not 0 <= v < len(verts) for tri in tris for v in tri):
         raise ParseError("triangle vertex index out of range")
-    cx = SuspensionComplex(model, verts, tris, lifts)
-    return from_complex(cx, imgs, img_lifts)
+    cells = []
+    for tri, lf, img_lf in zip(tris, lifts, img_lifts):
+        poly = [(verts[v][0] + l, verts[v][1]) for v, l in zip(tri, lf)]
+        img = [(imgs[v][0] + l, imgs[v][1]) for v, l in zip(tri, img_lf)]
+        if area2(tuple(poly)) < 0:
+            poly.reverse()
+            img.reverse()
+        cells.append(CellMap(tuple(poly), tuple(img)))
+    return PLMap2(model, cells)
 
 
 def _int_triples(rows, what: str) -> list[tuple[int, int, int]]:

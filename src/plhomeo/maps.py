@@ -26,11 +26,10 @@ from .exact import fmt_pt, mod1
 from .geom import (Hom, Pt, area2, clip_convex, clip_halfplane, frac_poly,
                    hom, hom_area2, line_points, lowest, point_in_convex,
                    BOUNDARY, INSIDE, OUTSIDE)
-from .suspension import (Affine, SuspensionComplex, _edge_key,
-                         _int_edge_key, affine_from_pairs, band_cells,
-                         chart_point, collapsed_levels, complex_check,
-                         integer_charts, is_collapsed, model_point, s_range,
-                         DISC, SPHERE)
+from .suspension import (Affine, _edge_key, _int_edge_key,
+                         affine_from_pairs, band_cells, chart_point,
+                         collapsed_levels, complex_check, integer_charts,
+                         is_collapsed, model_point, s_range, DISC, SPHERE)
 
 Q = Fraction
 
@@ -666,9 +665,10 @@ def validate_homeo(f: PLMap2) -> list[str]:
     the boundary is valid, and 7. a generic point has one preimage.
 
     Checks 1, 3 and 5 run on integer coordinates: the points of one
-    tiling as integer numerators over the lcm of their denominators
-    (``suspension.integer_charts``).  The others run on Fractions."""
-    D, polys = integer_charts([c.poly for c in f.cells])
+    tiling as integer numerators over the lcm of their denominators,
+    read from the ``BoxIndex`` of f and of its inverse, which the
+    overlay reads too.  The others run on Fractions."""
+    D, polys = f.index.D, f.index.polys
     problems = complex_check(f.model, D, polys)
     sign = None
     for i in range(len(f.cells)):
@@ -692,7 +692,7 @@ def validate_homeo(f: PLMap2) -> list[str]:
         problems.append(f"image complex invalid: {exc}")
     else:
         problems.extend(f"image complex: {msg}" for msg in complex_check(
-            f.model, *integer_charts([c.poly for c in inv.cells])))
+            f.model, inv.index.D, inv.index.polys))
     if f.model == DISC and not problems:
         try:
             boundary_restriction(f)
@@ -769,58 +769,3 @@ def _generic_preimage_count(inv: PLMap2) -> int:
         if BOUNDARY not in classes:
             return classes.count(INSIDE)
     return -1
-
-
-# ---------------------------------------------------------------------------
-# triangulated view (the serialized form)
-
-
-def from_complex(cx: SuspensionComplex, img_verts: list[Pt],
-                 img_lifts: list[tuple[int, int, int]]) -> PLMap2:
-    """Rebuild a map from the serialized triangle form."""
-    cells = []
-    for ti, tri in enumerate(cx.tris):
-        chart = cx.chart(ti)
-        img = []
-        for z, vi in enumerate(tri):
-            t, s = img_verts[vi]
-            img.append((t + img_lifts[ti][z], s))
-        poly = list(chart)
-        if area2(tuple(poly)) < 0:
-            poly.reverse()
-            img.reverse()
-        cells.append(CellMap(tuple(poly), tuple(img)))
-    return PLMap2(cx.model, cells)
-
-
-def serializable_parts(f: PLMap2):
-    """(complex, per-vertex image, per-triangle image lifts) for JSON.
-
-    The cells are fan-triangulated from their first vertex.  A vertex is
-    its model point (angle mod 1, height), a lift the integer that takes
-    it back to the cell's chart point, and likewise for the images."""
-    verts: list[Pt] = []
-    img_verts: list[Pt] = []
-    index: dict[Pt, int] = {}
-    tris, lifts, img_lifts = [], [], []
-    for cell in f.cells:
-        for i in range(1, len(cell.poly) - 1):
-            tri, lf, img_lf = [], [], []
-            for z in (0, i, i + 1):
-                (x, y), (xi, yi) = cell.poly[z], cell.img[z]
-                key = (mod1(x), y)
-                if key not in index:
-                    index[key] = len(verts)
-                    verts.append(key)
-                    img_verts.append((mod1(xi), yi))
-                vi = index[key]
-                t0, s0 = img_verts[vi]
-                if s0 != yi or (xi - t0).denominator != 1:
-                    raise OverlayDegenerate("vertex images inconsistent")
-                tri.append(vi)
-                lf.append(int(x - key[0]))
-                img_lf.append(int(xi - t0))
-            tris.append(tuple(tri))
-            lifts.append(tuple(lf))
-            img_lifts.append(tuple(img_lf))
-    return SuspensionComplex(f.model, verts, tris, lifts), img_verts, img_lifts

@@ -170,25 +170,6 @@ def _independent_triple(pts: list[tuple[int, int]]) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# triangulated view (the serialized form)
-
-
-@dataclass
-class SuspensionComplex:
-    """Triangle view of a chart tiling: vertices plus per-triangle lifts."""
-    model: str
-    verts: list[Pt]                       # (t in [0,1), s)
-    tris: list[tuple[int, int, int]]
-    lifts: list[tuple[int, int, int]]
-
-    def chart(self, ti: int) -> list[Pt]:
-        (i, j, k), (li, lj, lk) = self.tris[ti], self.lifts[ti]
-        return [(self.verts[i][0] + li, self.verts[i][1]),
-                (self.verts[j][0] + lj, self.verts[j][1]),
-                (self.verts[k][0] + lk, self.verts[k][1])]
-
-
-# ---------------------------------------------------------------------------
 # tilings, checked on integer coordinates
 
 

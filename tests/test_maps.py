@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from plhomeo import io as pio
 from plhomeo.circle import rotation_number
 from plhomeo.conjugacy import ModelIsometry
 from plhomeo.errors import NotPeriodic, ParseError, StructureViolated
 from plhomeo.maps import (CellMap, PLMap2, boundary_restriction, compose,
                           evaluate, first_disagreement, fixed_set, follow,
                           identity_map, inverse, is_identity, map_equal,
-                          orientation, period, power, serializable_parts,
-                          from_complex, validate_homeo)
+                          orientation, period, power, validate_homeo)
 from plhomeo.suspension import DISC, SPHERE, band_cells, isometry_affine
 
 Q = Fraction
@@ -245,8 +245,7 @@ def test_follow_cuts_cells_at_the_meridian(model):
 def test_serialization_roundtrip():
     f = compose(ModelIsometry(DISC, "rotation", 1, 4).as_map(),
                 ModelIsometry(DISC, "reflection").as_map())
-    cx, img_verts, img_lifts = serializable_parts(f)
-    g = from_complex(cx, img_verts, img_lifts)
+    g = pio.map2_from_dict(pio.map2_to_dict(f))
     assert first_disagreement(f, g) is None
     assert validate_homeo(g) == []
 

@@ -8,7 +8,9 @@ lambda must be read in its body, and every parameter with a default must
 be set by some call in ``src/``: a default that no caller overrides is a
 knob nothing turns.  Where a line crosses the edge of a polygon is
 computed in ``geom`` alone.  Every function that ``bench/tracer.py``
-traces by name is still defined in its module.  A cell is located by a
+traces by name is still defined in its module, and every name that
+``bench/run.py`` and ``bench/workloads.py`` read from the package is still
+there.  A cell is located by a
 point only to evaluate the map there, and the overlay box-tests and
 measures areas on integers, as the equivariant complex keys, acts and
 cuts on them.  Every import in ``src/`` is at
@@ -293,4 +295,32 @@ def test_traced_functions_are_defined():
         missing += [f"{module}.{fn}" for fn in funcs
                     if getattr(getattr(home, fn, None), "__module__", None)
                     != home.__name__]
+    assert missing == []
+
+
+def test_names_the_benchmark_calls_are_defined():
+    """Every ``pio.<name>`` and ``cli.<name>`` that ``bench/run.py`` and
+    ``bench/workloads.py`` read, and every name they import from
+    ``plhomeo``, is still there: ``cli.pio`` is ``plhomeo.io``, and a
+    name missing from it crashes the benchmark."""
+    homes = {"pio": importlib.import_module("plhomeo.io"),
+             "cli": importlib.import_module("plhomeo.cli")}
+    read, missing = set(), []
+    for path in (TRACER.parent / "run.py", TRACER.parent / "workloads.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id in homes:
+                read.add((node.value.id, node.attr))
+            elif isinstance(node, ast.ImportFrom) and \
+                    (node.module or "").startswith("plhomeo"):
+                module = importlib.import_module(node.module)
+                missing += [f"{node.module}.{a.name}" for a in node.names
+                            if not hasattr(module, a.name)]
+    missing += [f"{owner}.{name}" for owner, name in sorted(read)
+                if not hasattr(homes[owner], name)]
+    assert {name for owner, name in read if owner == "pio"} >= {
+        "load_json", "instance_from_dict", "certificate_from_dict",
+        "instance_to_dict", "save_json"}
+    assert homes["cli"].pio is homes["pio"]
     assert missing == []

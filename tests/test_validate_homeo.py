@@ -11,6 +11,7 @@ denominator of thousands of bits.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,9 +24,9 @@ from plhomeo.exact import fmt_pt, mod1
 from plhomeo.geom import INSIDE, area2, point_in_convex
 from plhomeo.maps import (CellMap, PLMap2, ccw, identity_map, shift_into_unit,
                           validate_homeo)
-from plhomeo.suspension import (DISC, SPHERE, SuspensionComplex, _edge_key,
-                                band_cells, collapsed_levels, integer_charts,
-                                s_range)
+from plhomeo.geom import Pt
+from plhomeo.suspension import (DISC, SPHERE, _edge_key, band_cells,
+                                collapsed_levels, integer_charts, s_range)
 
 Q = Fraction
 INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
@@ -60,6 +61,20 @@ FROZEN = _frozen_maps()
 # the reference: the tiling checks on Fraction keys
 
 
+@dataclass
+class TriangleComplex:
+    """A fan-triangulated tiling: vertices keyed by Fraction model points,
+    and per triangle its vertex ids and the lifts to its chart points."""
+    model: str
+    verts: list[Pt]
+    tris: list[tuple[int, int, int]]
+    lifts: list[tuple[int, int, int]]
+
+    def chart(self, ti: int) -> list[Pt]:
+        return [(self.verts[v][0] + lift, self.verts[v][1])
+                for v, lift in zip(self.tris[ti], self.lifts[ti])]
+
+
 def _to_complex(f):
     verts, index, tris, lifts = [], {}, [], []
 
@@ -82,7 +97,7 @@ def _to_complex(f):
                 lf.append(int(lift))
             tris.append(tuple(ids))
             lifts.append(tuple(lf))
-    return SuspensionComplex(f.model, verts, tris, lifts)
+    return TriangleComplex(f.model, verts, tris, lifts)
 
 
 def _complex_check(cx):
@@ -369,3 +384,23 @@ def test_large_distinct_denominators():
     assert [p for p in problems if "not positively oriented" in p] == \
         [f"triangle {ti} not positively oriented"]
     assert problems == reference_validate(bad)
+
+
+@pytest.mark.parametrize("name", ["disc-rotation-1-3",
+                                  "sphere-rotoreflection-1-4"])
+def test_cells_are_put_on_integers_once(name, monkeypatch):
+    """``validate_homeo`` reads f's integer points from f's ``BoxIndex``,
+    which ``compose`` reads too: f's cells go through ``integer_charts``
+    once in ``validate_homeo(f)`` followed by ``compose(f, f)``."""
+    _, f = pio.instance_from_dict(pio.load_json(INPUTS / f"{name}.json"))
+    polys = [c.poly for c in f.cells]
+    calls = []
+
+    def counted(ps):
+        calls.append(list(ps) == polys)
+        return integer_charts(ps)
+
+    monkeypatch.setattr(maps, "integer_charts", counted)
+    assert validate_homeo(f) == []
+    maps.compose(f, f)
+    assert calls.count(True) == 1
