@@ -223,14 +223,16 @@ def _cut_polys(chains, levels, segs, segs_secondary=()):
 
 def _boxed(segs):
     """Each segment's y-range and the lcm S of its denominators, and its
-    x-range and ends at each horizontal shift a cut tries; ranges over S."""
+    x-range and ends at each horizontal shift a cut tries, the ends both
+    as Fractions and as integers over S; ranges over S."""
     out = []
     for a, b in segs:
         S, [[(ax, ay), (bx, by)]] = integer_charts([(a, b)])
         xlo, xhi = min(ax, bx), max(ax, bx)
         out.append(((min(ay, by), max(ay, by), S),
                     [(xlo + dx * S, xhi + dx * S, (a[0] + dx, a[1]),
-                      (b[0] + dx, b[1])) for dx in (0, -1, 1, -2, 2)]))
+                      (b[0] + dx, b[1]), (ax + dx * S, ay), (bx + dx * S, by))
+                     for dx in (0, -1, 1, -2, 2)]))
     return out
 
 
@@ -238,7 +240,9 @@ def _first_cut(poly, affs, levels, segs):
     """The pieces of the first cut of poly, or None: its first iterate
     image that a level (p, q) at height p/q or a segment (given
     ``_boxed``) crosses is split.  The tests are on integers, poly over
-    the lcm L of its denominators and its image under A over W L."""
+    the lcm L of its denominators and its image under A over W L: a
+    segment goes to ``_chord_split`` only when its box meets the image's
+    and image vertices lie strictly on both sides of its line."""
     L, (ipoly,) = integer_charts([poly])
     for A in affs:
         a, b, c, d, e, f, w = A._ints
@@ -262,8 +266,14 @@ def _first_cut(poly, affs, levels, segs):
             if syhi * den < ylo * S or sylo * den > yhi * S:
                 continue
             pieces = None
-            for sxlo, sxhi, pa, pb in shifted:
+            for sxlo, sxhi, pa, pb, (ax, ay), (bx, by) in shifted:
                 if sxhi * den < xlo * S or sxlo * den > xhi * S:
+                    continue
+                # cross(pa, pb, p) times S S W L at each image vertex p
+                ux, uy, ox, oy = bx - ax, by - ay, ax * den, ay * den
+                sides = [ux * (y * S - oy) - uy * (x * S - ox)
+                         for x, y in zip(xs, ys)]
+                if all(v >= 0 for v in sides) or all(v <= 0 for v in sides):
                     continue
                 img = img or [(Q(x, den), Q(y, den)) for x, y in zip(xs, ys)]
                 pieces = _chord_split(img, pa, pb)

@@ -187,11 +187,14 @@ def hom_area2(poly: list[Hom]) -> tuple[int, int]:
     """Twice the signed area of a polygon of homogeneous points (CCW
     positive), as an integer over the square of the weights' lcm."""
     den = lcm(*[w for _, _, w in poly])
-    xs = [x * (den // w) for x, _, w in poly]
-    ys = [y * (den // w) for _, y, w in poly]
-    total = sum(xs[i - 1] * ys[i] - xs[i] * ys[i - 1]
-                for i in range(len(poly)))
-    return total, den * den
+    return (int_area2([x * (den // w) for x, _, w in poly],
+                      [y * (den // w) for _, y, w in poly]), den * den)
+
+
+def int_area2(xs, ys) -> int:
+    """Twice the signed area of the polygon with integer vertices
+    (xs[i], ys[i]) (CCW positive)."""
+    return sum(xs[i - 1] * ys[i] - xs[i] * ys[i - 1] for i in range(len(xs)))
 
 
 def frac_poly(poly: list[Hom]) -> list[Pt]:

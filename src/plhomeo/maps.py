@@ -24,8 +24,8 @@ from .errors import (NotPeriodic, OverlayDegenerate, ParseError,
                      StructureViolated)
 from .exact import fmt_pt, mod1
 from .geom import (Hom, Pt, area2, clip_convex, clip_halfplane, frac_poly,
-                   hom, hom_area2, line_points, lowest, point_in_convex,
-                   BOUNDARY, INSIDE, OUTSIDE)
+                   hom, hom_area2, int_area2, line_points, lowest,
+                   point_in_convex, BOUNDARY, INSIDE, OUTSIDE)
 from .suspension import (Affine, _edge_key, _int_edge_key,
                          affine_from_pairs, band_cells, chart_point,
                          collapsed_levels, complex_check, integer_charts,
@@ -57,15 +57,30 @@ class CellMap:
 
 
 class BoxIndex:
-    """A map's cells as integers for the overlay: their points over the
-    lcm D of all denominators (``integer_charts``); and, each when first
-    asked for, their boxes over D, the boxes' min-x order and ``homs``,
-    the points in lowest terms (``geom.hom``).  A query box is put over D
+    """A map's cells as integers: their points ``polys`` over the lcm D
+    of all their denominators (``integer_charts``); and, each when first
+    asked for, their boxes over D, the boxes' min-x order, ``homs``, the
+    points in lowest terms (``geom.hom``), and ``images``, (E, the image
+    points over the lcm E of all theirs).  A query box is put over D
     (``grid``), so each box test is on integers.  ``compose`` reads only
-    the points of its first argument's index."""
+    the points of its first argument's index; ``PLMap2.affine``,
+    ``inverse``, ``follow`` and ``validate_homeo`` read the images."""
 
-    def __init__(self, cells: list[CellMap]):
-        self.D, self.polys = integer_charts([c.poly for c in cells])
+    def __init__(self, cells: list[CellMap], D: int, polys):
+        self.cells, self.D, self.polys = cells, D, polys
+
+    @cached_property
+    def images(self) -> tuple[int, list[list[tuple[int, int]]]]:
+        return integer_charts([c.img for c in self.cells])
+
+    def with_images_of(self, cells: list[CellMap]) -> BoxIndex:
+        """The index of ``cells``, which have these cells' points and
+        other images: it shares the points over D, their boxes, order and
+        ``homs``, and builds its own ``images``."""
+        out = BoxIndex(cells, self.D, self.polys)
+        out.boxes, out.order, out.minxs, out.homs = \
+            self.boxes, self.order, self.minxs, self.homs
+        return out
 
     @cached_property
     def boxes(self) -> list[tuple[int, int, int, int]]:
@@ -131,13 +146,16 @@ class PLMap2:
         if self.affines is None:
             self.affines = [None] * len(self.cells)
         if self.affines[i] is None:
-            c = self.cells[i]
-            self.affines[i] = affine_from_pairs(list(c.poly), list(c.img))
+            index = self.index
+            E, imgs = index.images
+            self.affines[i] = affine_from_pairs(index.D, index.polys[i],
+                                                E, imgs[i])
         return self.affines[i]
 
     @cached_property
     def index(self) -> BoxIndex:
-        return BoxIndex(self.cells)
+        return BoxIndex(self.cells,
+                        *integer_charts([c.poly for c in self.cells]))
 
     @property
     def orientation_sign(self) -> int:
@@ -265,18 +283,37 @@ def follow(h: PLMap2, R: Affine) -> PLMap2:
     The cells are h's cells, cut only where their image under R o A_h
     crosses an integer meridian, so the result tiles the chart rectangle
     exactly where h's cells do.  Each piece carries R o A_h shifted into
-    the unit chart; the cuts come from the x-coordinates of the vertices'
-    images, so no inverse is taken, and an image that still straddles a
-    meridian raises in ``shift_into_unit``."""
+    the unit chart.  The images are R of h's images, on the integers of
+    h's index over w E; a cell whose image crosses no meridian is shifted
+    there and kept whole, so only its image becomes Fractions.  The cuts
+    come from the x-coordinates of the vertices' images, so no inverse is
+    taken, and an image that still straddles a meridian raises in
+    ``shift_into_unit``.  When no cell is cut, the result's cells have
+    h's points, and its index shares h's (``BoxIndex.with_images_of``)."""
+    index = h.index
+    E, imgs = index.images
+    a, b, c, d, e, f_, w = R._ints
+    den = w * E
     out: list[CellMap] = []
     affines: list[Affine] = []
-    for ci, cell in enumerate(h.cells):
+    for ci, (cell, img) in enumerate(zip(h.cells, imgs)):
         B = R.compose_after(h.affine(ci))
-        for poly, img in _meridian_pieces(list(cell.poly), B):
-            m, img = shift_into_unit(img)
-            out.append(CellMap(tuple(poly), img))
-            affines.append(Affine(B.a, B.b, B.c - m, B.d, B.e, B.f))
-    return PLMap2(h.model, out, affines)
+        xs = [a * x + b * y + c * E for x, y in img]
+        if min(xs) // den + 1 < -(-max(xs) // den):
+            for poly, pimg in _meridian_pieces(list(cell.poly), B):
+                m, pimg = shift_into_unit(pimg)
+                out.append(CellMap(tuple(poly), pimg))
+                affines.append(Affine(B.a, B.b, B.c - m, B.d, B.e, B.f))
+            continue
+        m, img = shift_into_unit([(x, d * X + e * Y + f_ * E)
+                                  for x, (X, Y) in zip(xs, img)], den)
+        out.append(CellMap(cell.poly, tuple((Q(x, den), Q(y, den))
+                                            for x, y in img)))
+        affines.append(Affine(B.a, B.b, B.c - m, B.d, B.e, B.f))
+    g = PLMap2(h.model, out, affines)
+    if len(out) == len(h.cells):
+        g.index = index.with_images_of(out)
+    return g
 
 
 def _meridian_pieces(poly: list[Pt], B: Affine) -> list[tuple]:
@@ -298,16 +335,27 @@ def _meridian_pieces(poly: list[Pt], B: Affine) -> list[tuple]:
 
 
 def inverse(f: PLMap2) -> PLMap2:
-    out = []
-    for cell in f.cells:
-        _, img_u = shift_into_unit(cell.img)
-        poly = list(img_u)          # index-aligned with cell.poly
-        img = list(cell.poly)
-        if area2(tuple(poly)) < 0:
-            poly.reverse()
-            img.reverse()
-        out.append(CellMap(tuple(poly), tuple(img)))
-    return PLMap2(f.model, out)
+    """f^-1: each image cell shifted into the unit chart and made CCW,
+    with the cell as its image.  Both run on the integers of f's index:
+    the image points over E, shifted by whole multiples of E, which keep
+    every denominator, are the points of the inverse's index over E, and
+    f's points over D are its images."""
+    index = f.index
+    E, imgs = index.images
+    out, polys, images = [], [], []
+    for cell, img, poly in zip(f.cells, imgs, index.polys):
+        m, img = shift_into_unit(img, E)
+        src = cell.img if m == 0 else tuple((x - m, y) for x, y in cell.img)
+        dst = cell.poly
+        if int_area2(*zip(*img)) < 0:
+            img, src, dst, poly = img[::-1], src[::-1], dst[::-1], poly[::-1]
+        out.append(CellMap(src, dst))
+        polys.append(list(img))
+        images.append(poly)
+    inv = PLMap2(f.model, out)
+    inv.index = BoxIndex(out, E, polys)
+    inv.index.images = (index.D, images)
+    return inv
 
 
 def power(f: PLMap2, m: int) -> PLMap2:
@@ -664,12 +712,12 @@ def validate_homeo(f: PLMap2) -> list[str]:
     and only when these find nothing, 6. on the disc, the circle map on
     the boundary is valid, and 7. a generic point has one preimage.
 
-    Checks 1, 3 and 5 run on integer coordinates: the points of one
+    Checks 1, 2, 3 and 5 run on integer coordinates: the points of one
     tiling as integer numerators over the lcm of their denominators,
-    read from the ``BoxIndex`` of f and of its inverse, which the
-    overlay reads too.  The others run on Fractions."""
-    D, polys = f.index.D, f.index.polys
-    problems = complex_check(f.model, D, polys)
+    read from the ``BoxIndex`` of f (its points and its images) and of
+    its inverse, which the overlay reads too.  The others run on
+    Fractions."""
+    problems = complex_check(f.model, f.index.D, f.index.polys)
     sign = None
     for i in range(len(f.cells)):
         try:
@@ -684,7 +732,7 @@ def validate_homeo(f: PLMap2) -> list[str]:
         elif (d > 0) != (sign > 0):
             problems.append("mixed determinant signs")
             break
-    problems.extend(_edge_image_consistency(f, D, polys))
+    problems.extend(_edge_image_consistency(f.index))
     problems.extend(_collapse_conditions(f))
     try:
         inv = inverse(f)
@@ -705,12 +753,13 @@ def validate_homeo(f: PLMap2) -> list[str]:
     return problems
 
 
-def _edge_image_consistency(f: PLMap2, D: int, polys) -> list[str]:
+def _edge_image_consistency(index: BoxIndex) -> list[str]:
     """Shared cell edges must have images agreeing up to one horizontal
     integer shift: the model map is then well defined across the edge.
-    ``polys`` are f's cells as integer points over D; the images go over
-    their own common denominator E."""
-    E, imgs = integer_charts([c.img for c in f.cells])
+    Read from a map's index: its cells' points over D and their images
+    over E."""
+    D, polys = index.D, index.polys
+    E, imgs = index.images
     problems = []
     seen: dict = {}
     for poly, img in zip(polys, imgs):

@@ -134,13 +134,11 @@ def isometry_affine(t_sign: int, shift: Fraction, s_sign: int) -> Affine:
     return Affine(Q(t_sign), Q(0), shift, Q(0), Q(s_sign), Q(0))
 
 
-def affine_from_pairs(src: list[Pt], dst: list[Pt]) -> Affine:
+def affine_from_pairs(S: int, xy, T: int, uv) -> Affine:
     """The affine map sending three independent source points to targets,
     solved by Cramer's rule and checked on every pair on integers: the
-    sources over the lcm S of their denominators, the targets over their
-    own, T (``integer_charts``)."""
-    S, (xy,) = integer_charts([src])
-    T, (uv,) = integer_charts([dst])
+    sources given as integer points over S, the targets over T
+    (``integer_charts``)."""
     i, j, k = _independent_triple(xy)
     (x1, y1), (x2, y2), (x3, y3) = xy[i], xy[j], xy[k]
     (u1, v1), (u2, v2), (u3, v3) = uv[i], uv[j], uv[k]

@@ -13,11 +13,13 @@ from plhomeo import circle, cli, conjugacy, sphere
 from plhomeo import io as pio
 from plhomeo.circle import CirclePL, LinePL, circle_rotation, interval_map
 from plhomeo.conjugacy import meridian_edges
-from plhomeo.exact import mod1
+from plhomeo.exact import fmt_rat, mod1
 from plhomeo.geom import on_segment
-from plhomeo.maps import CellMap, PLMap2, evaluate, shift_into_unit
+from plhomeo.maps import (CellMap, PLMap2, evaluate, first_disagreement,
+                          shift_into_unit)
 from plhomeo.suspension import DISC, SPHERE, _edge_key, band_cells
 from plhomeo.svg import render_map
+from test_certificates import NAMES
 
 Q = Fraction
 INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
@@ -577,3 +579,54 @@ def test_verify_survives_mutated_certificates(tmp_path, capsys):
             if "Fraction(" in out.out + out.err:  # points print as p/q
                 bad.append((inst.name, what, out.out + out.err))
     assert bad == []
+
+
+SEMANTIC_MUTATIONS = ("image", "vertex", "lift", "image_lift", "triangle",
+                      "drop", "model")
+
+
+def _semantic_mutant(cert, kind, rng):
+    """cert, still well formed, with an image coordinate or a vertex
+    coordinate moved, a lift or an image lift changed by one, a
+    triangle's vertex index replaced, a triangle dropped, or the model's
+    k and n replaced."""
+    cert = copy.deepcopy(cert)
+    h = cert["h"]
+    t, j = rng.randrange(len(h["triangles"])), rng.randrange(3)
+    if kind in ("image", "vertex"):
+        points = h["images" if kind == "image" else "vertices"]
+        v, c = rng.randrange(len(points)), rng.randrange(2)
+        step = Q(rng.choice((-1, 1)), rng.choice((2, 3, 7, 24, 97)))
+        points[v][c] = fmt_rat(Q(points[v][c]) + step)
+    elif kind in ("lift", "image_lift"):
+        h[f"{kind}s"][t][j] += rng.choice((-1, 1))
+    elif kind == "triangle":
+        h["triangles"][t][j] = rng.randrange(len(h["vertices"]))
+    elif kind == "drop":
+        for key in ("triangles", "lifts", "image_lifts"):
+            del h[key][t]
+    else:
+        cert["model"]["k"], cert["model"]["n"] = \
+            rng.randrange(5), rng.randrange(7)
+    return cert
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_verify_answers_semantic_mutants(name, tmp_path, capsys):
+    """Each intact frozen certificate, mutated once in each way of
+    ``_semantic_mutant`` from a fixed seed: ``verify`` exits 0, 1 or 3
+    without a traceback, and 0 only when the mutant's model is the
+    intact one and its h is the intact h as a model map."""
+    intact = json.loads((INPUTS / f"{name}.cert.json").read_text())
+    cert = pio.certificate_from_dict(intact)
+    for kind in SEMANTIC_MUTATIONS:
+        mutant = _semantic_mutant(intact, kind,
+                                  random.Random(f"{name} {kind}"))
+        code = _verify(tmp_path, INPUTS / f"{name}.json", mutant)
+        out = capsys.readouterr()
+        assert code in (0, 1, 3), (kind, out)
+        assert "Traceback" not in out.out + out.err
+        if code == 0:
+            same = pio.certificate_from_dict(mutant)
+            assert same.model == cert.model
+            assert first_disagreement(same.h, cert.h) is None

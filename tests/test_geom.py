@@ -10,7 +10,7 @@ from plhomeo.geom import (BOUNDARY, INSIDE, OUTSIDE, area2, clip_convex,
                           cross, frac_poly, hom, line_points, on_segment,
                           orient, point_in_convex, split_convex)
 from plhomeo.maps import _action_key
-from plhomeo.suspension import Affine, affine_from_pairs
+from plhomeo.suspension import Affine, affine_from_pairs, integer_charts
 from test_clip_convex import PRIMES
 from test_sphere import seg_intersection
 
@@ -205,6 +205,13 @@ def _compose_oracle(A, o):
                   A.d * o.b + A.e * o.e, A.d * o.c + A.e * o.f + A.f)
 
 
+def on_integers(src, dst):
+    """The arguments of ``affine_from_pairs`` for Fraction point lists:
+    (S, src over S, T, dst over T) (``integer_charts``)."""
+    (S, (xy,)), (T, (uv,)) = integer_charts([src]), integer_charts([dst])
+    return S, xy, T, uv
+
+
 def _affine_from_pairs_oracle(src, dst):
     (x1, y1), (x2, y2), (x3, y3) = src
     (u1, v1), (u2, v2), (u3, v3) = dst
@@ -260,12 +267,12 @@ def test_integer_kernels_match_the_fraction_formulas():
         if orient(a, b, p) != 0:
             src = [a, b, p, on_ab]
             dst = [A(q) for q in src]
-            _same(_affine_fields(affine_from_pairs(src, dst)),
+            _same(_affine_fields(affine_from_pairs(*on_integers(src, dst))),
                   _affine_fields(_affine_from_pairs_oracle(src[:3],
                                                            dst[:3])))
             dst[3] = (dst[3][0] + 1, dst[3][1])
             with pytest.raises(OverlayDegenerate, match=INCOMPATIBLE):
-                affine_from_pairs(src, dst)
+                affine_from_pairs(*on_integers(src, dst))
         # a singular map: second row a multiple of the first
         S = Affine(A.a, A.b, A.c, t * A.a, t * A.b, A.f)
         for M in (A, B, S):
@@ -288,16 +295,16 @@ def test_integer_kernels_match_the_fraction_formulas():
         A = Affine(*[_big(rng, dens[rng.randrange(8)]) for _ in range(6)])
         dst = [A(q) for q in src]
         if orient(*src[:3]) != 0:
-            _same(_affine_fields(affine_from_pairs(src, dst)),
+            _same(_affine_fields(affine_from_pairs(*on_integers(src, dst))),
                   _affine_fields(_affine_from_pairs_oracle(src[:3],
                                                            dst[:3])))
             dst[3] = (dst[3][0], dst[3][1] + Q(1, dens[0]))
             with pytest.raises(OverlayDegenerate, match=INCOMPATIBLE):
-                affine_from_pairs(src, dst)
+                affine_from_pairs(*on_integers(src, dst))
         line = [(src[0][0] + t * src[1][0], src[0][1] + t * src[1][1])
                 for t in (0, 1, Q(1, dens[2]), -3)]
         with pytest.raises(OverlayDegenerate, match=COLLINEAR):
-            affine_from_pairs(line, [A(q) for q in line])
+            affine_from_pairs(*on_integers(line, [A(q) for q in line]))
 
 
 INCOMPATIBLE = "^point pairs are not affinely compatible$"

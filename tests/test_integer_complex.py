@@ -3,7 +3,9 @@ reference.
 
 ``EqComplex`` keys its vertices and edges on integer points over the lcm D
 of its coordinates' denominators, reads the action of f off integer cell
-keys, and ``_first_cut`` box-tests on integers.  The reference here keys
+keys, and ``_first_cut`` box-tests on integers and hands ``_chord_split``
+only images with vertices strictly on both sides of a segment's line,
+which it finds on integers too.  The reference here keys
 Fraction points (``mod1``, ``_edge_key`` and a Fraction cell key) and
 box-tests on Fraction comparisons.  On the complexes of generated maps of
 every class, before and after ``refine_cells`` and ``refine_edges``, both
@@ -18,6 +20,7 @@ from fractions import Fraction
 
 import pytest
 
+from plhomeo import eqcomplex
 from plhomeo.eqcomplex import (EqComplex, _chain_cells, _chord_split,
                                _cut_polys, conjugated_equivariant_complex,
                                equivariant_complex, refine_cells,
@@ -25,7 +28,7 @@ from plhomeo.eqcomplex import (EqComplex, _chain_cells, _chord_split,
 from plhomeo.errors import OverlayDegenerate, StructureViolated
 from plhomeo.exact import mod1
 from plhomeo.generate import make_instance
-from plhomeo.geom import area2, centroid, split_convex
+from plhomeo.geom import area2, centroid, cross, split_convex
 from plhomeo.maps import ccw, fixed_set, inverse, shift_into_unit
 from plhomeo.sectors import LEVEL_CUTS
 from plhomeo.sphere import _bprime_path, free_structure
@@ -291,7 +294,15 @@ def _big(num, i):
 
 
 @pytest.mark.parametrize("model,kind,kk,n,seed", CLASSES[1:3] + CLASSES[4:7])
-def test_cuts_match_reference(model, kind, kk, n, seed):
+def test_cuts_match_reference(model, kind, kk, n, seed, monkeypatch):
+    crossed = []
+
+    def side_tested(img, a, b):
+        vals = [cross(a, b, p) for p in img]
+        crossed.append(min(vals) < 0 < max(vals))
+        return _chord_split(img, a, b)
+
+    monkeypatch.setattr(eqcomplex, "_chord_split", side_tested)
     f, _ = _instance(model, kind, kk, n, seed)
     chains = _chain_cells(f, n)
     lo = -1 if model == SPHERE else 0
@@ -312,6 +323,7 @@ def test_cuts_match_reference(model, kind, kk, n, seed):
         got = _outcome(_cut_polys, chains, *args)
         assert got == _outcome(reference_cut_polys, chains, *args)
     assert len(_cut_polys(chains, levels, segs)) > len(chains)
+    assert crossed and all(crossed)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from plhomeo.maps import (CellMap, PLMap2, ccw, compose, evaluate,
                           shift_into_unit)
 from plhomeo.suspension import (DISC, affine_from_pairs, band_cells,
                                 model_point, s_range)
+from test_geom import on_integers
 from test_validate_homeo import bbox
 
 Q = Fraction
@@ -83,7 +84,7 @@ def frozen():
 
 
 def _solved(cell):
-    a = affine_from_pairs(list(cell.poly), list(cell.img))
+    a = affine_from_pairs(*on_integers(cell.poly, cell.img))
     return (a.a, a.b, mod1(a.c), a.d, a.e, a.f)
 
 
@@ -164,8 +165,8 @@ def test_compose_hands_on_the_affine_of_every_piece(frozen):
     for g in maps_out:
         assert g.affines is not None
         for i, cell in enumerate(g.cells):
-            assert g.affines[i] == affine_from_pairs(list(cell.poly),
-                                                     list(cell.img))
+            assert g.affines[i] == affine_from_pairs(
+                *on_integers(cell.poly, cell.img))
 
 
 def _meeting(g, x0, y0, x1, y1):

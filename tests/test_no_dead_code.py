@@ -199,18 +199,26 @@ def test_overlay_box_tests_and_areas_are_on_integers():
     """``maps.compose``, ``maps._mismatches`` and ``maps.locate_cell`` read
     their boxes from the map's integer ``BoxIndex`` and measure areas on
     integers: none calls the Fraction kernels ``poly_bbox``,
-    ``bbox_overlap`` or ``area2``."""
+    ``bbox_overlap`` or ``area2``.  ``maps.inverse``, ``maps.follow`` and
+    ``maps._edge_image_consistency`` read the points and images that the
+    index holds: none calls ``area2`` or ``integer_charts``."""
     fractional = {"poly_bbox", "bbox_overlap", "area2"}
-    calls = []
+    wanted = {"compose": fractional, "_mismatches": fractional,
+              "locate_cell": fractional,
+              "inverse": {"area2", "integer_charts"},
+              "follow": {"area2", "integer_charts"},
+              "_edge_image_consistency": {"area2", "integer_charts"}}
+    found, calls = set(), []
     for top in _modules()["maps"].body:
-        if isinstance(top, ast.FunctionDef) and top.name in (
-                "compose", "_mismatches", "locate_cell"):
+        if isinstance(top, ast.FunctionDef) and top.name in wanted:
+            found.add(top.name)
             for node in ast.walk(top):
                 if isinstance(node, ast.Call):
                     name = getattr(node.func, "id", None) or \
                         getattr(node.func, "attr", None)
-                    if name in fractional:
+                    if name in wanted[top.name]:
                         calls.append(f"{top.name}: {name}")
+    assert found == set(wanted)
     assert calls == []
 
 

@@ -389,18 +389,22 @@ def test_large_distinct_denominators():
 @pytest.mark.parametrize("name", ["disc-rotation-1-3",
                                   "sphere-rotoreflection-1-4"])
 def test_cells_are_put_on_integers_once(name, monkeypatch):
-    """``validate_homeo`` reads f's integer points from f's ``BoxIndex``,
-    which ``compose`` reads too: f's cells go through ``integer_charts``
-    once in ``validate_homeo(f)`` followed by ``compose(f, f)``."""
+    """``validate_homeo`` reads f's integer points and images from f's
+    ``BoxIndex``, which ``compose`` reads too: f's cells, and their
+    images, go through ``integer_charts`` once each in
+    ``validate_homeo(f)`` followed by ``compose(f, f)``."""
     _, f = pio.instance_from_dict(pio.load_json(INPUTS / f"{name}.json"))
     polys = [c.poly for c in f.cells]
+    imgs = [c.img for c in f.cells]
     calls = []
 
     def counted(ps):
-        calls.append(list(ps) == polys)
+        calls.append("polys" if list(ps) == polys else
+                     "imgs" if list(ps) == imgs else "other")
         return integer_charts(ps)
 
     monkeypatch.setattr(maps, "integer_charts", counted)
     assert validate_homeo(f) == []
     maps.compose(f, f)
-    assert calls.count(True) == 1
+    assert calls.count("polys") == 1
+    assert calls.count("imgs") == 1
