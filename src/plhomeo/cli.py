@@ -372,7 +372,7 @@ def _corrupt(cert: Certificate) -> Certificate:
     for idx, c in enumerate(cells):
         img = list(c.img)
         for j, (x, y) in enumerate(img):
-            if 0 < y < 1 and abs(y) != 1:
+            if 0 < y < 1:
                 img[j] = (x, y + (1 - y) / 7)
                 cells[idx] = CellMap(c.poly, tuple(img))
                 return Certificate(cert.model, PLMap2(cert.h.model, cells))

@@ -245,7 +245,7 @@ def _first_cut(poly, affs, levels, segs):
     and image vertices lie strictly on both sides of its line."""
     L, (ipoly,) = integer_charts([poly])
     for A in affs:
-        a, b, c, d, e, f, w = A._ints
+        a, b, c, d, e, f, w = A
         den = w * L
         xs = [a * x + b * y + c * L for x, y in ipoly]
         ys = [d * x + e * y + f * L for x, y in ipoly]
@@ -366,7 +366,7 @@ def _build_action(k: EqComplex, ipolys) -> None:
     k.cell_perm, k.vert_perm = [], [None] * len(k.verts)
     k.edge_perm = [None] * len(k.edges)
     for ci, poly in enumerate(ipolys):
-        a, b, c, d, e, f, w = k.f_affines[ci]._ints
+        a, b, c, d, e, f, w = k.f_affines[ci]
         _, img = shift_into_unit([(a * x + b * y + c * D,
                                    d * x + e * y + f * D) for x, y in poly],
                                  w * D)

@@ -1,9 +1,12 @@
 """Exact rational scalars, angles mod 1, and their string forms.
 
-All coordinates in this package are `fractions.Fraction` values.  Angles
-are fractions normalized into [0, 1); "p/q" strings (q > 0, lowest terms)
-are the only serialized form.  Nothing in this module, or anywhere in the
-core, produces a float.
+Points enter and leave the package as `fractions.Fraction` values, angles
+normalized into [0, 1); "p/q" strings (q > 0, lowest terms) are the only
+serialized form.  The kernels work on exact integer forms: points over the
+lcm of their denominators (`maps.BoxIndex`, the keys of
+`eqcomplex.EqComplex`) and affine maps as seven canonical integers
+(`suspension.Affine`).  Nothing in this module, or anywhere in the core,
+produces a float.
 """
 
 from __future__ import annotations

@@ -236,7 +236,7 @@ def compose(f: PLMap2, g: PLMap2) -> PLMap2:
     parents: list[int] = []
     for ci, poly in enumerate(findex.polys):
         A = f.affine(ci)
-        a, b, c, d, e, f_, w = A._ints
+        a, b, c, d, e, f_, w = A
         den = w * D
         m, img = shift_into_unit([(a * x + b * y + c * D,
                                    d * x + e * y + f_ * D) for x, y in poly],
@@ -247,7 +247,7 @@ def compose(f: PLMap2, g: PLMap2) -> PLMap2:
         subject = [lowest(x, y, den) for x, y in
                    (reversed(img) if flip else img)]
         target = hom_area2(subject)
-        A_unit = Affine(A.a, A.b, A.c - m, A.d, A.e, A.f)
+        A_unit = A.shifted(m)
         Ainv = A_unit.inverse()
         got = (0, 1)
         for di in gindex.near(q):
@@ -292,7 +292,7 @@ def follow(h: PLMap2, R: Affine) -> PLMap2:
     h's points, and its index shares h's (``BoxIndex.with_images_of``)."""
     index = h.index
     E, imgs = index.images
-    a, b, c, d, e, f_, w = R._ints
+    a, b, c, d, e, f_, w = R
     den = w * E
     out: list[CellMap] = []
     affines: list[Affine] = []
@@ -303,13 +303,13 @@ def follow(h: PLMap2, R: Affine) -> PLMap2:
             for poly, pimg in _meridian_pieces(list(cell.poly), B):
                 m, pimg = shift_into_unit(pimg)
                 out.append(CellMap(tuple(poly), pimg))
-                affines.append(Affine(B.a, B.b, B.c - m, B.d, B.e, B.f))
+                affines.append(B.shifted(m))
             continue
         m, img = shift_into_unit([(x, d * X + e * Y + f_ * E)
                                   for x, (X, Y) in zip(xs, img)], den)
         out.append(CellMap(cell.poly, tuple((Q(x, den), Q(y, den))
                                             for x, y in img)))
-        affines.append(Affine(B.a, B.b, B.c - m, B.d, B.e, B.f))
+        affines.append(B.shifted(m))
     g = PLMap2(h.model, out, affines)
     if len(out) == len(h.cells):
         g.index = index.with_images_of(out)
@@ -378,19 +378,17 @@ def power(f: PLMap2, m: int) -> PLMap2:
 
 
 def is_model_rotation(f: PLMap2):
-    """The exact rotation angle if f is (t, s) -> (t + c, s); else None."""
-    c = None
+    """The exact rotation angle if f is (t, s) -> (t + c, s); else None.
+    Each cell's map is canonical, so its angle is (c mod w) / w in lowest
+    terms, and the cells' angles agree exactly when these pairs do."""
+    angle = None
     for i in range(len(f.cells)):
-        a = f.affine(i)
-        if not (a.a == 1 and a.b == 0 and a.d == 0 and a.e == 1
-                and a.f == 0):
+        a, b, c, d, e, f_, w = f.affine(i)
+        if (a, b, d, e, f_) != (w, 0, 0, w, 0) or \
+                angle not in (None, (c % w, w)):
             return None
-        cc = mod1(a.c)
-        if c is None:
-            c = cc
-        elif cc != c:
-            return None
-    return c
+        angle = (c % w, w)
+    return None if angle is None else Q(*angle)
 
 
 def is_identity(f: PLMap2) -> bool:
@@ -400,9 +398,8 @@ def is_identity(f: PLMap2) -> bool:
 def _action_key(A: Affine) -> tuple:
     """Two cells act alike as model maps exactly when their affine maps
     differ by a horizontal integer shift, that is when these keys agree:
-    ``Affine._ints`` with C mod W, as c + 1 has c's denominator, so W."""
-    a, b, c, d, e, f, w = A._ints
-    return (a, b, c % w, d, e, f, w)
+    the canonical integers with c mod w, as a shift adds a multiple of w."""
+    return (A.a, A.b, A.c % A.w, A.d, A.e, A.f, A.w)
 
 
 def _mismatches(f: PLMap2, g: PLMap2):
@@ -561,13 +558,13 @@ def fixed_set(f: PLMap2) -> FixedSet:
 
 
 def _fixed_in_cell(A: Affine, poly: list[Pt], delta: int):
-    """Solve A(x) = x + (delta, 0) on a convex cell."""
-    m11, m12, m21, m22 = A.a - 1, A.b, A.d, A.e - 1
-    r1, r2 = Q(delta) - A.c, -A.f
+    """Solve A(x) = x + (delta, 0), times w, on a convex cell."""
+    m11, m12, m21, m22 = A.a - A.w, A.b, A.d, A.e - A.w
+    r1, r2 = delta * A.w - A.c, -A.f
     det = m11 * m22 - m12 * m21
     if det != 0:
-        x = (r1 * m22 - m12 * r2) / det
-        y = (m11 * r2 - r1 * m21) / det
+        x = Q(r1 * m22 - m12 * r2, det)
+        y = Q(m11 * r2 - r1 * m21, det)
         if point_in_convex((x, y), poly) != OUTSIDE:
             return "point", (x, y)
         return "none", None
@@ -596,10 +593,10 @@ def _fixed_in_cell(A: Affine, poly: list[Pt], delta: int):
     return "segment", (pts[0], pts[-1])
 
 
-def _line_point(p, q, r) -> Pt:
+def _line_point(p: int, q: int, r: int) -> Pt:
     if q != 0:
-        return (Q(0), r / q)
-    return (r / p, Q(0))
+        return (Q(0), Q(r, q))
+    return (Q(r, p), Q(0))
 
 
 def _assemble_fixed(model, zero_chart, segs):

@@ -164,9 +164,9 @@ def t0_cut(f: PLMap2) -> Fraction:
     candidates = set()
     for ci, cell in enumerate(f.cells):
         A = f.affine(ci)
-        for p in cell.poly:
-            candidates.add(p[1])
-            candidates.add(A(p)[1])
+        heights = [A(p)[1] for p in cell.poly]
+        candidates.update(p[1] for p in cell.poly)
+        candidates.update(heights)
         m = len(cell.poly)
         for i in range(m):
             a, b = cell.poly[i], cell.poly[(i + 1) % m]
@@ -174,7 +174,7 @@ def t0_cut(f: PLMap2) -> Fraction:
                 continue
             # the cap chord endpoint on this edge at height t maps to
             # height sigma(t), linear in t; solve sigma(t) = t
-            sa, sb = A(a)[1], A(b)[1]
+            sa, sb = heights[i], heights[(i + 1) % m]
             denom = (b[1] - a[1]) - (sb - sa)
             if denom != 0:
                 t = (a[1] * (sb - sa) - sa * (b[1] - a[1])) / -denom
@@ -318,7 +318,7 @@ def _assemble_free_map(f: PLMap2, fs: FreeStructure):
 
     k, lay, pos = embed_fundamental_domain(k, layout, oriented=True)
     return (PLMap2(SPHERE, orbit_cells(k, lay, pos)),
-            int(lay.affine.c * n))
+            lay.affine.c * n // lay.affine.w)
 
 
 def _right_arc_index(k: EqComplex, arcs) -> int:

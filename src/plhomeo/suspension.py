@@ -20,10 +20,9 @@ so the model literally unfolds to the rectangle for overlay work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
+from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import DegenerateInput, OverlayDegenerate, ParseError
 from .exact import fmt_pt, mod1
@@ -66,28 +65,18 @@ def is_collapsed(model: str, p: Pt) -> bool:
 # affine chart maps
 
 
-@dataclass(frozen=True)
-class Affine:
-    """x' = a x + b y + c ; y' = d x + e y + f, all rational.
-
-    The maps take Fractions (or ints) and return Fractions.  Inside, they
-    compute on ``_ints``, the coefficients as integer numerators over one
-    common denominator, built once on first use and kept outside the
-    dataclass fields, so equality, hash and repr are those of the six
-    coefficients."""
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-    e: Fraction
-    f: Fraction
-
-    @cached_property
-    def _ints(self) -> tuple[int, ...]:
-        """(A, B, C, D, E, F, W) with a = A/W, ..., f = F/W and W > 0."""
-        cs = (self.a, self.b, self.c, self.d, self.e, self.f)
-        w = lcm(*[q.denominator for q in cs])
-        return tuple(q.numerator * (w // q.denominator) for q in cs) + (w,)
+class Affine(NamedTuple):
+    """The chart map (x, y) -> ((a x + b y + c) / w, (d x + e y + f) / w)
+    as seven integers, kept canonical: w > 0 and the gcd of all seven is
+    1 (``_canonical``), so equality and hash are those of the map.  The
+    maps take Fractions (or ints) and return Fractions."""
+    a: int
+    b: int
+    c: int
+    d: int
+    e: int
+    f: int
+    w: int
 
     def __call__(self, p: Pt) -> Pt:
         x, y = p
@@ -96,42 +85,55 @@ class Affine:
 
     def at_hom(self, p: Hom) -> Pt:
         """The image of the point (X/Z, Y/Z), given as (X, Y, Z), Z > 0."""
-        A, B, C, D, E, F, W = self._ints
+        a, b, c, d, e, f, w = self
         X, Y, Z = p
-        den = W * Z
-        return (Q(A * X + B * Y + C * Z, den), Q(D * X + E * Y + F * Z, den))
+        return (Q(a * X + b * Y + c * Z, w * Z),
+                Q(d * X + e * Y + f * Z, w * Z))
 
     @property
-    def det(self) -> Fraction:
-        A, B, _, D, E, _, W = self._ints
-        return Q(A * E - B * D, W * W)
+    def det(self) -> int:
+        """The determinant times w^2: of its sign, and 0 with it."""
+        return self.a * self.e - self.b * self.d
+
+    def shifted(self, m: int) -> "Affine":
+        """The map followed by t -> t - m for an integer m, still
+        canonical."""
+        return self._replace(c=self.c - m * self.w)
 
     def inverse(self) -> "Affine":
-        A, B, C, D, E, F, W = self._ints
+        A, B, C, D, E, F, W = self
         dt = A * E - B * D
         if dt == 0:
             raise OverlayDegenerate("affine map not invertible")
-        return Affine(Q(E * W, dt), Q(-B * W, dt), Q(B * F - C * E, dt),
-                      Q(-D * W, dt), Q(A * W, dt), Q(C * D - A * F, dt))
+        return _canonical(E * W, -B * W, B * F - C * E,
+                          -D * W, A * W, C * D - A * F, dt)
 
     def compose_after(self, other: "Affine") -> "Affine":
         """self o other."""
-        A, B, C, D, E, F, W = self._ints
-        a, b, c, d, e, f, w = other._ints
-        den = W * w
-        return Affine(Q(A * a + B * d, den), Q(A * b + B * e, den),
-                      Q(A * c + B * f + C * w, den),
-                      Q(D * a + E * d, den), Q(D * b + E * e, den),
-                      Q(D * c + E * f + F * w, den))
+        A, B, C, D, E, F, W = self
+        a, b, c, d, e, f, w = other
+        return _canonical(A * a + B * d, A * b + B * e,
+                          A * c + B * f + C * w, D * a + E * d,
+                          D * b + E * e, D * c + E * f + F * w, W * w)
 
 
-IDENTITY_AFFINE = Affine(Q(1), Q(0), Q(0), Q(0), Q(1), Q(0))
+def _canonical(a: int, b: int, c: int, d: int, e: int, f: int,
+               w: int) -> Affine:
+    """The canonical ``Affine`` of seven integers, w != 0: all divided by
+    their gcd, signed so that w > 0."""
+    g = gcd(a, b, c, d, e, f, w)
+    g = g if w > 0 else -g
+    return Affine(a // g, b // g, c // g, d // g, e // g, f // g, w // g)
+
+
+IDENTITY_AFFINE = _canonical(1, 0, 0, 0, 1, 0, 1)
 
 
 def isometry_affine(t_sign: int, shift: Fraction, s_sign: int) -> Affine:
     """(t, s) -> (t_sign t + shift, s_sign s), the chart form of a model
     isometry."""
-    return Affine(Q(t_sign), Q(0), shift, Q(0), Q(s_sign), Q(0))
+    q = shift.denominator
+    return _canonical(t_sign * q, 0, shift.numerator, 0, s_sign * q, 0, q)
 
 
 def affine_from_pairs(S: int, xy, T: int, uv) -> Affine:
@@ -153,9 +155,7 @@ def affine_from_pairs(S: int, xy, T: int, uv) -> Affine:
     for (x, y), (u, v) in zip(xy, uv):
         if na * x + nb * y + nc != u * det or nd * x + ne * y + nf != v * det:
             raise OverlayDegenerate("point pairs are not affinely compatible")
-    den = T * det
-    return Affine(Q(S * na, den), Q(S * nb, den), Q(nc, den),
-                  Q(S * nd, den), Q(S * ne, den), Q(nf, den))
+    return _canonical(S * na, S * nb, nc, S * nd, S * ne, nf, T * det)
 
 
 def _independent_triple(pts: list[tuple[int, int]]) -> tuple[int, int, int]:

@@ -26,7 +26,8 @@ from plhomeo.maps import (CellMap, PLMap2, _action_key, compose, identity_map,
                           inverse, locate_cell)
 from plhomeo.sectors import LEVEL_CUTS
 from plhomeo.sphere import free_structure
-from plhomeo.suspension import DISC, SPHERE, Affine, IDENTITY_AFFINE
+from plhomeo.suspension import DISC, SPHERE, IDENTITY_AFFINE
+from test_geom import affine_of
 
 INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
 Q = Fraction
@@ -55,8 +56,8 @@ def _iterate_affines(f, poly, n):
         delta = qq[0] - x[0]
         step = f.affine(ci)
         if delta != 0:
-            step = step.compose_after(Affine(Q(1), Q(0), delta,
-                                             Q(0), Q(1), Q(0)))
+            step = step.compose_after(affine_of(Q(1), Q(0), delta,
+                                                Q(0), Q(1), Q(0)))
         A = step.compose_after(A)
         affs.append(A)
         x = step(x)

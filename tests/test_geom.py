@@ -1,6 +1,7 @@
-import dataclasses
 import random
 from fractions import Fraction
+from math import gcd, lcm
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,7 +11,8 @@ from plhomeo.geom import (BOUNDARY, INSIDE, OUTSIDE, area2, clip_convex,
                           cross, frac_poly, hom, line_points, on_segment,
                           orient, point_in_convex, split_convex)
 from plhomeo.maps import _action_key
-from plhomeo.suspension import Affine, affine_from_pairs, integer_charts
+from plhomeo.suspension import (IDENTITY_AFFINE, Affine, affine_from_pairs,
+                                integer_charts, isometry_affine)
 from test_clip_convex import PRIMES
 from test_sphere import seg_intersection
 
@@ -179,6 +181,22 @@ def _mod1_oracle(q):
     return q - (q.numerator // q.denominator)
 
 
+def affine_of(a, b, c, d, e, f):
+    """The ``Affine`` of x' = a x + b y + c, y' = d x + e y + f, for
+    rational coefficients: their numerators over the lcm w of their
+    denominators.  A prime power dividing w exactly divides some
+    coefficient's denominator, whose numerator over w that prime then does
+    not divide, so the seven integers are canonical."""
+    cs = [Q(q) for q in (a, b, c, d, e, f)]
+    w = lcm(*[q.denominator for q in cs])
+    return Affine(*[q.numerator * (w // q.denominator) for q in cs], w)
+
+
+def fractions_of(A):
+    """A's six coefficients as Fractions, the fields the oracles read."""
+    return SimpleNamespace(**{k: Q(getattr(A, k), A.w) for k in "abcdef"})
+
+
 def _call_oracle(A, p):
     x, y = p
     return (A.a * x + A.b * y + A.c, A.d * x + A.e * y + A.f)
@@ -195,14 +213,14 @@ def _inverse_oracle(A):
         raise OverlayDegenerate("affine map not invertible")
     ia, ib = A.e / dt, -A.b / dt
     id_, ie = -A.d / dt, A.a / dt
-    return Affine(ia, ib, -(ia * A.c + ib * A.f),
-                  id_, ie, -(id_ * A.c + ie * A.f))
+    return affine_of(ia, ib, -(ia * A.c + ib * A.f),
+                     id_, ie, -(id_ * A.c + ie * A.f))
 
 
 def _compose_oracle(A, o):
-    return Affine(A.a * o.a + A.b * o.d, A.a * o.b + A.b * o.e,
-                  A.a * o.c + A.b * o.f + A.c, A.d * o.a + A.e * o.d,
-                  A.d * o.b + A.e * o.e, A.d * o.c + A.e * o.f + A.f)
+    return affine_of(A.a * o.a + A.b * o.d, A.a * o.b + A.b * o.e,
+                     A.a * o.c + A.b * o.f + A.c, A.d * o.a + A.e * o.d,
+                     A.d * o.b + A.e * o.e, A.d * o.c + A.e * o.f + A.f)
 
 
 def on_integers(src, dst):
@@ -221,7 +239,7 @@ def _affine_from_pairs_oracle(src, dst):
     b = ((u3 - u1) * (x2 - x1) - (u2 - u1) * (x3 - x1)) / det
     d = ((v2 - v1) * (y3 - y1) - (v3 - v1) * (y2 - y1)) / det
     e = ((v3 - v1) * (x2 - x1) - (v2 - v1) * (x3 - x1)) / det
-    return Affine(a, b, u1 - a * x1 - b * y1, d, e, v1 - d * x1 - e * y1)
+    return affine_of(a, b, u1 - a * x1 - b * y1, d, e, v1 - d * x1 - e * y1)
 
 
 def _rat(rng):
@@ -246,10 +264,6 @@ def _same(got, want):
             _same(g, w)
 
 
-def _affine_fields(A):
-    return [getattr(A, f.name) for f in dataclasses.fields(A)]
-
-
 def test_integer_kernels_match_the_fraction_formulas():
     rng = random.Random(0)
     for _ in range(400):
@@ -262,42 +276,41 @@ def test_integer_kernels_match_the_fraction_formulas():
         poly = (a, b, p, on_ab)[:rng.randint(1, 4)]
         _same(area2(poly), _area2_oracle(poly))
         _same(mod1(t), _mod1_oracle(t))
-        A = Affine(*[_rat(rng) for _ in range(6)])
-        B = Affine(*[_rat(rng) for _ in range(6)])
+        A = affine_of(*[_rat(rng) for _ in range(6)])
+        B = affine_of(*[_rat(rng) for _ in range(6)])
         if orient(a, b, p) != 0:
             src = [a, b, p, on_ab]
             dst = [A(q) for q in src]
-            _same(_affine_fields(affine_from_pairs(*on_integers(src, dst))),
-                  _affine_fields(_affine_from_pairs_oracle(src[:3],
-                                                           dst[:3])))
+            _same(affine_from_pairs(*on_integers(src, dst)),
+                  _affine_from_pairs_oracle(src[:3], dst[:3]))
             dst[3] = (dst[3][0] + 1, dst[3][1])
             with pytest.raises(OverlayDegenerate, match=INCOMPATIBLE):
                 affine_from_pairs(*on_integers(src, dst))
         # a singular map: second row a multiple of the first
-        S = Affine(A.a, A.b, A.c, t * A.a, t * A.b, A.f)
+        fa = fractions_of(A)
+        S = affine_of(fa.a, fa.b, fa.c, t * fa.a, t * fa.b, fa.f)
         for M in (A, B, S):
-            _same(M(p), _call_oracle(M, p))
-            _same(M.det, _det_oracle(M))
-            _same(M.compose_after(B), _compose_oracle(M, B))
-            _same(_affine_fields(M.compose_after(B)),
-                  _affine_fields(_compose_oracle(M, B)))
-            if _det_oracle(M) == 0:
+            fm, fb = fractions_of(M), fractions_of(B)
+            _same(M(p), _call_oracle(fm, p))
+            # det is the determinant times w^2
+            _same(Q(M.det, M.w ** 2), _det_oracle(fm))
+            _same(M.compose_after(B), _compose_oracle(fm, fb))
+            if _det_oracle(fm) == 0:
                 with pytest.raises(OverlayDegenerate):
                     M.inverse()
             else:
-                _same(_affine_fields(M.inverse()),
-                      _affine_fields(_inverse_oracle(M)))
+                _same(M.inverse(), _inverse_oracle(fm))
     # coordinates and coefficients over distinct primes above 2^61
     for _ in range(40):
         dens = rng.sample(PRIMES, len(PRIMES))
         src = [(_big(rng, dens[2 * i]), _big(rng, dens[2 * i + 1]))
                for i in range(4)]
-        A = Affine(*[_big(rng, dens[rng.randrange(8)]) for _ in range(6)])
+        A = affine_of(*[_big(rng, dens[rng.randrange(8)])
+                        for _ in range(6)])
         dst = [A(q) for q in src]
         if orient(*src[:3]) != 0:
-            _same(_affine_fields(affine_from_pairs(*on_integers(src, dst))),
-                  _affine_fields(_affine_from_pairs_oracle(src[:3],
-                                                           dst[:3])))
+            _same(affine_from_pairs(*on_integers(src, dst)),
+                  _affine_from_pairs_oracle(src[:3], dst[:3]))
             dst[3] = (dst[3][0], dst[3][1] + Q(1, dens[0]))
             with pytest.raises(OverlayDegenerate, match=INCOMPATIBLE):
                 affine_from_pairs(*on_integers(src, dst))
@@ -321,25 +334,51 @@ def test_action_key_agrees_with_the_fraction_key():
     affines = []
     for _ in range(40):
         # few distinct values, so that random keys also coincide
-        A = Affine(*[Q(rng.randint(-2, 2), rng.choice([1, 2, 3]))
-                     for _ in range(6)])
-        affines += [A, Affine(A.a, A.b, A.c + rng.randint(-3, 3), A.d, A.e,
-                              A.f),
-                    Affine(A.a, A.b, A.c + Q(1, 2), A.d, A.e, A.f)]
+        a, b, c, d, e, f = [Q(rng.randint(-2, 2), rng.choice([1, 2, 3]))
+                            for _ in range(6)]
+        affines += [affine_of(a, b, c, d, e, f),
+                    affine_of(a, b, c + rng.randint(-3, 3), d, e, f),
+                    affine_of(a, b, c + Q(1, 2), d, e, f)]
     equal = 0
     for A in affines:
         for B in affines:
-            same = _fraction_action_key(A) == _fraction_action_key(B)
+            same = _fraction_action_key(fractions_of(A)) == \
+                _fraction_action_key(fractions_of(B))
             assert (_action_key(A) == _action_key(B)) == same
             equal += same
     assert len(affines) < equal < len(affines) ** 2
 
 
-def test_affine_integer_form_stays_out_of_equality_hash_and_repr():
-    A = Affine(Q(1, 2), Q(-3, 4), Q(7, 3), Q(0), Q(5, 6), Q(-1))
-    twin = Affine(*_affine_fields(A))
-    before = (hash(A), repr(A), _action_key(A))
-    A((Q(1, 3), Q(2, 5)))              # builds A's integer form
-    assert A == twin and hash(A) == hash(twin)
-    assert (hash(A), repr(A), _action_key(A)) == before
-    assert [f.name for f in dataclasses.fields(Affine)] == list("abcdef")
+def test_affines_equal_as_maps_are_equal_however_built():
+    """An ``Affine`` is canonical, w > 0 and the gcd of its seven integers
+    1, so two that are equal as maps compare and hash equal, whichever
+    constructor built them."""
+    A = affine_of(Q(1, 2), Q(-3, 4), Q(7, 3), Q(0), Q(5, 6), Q(-1))
+    pts = [(Q(0), Q(0)), (Q(1, 3), Q(0)), (Q(0), Q(2, 5)), (Q(1), Q(1))]
+    big = [(x * 7 + Q(1, 11), y * 5) for x, y in pts]
+    pairs = [
+        (A.compose_after(A.inverse()), IDENTITY_AFFINE),
+        (A.inverse().compose_after(A), IDENTITY_AFFINE),
+        (isometry_affine(1, Q(2, 4), 1), isometry_affine(1, Q(1, 2), 1)),
+        (isometry_affine(-1, Q(3), 1), affine_of(-1, 0, 3, 0, 1, 0)),
+        # the same points over different S and T
+        (affine_from_pairs(*on_integers(pts, [A(p) for p in pts])), A),
+        (affine_from_pairs(*on_integers(big, [A(p) for p in big])), A),
+        (affine_from_pairs(*on_integers(pts + [(Q(1, 7), Q(0))],
+                                        [A(p) for p in pts] +
+                                        [A((Q(1, 7), Q(0)))])), A),
+        (A.shifted(3).shifted(-3), A),
+        (A.shifted(2), affine_of(Q(1, 2), Q(-3, 4), Q(7, 3) - 2, Q(0),
+                                 Q(5, 6), Q(-1))),
+    ]
+    for got, want in pairs:
+        assert got == want and hash(got) == hash(want)
+        assert got.w > 0
+        assert gcd(got.a, got.b, got.c, got.d, got.e, got.f, got.w) == 1
+        assert all(type(getattr(got, k)) is int for k in "abcdefw")
+    assert A.shifted(1) != A
+    assert _action_key(A.shifted(1)) == _action_key(A)
+    # a negative denominator and a common factor are divided out
+    M = affine_from_pairs(1, [(0, 0), (0, 1), (1, 0)],
+                          2, [(0, 0), (0, 2), (2, 0)])
+    assert M == IDENTITY_AFFINE

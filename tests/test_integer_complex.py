@@ -32,8 +32,9 @@ from plhomeo.geom import area2, centroid, cross, split_convex
 from plhomeo.maps import ccw, fixed_set, inverse, shift_into_unit
 from plhomeo.sectors import LEVEL_CUTS
 from plhomeo.sphere import _bprime_path, free_structure
-from plhomeo.suspension import (DISC, SPHERE, Affine, _edge_key, band_cells,
+from plhomeo.suspension import (DISC, SPHERE, _edge_key, band_cells,
                                 isometry_affine)
+from test_geom import affine_of
 
 Q = Fraction
 
@@ -341,7 +342,7 @@ def _bands(affine):
     (isometry_affine(1, Q(1, 8), 1),
      "cell image is not a cell: refinement is not equivariant"),
     # a vertex (0, 1) goes to (0, 1/2), on the grid but not a vertex
-    (Affine(Q(1), Q(0), Q(0), Q(0), Q(1, 2), Q(0)),
+    (affine_of(Q(1), Q(0), Q(0), Q(0), Q(1, 2), Q(0)),
      "cell image is not a cell: refinement is not equivariant"),
     # the first cell, [0, 1/4] wide, goes to [-1/8, 1/8]
     (isometry_affine(1, Q(-1, 8), 1), "cell straddles the meridian"),

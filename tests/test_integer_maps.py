@@ -25,7 +25,8 @@ from plhomeo.generate import make_instance
 from plhomeo.geom import area2
 from plhomeo.maps import (BoxIndex, CellMap, PLMap2, _meridian_pieces, follow,
                           inverse, shift_into_unit)
-from plhomeo.suspension import Affine, _independent_triple, integer_charts
+from plhomeo.suspension import _independent_triple, integer_charts
+from test_geom import affine_of, fractions_of
 from test_integer_complex import CLASSES
 
 Q = Fraction
@@ -57,8 +58,8 @@ def reference_affine_from_pairs(src, dst):
         if na * x + nb * y + nc != u * det or nd * x + ne * y + nf != v * det:
             raise OverlayDegenerate("point pairs are not affinely compatible")
     den = T * det
-    return Affine(Q(S * na, den), Q(S * nb, den), Q(nc, den),
-                  Q(S * nd, den), Q(S * ne, den), Q(nf, den))
+    return affine_of(Q(S * na, den), Q(S * nb, den), Q(nc, den),
+                     Q(S * nd, den), Q(S * ne, den), Q(nf, den))
 
 
 def reference_inverse(f):
@@ -78,10 +79,11 @@ def reference_follow(h, R):
     out, affines = [], []
     for ci, cell in enumerate(h.cells):
         B = R.compose_after(h.affine(ci))
+        fb = fractions_of(B)
         for poly, img in _meridian_pieces(list(cell.poly), B):
             m, img = shift_into_unit(img)
             out.append(CellMap(tuple(poly), img))
-            affines.append(Affine(B.a, B.b, B.c - m, B.d, B.e, B.f))
+            affines.append(affine_of(fb.a, fb.b, fb.c - m, fb.d, fb.e, fb.f))
     return PLMap2(h.model, out, affines)
 
 

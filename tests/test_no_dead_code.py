@@ -13,9 +13,9 @@ traces by name is still defined in its module, and every name that
 there.  A cell is located by a
 point only to evaluate the map there, and the overlay box-tests and
 measures areas on integers, as the equivariant complex keys, acts and
-cuts on them.  Every import in ``src/`` is at
-module level.  A check's verdict is a return value, never stored on the
-record checked.
+cuts on them, and an affine chart map is built on integers.  Every import
+in ``src/`` is at module level.  A check's verdict is a return value,
+never stored on the record checked.
 """
 
 import ast
@@ -246,6 +246,27 @@ def test_complex_keys_acts_and_cuts_on_integers():
                         calls.append(f"{name}.{top.name}: {fn}")
     assert found == wanted
     assert calls == []
+
+
+def test_affine_constructors_build_no_fraction():
+    """``Affine.inverse``, ``Affine.compose_after``, ``affine_from_pairs``,
+    ``isometry_affine`` and the ``_canonical`` form they share build the
+    seven integers directly: none calls ``Fraction`` or ``Q``."""
+    wanted = {"Affine.inverse", "Affine.compose_after", "affine_from_pairs",
+              "isometry_affine", "_canonical"}
+    defs = {}
+    for top in _modules()["suspension"].body:
+        if isinstance(top, ast.ClassDef) and top.name == "Affine":
+            defs.update((f"Affine.{node.name}", node) for node in top.body
+                        if isinstance(node, ast.FunctionDef))
+        elif isinstance(top, ast.FunctionDef):
+            defs[top.name] = top
+    calls = [f"{name}: {node.func.id}" for name in sorted(wanted & set(defs))
+             for node in ast.walk(defs[name])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("Fraction", "Q")]
+    assert calls == []
+    assert wanted <= set(defs)
 
 
 def test_model_maps_come_from_the_model_isometry():

@@ -4,8 +4,8 @@
 size on some results: the ``cells`` of ``maps.compose``, the ``polys`` of
 the two equivariant complexes, and the first two positional arguments of
 ``embedding.tutte_positions``.  Here ``analyze --format json``,
-``conjugate`` and ``verify`` run on two frozen instances, once untraced and
-twice under an installed ``Tracer``.  Both traced runs must give the
+``conjugate`` and ``verify`` run on four frozen instances, both fixed-point
+classes among them, once untraced and twice under an installed ``Tracer``.  Both traced runs must give the
 untraced exit codes, standard output and certificate bytes, with no
 exception escaping a wrapper, and make the same calls in every group.
 """
@@ -19,7 +19,8 @@ from plhomeo import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 INPUTS = ROOT / "bench" / "inputs"
-NAMES = ["disc-reflection-0-2", "sphere-rotoreflection-1-4"]
+NAMES = ["disc-reflection-0-2", "disc-rotation-1-3", "sphere-rotation-1-3",
+         "sphere-rotoreflection-1-4"]
 CALLED = ["maps.compose", "eqcomplex.equivariant_complex",
           "eqcomplex.conjugated_equivariant_complex",
           "embedding.tutte_positions", "disc.analyze_disc",
@@ -70,7 +71,8 @@ def test_traced_runs_are_the_untraced_run(tmp_path):
             tracer.uninstall()
         counts.append({group: s["calls"]
                        for group, s in tracer.aggregate(first).items()})
-    assert [rc for *_, rc, _ in untraced[:3]] == [0, 0, 0]
+    assert [run[2] for run in untraced if len(run) == 4] == \
+        [0] * 3 * len(NAMES)
     assert traced[0] == untraced
     assert traced[1] == untraced
     assert counts[0] == counts[1]
