@@ -27,7 +27,7 @@ from plhomeo.maps import (CellMap, PLMap2, ccw, compose, evaluate,
                           shift_into_unit)
 from plhomeo.suspension import (DISC, affine_from_pairs, band_cells,
                                 model_point, s_range)
-from test_geom import on_integers
+from test_geom import fractions_of, on_integers
 from test_validate_homeo import bbox
 
 Q = Fraction
@@ -84,7 +84,7 @@ def frozen():
 
 
 def _solved(cell):
-    a = affine_from_pairs(*on_integers(cell.poly, cell.img))
+    a = fractions_of(affine_from_pairs(*on_integers(cell.poly, cell.img)))
     return (a.a, a.b, mod1(a.c), a.d, a.e, a.f)
 
 
@@ -153,6 +153,15 @@ def test_moved_image_vertex_matches_the_oracle(frozen, name, seed):
     h = _move_image_vertex(cert.h, random.Random(seed))
     for right in RIGHT_SIDES:
         assert _assert_matches_oracle(*_sides(f, h, cert.model, right)) \
+            is not None
+
+
+def test_changed_rotation_angle_matches_the_oracle():
+    # the model rotation 1/3 changed to 2/3: both sides act by the same
+    # linear part on every piece and differ only in the shift
+    f, cert = _load("disc-rotation-1-3.k-changed")
+    for right in RIGHT_SIDES:
+        assert _assert_matches_oracle(*_sides(f, cert.h, cert.model, right)) \
             is not None
 
 

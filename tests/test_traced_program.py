@@ -5,9 +5,10 @@ size on some results: the ``cells`` of ``maps.compose``, the ``polys`` of
 the two equivariant complexes, and the first two positional arguments of
 ``embedding.tutte_positions``.  Here ``analyze --format json``,
 ``conjugate`` and ``verify`` run on four frozen instances, both fixed-point
-classes among them, once untraced and twice under an installed ``Tracer``.  Both traced runs must give the
-untraced exit codes, standard output and certificate bytes, with no
-exception escaping a wrapper, and make the same calls in every group.
+classes among them, once untraced and twice under an installed ``Tracer``.
+Both traced runs must give the untraced exit codes, standard output and
+certificate bytes, with no exception escaping a wrapper, and make the same
+calls in every group.
 """
 
 import contextlib
