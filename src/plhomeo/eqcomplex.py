@@ -17,7 +17,8 @@ from fractions import Fraction
 
 from .errors import OverlayDegenerate, StructureViolated
 from .exact import fmt_pt
-from .geom import Pt, area2, centroid, cross, line_points, split_convex
+from .geom import (Hom, Pt, area2, centroid, frac_poly, line_points,
+                   line_through, lowest, split_convex)
 from .maps import (PLMap2, ccw, compose, fixed_set, identity_map, is_identity,
                    power, shift_into_unit)
 from .suspension import (Affine, IDENTITY_AFFINE, _int_edge_key,
@@ -102,7 +103,8 @@ def conjugated_equivariant_complex(f: PLMap2, h: PLMap2, n: int,
     base_chords = []
     if phi_power is not None:
         base_chords = list(fixed_set(power(f_ref, phi_power)).segments)
-    primary = _pullback_levels(h, level_cuts) + base_chords
+    primary = _pullback_segments(h, [((Q(0), tau), (Q(1), tau))
+                                     for tau in level_cuts]) + base_chords
     secondary = _pullback_segments(h, chord_cuts)
     if primary or secondary:
         chains = _cut_polys(chains, [], primary, segs_secondary=secondary)
@@ -120,61 +122,56 @@ def conjugated_equivariant_complex(f: PLMap2, h: PLMap2, n: int,
     return EqComplex(f.model, n, pushed, affines)
 
 
-def _pullback_levels(h: PLMap2, levels):
-    """h-preimages of horizontal lines, as full chords of h's cells."""
-    out = []
-    for ci, cell in enumerate(h.cells):
-        A = h.affine(ci)
-        img = [A(p) for p in cell.poly]
-        inv = None
-        for tau in levels:
-            vals = [p[1] - tau for p in img]
-            if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
-                continue
-            c1, c2 = sorted(line_points(img, vals))
-            inv = inv or A.inverse()
-            out.append((inv(c1), inv(c2)))
-    return out
-
-
 def _pullback_segments(h: PLMap2, segs):
-    """h-preimages of chart segments, as chords of h's cells."""
+    """h-preimages of chart segments, as chords of h's cells: in each
+    cell, each segment at the first shift (``_boxed``) whose box meets
+    the box of the cell's image and whose chord inside it is not a point.
+    The boxes are tested on h's integer images over E."""
+    boxed = _boxed(segs)
+    E, imgs = h.index.images
     out = []
-    for ci, cell in enumerate(h.cells):
-        A = h.affine(ci)
-        img = [A(p) for p in cell.poly]
-        xs = [p[0] for p in img]
-        ys = [p[1] for p in img]
+    for ci, img in enumerate(imgs):
+        xs, ys = zip(*img)
         xlo, xhi, ylo, yhi = min(xs), max(xs), min(ys), max(ys)
-        inv = None
-        for (a, b) in segs:
-            for dx in (0, -1, 1, -2, 2):
-                if max(a[0], b[0]) + dx < xlo or min(a[0], b[0]) + dx > xhi \
-                        or max(a[1], b[1]) < ylo or min(a[1], b[1]) > yhi:
+        homs = inv = None
+        for (sylo, syhi, S), shifted in boxed:
+            if syhi * E < ylo * S or sylo * E > yhi * S:
+                continue
+            for sxlo, sxhi, seg in shifted:
+                if sxhi * E < xlo * S or sxlo * E > xhi * S:
                     continue
-                got = _chord_points(img, (a[0] + dx, a[1]), (b[0] + dx, b[1]))
+                homs = homs or [lowest(x, y, E) for x, y in img]
+                got = _chord_points(homs, seg)
                 if got is not None:
-                    inv = inv or A.inverse()
+                    inv = inv or h.affine(ci).inverse()
                     out.append((inv(got[0]), inv(got[1])))
                     break
     return out
 
 
-def _chord_points(img, a, b):
-    """Endpoints of the chord of segment (a, b) inside a convex polygon,
-    or None; the chord may end inside (partial overlap is fine here since
-    the complement curves cut first)."""
-    vals = [cross(a, b, p) for p in img]
-    ts = sorted(_param_along(a, b, p) for p in line_points(img, vals))
+def _chord_points(img: list[Hom], seg):
+    """Endpoints of the chord of the segment seg (``_boxed``) inside a
+    convex polygon, or None; the chord may end inside (partial overlap is
+    fine here since the complement curves cut first)."""
+    ts = _chord_params(img, seg)
     if len(ts) < 2:
         return None
-    lo = max(ts[0], Q(0))
-    hi = min(ts[-1], Q(1))
+    lo, hi = max(ts[0], 0), min(ts[-1], 1)
     if hi <= lo:
         return None
-    p1 = (a[0] + lo * (b[0] - a[0]), a[1] + lo * (b[1] - a[1]))
-    p2 = (a[0] + hi * (b[0] - a[0]), a[1] + hi * (b[1] - a[1]))
-    return p1, p2
+    (ax, ay, S), (bx, by, _), _ = seg
+    return [(Q(ax + t * (bx - ax), S), Q(ay + t * (by - ay), S))
+            for t in (lo, hi)]
+
+
+def _chord_params(img: list[Hom], seg) -> list[Fraction]:
+    """The sorted parameters t at which a + t (b - a), on the line of the
+    segment seg = (a, b, line) (``_boxed``), meets the boundary of the
+    convex polygon img."""
+    (ax, ay, S), (bx, by, _), line = seg
+    i, o, u = (0, ax, bx - ax) if ax != bx else (1, ay, by - ay)
+    return sorted(Q(p[i] * S - o * p[2], u * p[2])
+                  for p in line_points(img, line))
 
 
 def _chain_cells(f: PLMap2, n: int):
@@ -222,17 +219,20 @@ def _cut_polys(chains, levels, segs, segs_secondary=()):
 
 
 def _boxed(segs):
-    """Each segment's y-range and the lcm S of its denominators, and its
-    x-range and ends at each horizontal shift a cut tries, the ends both
-    as Fractions and as integers over S; ranges over S."""
+    """Each segment's y-range and the lcm S of its denominators, and at
+    each horizontal shift a cut tries, its x-range and the shifted
+    segment (a, b, line): its ends as points (X, Y, S) and its line
+    (``geom.line_through``); ranges over S."""
     out = []
     for a, b in segs:
         S, [[(ax, ay), (bx, by)]] = integer_charts([(a, b)])
         xlo, xhi = min(ax, bx), max(ax, bx)
-        out.append(((min(ay, by), max(ay, by), S),
-                    [(xlo + dx * S, xhi + dx * S, (a[0] + dx, a[1]),
-                      (b[0] + dx, b[1]), (ax + dx * S, ay), (bx + dx * S, by))
-                     for dx in (0, -1, 1, -2, 2)]))
+        shifted = []
+        for dx in (0, -1, 1, -2, 2):
+            ia, ib = (ax + dx * S, ay, S), (bx + dx * S, by, S)
+            shifted.append((xlo + dx * S, xhi + dx * S,
+                            (ia, ib, line_through(ia, ib))))
+        out.append(((min(ay, by), max(ay, by), S), shifted))
     return out
 
 
@@ -256,8 +256,9 @@ def _first_cut(poly, affs, levels, segs):
                 # chord run towards increasing t and pulled back to poly;
                 # that piece comes first, which fixes the output order
                 side = 1 if a * e - b * d > 0 else -1
-                return list(split_convex(poly, [side * (Q(y, den) - Q(p, q))
-                                                for y in ys]))
+                line = (side * q * d, side * q * e, side * (q * f - p * w))
+                return [frac_poly(piece) for piece in split_convex(
+                    [lowest(x, y, L) for x, y in ipoly], line)]
         if not segs:
             continue
         xlo, xhi = min(xs), max(xs)
@@ -266,17 +267,15 @@ def _first_cut(poly, affs, levels, segs):
             if syhi * den < ylo * S or sylo * den > yhi * S:
                 continue
             pieces = None
-            for sxlo, sxhi, pa, pb, (ax, ay), (bx, by) in shifted:
+            for sxlo, sxhi, seg in shifted:
                 if sxhi * den < xlo * S or sxlo * den > xhi * S:
                     continue
-                # cross(pa, pb, p) times S S W L at each image vertex p
-                ux, uy, ox, oy = bx - ax, by - ay, ax * den, ay * den
-                sides = [ux * (y * S - oy) - uy * (x * S - ox)
-                         for x, y in zip(xs, ys)]
+                lx, ly, lw = seg[2]
+                sides = [lx * x + ly * y + lw * den for x, y in zip(xs, ys)]
                 if all(v >= 0 for v in sides) or all(v <= 0 for v in sides):
                     continue
-                img = img or [(Q(x, den), Q(y, den)) for x, y in zip(xs, ys)]
-                pieces = _chord_split(img, pa, pb)
+                img = img or [lowest(x, y, den) for x, y in zip(xs, ys)]
+                pieces = _chord_split(img, seg)
                 if pieces is not None:
                     break
             if pieces is None:
@@ -284,7 +283,7 @@ def _first_cut(poly, affs, levels, segs):
             inv = A.inverse()
             src = []
             for piece in pieces:
-                pulled = [inv(p) for p in piece]
+                pulled = [inv.at_hom(p) for p in piece]
                 if area2(tuple(pulled)) < 0:
                     pulled.reverse()
                 src.append(pulled)
@@ -292,28 +291,23 @@ def _first_cut(poly, affs, levels, segs):
     return None
 
 
-def _chord_split(img, a, b):
-    """Split an image polygon by segment (a, b) if it truly crosses it.
+def _chord_split(img: list[Hom], seg):
+    """Split an image polygon by the segment seg (``_boxed``) if it truly
+    crosses it.
 
     Returns None when the segment misses the polygon; raises only when the
     segment genuinely ends strictly inside it (not a full chord)."""
-    vals = [cross(a, b, p) for p in img]
+    lx, ly, lw = line = seg[2]
+    vals = [lx * x + ly * y + lw * w for x, y, w in img]
     if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
         return None
     # the chord of the supporting line inside img, as segment parameters
-    t1, t2 = sorted(_param_along(a, b, p) for p in line_points(img, vals))
+    t1, t2 = _chord_params(img, seg)
     if t2 <= 0 or t1 >= 1:
         return None  # the line crosses here, the segment does not
     if t1 < 0 or t2 > 1:
         raise OverlayDegenerate("cut segment ends inside a cell")
-    return list(split_convex(img, vals))
-
-
-def _param_along(a, b, p) -> Fraction:
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    if dx != 0:
-        return (p[0] - a[0]) / dx
-    return (p[1] - a[1]) / dy
+    return list(split_convex(img, line))
 
 
 def _index_complex(k: EqComplex) -> list[list[tuple[int, int]]]:

@@ -4,7 +4,9 @@ Points enter and leave the package as `fractions.Fraction` values, angles
 normalized into [0, 1); "p/q" strings (q > 0, lowest terms) are the only
 serialized form.  The kernels work on exact integer forms: points over the
 lcm of their denominators (`maps.BoxIndex`, the keys of
-`eqcomplex.EqComplex`) and affine maps as seven canonical integers
+`eqcomplex.EqComplex`), homogeneous points (X, Y, W) in lowest terms, which
+`geom`'s overlay and line kernels take and return (`geom.hom`), lines as
+three integers (lx, ly, lw), and affine maps as seven canonical integers
 (`suspension.Affine`).  Nothing in this module, or anywhere in the core,
 produces a float.
 """

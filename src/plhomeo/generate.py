@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from .conjugacy import ModelIsometry
 from .errors import StructureViolated
-from .geom import (INSIDE, Pt, area2, centroid, cross, line_points,
-                   point_in_convex, split_convex)
+from .geom import (INSIDE, Pt, area2, centroid, frac_poly, hom, line_points,
+                   line_through, point_in_convex, split_convex)
 from .maps import (CellMap, PLMap2, compose, identity_map, inverse,
                    validate_homeo)
 from .suspension import (DISC, _edge_key, band_cells, collapsed_levels,
@@ -179,13 +179,13 @@ def relocate_vertex(rng, model, tiling, v: Pt):
     if not star or any(len(tiling[ci]) != 3 for ci, _, _ in star):
         return None
     # kernel: intersection of half-planes left of each opposite edge
-    kern = [(Q(0), lo), (Q(1), lo), (Q(1), hi), (Q(0), hi)]
+    kern = [hom(p) for p in ((Q(0), lo), (Q(1), lo), (Q(1), hi), (Q(0), hi))]
     for ci, i, copy in star:
         poly = tiling[ci]
         shift = copy[0] - v[0]
         a = (poly[(i + 1) % 3][0] - shift, poly[(i + 1) % 3][1])
         b = (poly[(i + 2) % 3][0] - shift, poly[(i + 2) % 3][1])
-        kern, _ = split_convex(kern, [cross(a, b, p) for p in kern])
+        kern, _ = split_convex(kern, line_through(hom(a), hom(b)))
         if not kern:
             return None
     w = _sample_target(rng, kern, v, line)
@@ -201,6 +201,7 @@ def relocate_vertex(rng, model, tiling, v: Pt):
 
 
 def _sample_target(rng, kern, v, line):
+    """A target for v inside the kernel kern, homogeneous points."""
     if line == "horizontal":
         xs = _line_slice(kern, v, horizontal=True)
         if xs is None:
@@ -215,6 +216,7 @@ def _sample_target(rng, kern, v, line):
         lo_y, hi_y = ys
         y = _snap_between(rng, lo_y, hi_y)
         return None if y is None else (v[0], y)
+    kern = frac_poly(kern)
     weights = [Q(1 + rng.randrange(8)) for _ in kern]
     tot = sum(weights)
     cx = sum(w * p[0] for w, p in zip(weights, kern)) / tot
@@ -230,10 +232,12 @@ def _sample_target(rng, kern, v, line):
 def _line_slice(kern, v, horizontal: bool):
     """Open interval of the kernel along the axis line through v."""
     axis = 1 if horizontal else 0
-    pts = line_points(kern, [p[axis] - v[axis] for p in kern])
+    # the line through v and v + (1, 0) or v + (0, 1)
+    pts = line_points(kern, line_through(
+        hom(v), hom((v[0] + axis, v[1] + 1 - axis))))
     if len(pts) < 2:
         return None
-    coords = [p[1 - axis] for p in pts]
+    coords = [Q(p[1 - axis], p[2]) for p in pts]
     return min(coords), max(coords)
 
 

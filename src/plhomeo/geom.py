@@ -1,15 +1,15 @@
 """Planar primitives over exact rationals.
 
-Points are (x, y) tuples of Fractions.  Everything here is decided by the
-sign of exact determinants; there are no tolerances.  ``orient``,
-``cross`` and ``area2`` take Fractions but compute on integers; the
-overlay kernels (``clip_convex``, ``normalize_poly``, ``hom_area2``) take
-integer points (X, Y, W) in lowest terms (``hom``), so tuples compare.
+Everything here is decided by the sign of exact determinants; there are no
+tolerances.  ``orient``, ``on_segment``, ``area2``, ``point_in_convex`` and
+``centroid`` take (x, y) tuples of Fractions (``Pt``).  The overlay and line
+kernels take and return homogeneous integer points (X, Y, W), W > 0, in
+lowest terms (``hom``), so equal points are equal tuples.
 
-A line meets a convex polygon only here.  It is given by an affine
-function, as its values at the polygon's vertices, so a caller that has
-those values (a level s - tau, ``cross(a, b, .)``, a row of a linear
-equation) passes them as they are.
+A line meets a convex polygon only here.  It is three integers (lx, ly, lw),
+positive where lx X + ly Y + lw W > 0, so a caller passes the line it holds
+(a level, a row of a linear equation, ``line_through`` a chord), and every
+edge crossing is the one integer ``_crossing``.
 """
 
 from __future__ import annotations
@@ -31,14 +31,9 @@ def orient(a: Pt, b: Pt, c: Pt) -> int:
     return 1 if d > 0 else (-1 if d < 0 else 0)
 
 
-def cross(o: Pt, a: Pt, b: Pt) -> Fraction:
-    """The determinant of (a - o, b - o)."""
-    o, a, b = hom(o), hom(a), hom(b)
-    return Fraction(_det3(o, a, b), o[2] * a[2] * b[2])
-
-
 def _det3(o: Hom, a: Hom, b: Hom) -> int:
-    """cross(o, a, b) times the product of the weights of o, a and b."""
+    """The determinant of (a - o, b - o) times the product of the weights
+    of o, a and b."""
     (ox, oy, ow), (ax, ay, aw), (bx, by, bw) = o, a, b
     return (ox * (ay * bw - by * aw) - oy * (ax * bw - bx * aw)
             + ow * (ax * by - bx * ay))
@@ -83,36 +78,16 @@ def clip_convex(subject: list[Hom], clip: list[Hom]) -> list[Hom]:
     if _separated(lines, subject) or _separated(_edge_lines(subject), clip):
         return []
     out = subject
-    for lx, ly, lw in lines:
-        res = []
-        m = len(out)
-        vals = [lx * px + ly * py + lw * pw for (px, py, pw) in out]
-        for j in range(m):
-            p, vp = out[j], vals[j]
-            q, vq = out[(j + 1) % m], vals[(j + 1) % m]
-            if vp >= 0:
-                res.append(p)
-            if (vp > 0 and vq < 0) or (vp < 0 and vq > 0):
-                alpha = vp * q[2]
-                beta = vq * p[2]
-                den = alpha - beta
-                rx = alpha * q[0] * p[2] - beta * p[0] * q[2]
-                ry = alpha * q[1] * p[2] - beta * p[1] * q[2]
-                rw = den * p[2] * q[2]
-                g = gcd(rx, ry, rw)
-                if rw < 0:
-                    g = -g
-                res.append((rx // g, ry // g, rw // g))
-        out = res
+    for line in lines:
+        out = _halfplane(out, line)
         if not out:
             return []
     return normalize_poly(out)
 
 
 def _edge_lines(poly: list[Hom]) -> list[Hom]:
-    """Each edge's line (lx, ly, lw): lx X + ly Y + lw W > 0 on its left."""
-    return [(ay * bw - by * aw, bx * aw - ax * bw, ax * by - bx * ay)
-            for (ax, ay, aw), (bx, by, bw) in zip(poly, poly[1:] + poly[:1])]
+    """Each edge's line (``line_through``), positive on its left."""
+    return list(map(line_through, poly, poly[1:] + poly[:1]))
 
 
 def _separated(lines: list[Hom], poly: list[Hom]) -> bool:
@@ -127,11 +102,13 @@ def _separated(lines: list[Hom], poly: list[Hom]) -> bool:
     return False
 
 
-def line_points(poly, vals) -> list[Pt]:
-    """Where the line vals = 0 meets the boundary of a convex polygon: each
-    vertex on it, and one point on each edge whose ends it strictly
-    separates, in boundary order."""
-    out: list[Pt] = []
+def line_points(poly: list[Hom], line: Hom) -> list[Hom]:
+    """Where the line lx X + ly Y + lw W = 0 meets the boundary of a convex
+    polygon: each vertex on it, and one point on each edge whose ends it
+    strictly separates, in boundary order."""
+    lx, ly, lw = line
+    vals = [lx * px + ly * py + lw * pw for (px, py, pw) in poly]
+    out: list[Hom] = []
     n = len(poly)
     for i in range(n):
         vp, vq = vals[i], vals[(i + 1) % n]
@@ -142,9 +119,19 @@ def line_points(poly, vals) -> list[Pt]:
     return out
 
 
-def clip_halfplane(poly, vals) -> list[Pt]:
-    """Keep the closed side vals >= 0 of a convex polygon."""
-    res: list[Pt] = []
+def clip_halfplane(poly: list[Hom], line: Hom) -> list[Hom]:
+    """Keep the closed side lx X + ly Y + lw W >= 0 of a convex polygon."""
+    return _halfplane(poly, line)
+
+
+def _halfplane(poly: list[Hom], line: Hom) -> list[Hom]:
+    """The Sutherland-Hodgman step of ``clip_halfplane``.  ``clip_convex``
+    takes it once per edge line of its clip polygon, so the calls of
+    ``clip_halfplane`` (a layer ``bench/tracer.py`` counts) are the cuts
+    by a single line."""
+    lx, ly, lw = line
+    vals = [lx * px + ly * py + lw * pw for (px, py, pw) in poly]
+    res: list[Hom] = []
     n = len(poly)
     for i in range(n):
         vp, vq = vals[i], vals[(i + 1) % n]
@@ -155,11 +142,25 @@ def clip_halfplane(poly, vals) -> list[Pt]:
     return res
 
 
-def _crossing(p: Pt, q: Pt, vp, vq) -> Pt:
-    """The zero on the edge p q of the affine function with values vp at p
-    and vq at q, of opposite signs."""
-    t = vp / (vp - vq)
-    return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+def _crossing(p: Hom, q: Hom, vp: int, vq: int) -> Hom:
+    """The point, in lowest terms, where a line crosses the edge p q, from
+    its values vp at p and vq at q, of opposite signs: the line vanishes
+    at the homogeneous point vp q - vq p."""
+    rx = vp * q[0] - vq * p[0]
+    ry = vp * q[1] - vq * p[1]
+    rw = vp * q[2] - vq * p[2]
+    g = gcd(rx, ry, rw)
+    if rw < 0:
+        g = -g
+    return rx // g, ry // g, rw // g
+
+
+def line_through(a: Hom, b: Hom) -> Hom:
+    """The line (lx, ly, lw) through a and b: its value at p is the
+    determinant of (b - a, p - a) times the weights of a, b and p, so it
+    is positive left of a -> b."""
+    (ax, ay, aw), (bx, by, bw) = a, b
+    return ay * bw - by * aw, bx * aw - ax * bw, ax * by - bx * ay
 
 
 def normalize_poly(poly: list[Hom]) -> list[Hom]:
@@ -202,15 +203,15 @@ def frac_poly(poly: list[Hom]) -> list[Pt]:
     return [(Fraction(x, w), Fraction(y, w)) for x, y, w in poly]
 
 
-def split_convex(poly, vals) -> tuple[list[Pt], list[Pt]]:
-    """Split a convex polygon by the line vals = 0.
+def split_convex(poly: list[Hom], line: Hom) -> tuple[list[Hom], list[Hom]]:
+    """Split a convex polygon by a line.
 
-    Returns the normalized pieces (vals >= 0, vals <= 0); either is [] if
+    Returns the normalized pieces (line >= 0, line <= 0); either is [] if
     the line misses the interior.
     """
-    return tuple(frac_poly(normalize_poly([hom(p) for p in
-                                           clip_halfplane(poly, vs)]))
-                 for vs in (vals, [-v for v in vals]))
+    lx, ly, lw = line
+    return (normalize_poly(clip_halfplane(poly, line)),
+            normalize_poly(clip_halfplane(poly, (-lx, -ly, -lw))))
 
 
 def point_in_convex(p: Pt, poly: list[Pt]) -> str:

@@ -299,10 +299,12 @@ def follow(h: PLMap2, R: Affine) -> PLMap2:
     for ci, (cell, img) in enumerate(zip(h.cells, imgs)):
         B = R.compose_after(h.affine(ci))
         xs = [a * x + b * y + c * E for x, y in img]
-        if min(xs) // den + 1 < -(-max(xs) // den):
-            for poly, pimg in _meridian_pieces(list(cell.poly), B):
+        lo, hi = min(xs) // den + 1, -(-max(xs) // den)
+        if lo < hi:
+            poly = [lowest(x, y, index.D) for x, y in index.polys[ci]]
+            for piece, pimg in _meridian_pieces(poly, B, lo, hi):
                 m, pimg = shift_into_unit(pimg)
-                out.append(CellMap(tuple(poly), pimg))
+                out.append(CellMap(tuple(piece), pimg))
                 affines.append(B.shifted(m))
             continue
         m, img = shift_into_unit([(x, d * X + e * Y + f_ * E)
@@ -316,22 +318,18 @@ def follow(h: PLMap2, R: Affine) -> PLMap2:
     return g
 
 
-def _meridian_pieces(poly: list[Pt], B: Affine) -> list[tuple]:
-    """A convex CCW polygon cut where B's x-coordinate is an integer m
-    strictly inside its range, in order of m (or the polygon itself),
-    each piece with its vertices' images under B, computed once."""
-    img = [B(p) for p in poly]
-    xs = [q[0] for q in img]
+def _meridian_pieces(poly: list[Hom], B: Affine, lo: int,
+                     hi: int) -> list[tuple]:
+    """A convex CCW polygon cut where B's x-coordinate is each integer m
+    with lo <= m < hi, in order of m, each piece as Fraction points with
+    their images under B."""
+    a, b, c, _, _, _, w = B
     pieces = []
-    for m in range(floor(min(xs)) + 1, ceil(max(xs))):
-        vs = [x - m for x in xs]
-        cut = clip_halfplane(poly, [-v for v in vs])
-        pieces.append((cut, [B(p) for p in cut]))
-        poly = clip_halfplane(poly, vs)
-        img = [B(p) for p in poly]
-        xs = [q[0] for q in img]
-    pieces.append((poly, img))
-    return pieces
+    for m in range(lo, hi):
+        pieces.append(clip_halfplane(poly, (-a, -b, m * w - c)))
+        poly = clip_halfplane(poly, (a, b, c - m * w))
+    pieces.append(poly)
+    return [(frac_poly(p), [B.at_hom(q) for q in p]) for p in pieces]
 
 
 def inverse(f: PLMap2) -> PLMap2:
@@ -584,8 +582,8 @@ def _fixed_in_cell(A: Affine, poly: list[Pt], delta: int):
         x0, y0 = _line_point(p, q, r)
         if m11 * x0 + m12 * y0 != r1:
             return "none", None
-    pts = sorted(set(line_points(poly, [p * v[0] + q * v[1] - r
-                                        for v in poly])))
+    pts = sorted(set(frac_poly(line_points([hom(v) for v in poly],
+                                           (p, q, -r)))))
     if not pts:
         return "none", None
     if len(pts) == 1:

@@ -204,13 +204,14 @@ def t0_cut(f: PLMap2) -> Fraction:
 def _height_envelope(f: PLMap2, t: Fraction) -> Fraction:
     """M(t): the maximal height of f over the closed cap {s >= t}."""
     best = None
-    for ci, cell in enumerate(f.cells):
+    line = (0, t.denominator, -t.numerator)
+    for ci, poly in enumerate(f.index.homs):
         A = f.affine(ci)
-        pts = [p for p in cell.poly if p[1] >= t]
+        pts = [p for p in poly if p[1] * t.denominator >= p[2] * t.numerator]
         if not pts:
             continue
-        for p in pts + line_points(cell.poly, [q[1] - t for q in cell.poly]):
-            v = A(p)[1]
+        for p in pts + line_points(poly, line):
+            v = A.at_hom(p)[1]
             if best is None or v > best:
                 best = v
     if best is None:
@@ -239,11 +240,12 @@ def _normalize_square(f: PLMap2, n: int):
 def _touch_point(f: PLMap2, t0: Fraction) -> Pt:
     """Lexicographically smallest point of C and f(C) at the critical cut."""
     pts = set()
-    for ci, cell in enumerate(f.cells):
+    line = (0, t0.denominator, -t0.numerator)
+    for ci, poly in enumerate(f.index.homs):
         A = f.affine(ci)
-        for p in line_points(cell.poly, [q[1] - t0 for q in cell.poly]):
-            if A(p)[1] == t0:
-                pts.add((mod1(p[0]), t0))
+        for p in line_points(poly, line):
+            if A.at_hom(p)[1] == t0:
+                pts.add((mod1(Q(p[0], p[2])), t0))
     if not pts:
         raise StructureViolated("caps do not touch at the critical latitude")
     return min(pts)

@@ -8,12 +8,13 @@ import pytest
 from plhomeo.errors import OverlayDegenerate
 from plhomeo.exact import mod1
 from plhomeo.geom import (BOUNDARY, INSIDE, OUTSIDE, area2, clip_convex,
-                          cross, frac_poly, hom, line_points, on_segment,
-                          orient, point_in_convex, split_convex)
+                          clip_halfplane, frac_poly, hom, line_points,
+                          line_through, on_segment, orient, point_in_convex,
+                          split_convex)
 from plhomeo.maps import _action_key
 from plhomeo.suspension import (IDENTITY_AFFINE, Affine, affine_from_pairs,
                                 integer_charts, isometry_affine)
-from test_clip_convex import PRIMES
+from test_clip_convex import PRIMES, _convex, reference_normalize
 from test_sphere import seg_intersection
 
 Q = Fraction
@@ -83,16 +84,21 @@ def test_clip_convex():
     assert out == []
 
 
-def _cross_vals(poly, a, b):
-    return [cross(a, b, p) for p in poly]
+def _line(a, b):
+    """The line through the Fraction points a and b."""
+    return line_through(hom(a), hom(b))
+
+
+def _split(poly, line):
+    """``split_convex`` on Fraction points."""
+    return tuple(frac_poly(piece) for piece in
+                 split_convex([hom(p) for p in poly], line))
 
 
 def test_split_convex():
-    left, right = split_convex(list(UNIT_SQUARE), _cross_vals(
-        UNIT_SQUARE, pt(Q(1, 2), 0), pt(Q(1, 2), 1)))
+    left, right = _split(UNIT_SQUARE, _line(pt(Q(1, 2), 0), pt(Q(1, 2), 1)))
     assert area2(tuple(left)) == 1 and area2(tuple(right)) == 1
-    left, right = split_convex(list(UNIT_SQUARE),
-                               _cross_vals(UNIT_SQUARE, pt(5, 0), pt(5, 1)))
+    left, right = _split(UNIT_SQUARE, _line(pt(5, 0), pt(5, 1)))
     assert right == [] and area2(tuple(left)) == 2
 
 
@@ -135,7 +141,7 @@ def test_line_points_match_the_edge_oracle():
         for a, b in lines:
             if a == b:
                 continue
-            vals = [cross(a, b, p) for p in poly]
+            line = _line(a, b)
             far = (a[0] + 100 * (b[0] - a[0]), a[1] + 100 * (b[1] - a[1]))
             back = (a[0] - 100 * (b[0] - a[0]), a[1] - 100 * (b[1] - a[1]))
             oracle = set()
@@ -146,14 +152,80 @@ def test_line_points_match_the_edge_oracle():
                     oracle.add(got)
                 elif kind == "overlap":
                     oracle.update(got)
-            hits = line_points(poly, vals)
+            hits = frac_poly(line_points([hom(p) for p in poly], line))
             assert len(hits) == len(set(hits))
             assert set(hits) == oracle
-            left, right = split_convex(poly, vals)
+            left, right = _split(poly, line)
             assert area2(tuple(left)) + area2(tuple(right)) == \
                 area2(tuple(poly))
-            assert all(cross(a, b, p) >= 0 for p in left)
-            assert all(cross(a, b, p) <= 0 for p in right)
+            assert all(_cross_oracle(a, b, p) >= 0 for p in left)
+            assert all(_cross_oracle(a, b, p) <= 0 for p in right)
+
+
+def _crossing_oracle(p, q, vp, vq):
+    t = vp / (vp - vq)
+    return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+
+
+def _line_points_oracle(poly, vals):
+    out = []
+    n = len(poly)
+    for i in range(n):
+        vp, vq = vals[i], vals[(i + 1) % n]
+        if vp == 0:
+            out.append(poly[i])
+        elif (vp > 0 and vq < 0) or (vp < 0 and vq > 0):
+            out.append(_crossing_oracle(poly[i], poly[(i + 1) % n], vp, vq))
+    return out
+
+
+def _clip_halfplane_oracle(poly, vals):
+    res = []
+    n = len(poly)
+    for i in range(n):
+        vp, vq = vals[i], vals[(i + 1) % n]
+        if vp >= 0:
+            res.append(poly[i])
+        if (vp > 0 and vq < 0) or (vp < 0 and vq > 0):
+            res.append(_crossing_oracle(poly[i], poly[(i + 1) % n], vp, vq))
+    return res
+
+
+def _split_convex_oracle(poly, vals):
+    return tuple(reference_normalize(_clip_halfplane_oracle(poly, vs))
+                 for vs in (vals, [-v for v in vals]))
+
+
+def test_line_kernels_match_the_fraction_formulas():
+    """``line_points``, ``clip_halfplane`` and ``split_convex`` on integer
+    points give the points of the Fraction formulas, in the same order,
+    for coordinates over distinct primes above 2^61: random lines, lines
+    through a vertex and lines along an edge of random convex polygons."""
+    rng = random.Random(5)
+    crossed = missed = 0
+    for _ in range(40):
+        poly = _convex(rng, PRIMES)
+        n = len(poly)
+        i = rng.randrange(n)
+        mean = (sum(x for x, _ in poly) / n, sum(y for _, y in poly) / n)
+        far, near = _convex(rng, PRIMES)[:2]
+        for a, b in ((far, near), (far, mean), (poly[i], near),
+                     (poly[i], poly[(i + 1) % n])):
+            if a == b:
+                continue
+            vals = [_cross_oracle(a, b, p) for p in poly]
+            hp = [hom(p) for p in poly]
+            line = _line(a, b)
+            assert frac_poly(line_points(hp, line)) == \
+                _line_points_oracle(poly, vals)
+            for lv, vs in ((line, vals),
+                           (tuple(-c for c in line), [-v for v in vals])):
+                assert frac_poly(clip_halfplane(hp, lv)) == \
+                    _clip_halfplane_oracle(poly, vs)
+            assert _split(poly, line) == _split_convex_oracle(poly, vals)
+            crossed += min(vals) < 0 < max(vals)
+            missed += min(vals) > 0 or max(vals) < 0
+    assert crossed > 40 and missed > 5
 
 
 # Oracles: the kernels written in Fraction arithmetic.
@@ -272,7 +344,10 @@ def test_integer_kernels_match_the_fraction_formulas():
         on_ab = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
         for c in (p, on_ab, a):
             _same(orient(a, b, c), _orient_oracle(a, b, c))
-            _same(cross(a, b, c), _cross_oracle(a, b, c))
+            ha, hb, hc = hom(a), hom(b), hom(c)
+            lx, ly, lw = line_through(ha, hb)
+            assert lx * hc[0] + ly * hc[1] + lw * hc[2] == \
+                _cross_oracle(a, b, c) * ha[2] * hb[2] * hc[2]
         poly = (a, b, p, on_ab)[:rng.randint(1, 4)]
         _same(area2(poly), _area2_oracle(poly))
         _same(mod1(t), _mod1_oracle(t))

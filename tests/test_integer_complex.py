@@ -6,8 +6,9 @@ of its coordinates' denominators, reads the action of f off integer cell
 keys, and ``_first_cut`` box-tests on integers and hands ``_chord_split``
 only images with vertices strictly on both sides of a segment's line,
 which it finds on integers too.  The reference here keys
-Fraction points (``mod1``, ``_edge_key`` and a Fraction cell key) and
-box-tests on Fraction comparisons.  On the complexes of generated maps of
+Fraction points (``mod1``, ``_edge_key`` and a Fraction cell key),
+box-tests on Fraction comparisons and cuts with the Fraction formulas of
+the line kernels (``test_geom``).  On the complexes of generated maps of
 every class, before and after ``refine_cells`` and ``refine_edges``, both
 must give the same vertices, edges, edge ends, edge cells and the three
 permutations; and ``_cut_polys`` must give the same pieces in the same
@@ -28,13 +29,14 @@ from plhomeo.eqcomplex import (EqComplex, _chain_cells, _chord_split,
 from plhomeo.errors import OverlayDegenerate, StructureViolated
 from plhomeo.exact import mod1
 from plhomeo.generate import make_instance
-from plhomeo.geom import area2, centroid, cross, split_convex
+from plhomeo.geom import area2, centroid
 from plhomeo.maps import ccw, fixed_set, inverse, shift_into_unit
 from plhomeo.sectors import LEVEL_CUTS
 from plhomeo.sphere import _bprime_path, free_structure
 from plhomeo.suspension import (DISC, SPHERE, _edge_key, band_cells,
                                 isometry_affine)
-from test_geom import affine_of
+from test_geom import (_cross_oracle, _line_points_oracle,
+                       _split_convex_oracle, affine_of)
 
 Q = Fraction
 
@@ -143,8 +145,8 @@ def reference_first_cut(poly, affs, levels, segs):
         for tau in levels:
             if ylo < tau < yhi:
                 side = 1 if A.det > 0 else -1
-                return list(split_convex(poly, [side * (y - tau)
-                                                for y in ys]))
+                return list(_split_convex_oracle(poly, [side * (y - tau)
+                                                        for y in ys]))
         if not segs:
             continue
         xs = [p[0] for p in img]
@@ -156,7 +158,7 @@ def reference_first_cut(poly, affs, levels, segs):
             for sxlo, sxhi, a, b in shifted:
                 if sxhi < xlo or sxlo > xhi:
                     continue
-                pieces = _chord_split(img, a, b)
+                pieces = reference_chord_split(img, a, b)
                 if pieces is not None:
                     break
             if pieces is None:
@@ -170,6 +172,26 @@ def reference_first_cut(poly, affs, levels, segs):
                 src.append(pulled)
             return src
     return None
+
+
+def reference_chord_split(img, a, b):
+    vals = [_cross_oracle(a, b, p) for p in img]
+    if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
+        return None
+    t1, t2 = sorted(reference_param_along(a, b, p)
+                    for p in _line_points_oracle(img, vals))
+    if t2 <= 0 or t1 >= 1:
+        return None
+    if t1 < 0 or t2 > 1:
+        raise OverlayDegenerate("cut segment ends inside a cell")
+    return list(_split_convex_oracle(img, vals))
+
+
+def reference_param_along(a, b, p):
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    if dx != 0:
+        return (p[0] - a[0]) / dx
+    return (p[1] - a[1]) / dy
 
 
 def reference_refine_edges(k, edge_ids):
@@ -298,10 +320,11 @@ def _big(num, i):
 def test_cuts_match_reference(model, kind, kk, n, seed, monkeypatch):
     crossed = []
 
-    def side_tested(img, a, b):
-        vals = [cross(a, b, p) for p in img]
+    def side_tested(img, seg):
+        lx, ly, lw = seg[2]
+        vals = [lx * x + ly * y + lw * w for x, y, w in img]
         crossed.append(min(vals) < 0 < max(vals))
-        return _chord_split(img, a, b)
+        return _chord_split(img, seg)
 
     monkeypatch.setattr(eqcomplex, "_chord_split", side_tested)
     f, _ = _instance(model, kind, kk, n, seed)

@@ -5,7 +5,9 @@ The three read the integer points that the map's ``BoxIndex`` holds: its
 cells over D and their images over E.  The references here are the
 Fraction forms they replace: the affine map solved from each cell's own
 points, the inverse shifted and oriented on Fraction points, and R o h
-with every vertex mapped by ``Affine.__call__`` and shifted on Fractions.
+with every vertex mapped by ``Affine.__call__``, cut at the meridians
+with the Fraction half-plane formula (``test_geom``) and shifted on
+Fractions.
 On generated maps of every class and on the h of every frozen
 certificate, both must give the same cells, the same affine maps (or the
 same error), and an index with the D, points, boxes, order and ``homs``
@@ -14,6 +16,7 @@ and ``follow`` shares h's when it cuts no cell, but never h's images.
 """
 
 from fractions import Fraction
+from math import ceil, floor
 from pathlib import Path
 
 import pytest
@@ -23,10 +26,10 @@ from plhomeo.conjugacy import ModelIsometry
 from plhomeo.errors import OverlayDegenerate
 from plhomeo.generate import make_instance
 from plhomeo.geom import area2
-from plhomeo.maps import (BoxIndex, CellMap, PLMap2, _meridian_pieces, follow,
-                          inverse, shift_into_unit)
+from plhomeo.maps import (BoxIndex, CellMap, PLMap2, follow, inverse,
+                          shift_into_unit)
 from plhomeo.suspension import _independent_triple, integer_charts
-from test_geom import affine_of, fractions_of
+from test_geom import _clip_halfplane_oracle, affine_of, fractions_of
 from test_integer_complex import CLASSES
 
 Q = Fraction
@@ -80,11 +83,26 @@ def reference_follow(h, R):
     for ci, cell in enumerate(h.cells):
         B = R.compose_after(h.affine(ci))
         fb = fractions_of(B)
-        for poly, img in _meridian_pieces(list(cell.poly), B):
+        for poly, img in reference_meridian_pieces(list(cell.poly), B):
             m, img = shift_into_unit(img)
             out.append(CellMap(tuple(poly), img))
             affines.append(affine_of(fb.a, fb.b, fb.c - m, fb.d, fb.e, fb.f))
     return PLMap2(h.model, out, affines)
+
+
+def reference_meridian_pieces(poly, B):
+    img = [B(p) for p in poly]
+    xs = [q[0] for q in img]
+    pieces = []
+    for m in range(floor(min(xs)) + 1, ceil(max(xs))):
+        vs = [x - m for x in xs]
+        cut = _clip_halfplane_oracle(poly, [-v for v in vs])
+        pieces.append((cut, [B(p) for p in cut]))
+        poly = _clip_halfplane_oracle(poly, vs)
+        img = [B(p) for p in poly]
+        xs = [q[0] for q in img]
+    pieces.append((poly, img))
+    return pieces
 
 
 # ---------------------------------------------------------------------------

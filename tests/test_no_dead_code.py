@@ -7,7 +7,10 @@ as an attribute somewhere in ``src/``, every parameter of a function or
 lambda must be read in its body, and every parameter with a default must
 be set by some call in ``src/``: a default that no caller overrides is a
 knob nothing turns.  Where a line crosses the edge of a polygon is
-computed in ``geom`` alone.  Every function that ``bench/tracer.py``
+computed in ``geom`` alone, by one integer kernel, and ``geom``'s line
+kernels take and return homogeneous integer points; of the functions
+that the benchmark's tracer counts, ``clip_convex`` calls only
+``normalize_poly``.  Every function that ``bench/tracer.py``
 traces by name is still defined in its module, and every name that
 ``bench/run.py`` and ``bench/workloads.py`` read from the package is still
 there.  A cell is located by a
@@ -180,6 +183,36 @@ def test_edge_crossings_are_computed_in_geom():
     assert found == []
 
 
+def _calls(node):
+    """The names that node calls, as ``f(...)`` or ``x.f(...)``."""
+    return {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+            for n in ast.walk(node) if isinstance(n, ast.Call)}
+
+
+def test_line_kernels_run_on_integer_points():
+    """``line_points``, ``clip_halfplane``, the ``_halfplane`` step behind
+    it, ``split_convex`` and ``_crossing`` take and return homogeneous
+    integer points: none calls ``Fraction``, ``Q``, ``hom`` or
+    ``frac_poly``, and geom defines no Fraction ``cross``.
+    Of the functions that ``bench/tracer.py`` traces, ``clip_convex``
+    calls only ``normalize_poly``, once on its result: each traced call
+    is a span, so a call to ``clip_halfplane`` per edge line would add a
+    span per half-plane step (over 16 000 ``clip_convex`` calls per
+    ``free`` pass) to every ``--trace 1`` run."""
+    defs = {top.name: top for top in _modules()["geom"].body
+            if isinstance(top, ast.FunctionDef)}
+    kernels = ("line_points", "clip_halfplane", "_halfplane", "split_convex",
+               "_crossing")
+    assert set(kernels) <= set(defs)
+    assert "cross" not in defs
+    fractional = {"Fraction", "Q", "hom", "frac_poly"}
+    assert [f"{k}: {c}" for k in kernels
+            for c in sorted(_calls(defs[k]) & fractional)] == []
+    traced = {fn for _, funcs, _ in _tracer().GROUPS.values()
+              for fn in funcs}
+    assert _calls(defs["clip_convex"]) & traced == {"normalize_poly"}
+
+
 def test_cells_are_located_only_to_evaluate():
     """``maps.locate_cell`` has no caller in ``src/`` but ``maps.evaluate``:
     the cell a piece lies in, and its affine map, are handed on by the
@@ -312,14 +345,19 @@ def test_verdicts_are_return_values():
     assert stores == []
 
 
-def test_traced_functions_are_defined():
-    """A name in ``GROUPS`` of ``bench/tracer.py`` that its plhomeo module
-    no longer defines breaks ``bench/run.py --trace 1``."""
+def _tracer():
+    """``bench/tracer.py``, loaded from its file."""
     spec = importlib.util.spec_from_file_location("tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_traced_functions_are_defined():
+    """A name in ``GROUPS`` of ``bench/tracer.py`` that its plhomeo module
+    no longer defines breaks ``bench/run.py --trace 1``."""
     missing = []
-    for module, funcs, _ in tracer.GROUPS.values():
+    for module, funcs, _ in _tracer().GROUPS.values():
         home = importlib.import_module(f"plhomeo.{module}")
         missing += [f"{module}.{fn}" for fn in funcs
                     if getattr(getattr(home, fn, None), "__module__", None)
