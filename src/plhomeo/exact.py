@@ -7,8 +7,9 @@ lcm of their denominators (`maps.BoxIndex`, the keys of
 `eqcomplex.EqComplex`), homogeneous points (X, Y, W) in lowest terms, which
 `geom`'s overlay and line kernels take and return (`geom.hom`), lines as
 three integers (lx, ly, lw), and affine maps as seven canonical integers
-(`suspension.Affine`).  Nothing in this module, or anywhere in the core,
-produces a float.
+(`suspension.Affine`).  A map that composition or `maps.follow` builds is
+born in these forms and becomes Fractions only where its cells are read.
+Nothing in this module, or anywhere in the core, produces a float.
 """
 
 from __future__ import annotations

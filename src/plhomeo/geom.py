@@ -66,26 +66,28 @@ def area2(verts: tuple[Pt, ...]) -> Fraction:
     return Fraction(*hom_area2([hom(p) for p in verts]))
 
 
-def clip_convex(subject: list[Hom], clip: list[Hom]) -> list[Hom]:
+def clip_convex(subject: list[Hom], clip: list[Hom], subject_lines: list[Hom],
+                clip_lines: list[Hom]) -> list[Hom]:
     """Intersection of two convex CCW polygons (Sutherland-Hodgman), exact.
 
-    Takes and returns homogeneous points in lowest terms (``hom``); []
-    when some edge line of either polygon has the other on its closed
-    outer side (an edge whose ends coincide separates nothing), before
-    any intersection is computed, and for any other degenerate result.
+    Takes and returns homogeneous points in lowest terms (``hom``), and
+    the ``edge_lines`` of both polygons, which a caller that clips one
+    polygon against many computes once; [] when some edge line of either
+    polygon has the other on its closed outer side (an edge whose ends
+    coincide separates nothing), before any intersection is computed,
+    and for any other degenerate result.
     """
-    lines = _edge_lines(clip)
-    if _separated(lines, subject) or _separated(_edge_lines(subject), clip):
+    if _separated(clip_lines, subject) or _separated(subject_lines, clip):
         return []
     out = subject
-    for line in lines:
+    for line in clip_lines:
         out = _halfplane(out, line)
         if not out:
             return []
     return normalize_poly(out)
 
 
-def _edge_lines(poly: list[Hom]) -> list[Hom]:
+def edge_lines(poly: list[Hom]) -> list[Hom]:
     """Each edge's line (``line_through``), positive on its left."""
     return list(map(line_through, poly, poly[1:] + poly[:1]))
 

@@ -3,7 +3,9 @@
 A PLMap2 is a list of convex chart cells tiling the unit rectangle, each
 with its affine image; the model map is the induced quotient map.  All
 operations (evaluation, composition, inversion, iteration, period and
-fixed-set computation, validation) are exact.
+fixed-set computation, validation) are exact.  The overlay kernels read a
+map's cells as integers (``BoxIndex``); composition and ``follow`` build
+their result on integers too, and its cells as Fractions only when read.
 
 Composition keeps the refined pieces as cells, so the source of f^n is the
 common refinement of the pullbacks of f's cells under all lower iterates;
@@ -23,26 +25,30 @@ from .circle import MAX_PERIOD, CirclePL, period_circle
 from .errors import (NotPeriodic, OverlayDegenerate, ParseError,
                      StructureViolated)
 from .exact import fmt_pt, mod1
-from .geom import (Hom, Pt, area2, clip_convex, clip_halfplane, frac_poly,
-                   hom, hom_area2, int_area2, line_points, lowest,
+from .geom import (Hom, Pt, area2, clip_convex, clip_halfplane, edge_lines,
+                   frac_poly, hom, hom_area2, int_area2, line_points, lowest,
                    point_in_convex, BOUNDARY, INSIDE, OUTSIDE)
 from .suspension import (Affine, _edge_key, _int_edge_key,
                          affine_from_pairs, band_cells, chart_point,
-                         collapsed_levels, complex_check, integer_charts,
-                         is_collapsed, model_point, s_range, DISC, SPHERE)
+                         collapsed_levels, complex_check, hom_charts,
+                         integer_charts, is_collapsed, model_point, s_range,
+                         DISC, SPHERE)
 
 Q = Fraction
 
 
 def shift_into_unit(poly, den=1) -> tuple[int, tuple[Pt, ...]]:
     """Translate a chart polygon, its coordinates given over den, by an
-    integer m into [0,1] horizontally; error if it straddles a meridian."""
+    integer m into [0,1] horizontally; error if it straddles a meridian.
+    A polygon already there comes back as given, as a tuple."""
     xs = [p[0] for p in poly]
     m = floor(min(xs)) // den
     if max(xs) > (m + 1) * den:
         m += 1
         if min(xs) < m * den:
             raise OverlayDegenerate("cell straddles the meridian")
+    if m == 0:
+        return 0, tuple(poly)
     return m, tuple((x - m * den, y) for x, y in poly)
 
 
@@ -58,28 +64,29 @@ class CellMap:
 
 class BoxIndex:
     """A map's cells as integers: their points ``polys`` over the lcm D
-    of all their denominators (``integer_charts``); and, each when first
-    asked for, their boxes over D, the boxes' min-x order, ``homs``, the
-    points in lowest terms (``geom.hom``), and ``images``, (E, the image
-    points over the lcm E of all theirs).  A query box is put over D
-    (``grid``), so each box test is on integers.  ``compose`` reads only
-    the points of its first argument's index; ``PLMap2.affine``,
-    ``inverse``, ``follow`` and ``validate_homeo`` read the images."""
+    of all their denominators (``integer_charts``), ``images``, (E, the
+    image points over the lcm E of all theirs), and ``homs``, the points
+    in lowest terms (``geom.hom``); and, each when first asked for, their
+    boxes over D, the boxes' min-x order, and ``lines``, each cell's edge
+    lines (``geom.edge_lines``), which the overlay hands ``clip_convex``.
+    A query box is put over D (``grid``), so each box test is on
+    integers.  An index is derived from a map's Fraction cells
+    (``PLMap2.index``), or built on integers by ``compose``, ``follow``
+    and ``inverse``; the first two give ``homs`` too.  It holds no
+    Fraction."""
 
-    def __init__(self, cells: list[CellMap], D: int, polys):
-        self.cells, self.D, self.polys = cells, D, polys
+    def __init__(self, D: int, polys, images, homs=None):
+        self.D, self.polys, self.images = D, polys, images
+        if homs is not None:
+            self.homs = homs
 
-    @cached_property
-    def images(self) -> tuple[int, list[list[tuple[int, int]]]]:
-        return integer_charts([c.img for c in self.cells])
-
-    def with_images_of(self, cells: list[CellMap]) -> BoxIndex:
-        """The index of ``cells``, which have these cells' points and
-        other images: it shares the points over D, their boxes, order and
-        ``homs``, and builds its own ``images``."""
-        out = BoxIndex(cells, self.D, self.polys)
-        out.boxes, out.order, out.minxs, out.homs = \
-            self.boxes, self.order, self.minxs, self.homs
+    def with_images(self, images) -> BoxIndex:
+        """The index of cells with these cells' points and the images
+        ``images``: it shares the points over D, their boxes, order,
+        ``homs`` and ``lines``."""
+        out = BoxIndex(self.D, self.polys, images, homs=self.homs)
+        out.boxes, out.order, out.minxs, out.lines = \
+            self.boxes, self.order, self.minxs, self.lines
         return out
 
     @cached_property
@@ -99,6 +106,10 @@ class BoxIndex:
     def homs(self) -> list[list[Hom]]:
         return [[lowest(x, y, self.D) for x, y in poly]
                 for poly in self.polys]
+
+    @cached_property
+    def lines(self) -> list[list[Hom]]:
+        return [edge_lines(poly) for poly in self.homs]
 
     def grid(self, x0: int, y0: int, x1: int, y1: int, den: int) -> tuple:
         """The box [x0, x1] x [y0, y1] / den shrunk to integers over D,
@@ -125,26 +136,46 @@ class BoxIndex:
         return self.near(self.grid(x, y, x, y, w))
 
 
-@dataclass
 class PLMap2:
-    """``affines``, when given, is the affine map of each cell, aligned
-    with ``cells``; whoever passes it vouches that each one sends its
-    cell's ``poly`` to its ``img``.  Otherwise ``affine`` solves each one
-    from the cell's vertices when it is first asked for.  ``parents``, set
-    by ``compose``, is the index of the cell of its first argument that
-    each cell is a piece of.  ``index`` is the integer ``BoxIndex`` of
-    the cells, which every overlay query reads, and ``pows`` the iterates
-    that ``power`` has built; each is made when first asked for."""
-    model: str
-    cells: list[CellMap]
-    affines: list[Affine] | None = field(default=None, repr=False,
-                                         compare=False)
-    parents: list[int] | None = field(default=None, repr=False,
-                                      compare=False)
+    """A map of the model: its cells, each a ``CellMap`` of Fraction
+    points, and their integer ``BoxIndex``, which every overlay query
+    reads.  A map is built from one of the two, and the other is derived
+    when first read: ``io``, ``generate`` and ``sectors`` give the cells,
+    ``compose`` and ``follow`` the index, so a map that is only composed
+    again or compared builds no Fraction.  ``affines``, when given, is
+    the affine map of each cell, in the cells' order; whoever passes it
+    vouches that each one sends its cell's points to its images.
+    Otherwise ``affine`` solves each one from the index when it is first
+    asked for.  ``parents``, set by ``compose``, is the index of the cell
+    of its first argument that each cell is a piece of, and ``pows`` the
+    iterates that ``power`` has built."""
+
+    def __init__(self, model: str, cells: list[CellMap] | None = None,
+                 affines: list[Affine] | None = None,
+                 parents: list[int] | None = None,
+                 index: BoxIndex | None = None):
+        self.model, self.affines, self.parents = model, affines, parents
+        if cells is not None:
+            self.cells = cells
+        if index is not None:
+            self.index = index
+
+    @cached_property
+    def cells(self) -> list[CellMap]:
+        index = self.index
+        D, (E, imgs) = index.D, index.images
+        return [CellMap(tuple(chart_point(p, D) for p in poly),
+                        tuple(chart_point(p, E) for p in img))
+                for poly, img in zip(index.polys, imgs)]
+
+    @cached_property
+    def index(self) -> BoxIndex:
+        return BoxIndex(*integer_charts([c.poly for c in self.cells]),
+                        integer_charts([c.img for c in self.cells]))
 
     def affine(self, i: int) -> Affine:
         if self.affines is None:
-            self.affines = [None] * len(self.cells)
+            self.affines = [None] * len(self.index.polys)
         if self.affines[i] is None:
             index = self.index
             E, imgs = index.images
@@ -152,19 +183,13 @@ class PLMap2:
                                                 E, imgs[i])
         return self.affines[i]
 
-    @cached_property
-    def index(self) -> BoxIndex:
-        return BoxIndex(self.cells,
-                        *integer_charts([c.poly for c in self.cells]))
-
     @property
     def orientation_sign(self) -> int:
         return 1 if self.affine(0).det > 0 else -1
 
     @cached_property
     def pows(self) -> dict[int, PLMap2]:
-        return {0: identity_map(self.model,
-                                [list(c.poly) for c in self.cells]), 1: self}
+        return {1: self}
 
 
 def identity_map(model: str, cells=None) -> PLMap2:
@@ -219,19 +244,23 @@ def _collapsed_image(f: PLMap2, level: Fraction) -> Pt:
 def compose(f: PLMap2, g: PLMap2) -> PLMap2:
     """g after f.  Cells: pieces of f's cells whose f-image fits one g-cell.
 
-    The overlay runs on integers (``BoxIndex``); only a kept piece becomes
-    Fractions.  The pieces tile each cell of f, which the area check below
-    confirms, so the result tiles the chart rectangle wherever f's cells
-    do.  Each piece carries its affine map, g's on that g-cell after f's
-    shifted into the unit chart, so the result never solves one from its
-    vertices, and the index of the cell of f it is a piece of
-    (``parents``).  A model isometry is one affine map, so following f by
-    it needs no overlay: ``follow`` does that and keeps f's cells."""
+    The overlay runs on integers (``BoxIndex``), and so does the result:
+    each kept piece's points, taken back by f's map, and their images
+    under g's, go from the clip's homogeneous integers into the result's
+    index, whose Fraction cells are built only when read.  The pieces tile
+    each cell of f, which the area check below confirms, so the result
+    tiles the chart rectangle wherever f's cells do.  Each piece carries
+    its affine map, g's on that g-cell after f's shifted into the unit
+    chart, so the result never solves one from its vertices, and the
+    index of the cell of f it is a piece of (``parents``).  A model
+    isometry is one affine map, so following f by it needs no overlay:
+    ``follow`` does that and keeps f's cells."""
     if f.model != g.model:
         raise ParseError("cannot compose maps on different models")
     findex, gindex = f.index, g.index
     D = findex.D
-    out: list[CellMap] = []
+    srcs: list[list[Hom]] = []
+    imgs: list[list[Hom]] = []
     affines: list[Affine] = []
     parents: list[int] = []
     for ci, poly in enumerate(findex.polys):
@@ -246,27 +275,28 @@ def compose(f: PLMap2, g: PLMap2) -> PLMap2:
         flip = a * e - b * d < 0
         subject = [lowest(x, y, den) for x, y in
                    (reversed(img) if flip else img)]
+        lines = edge_lines(subject)
         target = hom_area2(subject)
         A_unit = A.shifted(m)
         Ainv = A_unit.inverse()
         got = (0, 1)
         for di in gindex.near(q):
-            piece = clip_convex(subject, gindex.homs[di])
+            piece = clip_convex(subject, gindex.homs[di], lines,
+                                gindex.lines[di])
             if not piece:
                 continue
             got = _add_area(got, piece)
-            B = g.affine(di)
-            src = [Ainv.at_hom(p) for p in piece]
-            new_img = [B.at_hom(p) for p in piece]
             if flip:
-                src.reverse()
-                new_img.reverse()
-            out.append(CellMap(tuple(src), tuple(new_img)))
+                piece.reverse()
+            B = g.affine(di)
+            srcs.append([Ainv.map_hom(p) for p in piece])
+            imgs.append([B.map_hom(p) for p in piece])
             affines.append(B.compose_after(A_unit))
             parents.append(ci)
         if got[0] * target[1] != target[0] * got[1]:
             raise OverlayDegenerate("composition pieces fail to tile a cell")
-    return PLMap2(f.model, out, affines, parents)
+    index = BoxIndex(*hom_charts(srcs), hom_charts(imgs), homs=srcs)
+    return PLMap2(f.model, affines=affines, parents=parents, index=index)
 
 
 def _add_area(acc: tuple[int, int], piece: list[Hom]) -> tuple[int, int]:
@@ -283,53 +313,55 @@ def follow(h: PLMap2, R: Affine) -> PLMap2:
     The cells are h's cells, cut only where their image under R o A_h
     crosses an integer meridian, so the result tiles the chart rectangle
     exactly where h's cells do.  Each piece carries R o A_h shifted into
-    the unit chart.  The images are R of h's images, on the integers of
-    h's index over w E; a cell whose image crosses no meridian is shifted
-    there and kept whole, so only its image becomes Fractions.  The cuts
-    come from the x-coordinates of the vertices' images, so no inverse is
-    taken, and an image that still straddles a meridian raises in
-    ``shift_into_unit``.  When no cell is cut, the result's cells have
-    h's points, and its index shares h's (``BoxIndex.with_images_of``)."""
+    the unit chart.  It runs on h's index, as ``compose`` does, and builds
+    the result's: the images are R of h's images, on their integers over
+    w E, and a cell whose image crosses no meridian is shifted there and
+    kept whole.  The cuts come from the x-coordinates of the vertices'
+    images, so no inverse is taken.  When no cell is cut, the result's
+    index shares h's points (``BoxIndex.with_images``)."""
     index = h.index
     E, imgs = index.images
     a, b, c, d, e, f_, w = R
     den = w * E
-    out: list[CellMap] = []
+    srcs: list[list[Hom]] = []
+    images: list[list[Hom]] = []
     affines: list[Affine] = []
-    for ci, (cell, img) in enumerate(zip(h.cells, imgs)):
+    for ci, img in enumerate(imgs):
         B = R.compose_after(h.affine(ci))
         xs = [a * x + b * y + c * E for x, y in img]
         lo, hi = min(xs) // den + 1, -(-max(xs) // den)
         if lo < hi:
-            poly = [lowest(x, y, index.D) for x, y in index.polys[ci]]
-            for piece, pimg in _meridian_pieces(poly, B, lo, hi):
-                m, pimg = shift_into_unit(pimg)
-                out.append(CellMap(tuple(piece), pimg))
-                affines.append(B.shifted(m))
+            for piece, m in _meridian_pieces(index.homs[ci], B, lo, hi):
+                Bm = B.shifted(m)
+                srcs.append(piece)
+                images.append([Bm.map_hom(p) for p in piece])
+                affines.append(Bm)
             continue
         m, img = shift_into_unit([(x, d * X + e * Y + f_ * E)
                                   for x, (X, Y) in zip(xs, img)], den)
-        out.append(CellMap(cell.poly, tuple((Q(x, den), Q(y, den))
-                                            for x, y in img)))
+        srcs.append(index.homs[ci])
+        images.append([lowest(x, y, den) for x, y in img])
         affines.append(B.shifted(m))
-    g = PLMap2(h.model, out, affines)
-    if len(out) == len(h.cells):
-        g.index = index.with_images_of(out)
-    return g
+    if len(srcs) == len(imgs):
+        index = index.with_images(hom_charts(images))
+    else:
+        index = BoxIndex(*hom_charts(srcs), hom_charts(images), homs=srcs)
+    return PLMap2(h.model, affines=affines, index=index)
 
 
 def _meridian_pieces(poly: list[Hom], B: Affine, lo: int,
-                     hi: int) -> list[tuple]:
+                     hi: int) -> list[tuple[list[Hom], int]]:
     """A convex CCW polygon cut where B's x-coordinate is each integer m
-    with lo <= m < hi, in order of m, each piece as Fraction points with
-    their images under B."""
+    with lo <= m < hi, in order of m, each piece with the shift that puts
+    its image under B into the unit chart: the piece left of m lies
+    between m - 1 and m."""
     a, b, c, _, _, _, w = B
     pieces = []
     for m in range(lo, hi):
-        pieces.append(clip_halfplane(poly, (-a, -b, m * w - c)))
+        pieces.append((clip_halfplane(poly, (-a, -b, m * w - c)), m - 1))
         poly = clip_halfplane(poly, (a, b, c - m * w))
-    pieces.append(poly)
-    return [(frac_poly(p), [B.at_hom(q) for q in p]) for p in pieces]
+    pieces.append((poly, hi - 1))
+    return pieces
 
 
 def inverse(f: PLMap2) -> PLMap2:
@@ -350,14 +382,12 @@ def inverse(f: PLMap2) -> PLMap2:
         out.append(CellMap(src, dst))
         polys.append(list(img))
         images.append(poly)
-    inv = PLMap2(f.model, out)
-    inv.index = BoxIndex(out, E, polys)
-    inv.index.images = (index.D, images)
-    return inv
+    return PLMap2(f.model, cells=out,
+                  index=BoxIndex(E, polys, (index.D, images)))
 
 
 def power(f: PLMap2, m: int) -> PLMap2:
-    """f^m for m >= 0, built by left composition with f and memoized on f.
+    """f^m for m >= 1, built by left composition with f and memoized on f.
 
     Each iterate is f^(m-1) followed by f, so the source cells of f^m are
     the common refinement of the pullbacks of f's own cells under all lower
@@ -365,7 +395,8 @@ def power(f: PLMap2, m: int) -> PLMap2:
     f, which the equivariant machinery relies on; every caller therefore
     shares these iterates, and ``period`` builds the ones the analysis and
     the certificate need.  Each cached iterate f^i, i >= 2, hands on its
-    ``parents`` in f^(i-1) with its affines."""
+    ``parents`` in f^(i-1) with its affines, and is built on integers
+    (``compose``)."""
     cache = f.pows
     best = max(i for i in cache if i <= m)
     out = cache[best]
@@ -380,7 +411,7 @@ def is_model_rotation(f: PLMap2):
     Each cell's map is canonical, so its angle is (c mod w) / w in lowest
     terms, and the cells' angles agree exactly when these pairs do."""
     angle = None
-    for i in range(len(f.cells)):
+    for i in range(len(f.index.polys)):
         a, b, c, d, e, f_, w = f.affine(i)
         if (a, b, d, e, f_) != (w, 0, 0, w, 0) or \
                 angle not in (None, (c % w, w)):
@@ -416,16 +447,17 @@ def _mismatches(f: PLMap2, g: PLMap2):
     area, proves the precondition false and raises StructureViolated.  It
     runs on integers (``BoxIndex``); a yielded piece becomes Fractions."""
     alike: dict[tuple, list[int]] = {}
-    for di in range(len(g.cells)):
+    for di in range(len(g.index.polys)):
         alike.setdefault(_action_key(g.affine(di)), []).append(di)
     findex, gindex = f.index, g.index
-    for ci, poly in enumerate(findex.homs):
+    for ci, (poly, lines) in enumerate(zip(findex.homs, findex.lines)):
         key = _action_key(f.affine(ci))
         q = gindex.grid(*findex.boxes[ci], findex.D)
         covered = (0, 1)
         for di in alike.get(key, ()):
             if gindex.meets(di, q):
-                piece = clip_convex(poly, gindex.homs[di])
+                piece = clip_convex(poly, gindex.homs[di], lines,
+                                    gindex.lines[di])
                 if piece:
                     covered = _add_area(covered, piece)
         target = hom_area2(poly)
@@ -436,7 +468,8 @@ def _mismatches(f: PLMap2, g: PLMap2):
             continue
         differs = False
         for di in sorted(gindex.near(q)):
-            piece = clip_convex(poly, gindex.homs[di])
+            piece = clip_convex(poly, gindex.homs[di], lines,
+                                gindex.lines[di])
             if piece and _action_key(g.affine(di)) != key:
                 differs = True
                 yield frac_poly(piece)
@@ -714,7 +747,7 @@ def validate_homeo(f: PLMap2) -> list[str]:
     Fractions."""
     problems = complex_check(f.model, f.index.D, f.index.polys)
     sign = None
-    for i in range(len(f.cells)):
+    for i in range(len(f.index.polys)):
         try:
             d = f.affine(i).det
         except OverlayDegenerate as exc:

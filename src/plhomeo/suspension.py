@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .errors import DegenerateInput, OverlayDegenerate, ParseError
 from .exact import fmt_pt, mod1
-from .geom import Hom, Pt
+from .geom import Hom, Pt, lowest
 
 Q = Fraction
 
@@ -69,7 +69,8 @@ class Affine(NamedTuple):
     """The chart map (x, y) -> ((a x + b y + c) / w, (d x + e y + f) / w)
     as seven integers, kept canonical: w > 0 and the gcd of all seven is
     1 (``_canonical``), so equality and hash are those of the map.  The
-    maps take Fractions (or ints) and return Fractions."""
+    maps take Fractions (or ints) and return Fractions, or take and
+    return homogeneous integer points (``map_hom``)."""
     a: int
     b: int
     c: int
@@ -89,6 +90,13 @@ class Affine(NamedTuple):
         X, Y, Z = p
         return (Q(a * X + b * Y + c * Z, w * Z),
                 Q(d * X + e * Y + f * Z, w * Z))
+
+    def map_hom(self, p: Hom) -> Hom:
+        """The image of the homogeneous point p = (X, Y, Z), Z > 0, in
+        lowest terms (``geom.lowest``)."""
+        a, b, c, d, e, f, w = self
+        X, Y, Z = p
+        return lowest(a * X + b * Y + c * Z, d * X + e * Y + f * Z, w * Z)
 
     @property
     def det(self) -> int:
@@ -178,6 +186,16 @@ def integer_charts(polys) -> tuple[int, list[list[tuple[int, int]]]]:
     D = lcm(*{c.denominator for poly in polys for p in poly for c in p})
     return D, [[(x.numerator * (D // x.denominator),
                  y.numerator * (D // y.denominator)) for x, y in poly]
+               for poly in polys]
+
+
+def hom_charts(polys: list[list[Hom]]) -> tuple[
+        int, list[list[tuple[int, int]]]]:
+    """``integer_charts`` of polygons given as homogeneous points in lowest
+    terms: the lcm of their weights is that of the coordinates'
+    denominators, so no Fraction is built."""
+    D = lcm(*{w for poly in polys for _, _, w in poly})
+    return D, [[(x * (D // w), y * (D // w)) for x, y, w in poly]
                for poly in polys]
 
 

@@ -313,6 +313,21 @@ def test_selftest_detects_the_planted_corruption(jobs, capsys):
     assert out.endswith("1/1 cases passed\n")
 
 
+@pytest.mark.parametrize("row", cli._class_matrix(True))
+def test_selftest_rows_are_classes_generate_accepts(row, tmp_path, capsys):
+    """Each quick selftest class, as (space, kind, k, n), is one that
+    ``generate`` writes, and its selftest case passes: a reflection is
+    listed as k = 0, n = 1, the model-file form, and analyzed with the
+    period 2 it has."""
+    space, kind, k, n = row
+    assert cli.main(["generate", "--space", space, "--kind", kind,
+                     "--k", str(k), "--n", str(n), "--seed", "1",
+                     "--moves", "1", "--out", str(tmp_path / "f.json")]) == 0
+    assert cli._run_case((space, kind, k, n, 100, 1, False))[1:3] \
+        == (True, "ok")
+    capsys.readouterr()
+
+
 def test_analyze_of_a_non_periodic_map_exits_4(tmp_path, capsys):
     # the radial squeeze of test_analyze_not_periodic: the boundary map is
     # the identity, so its period 1 is the only candidate, and f != id

@@ -18,8 +18,8 @@ from fractions import Fraction
 from math import gcd
 
 from plhomeo import geom
-from plhomeo.geom import (area2, clip_convex, frac_poly, hom, normalize_poly,
-                          orient)
+from plhomeo.geom import (area2, clip_convex, edge_lines, frac_poly, hom,
+                          normalize_poly, orient)
 
 Q = Fraction
 
@@ -86,9 +86,15 @@ def reference_normalize(poly):
     return out
 
 
+def clip_homs(subject, clip):
+    """``clip_convex`` of two polygons of homogeneous points, with the
+    edge lines it takes computed here."""
+    return clip_convex(subject, clip, edge_lines(subject), edge_lines(clip))
+
+
 def _clip(subject, clip):
-    return frac_poly(clip_convex([hom(p) for p in subject],
-                                 [hom(p) for p in clip]))
+    return frac_poly(clip_homs([hom(p) for p in subject],
+                               [hom(p) for p in clip]))
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,13 @@ import pytest
 
 from plhomeo.errors import OverlayDegenerate
 from plhomeo.exact import mod1
-from plhomeo.geom import (BOUNDARY, INSIDE, OUTSIDE, area2, clip_convex,
-                          clip_halfplane, frac_poly, hom, line_points,
-                          line_through, on_segment, orient, point_in_convex,
-                          split_convex)
+from plhomeo.geom import (BOUNDARY, INSIDE, OUTSIDE, area2, clip_halfplane,
+                          frac_poly, hom, line_points, line_through,
+                          on_segment, orient, point_in_convex, split_convex)
 from plhomeo.maps import _action_key
 from plhomeo.suspension import (IDENTITY_AFFINE, Affine, affine_from_pairs,
                                 integer_charts, isometry_affine)
-from test_clip_convex import PRIMES, _convex, reference_normalize
+from test_clip_convex import PRIMES, _convex, clip_homs, reference_normalize
 from test_sphere import seg_intersection
 
 Q = Fraction
@@ -77,10 +76,10 @@ def test_segment_intersection_cases():
 def test_clip_convex():
     square = [hom(p) for p in UNIT_SQUARE]
     tri = [hom(p) for p in [pt(0, 0), pt(1, 0), pt(0, 1)]]
-    out = clip_convex(square, tri)
+    out = clip_homs(square, tri)
     assert area2(tuple(frac_poly(out))) == 1  # half the unit square, doubled
-    out = clip_convex(square, [hom(p) for p in [pt(5, 5), pt(6, 5),
-                                                pt(6, 6)]])
+    out = clip_homs(square, [hom(p) for p in [pt(5, 5), pt(6, 5),
+                                              pt(6, 6)]])
     assert out == []
 
 

@@ -1,5 +1,5 @@
-"""``PLMap2.affine``, ``maps.inverse`` and ``maps.follow`` on each map's
-integer form, against Fraction references.
+"""``PLMap2.affine``, ``maps.inverse``, ``maps.follow`` and
+``maps.compose`` on each map's integer form, against Fraction references.
 
 The three read the integer points that the map's ``BoxIndex`` holds: its
 cells over D and their images over E.  The references here are the
@@ -13,6 +13,12 @@ certificate, both must give the same cells, the same affine maps (or the
 same error), and an index with the D, points, boxes, order and ``homs``
 that a fresh one builds.  ``inverse`` hands its result such an index,
 and ``follow`` shares h's when it cuts no cell, but never h's images.
+
+``compose`` and ``follow`` build their result from its index alone: its
+Fraction cells, built when first read, must be those of a reference
+that maps every kept piece with ``Affine.at_hom``, and its index the one
+those cells give.  Iterates and both sides of the certificate check,
+which are only composed again or compared, build no Fraction point.
 """
 
 from fractions import Fraction
@@ -21,14 +27,18 @@ from pathlib import Path
 
 import pytest
 
+from plhomeo import cli, suspension
+from plhomeo import maps as maps_module
 from plhomeo import io as pio
-from plhomeo.conjugacy import ModelIsometry
+from plhomeo.conjugacy import Certificate, ModelIsometry, check_certificate
 from plhomeo.errors import OverlayDegenerate
 from plhomeo.generate import make_instance
-from plhomeo.geom import area2
-from plhomeo.maps import (BoxIndex, CellMap, PLMap2, follow, inverse,
-                          shift_into_unit)
-from plhomeo.suspension import _independent_triple, integer_charts
+from plhomeo.geom import area2, lowest
+from plhomeo.maps import (BoxIndex, CellMap, PLMap2, compose, follow,
+                          identity_map, inverse, power, shift_into_unit)
+from plhomeo.suspension import (Affine, _independent_triple, band_cells,
+                                integer_charts)
+from test_clip_convex import clip_homs
 from test_geom import _clip_halfplane_oracle, affine_of, fractions_of
 from test_integer_complex import CLASSES
 
@@ -105,6 +115,39 @@ def reference_meridian_pieces(poly, B):
     return pieces
 
 
+def reference_compose(f, g):
+    """g after f as Fraction cells, with the parents of its pieces: each
+    cell of f mapped and shifted into the unit chart, clipped against every
+    cell of g in the min-x order of their boxes, and each kept piece's
+    points mapped back by f's map and on by g's with ``Affine.at_hom``."""
+    findex, gindex = f.index, g.index
+    D = findex.D
+    out, parents = [], []
+    for ci, poly in enumerate(findex.polys):
+        A = f.affine(ci)
+        a, b, c, d, e, f_, w = A
+        m, img = shift_into_unit([(a * x + b * y + c * D,
+                                   d * x + e * y + f_ * D) for x, y in poly],
+                                 w * D)
+        flip = A.det < 0
+        subject = [lowest(x, y, w * D) for x, y in
+                   (reversed(img) if flip else img)]
+        Ainv = A.shifted(m).inverse()
+        for di in gindex.order:
+            piece = clip_homs(subject, gindex.homs[di])
+            if not piece:
+                continue
+            B = g.affine(di)
+            src = [Ainv.at_hom(p) for p in piece]
+            dst = [B.at_hom(p) for p in piece]
+            if flip:
+                src.reverse()
+                dst.reverse()
+            out.append(CellMap(tuple(src), tuple(dst)))
+            parents.append(ci)
+    return out, parents
+
+
 # ---------------------------------------------------------------------------
 # helpers
 
@@ -117,13 +160,16 @@ def _outcome(fn, *args):
 
 
 def _index_fields(index):
-    return index.D, index.polys, index.boxes, index.order, index.homs
+    return (index.D, index.polys, index.images, index.boxes, index.order,
+            index.homs, index.lines)
 
 
 def _fresh_index(cells):
-    """The fields of the index a map of these cells builds itself."""
-    return _index_fields(BoxIndex(cells, *integer_charts(
-        [c.poly for c in cells])))
+    """The fields of the index a map of these cells builds itself: its
+    points and images each over the lcm of their denominators."""
+    return _index_fields(BoxIndex(
+        *integer_charts([c.poly for c in cells]),
+        integer_charts([c.img for c in cells])))
 
 
 def _same_affines(g):
@@ -237,3 +283,83 @@ def test_follow_matches_reference(instances):
                 cut += 1
                 assert g.index.polys is not h.index.polys
     assert cut and kept
+
+
+@pytest.fixture(scope="module")
+def certified():
+    """(name, f, certificate) for one generated instance of each quick
+    selftest class."""
+    out = []
+    for space, kind, k, n in cli._class_matrix(True):
+        f, _, _ = make_instance(space, kind, k, n, 1, 3)
+        cert = cli._conjugate_map(space, f, cli._analyze(space, f))
+        out.append((f"{space}-{kind}-{k}-{n}", f, cert))
+    return out
+
+
+def _built_on_integers(g, cells, parents=None):
+    """g, built by compose or follow, has no cells until they are read;
+    its index is the one the reference cells give, and then its cells are
+    those cells."""
+    assert "cells" not in vars(g)
+    assert _index_fields(g.index) == _fresh_index(cells)
+    assert g.cells == cells
+    if parents is not None:
+        assert g.parents == parents
+
+
+def test_compose_builds_iterates_on_integers(certified):
+    for _, f, _ in certified:
+        f = PLMap2(f.model, f.cells)
+        f2, f3 = power(f, 2), power(f, 3)
+        _built_on_integers(f2, *reference_compose(f, f))
+        _built_on_integers(f3, *reference_compose(f2, f))
+
+
+def test_certificate_check_sides_are_built_on_integers(certified):
+    for _, f, cert in certified:
+        lhs = compose(f, cert.h)
+        _built_on_integers(lhs, *reference_compose(f, cert.h))
+        rhs = follow(cert.h, cert.model.affine())
+        _built_on_integers(rhs, reference_follow(
+            cert.h, cert.model.affine()).cells)
+
+
+@pytest.mark.parametrize("model", [ModelIsometry("disc", "rotation", 1, 3),
+                                   ModelIsometry("sphere", "rotation", 2, 5)],
+                         ids=str)
+def test_follow_cut_at_the_meridian_is_built_on_integers(model):
+    h = identity_map(model.model, band_cells(model.model, 4))
+    g = follow(h, model.affine())
+    ref = reference_follow(h, model.affine())
+    assert len(ref.cells) == 10
+    _built_on_integers(g, ref.cells)
+    assert g.affines == ref.affines
+
+
+def test_composed_and_compared_maps_build_no_fraction(certified,
+                                                      monkeypatch):
+    """Once f's and h's own indexes are built, the iterates up to f^3 and
+    the certificate check call none of ``Affine.at_hom``,
+    ``integer_charts`` and ``chart_point``, which builds the cells of a
+    map built on integers: no map that is only composed again or compared
+    builds Fraction points or converts them back."""
+    calls = []
+
+    def refused(name):
+        def call(*args):
+            calls.append(name)
+            raise AssertionError(f"{name} on a composed or compared map")
+        return call
+    for name, f, cert in certified:
+        f, h = PLMap2(f.model, f.cells), PLMap2(cert.h.model, cert.h.cells)
+        f.index, h.index
+        with monkeypatch.context() as m:
+            m.setattr(Affine, "at_hom", refused("at_hom"))
+            m.setattr(suspension, "integer_charts", refused("integer_charts"))
+            m.setattr(maps_module, "integer_charts",
+                      refused("integer_charts"))
+            m.setattr(maps_module, "chart_point", refused("chart_point"))
+            power(f, 3)
+            assert check_certificate(f, Certificate(cert.model, h)) is None
+        assert calls == [], name

@@ -27,6 +27,7 @@ from plhomeo.maps import (CellMap, PLMap2, ccw, compose, evaluate,
                           shift_into_unit)
 from plhomeo.suspension import (DISC, affine_from_pairs, band_cells,
                                 model_point, s_range)
+from test_clip_convex import clip_homs
 from test_geom import fractions_of, on_integers
 from test_validate_homeo import bbox
 
@@ -99,8 +100,8 @@ def _oracle_pieces(f, g):
             u0, v0, u1, v1 = gb[di]
             if x1 < u0 or u1 < x0 or y1 < v0 or v1 < y0:
                 continue
-            piece = frac_poly(clip_convex([hom(p) for p in cell.poly],
-                                          [hom(p) for p in other.poly]))
+            piece = frac_poly(clip_homs([hom(p) for p in cell.poly],
+                                        [hom(p) for p in other.poly]))
             if piece and fk[ci] != gk[di]:
                 yield piece
 
@@ -219,9 +220,9 @@ def test_equal_check_clips_each_cell_about_once(frozen, monkeypatch):
     lhs, rhs = sides[_followed]
     calls = [0]
 
-    def counted(subject, clip):
+    def counted(*args):
         calls[0] += 1
-        return clip_convex(subject, clip)
+        return clip_convex(*args)
     monkeypatch.setattr(maps, "clip_convex", counted)
     assert first_disagreement(lhs, rhs) is None
     assert 0 < calls[0] <= len(lhs.cells) + len(rhs.cells)

@@ -16,7 +16,9 @@ traces by name is still defined in its module, and every name that
 there.  A cell is located by a
 point only to evaluate the map there, and the overlay box-tests and
 measures areas on integers, as the equivariant complex keys, acts and
-cuts on them, and an affine chart map is built on integers.  Every import
+cuts on them, and an affine chart map is built on integers, as are the
+results of ``compose`` and ``follow``; keeping each polygon's edge lines
+leaves the number of clipped pairs as it was.  Every import
 in ``src/`` is at module level.  A check's verdict is a return value,
 never stored on the record checked.
 """
@@ -300,6 +302,55 @@ def test_affine_constructors_build_no_fraction():
              and node.func.id in ("Fraction", "Q")]
     assert calls == []
     assert wanted <= set(defs)
+
+
+def test_compose_and_follow_build_no_fraction():
+    """``maps.compose``, ``maps.follow`` and ``maps._meridian_pieces`` map
+    the clip's homogeneous integers straight into their result's index:
+    none calls ``Fraction``, ``Q``, ``Affine.at_hom`` or ``frac_poly``, so
+    a map is built as Fractions only where its cells are read."""
+    wanted = {"compose", "follow", "_meridian_pieces"}
+    fractional = {"Fraction", "Q", "at_hom", "frac_poly"}
+    defs = {top.name: top for top in _modules()["maps"].body
+            if isinstance(top, ast.FunctionDef) and top.name in wanted}
+    assert set(defs) == wanted
+    assert [f"{name}: {fn}" for name in sorted(defs)
+            for fn in sorted(_calls(defs[name]) & fractional)] == []
+
+
+# clip_convex calls of analyze, conjugate and verify of the frozen disc
+# rotation 1/3, counted before each polygon's edge lines were kept
+CLIPS_DISC_ROTATION_1_3 = {"analyze": 1933, "conjugate": 4247,
+                           "verify": 2314}
+
+
+def test_edge_lines_kept_per_cell_leave_the_overlay_as_it_was(
+        tmp_path, monkeypatch, capsys):
+    """Handing ``clip_convex`` the edge lines that ``compose`` and the
+    ``BoxIndex`` keep changes which pairs are clipped not at all: the
+    three commands on the frozen disc rotation 1/3 clip as many pairs as
+    they did when every call computed its lines."""
+    maps = importlib.import_module("plhomeo.maps")
+    cli = importlib.import_module("plhomeo.cli")
+    calls = [0]
+    original = maps.clip_convex
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+    monkeypatch.setattr(maps, "clip_convex", counted)
+    inst = TRACER.parent / "inputs" / "disc-rotation-1-3.json"
+    cert = tmp_path / "cert.json"
+    got = {}
+    for stage, argv in (
+            ("analyze", ["analyze", str(inst), "--format", "json"]),
+            ("conjugate", ["conjugate", str(inst), "--out", str(cert)]),
+            ("verify", ["verify", str(inst), str(cert)])):
+        calls[0] = 0
+        assert cli.main(argv) == 0
+        got[stage] = calls[0]
+    capsys.readouterr()
+    assert got == CLIPS_DISC_ROTATION_1_3
 
 
 def test_model_maps_come_from_the_model_isometry():
