@@ -380,7 +380,8 @@ def _corrupt(cert: Certificate) -> Certificate:
             if 0 < y < 1:
                 img[j] = (x, y + (1 - y) / 7)
                 cells[idx] = CellMap(c.poly, tuple(img))
-                return Certificate(cert.model, PLMap2(cert.h.model, cells))
+                return Certificate(cert.model,
+                                   PLMap2(cert.h.model, cells=cells))
     return cert
 
 

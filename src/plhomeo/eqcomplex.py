@@ -5,9 +5,10 @@ of the pullbacks of f's cells under all lower iterates; f maps each cell
 affinely onto another.  Optional cuts along iterated latitude levels or
 iterated chords keep f-invariant curve families inside the 1-skeleton.
 
-A complex is indexed on integers, its points as numerators over the lcm D
-of their denominators (``integer_charts``): a vertex by (X mod D, Y), an
-edge by ``_int_edge_key``, and the action of f by integer cell keys.
+The cuts run on the homogeneous points of f^n's index; a complex is
+indexed on integers, its points as numerators over the lcm D of their
+denominators (``integer_charts``): a vertex by (X mod D, Y), an edge by
+``_int_edge_key``, and the action of f by integer cell keys.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from fractions import Fraction
 
 from .errors import OverlayDegenerate, StructureViolated
 from .exact import fmt_pt
-from .geom import (Hom, Pt, area2, centroid, frac_poly, line_points,
-                   line_through, lowest, split_convex)
+from .geom import (Hom, Pt, area2, centroid, frac_poly, hom_area2,
+                   line_points, line_through, lowest, split_convex)
 from .maps import (PLMap2, ccw, compose, fixed_set, identity_map, is_identity,
                    power, shift_into_unit)
 from .suspension import (Affine, IDENTITY_AFFINE, _int_edge_key,
-                         integer_charts, isometry_affine)
+                         hom_charts, integer_charts, isometry_affine)
 
 Q = Fraction
 
@@ -78,9 +79,8 @@ def equivariant_complex(f: PLMap2, n: int, level_cuts=(),
     segments (each a chord of the current refinement's cells under every
     iterate); cut the same way.
     """
-    chains = _chain_cells(f, n)
-    if level_cuts or chord_cuts:
-        chains = _cut_polys(chains, list(level_cuts), list(chord_cuts))
+    chains = _cut_polys(_chain_cells(f, n), list(level_cuts),
+                        list(chord_cuts))
     return EqComplex(f.model, n, [c[0] for c in chains],
                      [f.affine(c[1]) for c in chains])
 
@@ -106,8 +106,7 @@ def conjugated_equivariant_complex(f: PLMap2, h: PLMap2, n: int,
     primary = _pullback_segments(h, [((Q(0), tau), (Q(1), tau))
                                      for tau in level_cuts]) + base_chords
     secondary = _pullback_segments(h, chord_cuts)
-    if primary or secondary:
-        chains = _cut_polys(chains, [], primary, segs_secondary=secondary)
+    chains = _cut_polys(chains, [], primary, segs_secondary=secondary)
     frame = EqComplex(f.model, n, [c[0] for c in chains],
                       [f_ref.affine(c[1]) for c in chains])
     hs = [h.affine(f_ref.parents[c[1]]) for c in chains]
@@ -176,7 +175,8 @@ def _chord_params(img: list[Hom], seg) -> list[Fraction]:
 
 def _chain_cells(f: PLMap2, n: int):
     """(poly, cell of f, [A_0, ..., A_(n-1)]) for each cell of f^n, which
-    must be the identity, where A_i is the affine map of f^i on the cell.
+    must be the identity, where poly is the cell's homogeneous points
+    (``BoxIndex.homs``) and A_i is the affine map of f^i on the cell.
     They are read down the ``parents`` of the iterates that ``power``
     caches, so nothing is located or solved again; A_i may differ from
     the step-by-step composite by a horizontal integer shift."""
@@ -184,12 +184,12 @@ def _chain_cells(f: PLMap2, n: int):
         raise StructureViolated(f"map is not periodic of period {n}")
     cache = f.pows
     out = []
-    for c, cell in enumerate(cache[n].cells):
+    for c, poly in enumerate(cache[n].index.homs):
         affs = [IDENTITY_AFFINE] * n
         for i in range(n - 1, 0, -1):
             c = cache[i + 1].parents[c]
             affs[i] = cache[i].affine(c)
-        out.append((cell.poly, c, affs))
+        out.append((poly, c, affs))
     return out
 
 
@@ -197,7 +197,8 @@ def _cut_polys(chains, levels, segs, segs_secondary=()):
     """Split chain cells so every f^i-pullback of the given levels and
     segments lies in the 1-skeleton.  Each of chains and of the result is
     (poly, cell of f, affines of f^0..f^(n-1)); pieces inherit the cell of
-    f and the iterate affines of their parent.
+    f and the iterate affines of their parent.  A poly is homogeneous
+    points (``_chain_cells``) until a final piece becomes Fractions.
 
     Secondary segments are only applied to cells with no primary cut left,
     so their endpoints already lie on edges produced by the primary pass."""
@@ -211,9 +212,9 @@ def _cut_polys(chains, levels, segs, segs_secondary=()):
         if pieces is None and secondary:
             pieces = _first_cut(poly, affs, [], secondary)
         if pieces is None:
-            out.append((poly, cell, affs))
+            out.append((tuple(frac_poly(poly)), cell, affs))
         else:
-            stack.extend((tuple(pc), cell, affs) for pc in pieces)
+            stack.extend((pc, cell, affs) for pc in pieces)
     out.sort(key=lambda c: min(c[0]))
     return out
 
@@ -239,11 +240,12 @@ def _boxed(segs):
 def _first_cut(poly, affs, levels, segs):
     """The pieces of the first cut of poly, or None: its first iterate
     image that a level (p, q) at height p/q or a segment (given
-    ``_boxed``) crosses is split.  The tests are on integers, poly over
-    the lcm L of its denominators and its image under A over W L: a
-    segment goes to ``_chord_split`` only when its box meets the image's
-    and image vertices lie strictly on both sides of its line."""
-    L, (ipoly,) = integer_charts([poly])
+    ``_boxed``) crosses is split, all points (X, Y, W) (``geom.hom``).
+    The tests are on integers, poly over the lcm L of its weights and its
+    image under A over W L: a segment goes to ``_chord_split`` only when
+    its box meets the image's and image vertices lie strictly on both
+    sides of its line."""
+    L, (ipoly,) = hom_charts([poly])
     for A in affs:
         a, b, c, d, e, f, w = A
         den = w * L
@@ -257,8 +259,7 @@ def _first_cut(poly, affs, levels, segs):
                 # that piece comes first, which fixes the output order
                 side = 1 if a * e - b * d > 0 else -1
                 line = (side * q * d, side * q * e, side * (q * f - p * w))
-                return [frac_poly(piece) for piece in split_convex(
-                    [lowest(x, y, L) for x, y in ipoly], line)]
+                return list(split_convex(poly, line))
         if not segs:
             continue
         xlo, xhi = min(xs), max(xs)
@@ -283,8 +284,8 @@ def _first_cut(poly, affs, levels, segs):
             inv = A.inverse()
             src = []
             for piece in pieces:
-                pulled = [inv.at_hom(p) for p in piece]
-                if area2(tuple(pulled)) < 0:
+                pulled = [inv.map_hom(p) for p in piece]
+                if hom_area2(pulled)[0] < 0:
                     pulled.reverse()
                 src.append(pulled)
             return src

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from .conjugacy import ModelIsometry
 from .errors import StructureViolated
-from .geom import (INSIDE, Pt, area2, centroid, frac_poly, hom, line_points,
-                   line_through, point_in_convex, split_convex)
+from .geom import (INSIDE, Pt, area2, centroid, edge_lines, frac_poly, hom,
+                   line_points, line_through, point_in_convex, split_convex)
 from .maps import (CellMap, PLMap2, compose, identity_map, inverse,
                    validate_homeo)
 from .suspension import (DISC, _edge_key, band_cells, collapsed_levels,
@@ -197,7 +197,7 @@ def relocate_vertex(rng, model, tiling, v: Pt):
         for _, i, copy in [(c, i, cp) for c, i, cp in star if c == ci]:
             img[i] = (w[0] + (copy[0] - v[0]), w[1])
         out.append(CellMap(tuple(poly), tuple(img)))
-    return PLMap2(model, out)
+    return PLMap2(model, cells=out)
 
 
 def _sample_target(rng, kern, v, line):
@@ -216,17 +216,17 @@ def _sample_target(rng, kern, v, line):
         lo_y, hi_y = ys
         y = _snap_between(rng, lo_y, hi_y)
         return None if y is None else (v[0], y)
-    kern = frac_poly(kern)
+    kern, lines = frac_poly(kern), edge_lines(kern)
     weights = [Q(1 + rng.randrange(8)) for _ in kern]
     tot = sum(weights)
     cx = sum(w * p[0] for w, p in zip(weights, kern)) / tot
     cy = sum(w * p[1] for w, p in zip(weights, kern)) / tot
     for denom in (16, 32, 64, 128):
         cand = (Q(round(cx * denom), denom), Q(round(cy * denom), denom))
-        if point_in_convex(cand, kern) == INSIDE:
+        if point_in_convex(hom(cand), lines) == INSIDE:
             return cand
     mid = (cx, cy)
-    return mid if point_in_convex(mid, kern) == INSIDE else None
+    return mid if point_in_convex(hom(mid), lines) == INSIDE else None
 
 
 def _line_slice(kern, v, horizontal: bool):

@@ -1,10 +1,10 @@
 """Planar primitives over exact rationals.
 
 Everything here is decided by the sign of exact determinants; there are no
-tolerances.  ``orient``, ``on_segment``, ``area2``, ``point_in_convex`` and
-``centroid`` take (x, y) tuples of Fractions (``Pt``).  The overlay and line
-kernels take and return homogeneous integer points (X, Y, W), W > 0, in
-lowest terms (``hom``), so equal points are equal tuples.
+tolerances.  ``area2`` and ``centroid`` take (x, y) tuples of Fractions
+(``Pt``).  The overlay, line and point-in-cell kernels take and return
+homogeneous integer points (X, Y, W), W > 0, in lowest terms (``hom``), so
+equal points are equal tuples.
 
 A line meets a convex polygon only here.  It is three integers (lx, ly, lw),
 positive where lx X + ly Y + lw W > 0, so a caller passes the line it holds
@@ -23,12 +23,6 @@ Pt = tuple[Fraction, Fraction]
 Hom = tuple[int, int, int]
 
 INSIDE, BOUNDARY, OUTSIDE = "inside", "boundary", "outside"
-
-
-def orient(a: Pt, b: Pt, c: Pt) -> int:
-    """Sign of the 2x2 determinant of (b - a, c - a): +1 CCW, -1 CW, 0."""
-    d = _det3(hom(a), hom(b), hom(c))
-    return 1 if d > 0 else (-1 if d < 0 else 0)
 
 
 def _det3(o: Hom, a: Hom, b: Hom) -> int:
@@ -51,14 +45,6 @@ def lowest(x: int, y: int, w: int) -> Hom:
     """(x/w, y/w), w > 0, in lowest terms, the form ``hom`` gives."""
     k = gcd(x, y, w)
     return x // k, y // k, w // k
-
-
-def on_segment(p: Pt, a: Pt, b: Pt) -> bool:
-    """p lies on the closed segment [a, b]."""
-    if orient(a, b, p) != 0:
-        return False
-    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
 def area2(verts: tuple[Pt, ...]) -> Fraction:
@@ -216,19 +202,19 @@ def split_convex(poly: list[Hom], line: Hom) -> tuple[list[Hom], list[Hom]]:
             normalize_poly(clip_halfplane(poly, (-lx, -ly, -lw))))
 
 
-def point_in_convex(p: Pt, poly: list[Pt]) -> str:
-    """Classification against a convex CCW polygon."""
-    n = len(poly)
+def point_in_convex(p: Hom, lines: list[Hom]) -> str:
+    """Classification of the point p = (X, Y, W) against a convex cell by
+    its ``edge_lines``: outside where some line is negative, on the
+    boundary where one is zero and none is.  The cell must be CCW with
+    distinct consecutive vertices, as validated and composed cells are."""
+    x, y, w = p
     on_edge = False
-    for i in range(n):
-        s = orient(poly[i], poly[(i + 1) % n], p)
-        if s < 0:
+    for lx, ly, lw in lines:
+        v = lx * x + ly * y + lw * w
+        if v < 0:
             return OUTSIDE
-        if s == 0:
-            if on_segment(p, poly[i], poly[(i + 1) % n]):
-                on_edge = True
-            else:
-                return OUTSIDE
+        if v == 0:
+            on_edge = True
     return BOUNDARY if on_edge else INSIDE
 
 

@@ -97,7 +97,7 @@ def map2_from_dict(data: dict) -> PLMap2:
             poly.reverse()
             img.reverse()
         cells.append(CellMap(tuple(poly), tuple(img)))
-    return PLMap2(model, cells)
+    return PLMap2(model, cells=cells)
 
 
 def _int_triples(rows, what: str) -> list[tuple[int, int, int]]:
@@ -293,7 +293,7 @@ def load_json(path: str) -> dict:
         raise ParseError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 

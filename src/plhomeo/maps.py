@@ -3,9 +3,9 @@
 A PLMap2 is a list of convex chart cells tiling the unit rectangle, each
 with its affine image; the model map is the induced quotient map.  All
 operations (evaluation, composition, inversion, iteration, period and
-fixed-set computation, validation) are exact.  The overlay kernels read a
-map's cells as integers (``BoxIndex``); composition and ``follow`` build
-their result on integers too, and its cells as Fractions only when read.
+fixed-set computation, validation) are exact and read a map's cells as
+integers (``BoxIndex``); ``compose``, ``follow`` and ``inverse`` build
+their result on integers, and its cells as Fractions only when read.
 
 Composition keeps the refined pieces as cells, so the source of f^n is the
 common refinement of the pullbacks of f's cells under all lower iterates;
@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, lcm
+from math import floor, lcm
 
 from .circle import MAX_PERIOD, CirclePL, period_circle
 from .errors import (NotPeriodic, OverlayDegenerate, ParseError,
@@ -130,21 +130,23 @@ class BoxIndex:
                 if lx <= boxes[i][2] and ly <= boxes[i][3]
                 and boxes[i][1] <= hy]
 
-    def at(self, p: Pt) -> list[int]:
-        """The cells whose boxes hold the point p, in min-x order."""
-        x, y, w = hom(p)
+    def at(self, p: Hom) -> list[int]:
+        """The cells whose boxes hold the point (X, Y, W), in min-x order."""
+        x, y, w = p
         return self.near(self.grid(x, y, x, y, w))
 
 
 class PLMap2:
-    """A map of the model: its cells, each a ``CellMap`` of Fraction
-    points, and their integer ``BoxIndex``, which every overlay query
-    reads.  A map is built from one of the two, and the other is derived
-    when first read: ``io``, ``generate`` and ``sectors`` give the cells,
-    ``compose`` and ``follow`` the index, so a map that is only composed
-    again or compared builds no Fraction.  ``affines``, when given, is
-    the affine map of each cell, in the cells' order; whoever passes it
-    vouches that each one sends its cell's points to its images.
+    """A map of the model: its integer ``BoxIndex``, the form the core
+    reads, and its cells, each a ``CellMap`` of Fraction points, a view
+    for what writes, draws or makes maps (``io``, ``svg``, ``generate``,
+    ``cli``, ``conjugacy.meridian_edges``, and the h from ``sectors`` that
+    ``eqcomplex.conjugated_equivariant_complex`` refines).  A map is built
+    from one of the two, and the other is derived when first read: ``io``,
+    ``generate`` and ``sectors`` give the cells, ``compose``, ``follow``
+    and ``inverse`` the index.  ``affines``, when given, is the affine map
+    of each cell, in the cells' order; whoever passes it vouches that each
+    one sends its cell's points to its images.
     Otherwise ``affine`` solves each one from the index when it is first
     asked for.  ``parents``, set by ``compose``, is the index of the cell
     of its first argument that each cell is a piece of, and ``pows`` the
@@ -195,7 +197,7 @@ class PLMap2:
 def identity_map(model: str, cells=None) -> PLMap2:
     if cells is None:
         cells = band_cells(model, 4)
-    return PLMap2(model, [CellMap(tuple(c), tuple(c)) for c in cells])
+    return PLMap2(model, cells=[CellMap(c, c) for c in map(tuple, cells)])
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +220,11 @@ def locate_cell(f: PLMap2, p: Pt) -> tuple[int, Pt]:
     best = None
     best_q = None
     for q in candidates:
-        for i in f.index.at(q):
+        hq = hom(q)
+        for i in f.index.at(hq):
             if best is not None and i >= best:
                 continue
-            if point_in_convex(q, list(f.cells[i].poly)) != OUTSIDE:
+            if point_in_convex(hq, f.index.lines[i]) != OUTSIDE:
                 best = i
                 best_q = q
     if best is None:
@@ -230,10 +233,13 @@ def locate_cell(f: PLMap2, p: Pt) -> tuple[int, Pt]:
 
 
 def _collapsed_image(f: PLMap2, level: Fraction) -> Pt:
-    for c in f.cells:
-        for (x, y), (xi, yi) in zip(c.poly, c.img):
-            if y == level:
-                return model_point(f.model, Q(0), yi)
+    """Where the collapsed line at the height level goes, from f's index."""
+    index = f.index
+    y, (E, imgs) = level * index.D, index.images
+    for poly, img in zip(index.polys, imgs):
+        for (_, Y), (_, Yi) in zip(poly, img):
+            if Y == y:
+                return model_point(f.model, Q(0), Q(Yi, E))
     raise StructureViolated("no cell touches the collapsed line")
 
 
@@ -366,24 +372,20 @@ def _meridian_pieces(poly: list[Hom], B: Affine, lo: int,
 
 def inverse(f: PLMap2) -> PLMap2:
     """f^-1: each image cell shifted into the unit chart and made CCW,
-    with the cell as its image.  Both run on the integers of f's index:
-    the image points over E, shifted by whole multiples of E, which keep
-    every denominator, are the points of the inverse's index over E, and
-    f's points over D are its images."""
+    with the cell as its image.  It is built as its index, on the
+    integers of f's: the image points over E, shifted by whole multiples
+    of E, which keep every denominator, are the points of the inverse's
+    index over E, and f's points over D are its images."""
     index = f.index
     E, imgs = index.images
-    out, polys, images = [], [], []
-    for cell, img, poly in zip(f.cells, imgs, index.polys):
-        m, img = shift_into_unit(img, E)
-        src = cell.img if m == 0 else tuple((x - m, y) for x, y in cell.img)
-        dst = cell.poly
+    polys, images = [], []
+    for img, poly in zip(imgs, index.polys):
+        _, img = shift_into_unit(img, E)
         if int_area2(*zip(*img)) < 0:
-            img, src, dst, poly = img[::-1], src[::-1], dst[::-1], poly[::-1]
-        out.append(CellMap(src, dst))
+            img, poly = img[::-1], poly[::-1]
         polys.append(list(img))
         images.append(poly)
-    return PLMap2(f.model, cells=out,
-                  index=BoxIndex(E, polys, (index.D, images)))
+    return PLMap2(f.model, index=BoxIndex(E, polys, (index.D, images)))
 
 
 def power(f: PLMap2, m: int) -> PLMap2:
@@ -564,18 +566,21 @@ def fixed_set(f: PLMap2) -> FixedSet:
     zero_chart: list[Pt] = []
     segs: list[tuple[Pt, Pt]] = []
     two: list[tuple[Pt, ...]] = []
-    for ci, cell in enumerate(f.cells):
+    index = f.index
+    for ci, (poly, homs) in enumerate(zip(index.polys, index.homs)):
         A = f.affine(ci)
-        disp = [A(p)[0] - p[0] for p in cell.poly]
-        dlo, dhi = min(disp), max(disp)
-        for delta in range(ceil(dlo), floor(dhi) + 1):
-            kind, data = _fixed_in_cell(A, list(cell.poly), delta)
+        a, b, c, _, _, _, w = A
+        den = w * index.D
+        # each point's horizontal displacement, over den
+        disp = [a * x + b * y + c * index.D - w * x for x, y in poly]
+        for delta in range(-(-min(disp) // den), max(disp) // den + 1):
+            kind, data = _fixed_in_cell(A, homs, index.lines[ci], delta)
             if kind == "point":
                 zero_chart.append(data)
             elif kind == "segment":
                 segs.append(data)
             elif kind == "cell":
-                two.append(cell.poly)
+                two.append(tuple(frac_poly(homs)))
     total2 = sum(area2(p) for p in two)
     if total2 == 2 * (hi - lo):
         return FixedSet([], [], [], True)
@@ -588,15 +593,15 @@ def fixed_set(f: PLMap2) -> FixedSet:
     return FixedSet(zero, chains, two, False, canon_segs)
 
 
-def _fixed_in_cell(A: Affine, poly: list[Pt], delta: int):
-    """Solve A(x) = x + (delta, 0), times w, on a convex cell."""
+def _fixed_in_cell(A: Affine, poly: list[Hom], lines: list[Hom], delta: int):
+    """Solve A(x) = x + (delta, 0), times w, on a cell (points, lines)."""
     m11, m12, m21, m22 = A.a - A.w, A.b, A.d, A.e - A.w
     r1, r2 = delta * A.w - A.c, -A.f
     det = m11 * m22 - m12 * m21
     if det != 0:
         x = Q(r1 * m22 - m12 * r2, det)
         y = Q(m11 * r2 - r1 * m21, det)
-        if point_in_convex((x, y), poly) != OUTSIDE:
+        if point_in_convex(hom((x, y)), lines) != OUTSIDE:
             return "point", (x, y)
         return "none", None
     if m11 == m12 == m21 == m22 == 0:
@@ -615,8 +620,7 @@ def _fixed_in_cell(A: Affine, poly: list[Pt], delta: int):
         x0, y0 = _line_point(p, q, r)
         if m11 * x0 + m12 * y0 != r1:
             return "none", None
-    pts = sorted(set(frac_poly(line_points([hom(v) for v in poly],
-                                           (p, q, -r)))))
+    pts = sorted(set(frac_poly(line_points(poly, (p, q, -r)))))
     if not pts:
         return "none", None
     if len(pts) == 1:
@@ -691,13 +695,15 @@ def boundary_restriction(f: PLMap2) -> CirclePL:
     """The circle map f induces on the chart line s = 1: the boundary of
     the disc, or the link circle of the north pole for a sphere map that
     fixes it."""
+    index = f.index
+    D, (E, imgs) = index.D, index.images
     edges = []
-    for ci, cell in enumerate(f.cells):
-        n = len(cell.poly)
+    for poly, img in zip(index.polys, imgs):
+        n = len(poly)
         for i in range(n):
-            p, q = cell.poly[i], cell.poly[(i + 1) % n]
-            if p[1] == 1 and q[1] == 1:
-                pi, qi = cell.img[i], cell.img[(i + 1) % n]
+            p, q = poly[i], poly[(i + 1) % n]
+            if p[1] == D and q[1] == D:
+                pi, qi = img[i], img[(i + 1) % n]
                 if p[0] > q[0]:
                     p, q, pi, qi = q, p, qi, pi
                 edges.append((p[0], q[0], pi[0], qi[0]))
@@ -705,15 +711,15 @@ def boundary_restriction(f: PLMap2) -> CirclePL:
     if not edges or edges[0][0] != 0:
         raise StructureViolated("boundary not edge-covered from t=0")
     breaks = []
-    u = mod1(edges[0][2])
-    pos = Q(0)
+    u = mod1(Q(edges[0][2], E))
+    pos = 0
     for (a, b, ia, ib) in edges:
         if a != pos:
             raise StructureViolated("boundary edges do not chain")
-        breaks.append((a, u))
-        u = u + (ib - ia)
+        breaks.append((Q(a, D), u))
+        u = u + Q(ib - ia, E)
         pos = b
-    if pos != 1:
+    if pos != D:
         raise StructureViolated("boundary does not close up")
     return CirclePL(tuple(breaks), f.orientation_sign).normalize()
 
@@ -812,37 +818,40 @@ def _edge_image_consistency(index: BoxIndex) -> list[str]:
 
 def _collapse_conditions(f: PLMap2) -> list[str]:
     problems = []
-    levels = collapsed_levels(f.model)
+    index = f.index
+    D, (E, imgs) = index.D, index.images
+    levels = {int(level) * D for level in collapsed_levels(f.model)}
     targets = {}
-    for cell in f.cells:
-        for (x, y), (xi, yi) in zip(cell.poly, cell.img):
+    for poly, img in zip(index.polys, imgs):
+        for (_, y), (_, yi) in zip(poly, img):
             if y in levels:
                 targets.setdefault(y, set()).add(yi)
-            elif f.model == DISC and y == 1:
-                if yi != 1:
+            elif f.model == DISC and y == D:
+                if yi != E:
                     problems.append("disc boundary not preserved")
                     return problems
     if f.model == DISC:
-        if targets.get(Q(0)) != {Q(0)}:
+        if targets.get(0) != {0}:
             problems.append("disc center must map to the center")
     else:
-        t1 = targets.get(Q(1), set())
-        t2 = targets.get(Q(-1), set())
-        if len(t1) != 1 or len(t2) != 1 or {next(iter(t1)), next(iter(t2))} \
-                != {Q(1), Q(-1)}:
+        t1 = targets.get(D, set())
+        t2 = targets.get(-D, set())
+        if len(t1) != 1 or len(t2) != 1 or t1 | t2 != {E, -E}:
             problems.append("poles must map onto poles")
     return problems
 
 
 def _generic_preimage_count(inv: PLMap2) -> int:
     """Preimage count of a generic rational point under a map's chart
-    images, the cells of its inverse ``inv``."""
-    for candidate_cell in (c.poly for c in inv.cells):
-        cx = sum(p[0] for p in candidate_cell) / len(candidate_cell)
-        cy = sum(p[1] for p in candidate_cell) / len(candidate_cell)
-        p = (mod1(cx), cy)
-        classes = [point_in_convex(q, list(inv.cells[i].poly))
-                   for q in (p, (p[0] + 1, p[1])) for i in inv.index.at(q)]
+    images, the cells of its inverse ``inv``: a cell's vertex average."""
+    index = inv.index
+    for poly in index.polys:
+        xs, ys = zip(*poly)
+        w = len(poly) * index.D
+        p = lowest(sum(xs) % w, sum(ys), w)
+        classes = [point_in_convex(q, index.lines[i])
+                   for q in (p, (p[0] + p[2], p[1], p[2]))
+                   for i in index.at(q)]
         if BOUNDARY not in classes:
             return classes.count(INSIDE)
     return -1

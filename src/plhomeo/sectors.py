@@ -587,4 +587,4 @@ def fixed_point_conjugacy(f: PLMap2, kind: str, kk: int, n: int,
         raise StructureViolated(
             "map has no fixed points; use the free pipeline")
     return require_exact(f, Certificate(
-        iso, PLMap2(model, orbit_cells(k, lay, pos))))
+        iso, PLMap2(model, cells=orbit_cells(k, lay, pos))))

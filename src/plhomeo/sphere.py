@@ -162,24 +162,24 @@ def t0_cut(f: PLMap2) -> Fraction:
     if evaluate(f, N_POLE) != S_POLE:
         raise StructureViolated("t0 cut needs a pole-swapping map")
     candidates = set()
-    for ci, cell in enumerate(f.cells):
+    for ci, poly in enumerate(f.index.homs):
         A = f.affine(ci)
-        heights = [A(p)[1] for p in cell.poly]
-        candidates.update(p[1] for p in cell.poly)
+        ys = [Q(y, w) for _, y, w in poly]
+        heights = [A.at_hom(p)[1] for p in poly]
+        candidates.update(ys)
         candidates.update(heights)
-        m = len(cell.poly)
+        m = len(poly)
         for i in range(m):
-            a, b = cell.poly[i], cell.poly[(i + 1) % m]
-            if a[1] == b[1]:
+            ya, yb = ys[i], ys[(i + 1) % m]
+            if ya == yb:
                 continue
             # the cap chord endpoint on this edge at height t maps to
             # height sigma(t), linear in t; solve sigma(t) = t
             sa, sb = heights[i], heights[(i + 1) % m]
-            denom = (b[1] - a[1]) - (sb - sa)
+            denom = (yb - ya) - (sb - sa)
             if denom != 0:
-                t = (a[1] * (sb - sa) - sa * (b[1] - a[1])) / -denom
-                lo, hi = min(a[1], b[1]), max(a[1], b[1])
-                if lo <= t <= hi:
+                t = (ya * (sb - sa) - sa * (yb - ya)) / -denom
+                if min(ya, yb) <= t <= max(ya, yb):
                     candidates.add(t)
     cands = sorted(t for t in candidates if -1 < t < 1)
     if not cands:
@@ -319,7 +319,7 @@ def _assemble_free_map(f: PLMap2, fs: FreeStructure):
                                   jstar, M, p0)
 
     k, lay, pos = embed_fundamental_domain(k, layout, oriented=True)
-    return (PLMap2(SPHERE, orbit_cells(k, lay, pos)),
+    return (PLMap2(SPHERE, cells=orbit_cells(k, lay, pos)),
             lay.affine.c * n // lay.affine.w)
 
 

@@ -12,14 +12,14 @@ import pytest
 from plhomeo import circle, cli, conjugacy, sphere
 from plhomeo import io as pio
 from plhomeo.circle import CirclePL, LinePL, circle_rotation, interval_map
-from plhomeo.conjugacy import meridian_edges
+from plhomeo.conjugacy import Certificate, check_certificate, meridian_edges
 from plhomeo.exact import fmt_rat, mod1
-from plhomeo.geom import on_segment
 from plhomeo.maps import (CellMap, PLMap2, evaluate, first_disagreement,
-                          shift_into_unit)
+                          inverse, shift_into_unit)
 from plhomeo.suspension import DISC, SPHERE, _edge_key, band_cells
 from plhomeo.svg import render_map
 from test_certificates import NAMES
+from test_clip_convex import on_segment
 
 Q = Fraction
 INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
@@ -328,6 +328,27 @@ def test_selftest_rows_are_classes_generate_accepts(row, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("row", cli._class_matrix(True))
+def test_answer_key_conjugates_the_instance_to_its_model(row, tmp_path,
+                                                         capsys):
+    """``generate --key-out`` writes the scramble h with f = h r h^-1 for
+    the model r that the key names, so h^-1, read back from the key, is a
+    certificate of f that the verifier's check accepts."""
+    space, kind, k, n = row
+    out, key = tmp_path / "f.json", tmp_path / "key.json"
+    assert cli.main(["generate", "--space", space, "--kind", kind,
+                     "--k", str(k), "--n", str(n), "--seed", "5",
+                     "--moves", "3", "--out", str(out),
+                     "--key-out", str(key)]) == 0
+    capsys.readouterr()
+    _, f = pio.instance_from_dict(pio.load_json(str(out)))
+    data = pio.load_json(str(key))
+    model = pio.model_from_dict(data)
+    assert (model.model, model.kind, model.k, model.n) == row
+    h = pio.map2_from_dict(data["scramble"])
+    assert check_certificate(f, Certificate(model, inverse(h))) is None
+
+
 def test_analyze_of_a_non_periodic_map_exits_4(tmp_path, capsys):
     # the radial squeeze of test_analyze_not_periodic: the boundary map is
     # the identity, so its period 1 is the only candidate, and f != id
@@ -539,6 +560,18 @@ def test_unreadable_and_unwritable_files_are_parse_errors(
     assert cli.main(["conjugate", str(inst), "--out", missing]) == 3
     assert cli.main(["render", str(inst), "--out", missing]) == 3
     assert capsys.readouterr().err.count("error: ") == 4
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, command):
+    """A file nested too deeply for the JSON reader is bad input, exit 3
+    with a message naming the file, not a traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    files = [str(deep)] * (2 if command == "verify" else 1)
+    assert cli.main([command, *files]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(deep) in err
 
 
 MUTATION_VALUES = (None, "x", -1, 0, [], {}, "1/0")

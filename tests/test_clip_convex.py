@@ -18,8 +18,8 @@ from fractions import Fraction
 from math import gcd
 
 from plhomeo import geom
-from plhomeo.geom import (area2, clip_convex, edge_lines, frac_poly, hom,
-                          normalize_poly, orient)
+from plhomeo.geom import (BOUNDARY, INSIDE, OUTSIDE, area2, clip_convex,
+                          edge_lines, frac_poly, hom, normalize_poly)
 
 Q = Fraction
 
@@ -27,6 +27,40 @@ Q = Fraction
 PRIMES = [2305843009213693967, 2305843009214693987, 2305843009216694009,
           2305843009219694033, 2305843009223694089, 2305843009228694107,
           2305843009234694143, 2305843009241694179]
+
+
+# ---------------------------------------------------------------------------
+# Fraction kernels that geom no longer has: helpers of the tests, and the
+# reference of ``geom.point_in_convex``
+
+
+def orient(a, b, c):
+    """Sign of the determinant of (b - a, c - a) of Fraction points: +1
+    CCW, -1 CW, 0 collinear."""
+    d = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return (d > 0) - (d < 0)
+
+
+def on_segment(p, a, b):
+    """p lies on the closed segment [a, b]."""
+    return (orient(a, b, p) == 0
+            and min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+
+
+def reference_point_in_convex(p, poly):
+    """Classification of a Fraction point against a convex CCW polygon of
+    Fraction points, edge by edge: outside right of an edge, or on its
+    line off the edge."""
+    n = len(poly)
+    on_edge = False
+    for i in range(n):
+        a, b = poly[i], poly[(i + 1) % n]
+        s = orient(a, b, p)
+        if s < 0 or (s == 0 and not on_segment(p, a, b)):
+            return OUTSIDE
+        on_edge = on_edge or s == 0
+    return BOUNDARY if on_edge else INSIDE
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from plhomeo.eqcomplex import (_chain_cells, _cut_polys,
                                equivariant_complex, refine_cells,
                                refine_edges)
 from plhomeo.exact import mod1
-from plhomeo.geom import centroid
+from plhomeo.geom import centroid, frac_poly
 from plhomeo.maps import (CellMap, PLMap2, _action_key, compose, identity_map,
                           inverse, locate_cell)
 from plhomeo.sectors import LEVEL_CUTS
@@ -77,11 +77,13 @@ def _check_complex(k, f):
 
 def _check_chains(f, n, levels):
     """Each chain cell, also after cuts, has the cell of f and, up to a
-    horizontal integer shift, the iterate affines that location finds."""
+    horizontal integer shift, the iterate affines that location finds.
+    The chain cells are homogeneous points, the cut ones Fractions."""
     chains = _chain_cells(f, n)
     cut = _cut_polys(chains, list(levels), [])
     assert len(cut) > len(chains)
-    for poly, cell, affs in chains + cut:
+    for poly, cell, affs in [(frac_poly(p), c, a) for p, c, a in chains] \
+            + cut:
         assert f.affine(cell) == _affine_at(f, poly)
         assert [_action_key(A) for A in affs] == \
             [_action_key(A) for A in _iterate_affines(f, poly, n)]

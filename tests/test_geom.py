@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from types import SimpleNamespace
@@ -8,12 +9,13 @@ import pytest
 from plhomeo.errors import OverlayDegenerate
 from plhomeo.exact import mod1
 from plhomeo.geom import (BOUNDARY, INSIDE, OUTSIDE, area2, clip_halfplane,
-                          frac_poly, hom, line_points, line_through,
-                          on_segment, orient, point_in_convex, split_convex)
+                          edge_lines, frac_poly, hom, line_points,
+                          line_through, point_in_convex, split_convex)
 from plhomeo.maps import _action_key
 from plhomeo.suspension import (IDENTITY_AFFINE, Affine, affine_from_pairs,
                                 integer_charts, isometry_affine)
-from test_clip_convex import PRIMES, _convex, clip_homs, reference_normalize
+from test_clip_convex import (PRIMES, _convex, clip_homs, orient,
+                              reference_normalize, reference_point_in_convex)
 from test_sphere import seg_intersection
 
 Q = Fraction
@@ -26,21 +28,20 @@ def pt(x, y):
 UNIT_SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
 
 
-def test_orientation_basic():
-    assert orient(pt(0, 0), pt(1, 0), pt(0, 1)) == 1
-    assert orient(pt(0, 0), pt(0, 1), pt(1, 0)) == -1
-    assert orient(pt(0, 0), pt(1, 1), pt(2, 2)) == 0
+def _classify(p, poly):
+    """``point_in_convex`` of Fraction points."""
+    return point_in_convex(hom(p), edge_lines([hom(v) for v in poly]))
 
 
 def test_point_in_polygon_examples():
     sq = UNIT_SQUARE
-    assert point_in_convex(pt(Q(1, 2), Q(1, 2)), sq) == INSIDE
-    assert point_in_convex(pt(0, 0), sq) == BOUNDARY
-    assert point_in_convex(pt(5, 5), sq) == OUTSIDE
-    assert point_in_convex(pt(Q(1, 2), 0), sq) == BOUNDARY
-    assert point_in_convex(pt(Q(1, 2), 1), sq) == BOUNDARY
+    assert _classify(pt(Q(1, 2), Q(1, 2)), sq) == INSIDE
+    assert _classify(pt(0, 0), sq) == BOUNDARY
+    assert _classify(pt(5, 5), sq) == OUTSIDE
+    assert _classify(pt(Q(1, 2), 0), sq) == BOUNDARY
+    assert _classify(pt(Q(1, 2), 1), sq) == BOUNDARY
     # on the line of an edge but beyond its end
-    assert point_in_convex(pt(2, 0), sq) == OUTSIDE
+    assert _classify(pt(2, 0), sq) == OUTSIDE
 
 
 def test_point_in_polygon_matches_halfplane_on_convex():
@@ -54,7 +55,7 @@ def test_point_in_polygon_matches_halfplane_on_convex():
         if (p[0] in (0, 1) and 0 <= p[1] <= 1) or (p[1] in (0, 1)
                                                    and 0 <= p[0] <= 1):
             expected = BOUNDARY
-        assert point_in_convex(p, sq) == expected
+        assert _classify(p, sq) == expected
 
 
 def test_segment_intersection_cases():
@@ -101,12 +102,6 @@ def test_split_convex():
     assert right == [] and area2(tuple(left)) == 2
 
 
-def test_on_segment():
-    assert on_segment(pt(1, 1), pt(0, 0), pt(2, 2))
-    assert not on_segment(pt(3, 3), pt(0, 0), pt(2, 2))
-    assert on_segment(pt(0, 0), pt(0, 0), pt(2, 2))
-
-
 def _grid_pt(rng, r):
     """A random point of the grid of step 1/4 in [-r/4, r/4]^2."""
     return pt(Q(rng.randint(-r, r), 4), Q(rng.randint(-r, r), 4))
@@ -127,6 +122,39 @@ def _random_convex(rng):
             hull.pop()
         if len(hull) >= 3:
             return hull
+
+
+def test_point_in_convex_matches_the_fraction_reference():
+    """On random convex cells, over small and over 61-bit prime
+    denominators, the edge-line test gives the edge-by-edge Fraction
+    reference's verdict for a point inside, on an edge, at a vertex, on
+    an edge's line beyond either end, and anywhere; and a vertex added
+    inside an edge, which keeps the cell but makes two edges collinear,
+    changes no verdict."""
+    rng = random.Random(1)
+    seen = Counter()
+    for trial in range(300):
+        poly = _random_convex(rng) if trial % 2 else \
+            _convex(rng, rng.sample(PRIMES, 3))
+        n = len(poly)
+        i = rng.randrange(n)
+        a, b = poly[i], poly[(i + 1) % n]
+
+        def on_ab(t):
+            return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+        t = Q(rng.randint(1, 7), 8)
+        mean = (sum(p[0] for p in poly) / n, sum(p[1] for p in poly) / n)
+        points = [mean, on_ab(t), a, on_ab(1 + t), on_ab(-t),
+                  _grid_pt(rng, 24)]
+        lines = edge_lines([hom(p) for p in poly])
+        split = poly[:i + 1] + [on_ab(Q(1, 2))] + poly[i + 1:]
+        split_lines = edge_lines([hom(p) for p in split])
+        for p in points:
+            want = reference_point_in_convex(p, poly)
+            assert point_in_convex(hom(p), lines) == want
+            assert point_in_convex(hom(p), split_lines) == want
+            seen[want] += 1
+    assert min(seen[c] for c in (INSIDE, BOUNDARY, OUTSIDE)) > 200
 
 
 def test_line_points_match_the_edge_oracle():
@@ -228,11 +256,6 @@ def test_line_kernels_match_the_fraction_formulas():
 
 
 # Oracles: the kernels written in Fraction arithmetic.
-
-def _orient_oracle(a, b, c):
-    d = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    return 1 if d > 0 else (-1 if d < 0 else 0)
-
 
 def _cross_oracle(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -342,7 +365,6 @@ def test_integer_kernels_match_the_fraction_formulas():
         t = _rat(rng)
         on_ab = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
         for c in (p, on_ab, a):
-            _same(orient(a, b, c), _orient_oracle(a, b, c))
             ha, hb, hc = hom(a), hom(b), hom(c)
             lx, ly, lw = line_through(ha, hb)
             assert lx * hc[0] + ly * hc[1] + lw * hc[2] == \

@@ -29,7 +29,7 @@ from plhomeo.eqcomplex import (EqComplex, _chain_cells, _chord_split,
 from plhomeo.errors import OverlayDegenerate, StructureViolated
 from plhomeo.exact import mod1
 from plhomeo.generate import make_instance
-from plhomeo.geom import area2, centroid
+from plhomeo.geom import area2, centroid, frac_poly
 from plhomeo.maps import ccw, fixed_set, inverse, shift_into_unit
 from plhomeo.sectors import LEVEL_CUTS
 from plhomeo.sphere import _bprime_path, free_structure
@@ -329,6 +329,8 @@ def test_cuts_match_reference(model, kind, kk, n, seed, monkeypatch):
     monkeypatch.setattr(eqcomplex, "_chord_split", side_tested)
     f, _ = _instance(model, kind, kk, n, seed)
     chains = _chain_cells(f, n)
+    # the reference cuts the chain cells as Fraction points
+    fchains = [(tuple(frac_poly(p)), c, a) for p, c, a in chains]
     lo = -1 if model == SPHERE else 0
     levels = list(LEVEL_CUTS[model]) + [_big(lo * 1000 + 1300, 0),
                                         _big(lo * 1000 + 1777, 1)]
@@ -345,7 +347,7 @@ def test_cuts_match_reference(model, kind, kk, n, seed, monkeypatch):
                  (levels[:2], segs[:1], segs[1:]), ([], short),
                  (levels, [], short)):
         got = _outcome(_cut_polys, chains, *args)
-        assert got == _outcome(reference_cut_polys, chains, *args)
+        assert got == _outcome(reference_cut_polys, fchains, *args)
     assert len(_cut_polys(chains, levels, segs)) > len(chains)
     assert crossed and all(crossed)
 

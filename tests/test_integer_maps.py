@@ -248,10 +248,8 @@ def test_inverse_matches_reference(instances):
     for _, maps_, _ in instances:
         for g in maps_:
             inv, ref = inverse(g), reference_inverse(g)
-            for c, i in zip(g.cells, inv.cells):
-                if area2(c.img) > 0 and 0 <= min(x for x, _ in c.img) \
-                        and max(x for x, _ in c.img) <= 1:
-                    assert i.poly is c.img
+            # built as its index: the cells only when read
+            assert "cells" not in vars(inv)
             assert inv.cells == ref.cells
             assert _index_fields(inv.index) == _fresh_index(ref.cells)
             assert inv.index.images == integer_charts(

@@ -20,14 +20,13 @@ from plhomeo import geom
 from plhomeo import io as pio
 from plhomeo import maps
 from plhomeo.exact import mod1
-from plhomeo.geom import (INSIDE, BOUNDARY, clip_convex, frac_poly, hom,
-                          point_in_convex)
+from plhomeo.geom import INSIDE, BOUNDARY, clip_convex, frac_poly, hom
 from plhomeo.maps import (CellMap, PLMap2, ccw, compose, evaluate,
                           first_disagreement, follow, identity_map, power,
                           shift_into_unit)
 from plhomeo.suspension import (DISC, affine_from_pairs, band_cells,
                                 model_point, s_range)
-from test_clip_convex import clip_homs
+from test_clip_convex import clip_homs, reference_point_in_convex
 from test_geom import fractions_of, on_integers
 from test_validate_homeo import bbox
 
@@ -201,7 +200,7 @@ def test_box_index_finds_the_cells_fraction_boxes_meet(frozen):
             assert [i for i in range(len(g.cells)) if g.index.meets(i, q)] \
                 == sorted(g.index.near(q))
             for x, y in (cell.poly[0], ((x0 + x1) / 2, (y0 + y1) / 2)):
-                assert g.index.at((x, y)) == _meeting(g, x, y, x, y)
+                assert g.index.at(hom((x, y))) == _meeting(g, x, y, x, y)
     # boxes over small denominators, on and off the grid of the bands
     g = identity_map(DISC, band_cells(DISC, 4))
     rng = random.Random(0)
@@ -250,8 +249,8 @@ def _brute_preimage_count(f):
     for cand in polys:
         p = (mod1(sum(q[0] for q in cand) / len(cand)),
              sum(q[1] for q in cand) / len(cand))
-        classes = [point_in_convex(q, list(poly)) for poly in polys
-                   for q in (p, (p[0] + 1, p[1]))]
+        classes = [reference_point_in_convex(q, list(poly))
+                   for poly in polys for q in (p, (p[0] + 1, p[1]))]
         if BOUNDARY not in classes:
             return classes.count(INSIDE)
     return -1

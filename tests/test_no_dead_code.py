@@ -18,7 +18,9 @@ point only to evaluate the map there, and the overlay box-tests and
 measures areas on integers, as the equivariant complex keys, acts and
 cuts on them, and an affine chart map is built on integers, as are the
 results of ``compose`` and ``follow``; keeping each polygon's edge lines
-leaves the number of clipped pairs as it was.  Every import
+leaves the number of clipped pairs as it was.  The core reads a map
+through its integer index, not its Fraction cells, and ``geom`` has one
+point-in-cell test.  Every import
 in ``src/`` is at module level.  A check's verdict is a return value,
 never stored on the record checked.
 """
@@ -316,6 +318,43 @@ def test_compose_and_follow_build_no_fraction():
     assert set(defs) == wanted
     assert [f"{name}: {fn}" for name in sorted(defs)
             for fn in sorted(_calls(defs[name]) & fractional)] == []
+
+
+def _reads_cells(node):
+    """The lines where node reads a ``.cells`` attribute."""
+    return [n.lineno for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and n.attr == "cells"]
+
+
+def test_the_core_reads_maps_through_their_index():
+    """No function of ``maps`` outside ``PLMap2``, none of ``sphere``, and
+    not ``eqcomplex._chain_cells`` reads a ``.cells`` attribute: they read
+    a map's ``BoxIndex``, so the Fraction cells of a composed map are not
+    built only to be read back.  ``maps.inverse`` builds its index alone,
+    no ``CellMap``."""
+    mods = _modules()
+    defs = {(name, top.name): top for name in ("maps", "eqcomplex")
+            for top in mods[name].body
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef))}
+    assert {("maps", "inverse"), ("eqcomplex", "_chain_cells")} <= set(defs)
+    found = [f"{name}.{fn}: line {line}" for (name, fn), top in defs.items()
+             if (name == "maps" and fn != "PLMap2")
+             or (name, fn) == ("eqcomplex", "_chain_cells")
+             for line in _reads_cells(top)]
+    found += [f"sphere: line {line}" for line in _reads_cells(mods["sphere"])]
+    if "CellMap" in _calls(defs["maps", "inverse"]):
+        found.append("maps.inverse: CellMap")
+    assert found == []
+
+
+def test_geom_has_one_point_in_cell_test():
+    """``geom.point_in_convex``, on a cell's integer edge lines, is the
+    one point-in-polygon test: geom defines no Fraction ``orient`` or
+    ``on_segment``."""
+    defs = {top.name for top in _modules()["geom"].body
+            if isinstance(top, ast.FunctionDef)}
+    assert "point_in_convex" in defs
+    assert defs & {"orient", "on_segment"} == set()
 
 
 # clip_convex calls of analyze, conjugate and verify of the frozen disc

@@ -7,7 +7,7 @@ from plhomeo.circle import rotation_number
 from plhomeo.conjugacy import ModelIsometry, check_certificate
 from plhomeo.errors import NotPeriodic, StructureViolated
 from plhomeo.generate import make_instance
-from plhomeo.geom import OUTSIDE, on_segment, orient, point_in_convex
+from plhomeo.geom import OUTSIDE
 from plhomeo.maps import (CellMap, PLMap2, boundary_restriction, compose,
                           evaluate, fixed_set, follow, identity_map,
                           is_model_rotation, period, power, validate_homeo)
@@ -15,6 +15,7 @@ from plhomeo.sphere import (_solve_class_angle, analyze_sphere,
                             build_conjugacy_fixedpoint, build_conjugacy_free,
                             t0_cut)
 from plhomeo.suspension import SPHERE, band_cells, isometry_affine
+from test_clip_convex import on_segment, orient, reference_point_in_convex
 
 Q = Fraction
 
@@ -197,10 +198,10 @@ def convex_touch(p_poly, q_poly):
     """Do two convex polygons intersect at all (even in a single point)?
     The touch scan of the t0 oracle, which shares no code with t0_cut."""
     for v in p_poly:
-        if point_in_convex(v, q_poly) != OUTSIDE:
+        if reference_point_in_convex(v, q_poly) != OUTSIDE:
             return True
     for v in q_poly:
-        if point_in_convex(v, p_poly) != OUTSIDE:
+        if reference_point_in_convex(v, p_poly) != OUTSIDE:
             return True
     np_, nq = len(p_poly), len(q_poly)
     for i in range(np_):

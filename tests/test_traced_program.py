@@ -4,11 +4,13 @@
 size on some results: the ``cells`` of ``maps.compose``, the ``polys`` of
 the two equivariant complexes, and the first two positional arguments of
 ``embedding.tutte_positions``.  Here ``analyze --format json``,
-``conjugate`` and ``verify`` run on four frozen instances, both fixed-point
-classes among them, once untraced and twice under an installed ``Tracer``.
-Both traced runs must give the untraced exit codes, standard output and
-certificate bytes, with no exception escaping a wrapper, and make the same
-calls in every group.
+``conjugate`` and ``verify`` run on five frozen instances, every case of
+the ``fixed-point`` workload among them, once untraced and twice under an
+installed ``Tracer``, the second time in the reverse case order, as
+``bench/run.py`` shuffles the order of each pass.  Both traced runs must
+give the untraced exit codes, standard output and certificate bytes, with
+no exception escaping a wrapper, and make the same calls, and measure the
+same sizes, in every group.
 """
 
 import contextlib
@@ -20,8 +22,8 @@ from plhomeo import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 INPUTS = ROOT / "bench" / "inputs"
-NAMES = ["disc-reflection-0-2", "disc-rotation-1-3", "sphere-rotation-1-3",
-         "sphere-rotoreflection-1-4"]
+NAMES = ["disc-reflection-0-2", "disc-rotation-1-3", "sphere-reflection-0-2",
+         "sphere-rotation-1-3", "sphere-rotoreflection-1-4"]
 CALLED = ["maps.compose", "eqcomplex.equivariant_complex",
           "eqcomplex.conjugated_equivariant_complex",
           "embedding.tutte_positions", "disc.analyze_disc",
@@ -36,11 +38,12 @@ def _load_tracer():
     return tracer
 
 
-def _run(call, tmp: Path):
+def _run(call, tmp: Path, names=NAMES):
     """(case, stage, exit code, stdout) of each command, with the
-    temporary directory masked, and each certificate's bytes."""
+    temporary directory masked, and each certificate's bytes, in the
+    order of NAMES whatever the order of the cases run."""
     out = []
-    for name in NAMES:
+    for name in names:
         inst = str(INPUTS / f"{name}.json")
         cert = tmp / f"{name}.cert.json"
         cert.unlink(missing_ok=True)
@@ -55,26 +58,26 @@ def _run(call, tmp: Path):
             out.append((name, stage, rc,
                         buf.getvalue().replace(str(tmp), "<tmp>")))
         out.append((name, "certificate", cert.read_bytes()))
-    return out
+    return sorted(out, key=lambda row: NAMES.index(row[0]))
 
 
 def test_traced_runs_are_the_untraced_run(tmp_path):
     tracer = _load_tracer().Tracer()
     untraced = _run(lambda stage, argv: cli.main(argv), tmp_path)
     traced, counts = [], []
-    for _ in range(2):
+    for names in (NAMES, NAMES[::-1]):
         first = len(tracer.spans)
         tracer.install()
         try:
             traced.append(_run(lambda stage, argv: tracer.root(
-                stage, cli.main, argv), tmp_path))
+                stage, cli.main, argv), tmp_path, names))
         finally:
             tracer.uninstall()
-        counts.append({group: s["calls"]
+        counts.append({group: (s["calls"], s["count"])
                        for group, s in tracer.aggregate(first).items()})
     assert [run[2] for run in untraced if len(run) == 4] == \
         [0] * 3 * len(NAMES)
     assert traced[0] == untraced
     assert traced[1] == untraced
     assert counts[0] == counts[1]
-    assert [g for g in CALLED if counts[0][g] == 0] == []
+    assert [g for g in CALLED if counts[0][g][0] == 0] == []

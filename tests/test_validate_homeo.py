@@ -21,12 +21,13 @@ from plhomeo import io as pio
 from plhomeo import maps
 from plhomeo.errors import OverlayDegenerate, ParseError, StructureViolated
 from plhomeo.exact import fmt_pt, mod1
-from plhomeo.geom import INSIDE, area2, point_in_convex
+from plhomeo.geom import INSIDE, area2
 from plhomeo.maps import (CellMap, PLMap2, ccw, identity_map, shift_into_unit,
                           validate_homeo)
 from plhomeo.geom import Pt
 from plhomeo.suspension import (DISC, SPHERE, _edge_key, band_cells,
                                 collapsed_levels, integer_charts, s_range)
+from test_clip_convex import reference_point_in_convex
 
 Q = Fraction
 INPUTS = Path(__file__).resolve().parents[1] / "bench" / "inputs"
@@ -198,7 +199,7 @@ def _generic_preimage_count(f):
             for q in (p, (p[0] + 1, p[1])):
                 if not (box[0] <= q[0] <= box[2] and box[1] <= q[1] <= box[3]):
                     continue
-                cls = point_in_convex(q, list(poly))
+                cls = reference_point_in_convex(q, list(poly))
                 if cls == INSIDE:
                     cnt += 1
                 elif cls == "boundary":
